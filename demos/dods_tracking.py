@@ -23,8 +23,7 @@ xs = rng.uniform(-1, 1, size=(n_seq, t_len, dods.I))
 ys = np.stack([eval_dods(dods, xs[b]) for b in range(n_seq)])
 
 p0 = random_rftnet(dods.I, width, ft.HOLSIN, 0.2, rng)
-cfg = TrainConfig(step_size=1e-3, max_iters=20_000, seed=0,
-                  target_loss=1e-2 * n_seq * t_len)
+cfg = TrainConfig(step_size=1e-3, max_iters=20_000, target_loss=1e-2 * n_seq * t_len)
 print(f"training: H={width}, {n_seq} sequences of length {t_len}, "
       f"target per-step MSE 1e-2")
 trained, trace = train_rftnet(p0, SequenceDataset(xs, ys), ft.squared_loss(), cfg)

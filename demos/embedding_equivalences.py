@@ -3,82 +3,38 @@
 
 Each construction below is a block rearrangement of the source weights, so
 the two models agree to floating-point rounding on every input, not just on
-average.  The script builds one instance per family, prints the width
-bookkeeping, and measures the worst output gap over random probes.
+average.  The script walks the table of embedding families, checks three
+random instances of each, and prints the width and parameter bookkeeping with
+the worst gap.  Recurrent gaps include the state mirrors each construction
+claims: the receptor carries the RNN memory or the additive q-state exactly.
 """
 
 import numpy as np
 
 import ftnetlab as ft
-from ftnetlab.cli import random_additive, random_crnet, random_relu_fnn, random_relu_rnn
-from ftnetlab.models import (
-    eval_additive_many,
-    eval_crnet_many,
-    eval_fftnet_many,
-    eval_fnn_many,
-    eval_rftnet_many,
-    eval_rnn_many,
-    param_count,
+from ftnetlab.embeddings import (
+    FAMILIES,
+    SEQUENCE_LENGTH,
+    random_relu_rnn,
+    run_embedding_sweep,
 )
 
-rng = np.random.default_rng(7)
 print(__doc__)
 
-# --- feedforward: ReLU network -> gate network -------------------------------
-fnn = random_relu_fnn(rng)
-net = ft.fnn_to_fftnet(fnn, mode="zrelu")
-x = rng.uniform(-2, 2, size=(500, fnn.I))
-gap = np.max(np.abs(eval_fftnet_many(net, x) - eval_fnn_many(fnn, x)))
-print(f"ReLU network     I={fnn.I} H={fnn.HF:2d}  ->  width {net.H} "
-      f"(= max{{H_F, I+1}}), params {param_count('fnn', fnn.HF, fnn.I)} -> "
-      f"{param_count('ftnet', net.H)}, worst |gap| {gap:.2e}")
-
-# the same network through the induced-restriction route, offset c = 0.75
-net2 = ft.fnn_to_fftnet(fnn, c=0.75, mode="induced", target_activation=ft.ZRELU)
-gap2 = np.max(np.abs(eval_fftnet_many(net2, x) - eval_fnn_many(fnn, x)))
-print(f"  induced mode (c=0.75): same width {net2.H}, worst |gap| {gap2:.2e}")
-
-# --- complex-reaction network -> feedforward and recurrent hosts -------------
-crn = random_crnet(rng)
-host_f = ft.crnet_to_fftnet(crn)
-x = rng.uniform(-2, 2, size=(500, crn.I))
-gap = np.max(np.abs(eval_fftnet_many(host_f, x) - eval_crnet_many(crn, x)))
-print(f"Complex-reaction I={crn.I} H={crn.HC:2d}  ->  width {host_f.H} "
-      f"(= max{{2H_C, I+1}}), worst |gap| {gap:.2e}")
-
-host_r = ft.crnet_to_rftnet(crn)
-xs = rng.uniform(-2, 2, size=(100, 6, crn.I))
-per_step = np.stack([eval_crnet_many(crn, xs[:, t, :]) for t in range(6)], axis=1)
-gap = np.max(np.abs(eval_rftnet_many(host_r, xs) - per_step))
-print(f"  recurrent host: width {host_r.H} (= 2H_C+I+1), six steps, "
-      f"worst |gap| {gap:.2e} (the receptor columns are zero, so the "
-      f"recurrence is inert)")
-
-# --- ReLU recurrent network -> recurrent gate network ------------------------
-rnn = random_relu_rnn(rng)
-host = ft.rnn_to_rftnet(rnn)
-xs = rng.uniform(-1, 1, size=(100, 10, rnn.I))
-src, memories = eval_rnn_many(rnn, xs, return_memory=True)
-tgt, _, receptors = eval_rftnet_many(host, xs, return_trajectory=True)
-b3 = slice(rnn.I + rnn.HR, rnn.I + 2 * rnn.HR)
-print(f"ReLU recurrent   I={rnn.I} H={rnn.HR:2d}  ->  width {host.H} "
-      f"(= 2H_R+I+1), worst |gap| {np.max(np.abs(tgt - src)):.2e}; the third "
-      f"receptor block carries the memory exactly "
-      f"(worst |r_t3 - m_t| = {np.max(np.abs(receptors[:, :, b3] - memories)):.2e})")
-
-# --- two-recurrence additive network -> recurrent gate network ---------------
-add = random_additive(rng)
-host = ft.additive_to_rftnet(add)
-xs = rng.uniform(-1, 1, size=(100, 8, add.I))
-src, _, qs = eval_additive_many(add, xs, return_states=True)
-tgt, _, receptors = eval_rftnet_many(host, xs, return_trajectory=True)
-mid = slice(add.I, add.I + add.Hplus)
-print(f"Additive network I={add.I} H={add.Hplus:2d}  ->  width {host.H} "
-      f"(= I+H+1), worst |gap| {np.max(np.abs(tgt - src)):.2e}; receptor "
-      f"mirrors (0; q_t; 0) with worst deviation "
-      f"{np.max(np.abs(receptors[:, :, mid] - qs)):.2e}")
+for name, fam in FAMILIES.items():
+    reports, _ = run_embedding_sweep(name, seed=7, instances=3, probes=100)
+    formula = f"  (H -> {fam.report[2]})" if fam.report else ""
+    print(f"{name}: {fam.source} -> {fam.target}{formula}")
+    for r in reports:
+        print(f"  I={r.I} T={r.T:2d}  width {r.source_hidden:2d} -> {r.target_hidden:2d}, "
+              f"params {r.source_params:4d} -> {r.target_params:4d}, "
+              f"worst gap {r.max_abs_output_gap:.2e}")
+print(f"(recurrent families run {SEQUENCE_LENGTH} steps; the induced FNN route "
+      "uses a random offset c, and the DODS assembly checks one sequence)")
 
 # --- freezing a recurrent step into a feedforward network --------------------
+rng = np.random.default_rng(7)
+rnn = random_relu_rnn(rng)
 prefix = rng.uniform(-1, 1, size=(5, rnn.I))
 frozen = ft.rnn_timepoint_to_fnn(rnn, prefix, t0=4)
 probe = rng.uniform(-1, 1, size=rnn.I)

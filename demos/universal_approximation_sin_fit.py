@@ -20,7 +20,7 @@ data = ft.Dataset(xs, np.sin(3.0 * xs[:, 0]))
 
 rng = np.random.default_rng(0)
 p0 = random_fftnet(1, width, ft.HOLSIN, 0.3, rng)
-cfg = TrainConfig(step_size=3e-3, max_iters=50_000, seed=0, target_loss=1e-3 * n)
+cfg = TrainConfig(step_size=3e-3, max_iters=50_000, target_loss=1e-3 * n)
 
 print(f"training: H={width}, {n} samples, squared loss, target MSE 1e-3")
 trained, trace = train_fftnet(p0, data, ft.squared_loss(), cfg)

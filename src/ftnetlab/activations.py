@@ -52,10 +52,6 @@ def modrelu(bias: float = -0.5) -> ActivationKind:
     return ActivationKind("modrelu", bias=float(bias))
 
 
-def activation_to_tag(kind: ActivationKind) -> str:
-    return kind.tag
-
-
 def activation_from_tag(tag: str, bias: float | None = None) -> ActivationKind:
     if tag == "modrelu":
         return modrelu(-0.5 if bias is None else bias)

@@ -3,46 +3,37 @@ descent-probe campaigns, and the width/parameter report.
 
 Grammar: ``ftnet-lab {convert|verify|train|probe|report} --config <path>
 [--seed N] [--out DIR]``.  Exit codes: 0 success, 1 property failure,
-2 contract/config rejection, 3 I/O failure.  FTNET_LAB_THREADS caps the
-sweep thread pool (default 1).
+2 contract/config rejection, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import constructions as cons
-from .activations import HOLSIN, RELU, ZRELU, activation_from_tag
+from .activations import activation_from_tag
+from .embeddings import (
+    FAMILIES,
+    SEQUENCE_LENGTH,
+    conversion,
+    relative_gap,  # noqa: F401  (the per-layer benchmark traces cli.relative_gap)
+    run_embedding_sweep,
+)
 from .errors import ContractViolationError, DegenerateInputError
 from .losses import Dataset, empirical_loss, loss_spec_from_config
 from .models import (
-    AdditiveFTNetParams,
-    CRNetParams,
     FFTNetParams,
-    FNNParams,
-    RNNParams,
     dods_linear,
-    eval_additive_many,
-    eval_crnet_many,
     eval_dods,
-    eval_fftnet_many,
-    eval_fnn_many,
-    eval_rftnet_many,
-    eval_rnn_many,
     load_model,
     model_kind,
-    model_to_dict,
-    param_count,
     save_model,
 )
-from .numerics import ComplexMatrix, ComplexVector
 from .optimize import (
     SequenceDataset,
     TrainConfig,
@@ -59,22 +50,6 @@ EXIT_REJECTED = 2
 EXIT_IO_FAILURE = 3
 
 PROBE_CSV_HEADER = "instance_id,case_tag,old_loss,new_loss,perturbation_norm,found"
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("FTNET_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_indexed(fn, items):
-    """Deterministic map: results come back in submission order."""
-    n = _threads()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -113,261 +88,6 @@ def validate_config(command: str, cfg: dict) -> list[str]:
     return problems
 
 
-# ---------------------------------------------------------------------------
-# random instances (shared by cmd_verify, cmd_probe, and the test suite)
-# ---------------------------------------------------------------------------
-
-def random_relu_fnn(rng: np.random.Generator, imax: int = 8, hmax: int = 16) -> FNNParams:
-    i = int(rng.integers(1, imax + 1))
-    h = int(rng.integers(1, hmax + 1))
-    return FNNParams(i, h, rng.standard_normal((h, i)), rng.standard_normal(h),
-                     rng.standard_normal(h), RELU)
-
-
-def random_relu_rnn(rng: np.random.Generator, imax: int = 6, hmax: int = 12) -> RNNParams:
-    i = int(rng.integers(1, imax + 1))
-    h = int(rng.integers(1, hmax + 1))
-    return RNNParams(i, h, rng.standard_normal((h, i)),
-                     0.4 / np.sqrt(h) * rng.standard_normal((h, h)),
-                     rng.standard_normal(h), rng.standard_normal(h),
-                     0.5 * rng.standard_normal(h), RELU)
-
-
-def random_crnet(rng: np.random.Generator, i_choices=(2, 4, 6, 8),
-                 hmax: int = 8) -> CRNetParams:
-    i = int(rng.choice(i_choices))
-    h = int(rng.integers(1, hmax + 1))
-    return CRNetParams(
-        i, h,
-        ComplexMatrix(rng.standard_normal((h, i // 2)), rng.standard_normal((h, i // 2))),
-        ComplexVector(rng.standard_normal(h), rng.standard_normal(h)),
-        ComplexVector(rng.standard_normal(h), rng.standard_normal(h)),
-        ZRELU)
-
-
-def random_additive(rng: np.random.Generator, imax: int = 6,
-                    hmax: int = 10) -> AdditiveFTNetParams:
-    i = int(rng.integers(1, imax + 1))
-    h = int(rng.integers(1, hmax + 1))
-    base = ZRELU if rng.random() < 0.5 else HOLSIN
-    # the sinh feedback of the holsin q-side explodes unless kept small
-    s = 1.0 if base == ZRELU else 0.3
-    fb = 0.3 if base == ZRELU else 0.1
-    return AdditiveFTNetParams(
-        i, h, s * rng.standard_normal((h, i)),
-        fb / np.sqrt(h) * rng.standard_normal((h, h)),
-        s * rng.standard_normal(h), rng.standard_normal(h),
-        0.2 * rng.standard_normal(h), base, float(rng.uniform(0.5, 1.5)))
-
-
-def random_dods_stages(rng: np.random.Generator, i: int = 3, hd: int = 2,
-                       h1: int = 4, h2: int = 5, h5: int = 6,
-                       scale: float = 1.0, feedback: float = 0.4,
-                       readout_scale: float = 1.0):
-    def stage(h):
-        return cons.StateStage(
-            scale * rng.standard_normal((h, i)),
-            feedback * rng.standard_normal((h, hd)),
-            cons.pad_row_independent(readout_scale * rng.standard_normal((hd, h - hd))).U,
-            scale * rng.standard_normal(h))
-
-    s1 = stage(h1)
-    s2 = stage(h2)
-    readout = cons.ReadoutStage(scale * rng.standard_normal((h5, i)),
-                                feedback * rng.standard_normal((h5, h2)),
-                                rng.standard_normal(h5), scale * rng.standard_normal(h5))
-    return s1, s2, readout
-
-
-# ---------------------------------------------------------------------------
-# embedding sweeps
-# ---------------------------------------------------------------------------
-
-def relative_gap(target_vals: np.ndarray, source_vals: np.ndarray) -> float:
-    """max |target - source| / (1 + |source|); +inf on any non-finite value."""
-    target_vals = np.asarray(target_vals)
-    source_vals = np.asarray(source_vals)
-    if not (np.all(np.isfinite(target_vals)) and np.all(np.isfinite(source_vals))):
-        return float("inf")
-    diff = np.abs(target_vals - source_vals)
-    return float(np.max(diff / (1.0 + np.abs(source_vals))))
-
-
-def _worst(*gaps) -> float:
-    vals = [float(g) for g in gaps]
-    return float("inf") if any(np.isnan(v) for v in vals) else max(vals)
-
-
-def _sweep_fnn(rng, probes, mode):
-    f = random_relu_fnn(rng)
-    c = float(rng.uniform(0.25, 2.0))
-    if mode == "zrelu":
-        g = cons.fnn_to_fftnet(f, mode="zrelu")
-    else:
-        g = cons.fnn_to_fftnet(f, c=c, mode="induced", target_activation=ZRELU)
-    x = rng.uniform(-2.0, 2.0, size=(probes, f.I))
-    gap = relative_gap(eval_fftnet_many(g, x), eval_fnn_many(f, x))
-    rep = cons.EmbeddingReport("fnn", "fftnet", f.I, 1, f.HF, g.H,
-                               param_count("fnn", f.HF, f.I),
-                               param_count("fftnet", g.H, f.I), gap)
-    return rep, model_to_dict(f)
-
-
-def _sweep_additive(rng, probes, t_len):
-    a = random_additive(rng)
-    g = cons.additive_to_rftnet(a)
-    xs = rng.uniform(-1.0, 1.0, size=(probes, t_len, a.I))
-    src, _, qs = eval_additive_many(a, xs, return_states=True)
-    tgt, _, rec = eval_rftnet_many(g, xs, return_trajectory=True)
-    # receptor mirrors (0; q_t; 0) at every step
-    gap = _worst(
-        relative_gap(tgt, src),
-        np.max(np.abs(rec[:, :, a.I : a.I + a.Hplus] - qs)),
-        np.max(np.abs(rec[:, :, : a.I])),
-        np.max(np.abs(rec[:, :, -1])),
-    )
-    rep = cons.EmbeddingReport("additive", "rftnet", a.I, t_len, a.Hplus, g.H,
-                               param_count("additive", a.Hplus, a.I),
-                               param_count("rftnet", g.H, a.I), gap)
-    return rep, model_to_dict(a)
-
-
-def _sweep_crnet_f(rng, probes):
-    crn = random_crnet(rng)
-    g = cons.crnet_to_fftnet(crn)
-    x = rng.uniform(-2.0, 2.0, size=(probes, crn.I))
-    gap = relative_gap(eval_fftnet_many(g, x), eval_crnet_many(crn, x))
-    rep = cons.EmbeddingReport("crnet", "fftnet", crn.I, 1, crn.HC, g.H,
-                               param_count("crnet", crn.HC, crn.I),
-                               param_count("fftnet", g.H, crn.I), gap)
-    return rep, model_to_dict(crn)
-
-
-def _sweep_crnet_r(rng, probes, t_len):
-    crn = random_crnet(rng)
-    g = cons.crnet_to_rftnet(crn)
-    xs = rng.uniform(-2.0, 2.0, size=(probes, t_len, crn.I))
-    tgt, _, rec = eval_rftnet_many(g, xs, return_trajectory=True)
-    src = np.stack([eval_crnet_many(crn, xs[:, t, :]) for t in range(t_len)], axis=1)
-    gap = _worst(relative_gap(tgt, src),
-                 np.max(np.abs(rec[:, :, : crn.I])),
-                 np.max(np.abs(rec[:, :, -1])))
-    rep = cons.EmbeddingReport("crnet", "rftnet", crn.I, t_len, crn.HC, g.H,
-                               param_count("crnet", crn.HC, crn.I),
-                               param_count("rftnet", g.H, crn.I), gap)
-    return rep, model_to_dict(crn)
-
-
-def _sweep_rnn(rng, probes, t_len):
-    r = random_relu_rnn(rng)
-    g = cons.rnn_to_rftnet(r)
-    xs = rng.uniform(-1.0, 1.0, size=(probes, t_len, r.I))
-    src, ms = eval_rnn_many(r, xs, return_memory=True)
-    tgt, _, rec = eval_rftnet_many(g, xs, return_trajectory=True)
-    b3 = slice(r.I + r.HR, r.I + 2 * r.HR)
-    gap = _worst(relative_gap(tgt, src),
-                 np.max(np.abs(rec[:, :, b3] - ms)),
-                 np.max(np.abs(rec[:, :, : r.I])),
-                 np.max(np.abs(rec[:, :, -1])))
-    rep = cons.EmbeddingReport("rnn", "rftnet", r.I, t_len, r.HR, g.H,
-                               param_count("rnn", r.HR, r.I),
-                               param_count("rftnet", g.H, r.I), gap)
-    return rep, model_to_dict(r)
-
-
-def _sweep_dods_assembly(rng, t_len):
-    s1, s2, readout, base, c, h0 = _random_assembly(rng)
-    i = s1.A.shape[1]
-    xs = rng.uniform(-1.0, 1.0, size=(t_len, i))
-    gap = assembly_structural_gap(s1, s2, readout, base, c, h0, xs)
-    addnet = cons.assemble_dods_additive(s1, s2, readout, base, c, h0)
-    rep = cons.EmbeddingReport("dods_stages", "additive", i, t_len,
-                               s1.hidden + s2.hidden + readout.hidden,
-                               addnet.Hplus,
-                               param_count("additive", addnet.Hplus, i),
-                               param_count("additive", addnet.Hplus, i), gap)
-    return rep, model_to_dict(addnet)
-
-
-def _random_assembly(rng):
-    i = int(rng.integers(1, 5))
-    hd = int(rng.integers(1, 4))
-    h1 = hd + int(rng.integers(1, 4))
-    h2 = hd + int(rng.integers(1, 4))
-    h5 = int(rng.integers(1, 6))
-    base = ZRELU if rng.random() < 0.5 else HOLSIN
-    # the stage-1 self-recurrence goes through cosh (>= 1 even at 0), so
-    # holsin instances must be strongly contractive to stay in range
-    scale, feedback, ro = (1.0, 0.25, 1.0) if base == ZRELU else (0.2, 0.02, 0.5)
-    s1, s2, readout = random_dods_stages(rng, i=i, hd=hd, h1=h1, h2=h2, h5=h5,
-                                         scale=scale, feedback=feedback,
-                                         readout_scale=ro)
-    c = float(rng.uniform(0.5, 1.5))
-    h0 = 0.1 * rng.standard_normal(hd)
-    return s1, s2, readout, base, c, h0
-
-
-def assembly_structural_gap(s1, s2, readout, base, c, h0, xs) -> float:
-    """Worst violation of the three exact chain claims plus state stacking."""
-    traj = cons.dods_stage_trajectories(s1, s2, readout, base, c, h0, xs)
-    addnet = cons.assemble_dods_additive(s1, s2, readout, base, c, h0)
-    _, ps, qs = eval_additive_many(addnet, np.asarray(xs)[None], return_states=True)
-    ps, qs = ps[0], qs[0]
-    h1 = s1.hidden
-    return _worst(
-        np.max(np.abs(traj["p1"] - traj["p2"] @ s1.C.T)),          # p1 = C1 p2
-        np.max(np.abs(traj["q1"] - traj["q2"] @ s2.C.T)),          # q1 = C2 q2
-        np.max(np.abs(traj["q3"][:, h1:] - traj["q2"])),           # q3 tail = q2
-        np.max(np.abs(ps - np.hstack([traj["p3"], traj["p5"]]))),  # p = (p3; p5)
-        np.max(np.abs(qs - np.hstack([traj["q3"], traj["q5"]]))),  # q = (q3; q5)
-    )
-
-
-SWEEP_PAIRS = ("fnn_to_fftnet_zrelu", "fnn_to_fftnet_induced", "additive_to_rftnet",
-               "crnet_to_fftnet", "crnet_to_rftnet", "rnn_to_rftnet", "dods_assembly")
-
-
-def run_embedding_sweep(pair: str, seed: int, instances: int, probes: int = 100,
-                        t_len: int = 10):
-    """Returns (reports, replay dicts) for one construction family."""
-    def one(idx):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                           spawn_key=(idx,)))
-        if pair == "fnn_to_fftnet_zrelu":
-            return _sweep_fnn(rng, probes, "zrelu")
-        if pair == "fnn_to_fftnet_induced":
-            return _sweep_fnn(rng, probes, "induced")
-        if pair == "additive_to_rftnet":
-            return _sweep_additive(rng, probes, t_len)
-        if pair == "crnet_to_fftnet":
-            return _sweep_crnet_f(rng, probes)
-        if pair == "crnet_to_rftnet":
-            return _sweep_crnet_r(rng, probes, t_len)
-        if pair == "rnn_to_rftnet":
-            return _sweep_rnn(rng, probes, t_len)
-        if pair == "dods_assembly":
-            return _sweep_dods_assembly(rng, t_len)
-        raise ContractViolationError(f"unknown sweep pair {pair!r}")
-
-    results = _map_indexed(one, range(instances))
-    return [r[0] for r in results], [r[1] for r in results]
-
-
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
-
-_CONVERTERS = {
-    ("fnn", "fftnet"): lambda m, cfg: cons.fnn_to_fftnet(
-        m, c=float(cfg.get("c", 1.0)), mode=cfg.get("mode", "zrelu"),
-        target_activation=ZRELU if cfg.get("mode") == "induced" else None),
-    ("additive", "rftnet"): lambda m, cfg: cons.additive_to_rftnet(m),
-    ("crnet", "fftnet"): lambda m, cfg: cons.crnet_to_fftnet(m),
-    ("crnet", "rftnet"): lambda m, cfg: cons.crnet_to_rftnet(m),
-    ("rnn", "rftnet"): lambda m, cfg: cons.rnn_to_rftnet(m),
-}
-
-
 def cmd_convert(cfg: dict, out_dir: Path, seed: int) -> int:
     try:
         model = load_model(cfg["in_model"])
@@ -379,13 +99,13 @@ def cmd_convert(cfg: dict, out_dir: Path, seed: int) -> int:
         print(f"error: bad model: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     src_kind = model_kind(model)
-    key = (src_kind, cfg["target"])
-    if key not in _CONVERTERS:
+    fam = conversion(src_kind, cfg["target"], cfg.get("mode", "zrelu"))
+    if fam is None:
         print(f"error: unsupported conversion {src_kind} -> {cfg['target']}",
               file=sys.stderr)
         return EXIT_REJECTED
     try:
-        converted = _CONVERTERS[key](model, cfg)
+        converted = fam.convert(model, float(cfg.get("c", 1.0)))
     except (ContractViolationError, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
@@ -396,41 +116,40 @@ def cmd_convert(cfg: dict, out_dir: Path, seed: int) -> int:
         print(f"error: cannot write model: {exc}", file=sys.stderr)
         return EXIT_IO_FAILURE
 
-    src_h = model_to_dict(model)["H"]
-    i = converted.I
-    gap = None
-    probes = int(cfg.get("probes", 0))
-    if probes > 0:
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(-2.0, 2.0, size=(probes, i))
-        src_eval = {"fnn": eval_fnn_many, "crnet": eval_crnet_many}.get(src_kind)
-        if src_eval is not None and model_kind(converted) == "fftnet":
-            gap = relative_gap(eval_fftnet_many(converted, x), src_eval(model, x))
-    rep = cons.EmbeddingReport(src_kind, model_kind(converted), i,
-                               1, src_h, converted.H,
-                               param_count(src_kind, src_h, i),
-                               param_count("ftnet", converted.H, i), gap)
-    print(cons.EMBEDDING_CSV_HEADER)
-    print(rep.csv_row())
+    rep = fam.check(model, converted, np.random.default_rng(seed),
+                    int(cfg.get("probes", 0)), SEQUENCE_LENGTH)
+    print(cons.reports_to_csv([rep]), end="")
     return EXIT_OK
 
 
 def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
-    instances = int(cfg.get("instances", 200))
+    counts = {"instances": int(cfg.get("instances", 200)),
+              "assemblies": int(cfg.get("assemblies", 50))}
     probes = int(cfg.get("probes", 100))
-    t_len = int(cfg.get("sequence_length", 10))
+    t_len = int(cfg.get("sequence_length", SEQUENCE_LENGTH))
     tolerance = float(cfg.get("tolerance", 1e-12))
-    assemblies = int(cfg.get("assemblies", 50))
-    pairs = cfg.get("pairs", list(SWEEP_PAIRS))
-    bad = [p for p in pairs if p not in SWEEP_PAIRS]
+    pairs = cfg.get("pairs", list(FAMILIES))
+    if not isinstance(pairs, list) or not all(isinstance(p, str) for p in pairs):
+        print(f"error: pairs must be a list of family names, got {pairs!r}",
+              file=sys.stderr)
+        return EXIT_REJECTED
+    bad = [p for p in pairs if p not in FAMILIES]
     if bad:
         print(f"error: unknown pairs {bad}", file=sys.stderr)
+        return EXIT_REJECTED
+    if probes < 1 or min(counts.values()) < 0:
+        print("error: probes must be >= 1, instances and assemblies >= 0", file=sys.stderr)
+        return EXIT_REJECTED
+    if sum(counts[FAMILIES[p].count_key] for p in pairs) == 0:
+        # an empty campaign proves nothing, so it is not a pass
+        print("error: nothing to verify: the selected pairs have 0 instances",
+              file=sys.stderr)
         return EXIT_REJECTED
 
     all_reports = []
     failures = 0
     for pair in pairs:
-        count = assemblies if pair == "dods_assembly" else instances
+        count = counts[FAMILIES[pair].count_key]
         reports, replays = run_embedding_sweep(pair, seed, count, probes, t_len)
         for idx, rep in enumerate(reports):
             all_reports.append(rep)
@@ -472,7 +191,7 @@ def cmd_train(cfg: dict, out_dir: Path, seed: int) -> int:
         rng = np.random.default_rng(seed)
         p0 = random_fftnet(1, h, act, float(cfg.get("init_scale", 0.3)), rng)
         tc = TrainConfig(step_size=float(cfg.get("step_size", 3e-3)),
-                         max_iters=int(cfg.get("iters", 50000)), seed=seed,
+                         max_iters=int(cfg.get("iters", 50000)),
                          target_loss=target_mse * n)
         trained, trace = train_fftnet(p0, data, spec, tc)
         final_mse = trace[-1] / n
@@ -495,7 +214,7 @@ def cmd_train(cfg: dict, out_dir: Path, seed: int) -> int:
         data = SequenceDataset(xs, ys)
         p0 = random_rftnet(spec_dods.I, h, act, float(cfg.get("init_scale", 0.2)), rng)
         tc = TrainConfig(step_size=float(cfg.get("step_size", 1e-3)),
-                         max_iters=int(cfg.get("iters", 20000)), seed=seed,
+                         max_iters=int(cfg.get("iters", 20000)),
                          target_loss=target_mse * n_seq * t_len)
         trained, trace = train_rftnet(p0, data, spec, tc)
         final_mse = trace[-1] / (n_seq * t_len)
@@ -567,63 +286,57 @@ def cmd_probe(cfg: dict, out_dir: Path, seed: int) -> int:
     return EXIT_OK if all_found else EXIT_PROPERTY_FAILURE
 
 
-_REPORT_ROWS_FNN = [
-    ("separation target", "Omega(e^(eps1*I)/I)  [NOT-VERIFIED]", "O(I^(15/4))  [NOT-VERIFIED]"),
-]
-_REPORT_ROWS_RNN = [
-    ("separation target", "Omega(e^(eps2*I))  [NOT-VERIFIED]", "O(I^(15/4))  [NOT-VERIFIED]"),
-]
+# (recurrent target?, baseline family, its separation lower bound) per section
+_REPORT_SECTIONS = ((False, "FNN", "Omega(e^(eps1*I)/I)"),
+                    (True, "RNN", "Omega(e^(eps2*I))"))
 
 
 def cmd_report(cfg: dict, out_dir: Path, seed: int) -> int:
     csv_path = Path(cfg["verify_csv"])
-    if not csv_path.exists():
-        print(f"error: missing input {csv_path}", file=sys.stderr)
+    try:
+        rows = csv_path.read_text(encoding="utf-8").strip().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read verify CSV: {exc}", file=sys.stderr)
         return EXIT_IO_FAILURE
-    rows = csv_path.read_text(encoding="utf-8").strip().splitlines()
     if len(rows) < 2:
         print("error: verify CSV has no data rows", file=sys.stderr)
         return EXIT_IO_FAILURE
-    by_pair: dict[tuple[str, str], list[list[str]]] = {}
-    for line in rows[1:]:
+    columns = len(cons.EMBEDDING_CSV_HEADER.split(","))
+    by_pair: dict[tuple[str, str], list[float | None]] = {}
+    for lineno, line in enumerate(rows[1:], start=2):
         parts = line.split(",")
-        by_pair.setdefault((parts[0], parts[1]), []).append(parts)
-
-    def summarize(src, tgt, formula):
-        items = by_pair.get((src, tgt), [])
-        if not items:
-            return None
-        worst = max(float(p[8]) for p in items if p[8])
-        return (f"any {src} (verified, {len(items)} instances, "
-                f"max gap {worst:.2e})", f"H -> {formula}")
+        if len(parts) != columns:
+            raise ContractViolationError(f"{csv_path} line {lineno}: expected "
+                                         f"{columns} columns, got {len(parts)}")
+        try:
+            gap = float(parts[-1]) if parts[-1] else None
+        except ValueError:
+            raise ContractViolationError(
+                f"{csv_path} line {lineno}: bad gap {parts[-1]!r}") from None
+        by_pair.setdefault((parts[0], parts[1]), []).append(gap)
 
     lines = ["# Width and parameter bookkeeping", "",
              "Constructive (upper bound) rows are measured by the verify sweep;",
              "separation rows are literals from the source analysis and are",
-             "marked NOT-VERIFIED because the hard target function is external.", "",
-             "## FTNet vs FNN", "",
-             "| target | FNN width | FTNet width |", "|---|---|---|"]
-    for name, a, b in _REPORT_ROWS_FNN:
-        lines.append(f"| {name} | {a} | {b} |")
-    s = summarize("fnn", "fftnet", "max{H_F, I+1}")
-    if s:
-        lines.append(f"| {s[0]} | H_F | {s[1]} |")
-    s = summarize("crnet", "fftnet", "max{2H_C, I+1}")
-    if s:
-        lines.append(f"| {s[0]} | - | {s[1]} |")
-    lines += ["", "## FTNet vs RNN", "",
-              "| target | RNN width | FTNet width |", "|---|---|---|"]
-    for name, a, b in _REPORT_ROWS_RNN:
-        lines.append(f"| {name} | {a} | {b} |")
-    s = summarize("rnn", "rftnet", "2H_R + I + 1")
-    if s:
-        lines.append(f"| {s[0]} | H_R | {s[1]} |")
-    s = summarize("crnet", "rftnet", "2H_C + I + 1")
-    if s:
-        lines.append(f"| {s[0]} | - | {s[1]} |")
-    s = summarize("additive", "rftnet", "I + H_plus + 1")
-    if s:
-        lines.append(f"| {s[0]} | - | {s[1]} |")
+             "marked NOT-VERIFIED because the hard target function is external."]
+    for recurrent, baseline, separation in _REPORT_SECTIONS:
+        lines += ["", f"## FTNet vs {baseline}", "",
+                  f"| target | {baseline} width | FTNet width |", "|---|---|---|",
+                  f"| separation target | {separation}  [NOT-VERIFIED] "
+                  "| O(I^(15/4))  [NOT-VERIFIED] |"]
+        families = sorted((f for f in FAMILIES.values()
+                            if f.report and f.recurrent == recurrent),
+                           key=lambda f: f.report[0])
+        for fam in families:
+            gaps = by_pair.get((fam.source, fam.target))
+            if not gaps:
+                continue
+            measured = [g for g in gaps if g is not None]
+            status = (f"verified, {len(gaps)} instances, max gap {max(measured):.2e}"
+                      if measured else f"{len(gaps)} instances, no gap measured")
+            _, source_width, formula = fam.report
+            lines.append(f"| any {fam.source} ({status}) | {source_width} "
+                         f"| H -> {formula} |")
     lines += ["", "Parameter formulas: FTNet 2H^2+H (<= 3H^2); CRNet 2H(I+2); "
               "FNN 2H(I+1); RNN H(I+H+2).", ""]
     out_path = out_dir / cfg.get("out_name", "report.md")

@@ -166,42 +166,37 @@ def _require_zrelu(cr: CRNetParams) -> None:
         raise ContractViolationError("CRNet embeddings require the zrelu activation")
 
 
-def crnet_to_fftnet(cr: CRNetParams) -> FFTNetParams:
-    """Duplicate each complex unit into a (z, conj(z) i) pair of gate units."""
+def _crnet_host(cr: CRNetParams, h: int, row0: int):
+    """W, V, alpha of an H-wide gate net with the unit pairs from row row0 on."""
     _require_zrelu(cr)
-    hc, i = cr.HC, cr.I
-    h = max(2 * hc, i + 1)
+    i = cr.I
+    rows = slice(row0, row0 + 2 * cr.HC)
     w = np.zeros((h, h))
     v = np.zeros((h, h))
     wb, vb, ab = _crnet_blocks(cr)
-    w[: 2 * hc, :i] = wb[:, :i]
-    w[: 2 * hc, h - 1] = wb[:, i]
-    v[: 2 * hc, :i] = vb[:, :i]
-    v[: 2 * hc, h - 1] = vb[:, i]
+    w[rows, :i] = wb[:, :i]
+    w[rows, h - 1] = wb[:, i]
+    v[rows, :i] = vb[:, :i]
+    v[rows, h - 1] = vb[:, i]
     alpha = np.zeros(h)
-    alpha[: 2 * hc] = ab
-    out = FFTNetParams(i, h, w, v, alpha, ZRELU)
-    assert out.H == max(2 * hc, i + 1)
+    alpha[rows] = ab
+    return w, v, alpha
+
+
+def crnet_to_fftnet(cr: CRNetParams) -> FFTNetParams:
+    """Duplicate each complex unit into a (z, conj(z) i) pair of gate units."""
+    h = max(2 * cr.HC, cr.I + 1)
+    out = FFTNetParams(cr.I, h, *_crnet_host(cr, h, 0), ZRELU)
+    assert out.H == max(2 * cr.HC, cr.I + 1)
     return out
 
 
 def crnet_to_rftnet(cr: CRNetParams) -> RFTNetParams:
     """Recurrent wrapper of crnet_to_fftnet; the receptor columns are zero,
     so the recurrence is inert and every step reproduces the CRNet."""
-    _require_zrelu(cr)
-    hc, i = cr.HC, cr.I
-    h = 2 * hc + i + 1
-    w = np.zeros((h, h))
-    v = np.zeros((h, h))
-    wb, vb, ab = _crnet_blocks(cr)
-    w[i : i + 2 * hc, :i] = wb[:, :i]
-    w[i : i + 2 * hc, h - 1] = wb[:, i]
-    v[i : i + 2 * hc, :i] = vb[:, :i]
-    v[i : i + 2 * hc, h - 1] = vb[:, i]
-    alpha = np.zeros(h)
-    alpha[i : i + 2 * hc] = ab
-    out = RFTNetParams(i, h, w, v, alpha, ZRELU, np.zeros(h))
-    assert out.H == 2 * hc + i + 1
+    h = 2 * cr.HC + cr.I + 1
+    out = RFTNetParams(cr.I, h, *_crnet_host(cr, h, cr.I), ZRELU, np.zeros(h))
+    assert out.H == 2 * cr.HC + cr.I + 1
     return out
 
 

@@ -1,0 +1,295 @@
+"""The table of embedding families, with their random sources and sweeps.
+
+Each record names one exact construction: a random source, its converter, the
+gap check with the state mirrors it claims, and its row in the report.
+Records call converters and evaluators by module attribute when they run, so
+replacing one (as tests and the per-layer tracer do) takes effect.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from . import constructions as cons
+from . import models
+from .activations import HOLSIN, RELU, ZRELU
+from .errors import ContractViolationError
+from .models import (AdditiveFTNetParams, CRNetParams, FFTNetParams, FNNParams,
+                     RFTNetParams, RNNParams)
+from .numerics import ComplexMatrix, ComplexVector
+
+SEQUENCE_LENGTH = 10  # default T of recurrent gap checks
+
+_FNN, _RNN, _CRNET, _ADDITIVE, _FFTNET, _RFTNET = (
+    models.MODEL_SPECS[cls].kind for cls in (FNNParams, RNNParams, CRNetParams,
+                                             AdditiveFTNetParams, FFTNetParams, RFTNetParams))
+
+
+# ---------------------------------------------------------------------------
+# random instances (shared by the sweeps, the demos and the test suite)
+# ---------------------------------------------------------------------------
+
+def random_relu_fnn(rng: np.random.Generator, imax: int = 8, hmax: int = 16) -> FNNParams:
+    i = int(rng.integers(1, imax + 1))
+    h = int(rng.integers(1, hmax + 1))
+    return FNNParams(i, h, rng.standard_normal((h, i)), rng.standard_normal(h),
+                     rng.standard_normal(h), RELU)
+
+
+def random_relu_rnn(rng: np.random.Generator, imax: int = 6, hmax: int = 12) -> RNNParams:
+    i = int(rng.integers(1, imax + 1))
+    h = int(rng.integers(1, hmax + 1))
+    return RNNParams(i, h, rng.standard_normal((h, i)),
+                     0.4 / np.sqrt(h) * rng.standard_normal((h, h)),
+                     rng.standard_normal(h), rng.standard_normal(h),
+                     0.5 * rng.standard_normal(h), RELU)
+
+
+def random_crnet(rng: np.random.Generator, i_choices=(2, 4, 6, 8),
+                 hmax: int = 8) -> CRNetParams:
+    i = int(rng.choice(i_choices))
+    h = int(rng.integers(1, hmax + 1))
+    return CRNetParams(
+        i, h,
+        ComplexMatrix(rng.standard_normal((h, i // 2)), rng.standard_normal((h, i // 2))),
+        ComplexVector(rng.standard_normal(h), rng.standard_normal(h)),
+        ComplexVector(rng.standard_normal(h), rng.standard_normal(h)),
+        ZRELU)
+
+
+def random_additive(rng: np.random.Generator, imax: int = 6,
+                    hmax: int = 10) -> AdditiveFTNetParams:
+    i = int(rng.integers(1, imax + 1))
+    h = int(rng.integers(1, hmax + 1))
+    base = ZRELU if rng.random() < 0.5 else HOLSIN
+    # the sinh feedback of the holsin q-side explodes unless kept small
+    s = 1.0 if base == ZRELU else 0.3
+    fb = 0.3 if base == ZRELU else 0.1
+    return AdditiveFTNetParams(
+        i, h, s * rng.standard_normal((h, i)),
+        fb / np.sqrt(h) * rng.standard_normal((h, h)),
+        s * rng.standard_normal(h), rng.standard_normal(h),
+        0.2 * rng.standard_normal(h), base, float(rng.uniform(0.5, 1.5)))
+
+
+def random_dods_stages(rng: np.random.Generator, i: int = 3, hd: int = 2,
+                       h1: int = 4, h2: int = 5, h5: int = 6,
+                       scale: float = 1.0, feedback: float = 0.4,
+                       readout_scale: float = 1.0):
+    def stage(h):
+        return cons.StateStage(
+            scale * rng.standard_normal((h, i)),
+            feedback * rng.standard_normal((h, hd)),
+            cons.pad_row_independent(readout_scale * rng.standard_normal((hd, h - hd))).U,
+            scale * rng.standard_normal(h))
+
+    s1 = stage(h1)
+    s2 = stage(h2)
+    readout = cons.ReadoutStage(scale * rng.standard_normal((h5, i)),
+                                feedback * rng.standard_normal((h5, h2)),
+                                rng.standard_normal(h5), scale * rng.standard_normal(h5))
+    return s1, s2, readout
+
+
+def _random_assembly(rng):
+    i = int(rng.integers(1, 5))
+    hd = int(rng.integers(1, 4))
+    h1 = hd + int(rng.integers(1, 4))
+    h2 = hd + int(rng.integers(1, 4))
+    h5 = int(rng.integers(1, 6))
+    base = ZRELU if rng.random() < 0.5 else HOLSIN
+    # the stage-1 self-recurrence goes through cosh (>= 1 even at 0), so
+    # holsin instances must be strongly contractive to stay in range
+    scale, feedback, ro = (1.0, 0.25, 1.0) if base == ZRELU else (0.2, 0.02, 0.5)
+    s1, s2, readout = random_dods_stages(rng, i=i, hd=hd, h1=h1, h2=h2, h5=h5,
+                                         scale=scale, feedback=feedback,
+                                         readout_scale=ro)
+    c = float(rng.uniform(0.5, 1.5))
+    h0 = 0.1 * rng.standard_normal(hd)
+    return s1, s2, readout, base, c, h0
+
+
+def relative_gap(target_vals: np.ndarray, source_vals: np.ndarray) -> float:
+    """max |target - source| / (1 + |source|); +inf on any non-finite value."""
+    target_vals = np.asarray(target_vals)
+    source_vals = np.asarray(source_vals)
+    if not (np.all(np.isfinite(target_vals)) and np.all(np.isfinite(source_vals))):
+        return float("inf")
+    diff = np.abs(target_vals - source_vals)
+    return float(np.max(diff / (1.0 + np.abs(source_vals))))
+
+
+def _worst(*gaps) -> float:
+    vals = [float(g) for g in gaps]
+    return float("inf") if any(np.isnan(v) for v in vals) else max(vals)
+
+
+def _fnn_gap(f, g, x):
+    return relative_gap(models.eval_fftnet_many(g, x), models.eval_fnn_many(f, x))
+
+
+def _crnet_fftnet_gap(crn, g, x):
+    return relative_gap(models.eval_fftnet_many(g, x), models.eval_crnet_many(crn, x))
+
+
+def _additive_gap(a, g, xs):
+    src, _, qs = models.eval_additive_many(a, xs, return_states=True)
+    tgt, _, rec = models.eval_rftnet_many(g, xs, return_trajectory=True)
+    # receptor mirrors (0; q_t; 0) at every step
+    return _worst(
+        relative_gap(tgt, src),
+        np.max(np.abs(rec[:, :, a.I : a.I + a.Hplus] - qs)),
+        np.max(np.abs(rec[:, :, : a.I])),
+        np.max(np.abs(rec[:, :, -1])),
+    )
+
+
+def _crnet_rftnet_gap(crn, g, xs):
+    tgt, _, rec = models.eval_rftnet_many(g, xs, return_trajectory=True)
+    t_len = xs.shape[1]
+    src = np.stack([models.eval_crnet_many(crn, xs[:, t, :]) for t in range(t_len)], axis=1)
+    return _worst(relative_gap(tgt, src),
+                  np.max(np.abs(rec[:, :, : crn.I])),
+                  np.max(np.abs(rec[:, :, -1])))
+
+
+def _rnn_gap(r, g, xs):
+    src, ms = models.eval_rnn_many(r, xs, return_memory=True)
+    tgt, _, rec = models.eval_rftnet_many(g, xs, return_trajectory=True)
+    b3 = slice(r.I + r.HR, r.I + 2 * r.HR)
+    return _worst(relative_gap(tgt, src),
+                  np.max(np.abs(rec[:, :, b3] - ms)),
+                  np.max(np.abs(rec[:, :, : r.I])),
+                  np.max(np.abs(rec[:, :, -1])))
+
+
+def assembly_structural_gap(s1, s2, readout, base, c, h0, xs) -> float:
+    """Worst violation of the three exact chain claims plus state stacking."""
+    traj = cons.dods_stage_trajectories(s1, s2, readout, base, c, h0, xs)
+    addnet = cons.assemble_dods_additive(s1, s2, readout, base, c, h0)
+    _, ps, qs = models.eval_additive_many(addnet, np.asarray(xs)[None], return_states=True)
+    ps, qs = ps[0], qs[0]
+    h1 = s1.hidden
+    return _worst(
+        np.max(np.abs(traj["p1"] - traj["p2"] @ s1.C.T)),          # p1 = C1 p2
+        np.max(np.abs(traj["q1"] - traj["q2"] @ s2.C.T)),          # q1 = C2 q2
+        np.max(np.abs(traj["q3"][:, h1:] - traj["q2"])),           # q3 tail = q2
+        np.max(np.abs(ps - np.hstack([traj["p3"], traj["p5"]]))),  # p = (p3; p5)
+        np.max(np.abs(qs - np.hstack([traj["q3"], traj["q5"]]))),  # q = (q3; q5)
+    )
+
+
+@dataclass(frozen=True)
+class Family:
+    """One exact construction from a source family into a target family."""
+
+    name: str                     # the verify ``pairs`` value
+    source: str                   # model kinds, as in the CSV and model files
+    target: str
+    random: Callable              # rng -> random source instance
+    convert: Callable             # (source, c) -> target; c is the induced FNN offset
+    gap: Callable                 # (source, target, inputs) -> worst gap or mirror error
+    input_bound: float            # probe inputs are uniform on [-bound, bound]
+    mode: str | None = None       # the ``convert`` mode that selects this family
+    c_range: tuple | None = None  # the FNN sweeps draw c, even where it is unused
+    report: tuple | None = None   # (row order, source width, target width formula)
+    count_key: str = "instances"  # the verify key giving the instance count
+
+    @property
+    def recurrent(self) -> bool:
+        return self.target == _RFTNET
+
+    def check(self, src, tgt, rng, probes: int, t_len: int) -> cons.EmbeddingReport:
+        """Width and parameter bookkeeping, and the worst gap on random probes."""
+        t_len = t_len if self.recurrent else 1
+        gap = None
+        if probes > 0:
+            size = (probes, t_len, src.I) if self.recurrent else (probes, src.I)
+            xs = rng.uniform(-self.input_bound, self.input_bound, size=size)
+            gap = self.gap(src, tgt, xs)
+        hs, ht = models.hidden_size(src), models.hidden_size(tgt)
+        return cons.EmbeddingReport(self.source, self.target, src.I, t_len, hs, ht,
+                                    models.param_count(self.source, hs, src.I),
+                                    models.param_count(self.target, ht, src.I), gap)
+
+    def sweep(self, rng, probes: int, t_len: int):
+        """One random instance: (EmbeddingReport, replay dict of the source)."""
+        src = self.random(rng)
+        c = float(rng.uniform(*self.c_range)) if self.c_range else 1.0
+        rep = self.check(src, self.convert(src, c), rng, probes, t_len)
+        return rep, models.model_to_dict(src)
+
+
+class Assembly(Family):
+    """The DODS stage chain assembled into one additive net.
+
+    Its source is a tuple of stages rather than a model, so an instance
+    checks one sequence and replays the assembled target.
+    """
+
+    def sweep(self, rng, probes: int, t_len: int):
+        stages = self.random(rng)
+        i = stages[0].A.shape[1]
+        xs = rng.uniform(-self.input_bound, self.input_bound, size=(t_len, i))
+        net = self.convert(stages, 1.0)
+        gap = self.gap(stages, net, xs)
+        params = models.param_count(self.target, net.Hplus, i)
+        rep = cons.EmbeddingReport(self.source, self.target, i, t_len,
+                                   sum(s.hidden for s in stages[:3]), net.Hplus,
+                                   params, params, gap)
+        return rep, models.model_to_dict(net)
+
+
+FAMILIES = {fam.name: fam for fam in (
+    Family("fnn_to_fftnet_zrelu", _FNN, _FFTNET, random_relu_fnn,
+           lambda f, c: cons.fnn_to_fftnet(f, mode="zrelu"),
+           _fnn_gap, 2.0, mode="zrelu", c_range=(0.25, 2.0),
+           # the induced family shares this (fnn, fftnet) row
+           report=(0, "H_F", "max{H_F, I+1}")),
+    Family("fnn_to_fftnet_induced", _FNN, _FFTNET, random_relu_fnn,
+           lambda f, c: cons.fnn_to_fftnet(f, c=c, mode="induced",
+                                           target_activation=ZRELU),
+           _fnn_gap, 2.0, mode="induced", c_range=(0.25, 2.0)),
+    Family("additive_to_rftnet", _ADDITIVE, _RFTNET, random_additive,
+           lambda a, c: cons.additive_to_rftnet(a),
+           _additive_gap, 1.0, report=(4, "-", "I + H_plus + 1")),
+    Family("crnet_to_fftnet", _CRNET, _FFTNET, random_crnet,
+           lambda crn, c: cons.crnet_to_fftnet(crn),
+           _crnet_fftnet_gap, 2.0, report=(1, "-", "max{2H_C, I+1}")),
+    Family("crnet_to_rftnet", _CRNET, _RFTNET, random_crnet,
+           lambda crn, c: cons.crnet_to_rftnet(crn),
+           _crnet_rftnet_gap, 2.0, report=(3, "-", "2H_C + I + 1")),
+    Family("rnn_to_rftnet", _RNN, _RFTNET, random_relu_rnn,
+           lambda r, c: cons.rnn_to_rftnet(r),
+           _rnn_gap, 1.0, report=(2, "H_R", "2H_R + I + 1")),
+    Assembly("dods_assembly", "dods_stages", _ADDITIVE, _random_assembly,
+             lambda stages, c: cons.assemble_dods_additive(*stages),
+             lambda stages, net, xs: assembly_structural_gap(*stages, xs),
+             1.0, count_key="assemblies"),
+)}
+
+
+def conversion(source: str, target: str, mode: str) -> Family | None:
+    """The family that converts ``source`` models into ``target`` ones."""
+    for fam in FAMILIES.values():
+        if (fam.source, fam.target) == (source, target) and fam.mode in (None, mode):
+            return fam
+    return None
+
+
+def run_embedding_sweep(pair: str, seed: int, instances: int, probes: int = 100,
+                        t_len: int = SEQUENCE_LENGTH):
+    """Returns (reports, replay dicts) for one construction family."""
+    fam = FAMILIES.get(pair)
+    if fam is None:
+        raise ContractViolationError(f"unknown sweep pair {pair!r}")
+
+    def one(idx):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
+        return fam.sweep(rng, probes, t_len)
+
+    results = [one(idx) for idx in range(instances)]
+    return [r[0] for r in results], [r[1] for r in results]

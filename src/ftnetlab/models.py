@@ -247,13 +247,7 @@ def dods_input_passthrough(f: Callable[[np.ndarray], float], I: int,
 def kappa(x, H: int) -> np.ndarray:
     """Lift x in R^I to (x; 0; ...; 0; 1) in R^H.  Requires H >= I + 1."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    i = x.shape[-1] if x.size else 0
-    if H < i + 1:
-        raise ContractViolationError(f"kappa needs H >= I+1 ({H} < {i + 1})")
-    out = np.zeros(H)
-    out[:i] = x
-    out[-1] = 1.0
-    return out
+    return kappa_many(x[None], H)[0]
 
 
 def kappa_many(X: np.ndarray, H: int) -> np.ndarray:
@@ -317,16 +311,17 @@ def eval_rftnet_many(p: RFTNetParams, XS: np.ndarray, return_trajectory: bool = 
     return ys
 
 
+def _unbatch(out):
+    """A one-sequence batch result, or tuple of them, without its batch axis."""
+    return tuple(a[0] for a in out) if isinstance(out, tuple) else out[0]
+
+
 def eval_rftnet(p: RFTNetParams, xs, return_trajectory: bool = False):
     """Single sequence of shape (T, I) -> outputs (T,)."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2:
         raise ContractViolationError("expected a sequence of shape (T, I)")
-    out = eval_rftnet_many(p, xs[None], return_trajectory=return_trajectory)
-    if return_trajectory:
-        ys, stim, rec = out
-        return ys[0], stim[0], rec[0]
-    return out[0]
+    return _unbatch(eval_rftnet_many(p, xs[None], return_trajectory=return_trajectory))
 
 
 def additive_restrictions(p: AdditiveFTNetParams):
@@ -367,11 +362,7 @@ def eval_additive_many(p: AdditiveFTNetParams, XS: np.ndarray,
 
 def eval_additive(p: AdditiveFTNetParams, xs, return_states: bool = False):
     xs = np.asarray(xs, dtype=np.float64)
-    out = eval_additive_many(p, xs[None], return_states=return_states)
-    if return_states:
-        ys, ps, qs = out
-        return ys[0], ps[0], qs[0]
-    return out[0]
+    return _unbatch(eval_additive_many(p, xs[None], return_states=return_states))
 
 
 def eval_fnn_many(p: FNNParams, X: np.ndarray) -> np.ndarray:
@@ -406,11 +397,7 @@ def eval_rnn_many(p: RNNParams, XS: np.ndarray, return_memory: bool = False):
 
 def eval_rnn(p: RNNParams, xs, return_memory: bool = False):
     xs = np.asarray(xs, dtype=np.float64)
-    out = eval_rnn_many(p, xs[None], return_memory=return_memory)
-    if return_memory:
-        ys, ms = out
-        return ys[0], ms[0]
-    return out[0]
+    return _unbatch(eval_rnn_many(p, xs[None], return_memory=return_memory))
 
 
 def fold_input(x: np.ndarray) -> np.ndarray:
@@ -454,18 +441,72 @@ def eval_dods(spec: DODSSpec, xs, return_hidden: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# parameter bookkeeping
+# model kinds: names, sizes and JSON model files
 # ---------------------------------------------------------------------------
 
-_PARAM_COUNTS = {
-    "ftnet": lambda h, i: 2 * h * h + h,
-    "fftnet": lambda h, i: 2 * h * h + h,
-    "rftnet": lambda h, i: 2 * h * h + h,
-    "crnet": lambda h, i: 2 * h * (i + 2),
-    "fnn": lambda h, i: 2 * h * (i + 1),
-    "rnn": lambda h, i: h * (i + h + 2),
-    "additive": lambda h, i: h * (i + h + 3),  # A, B, zeta, alpha, q0
-}
+def _ftnet_params(h: int, i: int) -> int:
+    return 2 * h * h + h
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """How one parameter class is named, sized and stored in a model file.
+
+    A file stores each array under its attribute name less the hidden-size
+    suffix: WF of an FNN (hidden HF) is "W", alphaplus (Hplus) is "alpha".
+    """
+
+    kind: str                          # the "kind" value of its model files
+    cls: type
+    hidden: str                        # attribute stored as "H"
+    arrays: tuple                      # array attributes, in file order
+    params: Callable[[int, int], int]  # parameter count from (hidden, I)
+    state: str | None = None           # initial state; zeros when a file omits it
+    scalars: tuple = ()                # float attributes stored as they are
+    activation: str = "activation"     # attribute holding the ActivationKind
+    complex_types: tuple = ()          # per array: stored as "<key>_re", "<key>_im"
+
+    def file_keys(self):
+        """(file key, attribute, complex type or None) of each array."""
+        suffix = self.hidden[1:]
+        types = self.complex_types or (None,) * len(self.arrays)
+        return [(attr.removesuffix(suffix), attr, ctype)
+                for attr, ctype in zip(self.arrays, types)]
+
+
+MODEL_SPECS = {spec.cls: spec for spec in (
+    ModelSpec("fftnet", FFTNetParams, "H", ("W", "V", "alpha"), _ftnet_params),
+    ModelSpec("rftnet", RFTNetParams, "H", ("W", "V", "alpha"), _ftnet_params, state="r0"),
+    ModelSpec("additive", AdditiveFTNetParams, "Hplus", ("A", "B", "zeta", "alphaplus"),
+              lambda h, i: h * (i + h + 3),  # A, B, zeta, alpha, q0
+              state="q0", scalars=("c",), activation="base_activation"),
+    ModelSpec("fnn", FNNParams, "HF", ("WF", "bF", "alphaF"), lambda h, i: 2 * h * (i + 1)),
+    ModelSpec("rnn", RNNParams, "HR", ("WR", "VR", "bR", "alphaR"),
+              lambda h, i: h * (i + h + 2), state="m0"),
+    ModelSpec("crnet", CRNetParams, "HC", ("WC", "bC", "alphaC"),
+              lambda h, i: 2 * h * (i + 2),
+              complex_types=(ComplexMatrix, ComplexVector, ComplexVector)),
+)}
+
+_SPECS_BY_KIND = {spec.kind: spec for spec in MODEL_SPECS.values()}
+# "ftnet" counts either FTNet variant, as the width bounds do
+_PARAM_COUNTS = {"ftnet": _ftnet_params,
+                 **{spec.kind: spec.params for spec in MODEL_SPECS.values()}}
+
+
+def _spec_of(p) -> ModelSpec:
+    spec = MODEL_SPECS.get(type(p))
+    if spec is None:
+        raise ContractViolationError(f"unsupported model object {type(p).__name__}")
+    return spec
+
+
+def model_kind(p) -> str:
+    return _spec_of(p).kind
+
+
+def hidden_size(p) -> int:
+    return getattr(p, _spec_of(p).hidden)
 
 
 def param_count(model_kind: str, hidden: int, I: int = 0) -> int:
@@ -478,77 +519,48 @@ def param_count(model_kind: str, hidden: int, I: int = 0) -> int:
         raise ContractViolationError(f"unknown model kind {model_kind!r}") from None
 
 
-# ---------------------------------------------------------------------------
-# JSON model files
-# ---------------------------------------------------------------------------
-
-def _act_to_json(d: dict, kind: ActivationKind) -> None:
-    d["activation"] = kind.tag
-    if kind.tag == "modrelu":
-        d["activation_bias"] = kind.bias
-
-
-def _act_from_json(d: dict) -> ActivationKind:
-    return activation_from_tag(d["activation"], d.get("activation_bias"))
-
-
 def model_to_dict(p) -> dict:
-    if isinstance(p, RFTNetParams):
-        d = {"kind": "rftnet", "I": p.I, "H": p.H, "W": p.W.tolist(),
-             "V": p.V.tolist(), "alpha": p.alpha.tolist(), "r0": p.r0.tolist()}
-    elif isinstance(p, FFTNetParams):
-        d = {"kind": "fftnet", "I": p.I, "H": p.H, "W": p.W.tolist(),
-             "V": p.V.tolist(), "alpha": p.alpha.tolist()}
-    elif isinstance(p, AdditiveFTNetParams):
-        d = {"kind": "additive", "I": p.I, "H": p.Hplus, "A": p.A.tolist(),
-             "B": p.B.tolist(), "zeta": p.zeta.tolist(),
-             "alpha": p.alphaplus.tolist(), "q0": p.q0.tolist(), "c": p.c}
-        _act_to_json(d, p.base_activation)
-        return d
-    elif isinstance(p, FNNParams):
-        d = {"kind": "fnn", "I": p.I, "H": p.HF, "W": p.WF.tolist(),
-             "b": p.bF.tolist(), "alpha": p.alphaF.tolist()}
-    elif isinstance(p, RNNParams):
-        d = {"kind": "rnn", "I": p.I, "H": p.HR, "W": p.WR.tolist(),
-             "V": p.VR.tolist(), "b": p.bR.tolist(), "alpha": p.alphaR.tolist(),
-             "m0": p.m0.tolist()}
-    elif isinstance(p, CRNetParams):
-        d = {"kind": "crnet", "I": p.I, "H": p.HC,
-             "W_re": p.WC.re.tolist(), "W_im": p.WC.im.tolist(),
-             "b_re": p.bC.re.tolist(), "b_im": p.bC.im.tolist(),
-             "alpha_re": p.alphaC.re.tolist(), "alpha_im": p.alphaC.im.tolist()}
-    else:
-        raise ContractViolationError(f"unsupported model object {type(p).__name__}")
-    _act_to_json(d, p.activation)
+    spec = _spec_of(p)
+    d = {"kind": spec.kind, "I": p.I, "H": getattr(p, spec.hidden)}
+    for key, attr, ctype in spec.file_keys():
+        value = getattr(p, attr)
+        if ctype is None:
+            d[key] = value.tolist()
+        else:
+            d[f"{key}_re"] = value.re.tolist()
+            d[f"{key}_im"] = value.im.tolist()
+    if spec.state is not None:
+        d[spec.state] = getattr(p, spec.state).tolist()
+    for key in spec.scalars:
+        d[key] = getattr(p, key)
+    act = getattr(p, spec.activation)
+    d["activation"] = act.tag
+    if act.tag == "modrelu":
+        d["activation_bias"] = act.bias
     return d
 
 
 def model_from_dict(d: dict):
-    kind = d.get("kind")
-    act = _act_from_json(d)
-    if kind == "fftnet":
-        return FFTNetParams(d["I"], d["H"], d["W"], d["V"], d["alpha"], act)
-    if kind == "rftnet":
-        return RFTNetParams(d["I"], d["H"], d["W"], d["V"], d["alpha"], act,
-                            d.get("r0", np.zeros(d["H"])))
-    if kind == "additive":
-        return AdditiveFTNetParams(d["I"], d["H"], d["A"], d["B"], d["zeta"],
-                                   d["alpha"], d.get("q0", np.zeros(d["H"])),
-                                   act, float(d["c"]))
-    if kind == "fnn":
-        return FNNParams(d["I"], d["H"], d["W"], d["b"], d["alpha"], act)
-    if kind == "rnn":
-        return RNNParams(d["I"], d["H"], d["W"], d["V"], d["b"], d["alpha"],
-                         d.get("m0", np.zeros(d["H"])), act)
-    if kind == "crnet":
-        wc = ComplexMatrix(np.asarray(d["W_re"], dtype=np.float64),
-                           np.asarray(d["W_im"], dtype=np.float64))
-        bc = ComplexVector(np.asarray(d["b_re"], dtype=np.float64),
-                           np.asarray(d["b_im"], dtype=np.float64))
-        ac = ComplexVector(np.asarray(d["alpha_re"], dtype=np.float64),
-                           np.asarray(d["alpha_im"], dtype=np.float64))
-        return CRNetParams(d["I"], d["H"], wc, bc, ac, act)
-    raise ContractViolationError(f"unknown model kind {kind!r}")
+    spec = _SPECS_BY_KIND.get(d.get("kind"))
+    if spec is None:
+        raise ContractViolationError(f"unknown model kind {d.get('kind')!r}")
+    for key in ("I", "H"):
+        # bool is an int subclass, and "5" or 5.0 would pass the shape checks
+        if not isinstance(d[key], int) or isinstance(d[key], bool):
+            raise ContractViolationError(f"{key}: expected an integer, got {d[key]!r}")
+    h = d["H"]
+    fields = {"I": d["I"], spec.hidden: h,
+              spec.activation: activation_from_tag(d["activation"], d.get("activation_bias"))}
+    for key, attr, ctype in spec.file_keys():
+        if ctype is None:
+            fields[attr] = d[key]
+        else:
+            fields[attr] = ctype(d[f"{key}_re"], d[f"{key}_im"])
+    if spec.state is not None:
+        fields[spec.state] = d.get(spec.state, np.zeros(h))
+    for key in spec.scalars:
+        fields[key] = float(d[key])
+    return spec.cls(**fields)
 
 
 def save_model(path, p) -> None:
@@ -560,15 +572,3 @@ def save_model(path, p) -> None:
 def load_model(path):
     with open(path, encoding="utf-8") as fh:
         return model_from_dict(json.load(fh))
-
-
-_KINDS = ((RFTNetParams, "rftnet"), (FFTNetParams, "fftnet"),
-          (AdditiveFTNetParams, "additive"), (FNNParams, "fnn"),
-          (RNNParams, "rnn"), (CRNetParams, "crnet"))
-
-
-def model_kind(p) -> str:
-    for typ, kind in _KINDS:
-        if isinstance(p, typ):
-            return kind
-    raise ContractViolationError(f"unsupported model object {type(p).__name__}")

@@ -42,9 +42,7 @@ class GradientBundle:
 class TrainConfig:
     step_size: float = 0.05
     max_iters: int = 10000
-    seed: int = 0
     target_loss: float = 0.0
-    init_scale: float = 0.1
 
     def __post_init__(self):
         if self.step_size <= 0:

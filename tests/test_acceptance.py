@@ -9,7 +9,9 @@ import time
 import numpy as np
 
 import ftnetlab as ft
-from ftnetlab.cli import (
+from ftnetlab.embeddings import (
+    FAMILIES,
+    Assembly,
     assembly_structural_gap,
     _random_assembly,
     random_additive,
@@ -38,9 +40,8 @@ from ftnetlab.optimize import (
 from conftest import tame_rftnet
 
 EXACT = 1e-12
-EMBEDDING_PAIRS = ("fnn_to_fftnet_zrelu", "fnn_to_fftnet_induced",
-                   "additive_to_rftnet", "crnet_to_fftnet", "crnet_to_rftnet",
-                   "rnn_to_rftnet")
+EMBEDDING_PAIRS = tuple(name for name, fam in FAMILIES.items()
+                        if not isinstance(fam, Assembly))
 
 
 def test_criterion_1_embedding_exactness():
@@ -217,7 +218,7 @@ def test_criterion_6_sin_fit():
     data = ft.Dataset(xs, np.sin(3.0 * xs[:, 0]))
     rng = np.random.default_rng(0)
     p0 = random_fftnet(1, h, ft.HOLSIN, 0.3, rng)
-    cfg = TrainConfig(step_size=3e-3, max_iters=50_000, seed=0, target_loss=1e-3 * n)
+    cfg = TrainConfig(step_size=3e-3, max_iters=50_000, target_loss=1e-3 * n)
     trained, trace = train_fftnet(p0, data, ft.squared_loss(), cfg)
     iters = len(trace) - 1
     mse = trace[-1] / n
@@ -237,8 +238,7 @@ def test_criterion_7_dods_demo():
     ys = np.stack([eval_dods(dods, xs[b]) for b in range(n_seq)])
     data = SequenceDataset(xs, ys)
     p0 = random_rftnet(dods.I, h, ft.HOLSIN, 0.2, rng)
-    cfg = TrainConfig(step_size=1e-3, max_iters=20_000, seed=0,
-                      target_loss=1e-2 * n_seq * t_len)
+    cfg = TrainConfig(step_size=1e-3, max_iters=20_000, target_loss=1e-2 * n_seq * t_len)
     trained, trace = train_rftnet(p0, data, ft.squared_loss(), cfg)
     mse = trace[-1] / (n_seq * t_len)
     assert mse <= 1e-2
@@ -279,8 +279,7 @@ def test_criterion_9_interpolation_consistency():
         from ftnetlab.numerics import numerical_rank
         assert numerical_rank(kappa_many(data.xs, h)) == n
         p0 = random_fftnet(i, h, ft.HOLEXPM1, 0.3, rng)
-        cfg = TrainConfig(step_size=0.02, max_iters=30_000, seed=run,
-                          target_loss=1e-8)
+        cfg = TrainConfig(step_size=0.02, max_iters=30_000, target_loss=1e-8)
         _, trace = train_fftnet(p0, data, ft.squared_loss(), cfg)
         reached += trace[-1] <= 1e-8
         iters.append(len(trace) - 1)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 
 import numpy as np
+import pytest
 
 import ftnetlab.cli as cli
 from ftnetlab.activations import RELU
@@ -49,6 +51,17 @@ class TestConvert:
         assert rc == 0
         converted = json.loads((tmp_path / "out.json").read_text())
         assert converted["H"] == 2 * r.HR + r.I + 1
+
+    def test_rnn_probes_report_gap(self, tmp_path, rng, capsys):
+        save_model(tmp_path / "rnn.json", _sample_rnn(rng))
+        cfg = _write_config(tmp_path, "c.json", {
+            "in_model": str(tmp_path / "rnn.json"), "target": "rftnet",
+            "out_model": "out.json", "probes": 20})
+        assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 0
+        row = dict(zip(EMBEDDING_CSV_HEADER.split(","),
+                       capsys.readouterr().out.strip().splitlines()[1].split(",")))
+        assert row["T"] == "10"
+        assert float(row["max_abs_output_gap"]) <= 1e-12
 
     def test_contract_breaking_model_rejected(self, tmp_path):
         # crnet with odd input dimension: parses, but violates the contract
@@ -121,6 +134,33 @@ class TestVerify:
     def test_unknown_pair_rejected(self, tmp_path):
         cfg = _write_config(tmp_path, "v.json", {"pairs": ["mlp_to_fftnet"]})
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("extra", [{"instances": 0, "assemblies": 0}, {"pairs": []},
+                                       {"instances": 0, "pairs": ["rnn_to_rftnet"]},
+                                       {"pairs": "rnn_to_rftnet"}, {"pairs": ["rnn_to_rftnet", 3]},
+                                       {"instances": -1}, {"probes": 0}])
+    def test_empty_or_malformed_campaign_rejected(self, tmp_path, capsys, extra):
+        cfg = _write_config(tmp_path, "v.json", {"probes": 5, **extra})
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "verify.csv").exists()
+
+    def test_golden_outputs(self, tmp_path):
+        """Pins the bytes of verify.csv and report.md for one small config."""
+        vcfg = _write_config(tmp_path, "v.json", {
+            "seed": 5, "instances": 3, "probes": 5, "sequence_length": 3,
+            "assemblies": 2})
+        assert cli.main(["verify", "--config", vcfg, "--out", str(tmp_path)]) == 0
+        rcfg = _write_config(tmp_path, "r.json", {
+            "verify_csv": str(tmp_path / "verify.csv")})
+        assert cli.main(["report", "--config", rcfg, "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("verify.csv", "report.md")}
+        assert digests == {
+            "verify.csv": "17b119836b63fdd854dd6bdfaab965301884a93a5eb724e318240ede7e7d3f7b",
+            "report.md": "5ca06d1674b26f0707335903cea22b9e7637b6244ef359fdff89f842ff8ea70e",
+        }
 
     def test_deterministic_csv(self, tmp_path):
         cfg = _write_config(tmp_path, "v.json", {
@@ -244,6 +284,23 @@ class TestReport:
             "verify_csv": str(tmp_path / "nothing.csv")})
         assert cli.main(["report", "--config", rcfg, "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("row", ["fnn,fftnet,2,1,3", "fnn,fftnet,2,1,3,3,16,21,0.0,9",
+                                     "fnn,fftnet,2,1,3,3,16,21,tiny"])
+    def test_malformed_row_rejected(self, tmp_path, capsys, row):
+        good = "fnn,fftnet,2,1,3,3,16,21,0.0"
+        (tmp_path / "v.csv").write_text(f"{EMBEDDING_CSV_HEADER}\n{good}\n{row}\n")
+        rcfg = _write_config(tmp_path, "r.json", {"verify_csv": str(tmp_path / "v.csv")})
+        assert cli.main(["report", "--config", rcfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "line 3" in err[0]
+
+    def test_blank_gaps_reported_as_unmeasured(self, tmp_path):
+        rows = ["rnn,rftnet,3,10,2,8,14,136,", "rnn,rftnet,3,10,2,8,14,136,"]
+        (tmp_path / "v.csv").write_text("\n".join([EMBEDDING_CSV_HEADER, *rows]) + "\n")
+        rcfg = _write_config(tmp_path, "r.json", {"verify_csv": str(tmp_path / "v.csv")})
+        assert cli.main(["report", "--config", rcfg, "--out", str(tmp_path)]) == 0
+        assert "any rnn (2 instances, no gap measured)" in (tmp_path / "report.md").read_text()
+
 
 class TestConfigValidation:
     def test_unknown_command_key(self):
@@ -255,16 +312,3 @@ class TestConfigValidation:
     def test_clean_config(self):
         assert cli.validate_config("probe", {"n": 2, "I": 3}) == []
 
-
-def test_thread_env_capping(monkeypatch):
-    monkeypatch.setenv("FTNET_LAB_THREADS", "4")
-    assert cli._threads() == 4
-    monkeypatch.setenv("FTNET_LAB_THREADS", "bogus")
-    assert cli._threads() == 1
-
-
-def test_threaded_sweep_matches_serial(monkeypatch):
-    reports_serial, _ = cli.run_embedding_sweep("fnn_to_fftnet_zrelu", 3, 6, 10)
-    monkeypatch.setenv("FTNET_LAB_THREADS", "3")
-    reports_threaded, _ = cli.run_embedding_sweep("fnn_to_fftnet_zrelu", 3, 6, 10)
-    assert [r.csv_row() for r in reports_serial] == [r.csv_row() for r in reports_threaded]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ftnetlab.activations import HOLSIN, IDENTITY, RELU, ZRELU, apply_real, induced_imag
-from ftnetlab.cli import (
+from ftnetlab.embeddings import (
     assembly_structural_gap,
     random_additive,
     random_crnet,

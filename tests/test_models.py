@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ftnetlab.activations import HOLEXPM1, HOLSIN, RELU, ZRELU, apply, modrelu
 from ftnetlab.errors import ContractViolationError
@@ -319,6 +322,37 @@ def _sample_models(rng):
                       ZRELU)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _any_model(draw):
+    """A random instance of one of the six parameter classes."""
+    i = draw(st.integers(1, 3))
+    h = draw(st.integers(1, 4))
+    act = draw(st.sampled_from([ZRELU, HOLSIN, HOLEXPM1, RELU, modrelu(-0.25)]))
+
+    def arr(*shape):
+        return draw(hnp.arrays(np.float64, shape, elements=_FINITE))
+
+    def cvec(n):
+        return ComplexVector(arr(n), arr(n))
+
+    hf = i + h  # the FTNet variants need H >= I + 1
+    build = {
+        "fftnet": lambda: FFTNetParams(i, hf, arr(hf, hf), arr(hf, hf), arr(hf), act),
+        "rftnet": lambda: RFTNetParams(i, hf, arr(hf, hf), arr(hf, hf), arr(hf), act,
+                                       arr(hf)),
+        "additive": lambda: AdditiveFTNetParams(i, h, arr(h, i), arr(h, h), arr(h),
+                                                arr(h), arr(h), act, draw(_FINITE)),
+        "fnn": lambda: FNNParams(i, h, arr(h, i), arr(h), arr(h), act),
+        "rnn": lambda: RNNParams(i, h, arr(h, i), arr(h, h), arr(h), arr(h), arr(h), act),
+        "crnet": lambda: CRNetParams(2 * i, h, ComplexMatrix(arr(h, i), arr(h, i)),
+                                     cvec(h), cvec(h), act),
+    }
+    return build[draw(st.sampled_from(sorted(build)))]()
+
+
 class TestSerialization:
     def test_dict_round_trip_is_exact(self, rng):
         for model in _sample_models(rng):
@@ -345,6 +379,22 @@ class TestSerialization:
         assert raw["activation"] == "modrelu"
         assert raw["activation_bias"] == -0.25
         assert load_model(path).activation == modrelu(-0.25)
+
+    @pytest.mark.parametrize("key,value", [("I", "2"), ("H", "3"), ("I", True), ("H", 3.0)])
+    def test_non_integer_sizes_rejected(self, rng, key, value):
+        for model in _sample_models(rng):
+            with pytest.raises(ContractViolationError, match=f"^{key}: expected an integer"):
+                model_from_dict({**model_to_dict(model), key: value})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_json_round_trip_is_bit_exact(self, data):
+        model = data.draw(_any_model())
+        again = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        assert type(again) is type(model)
+        # repr of a double round-trips exactly and tells -0.0 from 0.0
+        assert (json.dumps(model_to_dict(again), sort_keys=True)
+                == json.dumps(model_to_dict(model), sort_keys=True))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractViolationError):

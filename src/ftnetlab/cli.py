@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -88,7 +89,31 @@ def validate_config(command: str, cfg: dict) -> list[str]:
     return problems
 
 
+def _number(cfg: dict, key: str, default, kind=int, minimum=None):
+    """The config value under ``key`` (``default`` when absent) as a ``kind``.
+
+    An int field takes an int and a float field an int or a float.  A bool,
+    a string, a non-finite value or one below ``minimum`` is rejected with a
+    message naming the key.
+    """
+    value = cfg.get(key, default)
+    allowed = int if kind is int else (int, float)
+    try:
+        ok = (isinstance(value, allowed) and not isinstance(value, bool)
+              and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        what = "an integer" if kind is int else "a finite number"
+        raise ContractViolationError(f"{key}: expected {what}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ContractViolationError(f"{key}: expected a value >= {minimum}, got {value!r}")
+    return kind(value)
+
+
 def cmd_convert(cfg: dict, out_dir: Path, seed: int) -> int:
+    c = _number(cfg, "c", 1.0, float)
+    probes = _number(cfg, "probes", 0, minimum=0)
     try:
         model = load_model(cfg["in_model"])
     except (OSError, json.JSONDecodeError, KeyError) as exc:
@@ -105,7 +130,7 @@ def cmd_convert(cfg: dict, out_dir: Path, seed: int) -> int:
               file=sys.stderr)
         return EXIT_REJECTED
     try:
-        converted = fam.convert(model, float(cfg.get("c", 1.0)))
+        converted = fam.convert(model, c)
     except (ContractViolationError, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
@@ -117,17 +142,17 @@ def cmd_convert(cfg: dict, out_dir: Path, seed: int) -> int:
         return EXIT_IO_FAILURE
 
     rep = fam.check(model, converted, np.random.default_rng(seed),
-                    int(cfg.get("probes", 0)), SEQUENCE_LENGTH)
+                    probes, SEQUENCE_LENGTH)
     print(cons.reports_to_csv([rep]), end="")
     return EXIT_OK
 
 
 def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
-    counts = {"instances": int(cfg.get("instances", 200)),
-              "assemblies": int(cfg.get("assemblies", 50))}
-    probes = int(cfg.get("probes", 100))
-    t_len = int(cfg.get("sequence_length", SEQUENCE_LENGTH))
-    tolerance = float(cfg.get("tolerance", 1e-12))
+    counts = {"instances": _number(cfg, "instances", 200, minimum=0),
+              "assemblies": _number(cfg, "assemblies", 50, minimum=0)}
+    probes = _number(cfg, "probes", 100, minimum=1)
+    t_len = _number(cfg, "sequence_length", SEQUENCE_LENGTH, minimum=1)
+    tolerance = _number(cfg, "tolerance", 1e-12, float, minimum=0)
     pairs = cfg.get("pairs", list(FAMILIES))
     if not isinstance(pairs, list) or not all(isinstance(p, str) for p in pairs):
         print(f"error: pairs must be a list of family names, got {pairs!r}",
@@ -136,9 +161,6 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
     bad = [p for p in pairs if p not in FAMILIES]
     if bad:
         print(f"error: unknown pairs {bad}", file=sys.stderr)
-        return EXIT_REJECTED
-    if probes < 1 or min(counts.values()) < 0:
-        print("error: probes must be >= 1, instances and assemblies >= 0", file=sys.stderr)
         return EXIT_REJECTED
     if sum(counts[FAMILIES[p].count_key] for p in pairs) == 0:
         # an empty campaign proves nothing, so it is not a pass
@@ -181,51 +203,47 @@ def _write_trace(path: Path, trace) -> None:
 def cmd_train(cfg: dict, out_dir: Path, seed: int) -> int:
     demo = cfg.get("demo")
     spec = loss_spec_from_config(cfg.get("loss", {"loss": "squared"}))
-    if demo == "sin_fit":
-        h = int(cfg.get("H", cfg.get("hidden", 32)))
-        n = int(cfg.get("samples", 256))
-        act = activation_from_tag(cfg.get("activation", "holsin"))
-        target_mse = float(cfg.get("target_mse", 1e-3))
-        xs = np.linspace(-1.0, 1.0, n)[:, None]
-        data = Dataset(xs, np.sin(3.0 * xs[:, 0]))
-        rng = np.random.default_rng(seed)
-        p0 = random_fftnet(1, h, act, float(cfg.get("init_scale", 0.3)), rng)
-        tc = TrainConfig(step_size=float(cfg.get("step_size", 3e-3)),
-                         max_iters=int(cfg.get("iters", 50000)),
-                         target_loss=target_mse * n)
-        trained, trace = train_fftnet(p0, data, spec, tc)
-        final_mse = trace[-1] / n
-        save_model(out_dir / "sin_fit_model.json", trained)
-        _write_trace(out_dir / "sin_fit_trace.jsonl", trace)
-        summary = {"demo": demo, "iters": len(trace) - 1, "final_mse": final_mse,
-                   "target_mse": target_mse, "reached": final_mse <= target_mse}
-    elif demo == "dods_linear":
-        h = int(cfg.get("H", cfg.get("hidden", 16)))
-        t_len = int(cfg.get("T", 8))
-        n_seq = int(cfg.get("sequences", 48))
-        act = activation_from_tag(cfg.get("activation", "holsin"))
-        target_mse = float(cfg.get("target_mse", 1e-2))
-        rng = np.random.default_rng(seed)
+    if demo not in ("sin_fit", "dods_linear"):
+        print(f"error: unknown demo {demo!r}", file=sys.stderr)
+        return EXIT_REJECTED
+    recurrent = demo == "dods_linear"
+    h = _number(cfg, "H", _number(cfg, "hidden", 16 if recurrent else 32), minimum=1)
+    act = activation_from_tag(cfg.get("activation", "holsin"))
+    target_mse = _number(cfg, "target_mse", 1e-2 if recurrent else 1e-3, float, minimum=0)
+    init_scale = _number(cfg, "init_scale", 0.2 if recurrent else 0.3, float)
+    step_size = _number(cfg, "step_size", 1e-3 if recurrent else 3e-3, float)
+    iters = _number(cfg, "iters", 20000 if recurrent else 50000, minimum=1)
+    rng = np.random.default_rng(seed)
+    if recurrent:
+        t_len = _number(cfg, "T", 8, minimum=1)
+        n_seq = _number(cfg, "sequences", 48, minimum=1)
         spec_dods = dods_linear(P=[[0.8, 0.0], [0.2, 0.5]],
                                 Q=[[0.3, -0.2], [0.1, 0.4]],
                                 readout=[1.0, -0.7], h0=[0.0, 0.0])
         xs = rng.uniform(-1.0, 1.0, size=(n_seq, t_len, spec_dods.I))
         ys = np.stack([eval_dods(spec_dods, xs[b]) for b in range(n_seq)])
         data = SequenceDataset(xs, ys)
-        p0 = random_rftnet(spec_dods.I, h, act, float(cfg.get("init_scale", 0.2)), rng)
-        tc = TrainConfig(step_size=float(cfg.get("step_size", 1e-3)),
-                         max_iters=int(cfg.get("iters", 20000)),
-                         target_loss=target_mse * n_seq * t_len)
-        trained, trace = train_rftnet(p0, data, spec, tc)
-        final_mse = trace[-1] / (n_seq * t_len)
-        save_model(out_dir / "dods_model.json", trained)
-        _write_trace(out_dir / "dods_trace.jsonl", trace)
-        summary = {"demo": demo, "iters": len(trace) - 1, "final_mse": final_mse,
-                   "target_mse": target_mse, "reached": final_mse <= target_mse}
+        p0 = random_rftnet(spec_dods.I, h, act, init_scale, rng)
+        train, samples, target_loss = train_rftnet, n_seq * t_len, target_mse * n_seq * t_len
+        model_file, trace_file = "dods_model.json", "dods_trace.jsonl"
     else:
-        print(f"error: unknown demo {demo!r}", file=sys.stderr)
-        return EXIT_REJECTED
-
+        n = _number(cfg, "samples", 256, minimum=1)
+        xs = np.linspace(-1.0, 1.0, n)[:, None]
+        data = Dataset(xs, np.sin(3.0 * xs[:, 0]))
+        p0 = random_fftnet(1, h, act, init_scale, rng)
+        train, samples, target_loss = train_fftnet, n, target_mse * n
+        model_file, trace_file = "sin_fit_model.json", "sin_fit_trace.jsonl"
+    tc = TrainConfig(step_size=step_size, max_iters=iters, target_loss=target_loss)
+    try:
+        trained, trace = train(p0, data, spec, tc)
+    except RuntimeError as exc:  # the loss was not finite at the start, or diverged
+        print(f"error: train {demo} failed: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY_FAILURE
+    final_mse = trace[-1] / samples
+    save_model(out_dir / model_file, trained)
+    _write_trace(out_dir / trace_file, trace)
+    summary = {"demo": demo, "iters": len(trace) - 1, "final_mse": final_mse,
+               "target_mse": target_mse, "reached": final_mse <= target_mse}
     with open(out_dir / f"{demo}_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)
     print(f"train {demo}: final per-sample loss {summary['final_mse']:.3e} "
@@ -234,19 +252,19 @@ def cmd_train(cfg: dict, out_dir: Path, seed: int) -> int:
 
 
 def cmd_probe(cfg: dict, out_dir: Path, seed: int) -> int:
-    n = int(cfg["n"])
-    i = int(cfg["I"])
+    n = _number(cfg, "n", None, minimum=1)
+    i = _number(cfg, "I", None, minimum=1)
     if n > i:
         print(f"error: n={n} exceeds I={i}; sample independence is only "
               "guaranteed for n <= I", file=sys.stderr)
         return EXIT_REJECTED
-    h = int(cfg.get("H", i + 1))
-    delta = float(cfg.get("delta", 0.1))
-    instances = int(cfg.get("instances", 100))
-    case2 = int(cfg.get("case2_instances", instances // 2))
+    h = _number(cfg, "H", i + 1, minimum=1)
+    delta = _number(cfg, "delta", 0.1, float)
+    instances = _number(cfg, "instances", 100, minimum=1)
+    case2 = _number(cfg, "case2_instances", instances // 2, minimum=0)
     act = activation_from_tag(cfg.get("activation", "holexpm1"))
     spec = loss_spec_from_config(cfg.get("loss", {"loss": "squared"}))
-    scale = float(cfg.get("init_scale", 0.4))
+    scale = _number(cfg, "init_scale", 0.4, float)
 
     rows = []
     jsonl = []
@@ -374,7 +392,12 @@ def main(argv=None) -> int:
             print(f"error: {p}", file=sys.stderr)
         return EXIT_REJECTED
 
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    try:
+        seed = _number(cfg if args.seed is None else {"seed": args.seed}, "seed", 0,
+                       minimum=0)
+    except ContractViolationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_REJECTED
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -386,6 +409,9 @@ def main(argv=None) -> int:
     except (ContractViolationError, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO_FAILURE
 
 
 if __name__ == "__main__":

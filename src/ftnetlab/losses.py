@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError
-from .models import FFTNetParams, eval_fftnet_many
+from .models import FFTNetParams, Tape, eval_fftnet_many
 
 
 @dataclass(frozen=True)
@@ -114,19 +114,26 @@ class Dataset:
         return self.xs.shape[1]
 
 
-def residuals(p: FFTNetParams, data: Dataset) -> np.ndarray:
-    return eval_fftnet_many(p, data.xs) - data.ys
+def residuals(p: FFTNetParams, data: Dataset, tape: Tape | None = None) -> np.ndarray:
+    return eval_fftnet_many(p, data.xs, tape=tape) - data.ys
 
 
-def empirical_loss(p: FFTNetParams, data: Dataset, spec: LossSpec) -> float:
-    return float(np.sum(spec.value(residuals(p, data))))
+def empirical_loss(p: FFTNetParams, data: Dataset, spec: LossSpec,
+                   tape: Tape | None = None) -> float:
+    """The summed loss; ``tape`` records the forward pass for a gradient."""
+    return float(np.sum(spec.value(residuals(p, data, tape))))
 
 
 def loss_spec_from_config(cfg: dict) -> LossSpec:
     """{"loss": "squared"} or {"loss": "param_cosh", "a":..., "b":..., "c":...}."""
+    if not isinstance(cfg, dict):
+        raise ContractViolationError(f"loss: expected a JSON object, got {cfg!r}")
     kind = cfg.get("loss")
     if kind == "squared":
         return squared_loss()
     if kind == "param_cosh":
-        return param_cosh_loss(cfg.get("a", 1.0), cfg.get("b", 1.0), cfg.get("c", 1.0))
+        abc = [cfg.get(key, 1.0) for key in "abc"]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in abc):
+            raise ContractViolationError(f"param_cosh: a, b and c must be numbers, got {abc}")
+        return param_cosh_loss(*abc)
     raise ContractViolationError(f"unknown loss {kind!r}")

@@ -35,15 +35,30 @@ def _check_finite(name: str, *arrays) -> None:
             raise ContractViolationError(f"{name}: non-finite entries")
 
 
+def _floats(x, name: str) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):  # strings, ragged nesting, objects
+        raise ContractViolationError(
+            f"{name}: expected a number or a rectangular array of numbers") from None
+
+
+def _scalar(x, name: str) -> float:
+    a = _floats(x, name)
+    if a.ndim != 0:
+        raise ContractViolationError(f"{name}: expected a number, got shape {a.shape}")
+    return float(a)
+
+
 def _vec(x, n: int, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
+    a = _floats(x, name)
     if a.shape != (n,):
         raise ContractViolationError(f"{name}: expected shape ({n},), got {a.shape}")
     return a
 
 
 def _mat(x, rows: int, cols: int, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
+    a = _floats(x, name)
     if a.shape != (rows, cols):
         raise ContractViolationError(
             f"{name}: expected shape ({rows}, {cols}), got {a.shape}"
@@ -262,18 +277,50 @@ def kappa_many(X: np.ndarray, H: int) -> np.ndarray:
     return out
 
 
-def _fftnet_states(p: FFTNetParams, K: np.ndarray) -> np.ndarray:
-    pre = K @ p.W.T + 1j * (K @ p.V.T)
-    return np.asarray(apply(p.activation, pre))
+class Tape:
+    """The intermediates of one FTNet forward pass, kept for its gradient.
+
+    Pass an empty Tape as ``tape=`` to :func:`eval_fftnet_many` or
+    :func:`eval_rftnet_many`.  It then holds the outputs ``out``, the padded
+    inputs ``K``, the pre-activations ``Z`` and the activations ``acts``:
+    one (N, H) array each for the feedforward net.  For the recurrent net,
+    ``K``, ``acts`` and ``R`` (the receptor each step read) are lists of T
+    arrays of shape (B, H), and ``Z`` is stacked as (T, B, H).
+    """
+
+    __slots__ = ("source", "out", "K", "Z", "acts", "R")
+
+    def __init__(self):
+        self.source = ()
+
+    @staticmethod
+    def _source(p, X) -> tuple:
+        return (p.W, p.V, p.alpha, getattr(p, "r0", None), p.activation, X)
+
+    def record(self, p, X, out, K, Z, acts, R=None) -> None:
+        self.source = self._source(p, X)
+        self.out, self.K, self.Z, self.acts, self.R = out, K, Z, acts, R
+
+    def matches(self, p, X) -> bool:
+        """True when the recorded pass ran on these very parameter and input arrays."""
+        return bool(self.source) and all(
+            a is b for a, b in zip(self.source, self._source(p, X)))
 
 
-def eval_fftnet_many(p: FFTNetParams, X: np.ndarray) -> np.ndarray:
-    """Batch of inputs, shape (N, I) -> outputs (N,)."""
+def eval_fftnet_many(p: FFTNetParams, X: np.ndarray, tape: Tape | None = None) -> np.ndarray:
+    """Batch of inputs, shape (N, I) -> outputs (N,); fills ``tape`` when given."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != p.I:
         raise ContractViolationError(f"expected inputs of shape (N, {p.I})")
-    act = _fftnet_states(p, kappa_many(X, p.H))
-    return act.real @ p.alpha
+    k = kappa_many(X, p.H)
+    pre = np.empty((X.shape[0], p.H), dtype=np.complex128)
+    pre.real = k @ p.W.T
+    pre.imag = k @ p.V.T
+    act = np.asarray(apply(p.activation, pre))
+    out = act.real @ p.alpha
+    if tape is not None:
+        tape.record(p, X, out, k, pre, act)
+    return out
 
 
 def eval_fftnet(p: FFTNetParams, x) -> float:
@@ -281,8 +328,9 @@ def eval_fftnet(p: FFTNetParams, x) -> float:
     return float(eval_fftnet_many(p, x[None, :])[0])
 
 
-def eval_rftnet_many(p: RFTNetParams, XS: np.ndarray, return_trajectory: bool = False):
-    """Batch of sequences, shape (B, T, I) -> outputs (B, T).
+def eval_rftnet_many(p: RFTNetParams, XS: np.ndarray, return_trajectory: bool = False,
+                     tape: Tape | None = None):
+    """Batch of sequences, shape (B, T, I) -> outputs (B, T); fills ``tape`` when given.
 
     With ``return_trajectory`` also returns (stimuli, receptors), each of
     shape (B, T, H).
@@ -297,15 +345,26 @@ def eval_rftnet_many(p: RFTNetParams, XS: np.ndarray, return_trajectory: bool = 
     ys = np.zeros((b, t_len))
     stim = np.zeros((b, t_len, p.H)) if return_trajectory else None
     rec = np.zeros((b, t_len, p.H)) if return_trajectory else None
+    if tape is not None:
+        ks, rs, acts = [], [], []
+        zs = np.empty((t_len, b, p.H), dtype=np.complex128)
     for t in range(t_len):
         k = kappa_many(XS[:, t, :], p.H)
-        pre = (k @ p.W.T - r @ p.V.T) + 1j * (k @ p.V.T + r @ p.W.T)
+        pre = np.empty((b, p.H), dtype=np.complex128) if tape is None else zs[t]
+        pre.real = k @ p.W.T - r @ p.V.T
+        pre.imag = k @ p.V.T + r @ p.W.T
         act = np.asarray(apply(p.activation, pre))
+        if tape is not None:
+            ks.append(k)
+            rs.append(r)
+            acts.append(act)
         s, r = act.real, act.imag
         ys[:, t] = s @ p.alpha
         if return_trajectory:
             stim[:, t, :] = s
             rec[:, t, :] = r
+    if tape is not None:
+        tape.record(p, XS, ys, ks, zs, acts, rs)
     if return_trajectory:
         return ys, stim, rec
     return ys
@@ -541,6 +600,8 @@ def model_to_dict(p) -> dict:
 
 
 def model_from_dict(d: dict):
+    if not isinstance(d, dict):
+        raise ContractViolationError(f"a model must be a JSON object, got {type(d).__name__}")
     spec = _SPECS_BY_KIND.get(d.get("kind"))
     if spec is None:
         raise ContractViolationError(f"unknown model kind {d.get('kind')!r}")
@@ -549,17 +610,20 @@ def model_from_dict(d: dict):
         if not isinstance(d[key], int) or isinstance(d[key], bool):
             raise ContractViolationError(f"{key}: expected an integer, got {d[key]!r}")
     h = d["H"]
+    bias = d.get("activation_bias")
+    if bias is not None:
+        bias = _scalar(bias, "activation_bias")
     fields = {"I": d["I"], spec.hidden: h,
-              spec.activation: activation_from_tag(d["activation"], d.get("activation_bias"))}
+              spec.activation: activation_from_tag(d["activation"], bias)}
     for key, attr, ctype in spec.file_keys():
         if ctype is None:
-            fields[attr] = d[key]
+            fields[attr] = _floats(d[key], key)
         else:
-            fields[attr] = ctype(d[f"{key}_re"], d[f"{key}_im"])
+            fields[attr] = ctype(*(_floats(d[k], k) for k in (f"{key}_re", f"{key}_im")))
     if spec.state is not None:
-        fields[spec.state] = d.get(spec.state, np.zeros(h))
+        fields[spec.state] = _floats(d.get(spec.state, np.zeros(h)), spec.state)
     for key in spec.scalars:
-        fields[key] = float(d[key])
+        fields[key] = _scalar(d[key], key)
     return spec.cls(**fields)
 
 

@@ -16,7 +16,9 @@ from .losses import Dataset, LossSpec, check_well_posed, empirical_loss
 from .models import (
     FFTNetParams,
     RFTNetParams,
+    Tape,
     eval_fftnet_many,
+    eval_rftnet_many,
     kappa_many,
 )
 from .numerics import ComplexMatrix, ComplexVector, null_vector_against, numerical_rank
@@ -69,61 +71,56 @@ class SequenceDataset:
 # analytic gradients
 # ---------------------------------------------------------------------------
 
-def grad_fftnet(p: FFTNetParams, data: Dataset, spec: LossSpec) -> GradientBundle:
+def _taped(evaluate, p, xs, tape: Tape | None) -> Tape:
+    """``tape`` when it recorded p on xs, else a fresh tape of that pass."""
+    if tape is None or not tape.matches(p, xs):
+        tape = Tape()
+        evaluate(p, xs, tape=tape)
+    return tape
+
+
+def grad_fftnet(p: FFTNetParams, data: Dataset, spec: LossSpec,
+                tape: Tape | None = None) -> GradientBundle:
     """d/d(W, V, alpha) of the summed loss, real and imaginary parts as
-    independent real coordinates."""
-    k = kappa_many(data.xs, p.H)
-    z = (k @ p.W.T) + 1j * (k @ p.V.T)
-    act = np.asarray(apply(p.activation, z))
-    s = act.real
-    res = s @ p.alpha - data.ys
-    lp = spec.deriv(res)
-    j11, j12, _, _ = jacobian_parts(p.activation, z)
+    independent real coordinates.  Reuses ``tape`` when it recorded the
+    forward pass of these very arrays, and runs that pass otherwise."""
+    tape = _taped(eval_fftnet_many, p, data.xs, tape)
+    k, s = tape.K, tape.acts.real
+    lp = spec.deriv(tape.out - data.ys)
+    j11, j12, _, _ = jacobian_parts(p.activation, tape.Z)
     gs = lp[:, None] * p.alpha[None, :]
     return GradientBundle(dW=(gs * j11).T @ k, dV=(gs * j12).T @ k,
                           dAlpha=s.T @ lp)
 
 
-def grad_rftnet(p: RFTNetParams, data: SequenceDataset, spec: LossSpec) -> GradientBundle:
-    """Reverse-mode gradient through the unrolled recurrence (r0 kept fixed)."""
-    xs, ys = data.xs, data.ys
-    if xs.shape[2] != p.I:
-        raise ContractViolationError(f"expected sequences of shape (B, T, {p.I})")
-    b, t_len, _ = xs.shape
-    r = np.broadcast_to(p.r0, (b, p.H)).copy()
-    cache = []
-    outs = np.zeros((b, t_len))
-    for t in range(t_len):
-        kt = kappa_many(xs[:, t, :], p.H)
-        z = (kt @ p.W.T - r @ p.V.T) + 1j * (kt @ p.V.T + r @ p.W.T)
-        act = np.asarray(apply(p.activation, z))
-        jac = jacobian_parts(p.activation, z)
-        cache.append((kt, r, act.real, jac))
-        r = act.imag
-        outs[:, t] = act.real @ p.alpha
-    lp = spec.deriv(outs - ys)
+def grad_rftnet(p: RFTNetParams, data: SequenceDataset, spec: LossSpec,
+                tape: Tape | None = None) -> GradientBundle:
+    """Reverse-mode gradient through the unrolled recurrence (r0 kept fixed),
+    reading the forward pass from ``tape`` as :func:`grad_fftnet` does."""
+    tape = _taped(eval_rftnet_many, p, data.xs, tape)
+    lp = spec.deriv(tape.out - data.ys)
+    j11, j12, j21, j22 = jacobian_parts(p.activation, tape.Z)
 
     dw = np.zeros_like(p.W)
     dv = np.zeros_like(p.V)
     da = np.zeros(p.H)
-    gr = np.zeros((b, p.H))
-    for t in range(t_len - 1, -1, -1):
-        kt, r_prev, s, (j11, j12, j21, j22) = cache[t]
+    gr = np.zeros((data.xs.shape[0], p.H))
+    for t in range(len(tape.acts) - 1, -1, -1):
+        kt, r_prev, s = tape.K[t], tape.R[t], tape.acts[t].real
         gy = lp[:, t]
         gs = gy[:, None] * p.alpha[None, :]
         da += s.T @ gy
-        ga = gs * j11 + gr * j21
-        gb = gs * j12 + gr * j22
+        ga = gs * j11[t] + gr * j21[t]
+        gb = gs * j12[t] + gr * j22[t]
         dw += ga.T @ kt + gb.T @ r_prev
         dv += gb.T @ kt - ga.T @ r_prev
         gr = gb @ p.W - ga @ p.V
     return GradientBundle(dW=dw, dV=dv, dAlpha=da)
 
 
-def _rftnet_loss(p: RFTNetParams, data: SequenceDataset, spec: LossSpec) -> float:
-    from .models import eval_rftnet_many
-
-    return float(np.sum(spec.value(eval_rftnet_many(p, data.xs) - data.ys)))
+def _rftnet_loss(p: RFTNetParams, data: SequenceDataset, spec: LossSpec,
+                 tape: Tape | None = None) -> float:
+    return float(np.sum(spec.value(eval_rftnet_many(p, data.xs, tape=tape) - data.ys)))
 
 
 def finite_diff_grad(p: FFTNetParams, data: Dataset, spec: LossSpec,
@@ -235,28 +232,38 @@ def _descend(params, loss_of, grad_of, rebuild, cfg: TrainConfig):
 
 def train_fftnet(p0: FFTNetParams, data: Dataset, spec: LossSpec,
                  cfg: TrainConfig):
-    """Gradient descent with backtracking; returns (params, loss trace)."""
+    """Gradient descent with backtracking; returns (params, loss trace).
+
+    Every loss evaluation records its forward pass on one tape, so the
+    gradient at an accepted step reuses that step's pass.
+    """
+    tape = Tape()
+
+    def mk(w, v, a):
+        return FFTNetParams(p0.I, p0.H, w, v, a, p0.activation)
+
     return _descend(
         p0,
-        loss_of=lambda w, v, a: empirical_loss(
-            FFTNetParams(p0.I, p0.H, w, v, a, p0.activation), data, spec),
-        grad_of=lambda w, v, a: grad_fftnet(
-            FFTNetParams(p0.I, p0.H, w, v, a, p0.activation), data, spec),
-        rebuild=lambda w, v, a: FFTNetParams(p0.I, p0.H, w, v, a, p0.activation),
+        loss_of=lambda w, v, a: empirical_loss(mk(w, v, a), data, spec, tape),
+        grad_of=lambda w, v, a: grad_fftnet(mk(w, v, a), data, spec, tape),
+        rebuild=mk,
         cfg=cfg,
     )
 
 
 def train_rftnet(p0: RFTNetParams, data: SequenceDataset, spec: LossSpec,
                  cfg: TrainConfig):
-    """Backpropagation through time on the unrolled recurrence."""
+    """Backpropagation through time on the unrolled recurrence, sharing one
+    tape between loss and gradient as :func:`train_fftnet` does."""
+    tape = Tape()
+
     def mk(w, v, a):
         return RFTNetParams(p0.I, p0.H, w, v, a, p0.activation, p0.r0)
 
     return _descend(
         p0,
-        loss_of=lambda w, v, a: _rftnet_loss(mk(w, v, a), data, spec),
-        grad_of=lambda w, v, a: grad_rftnet(mk(w, v, a), data, spec),
+        loss_of=lambda w, v, a: _rftnet_loss(mk(w, v, a), data, spec, tape),
+        grad_of=lambda w, v, a: grad_rftnet(mk(w, v, a), data, spec, tape),
         rebuild=mk,
         cfg=cfg,
     )

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import ftnetlab.cli as cli
-from ftnetlab.activations import RELU
+from ftnetlab.activations import HOLSIN, RELU
 from ftnetlab.constructions import EMBEDDING_CSV_HEADER
 from ftnetlab.models import FNNParams, RNNParams, load_model, model_to_dict, save_model
+from ftnetlab.optimize import random_fftnet
 
 
 def _write_config(tmp_path, name, cfg):
@@ -90,6 +91,21 @@ class TestConvert:
 
     def test_missing_config(self, tmp_path):
         assert cli.main(["convert", "--config", str(tmp_path / "nope.json")]) == 3
+
+    @pytest.mark.parametrize("key,value", [
+        ("W", [["x"] * 3] * 3),              # a non-numeric entry
+        ("alpha", [1.0, [2.0, 3.0], 4.0]),   # ragged
+        ("V", {"re": 1.0}),                  # not an array at all
+    ])
+    def test_malformed_array_rejected(self, tmp_path, rng, capsys, key, value):
+        model = model_to_dict(random_fftnet(2, 3, HOLSIN, 0.3, rng))
+        (tmp_path / "bad.json").write_text(json.dumps({**model, key: value}))
+        cfg = _write_config(tmp_path, "c.json", {
+            "in_model": str(tmp_path / "bad.json"), "target": "fftnet",
+            "out_model": "out.json"})
+        assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: bad model: {key}: ")
 
 
 class TestVerify:
@@ -219,6 +235,65 @@ class TestTrain:
         cfg = _write_config(tmp_path, "t.json", {"demo": "mnist"})
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("demo,files", [
+        ({"demo": "sin_fit", "H": 8, "samples": 32, "target_mse": 0.02}, {
+            "sin_fit_model.json":
+                "172c9fcb388f6f093f601cd1b15075c6d561f39ee38b79a31a44851062f581c5",
+            "sin_fit_trace.jsonl":
+                "3f35ae1c95288444964b116893ec544940ff1b9c1fa8bea54781a001ac4904a7",
+            "sin_fit_summary.json":
+                "6130ab90c4b57505f959cb69dcc6cfaa1cd72a749fc7889fd72f30d1fdc73032"}),
+        ({"demo": "dods_linear", "H": 6, "sequences": 4, "T": 3, "target_mse": 0.01}, {
+            "dods_model.json":
+                "d25614e06536758902419726360e55f9a4bd0e1c959c2539d7d7f2e53fdd313f",
+            "dods_trace.jsonl":
+                "98dc71c6e317a0982bd80feaf4f90645e9dc471dc0360df4eae60e2f03b4281c",
+            "dods_linear_summary.json":
+                "1eee7c107db5e91984fa15ba872cd34f7ed8c0862aaa8adfbc1d2c9528511369"}),
+    ], ids=["sin_fit", "dods_linear"])
+    def test_golden_outputs(self, tmp_path, demo, files):
+        """Pins the bytes of a small training run: model, loss trace, summary."""
+        cfg = _write_config(tmp_path, "t.json", {**demo, "seed": 0})
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                   for name in files}
+        assert digests == files
+
+    def test_divergence_is_one_line(self, tmp_path, capsys):
+        # seed 19 draws a start whose loss is not finite
+        cfg = _write_config(tmp_path, "t.json", {
+            "demo": "dods_linear", "target_mse": 3e-5, "seed": 19})
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: train dods_linear failed: initial loss is not finite")
+
+    @pytest.mark.parametrize("extra", [{"demo": "sin_fit", "samples": 0},
+                                       {"demo": "sin_fit", "iters": 0},
+                                       {"demo": "dods_linear", "sequences": 0},
+                                       {"demo": "dods_linear", "T": 0},
+                                       {"demo": "dods_linear", "iters": -3}])
+    def test_sizes_below_one_rejected(self, tmp_path, capsys, extra):
+        cfg = _write_config(tmp_path, "t.json", extra)
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        key = next(k for k in extra if k != "demo")
+        assert len(err) == 1 and err[0].startswith(f"error: {key}: expected a value >= 1")
+
+    @pytest.mark.parametrize("loss", ["squared", {"loss": "param_cosh", "a": "x"}])
+    def test_malformed_loss_rejected(self, tmp_path, capsys, loss):
+        cfg = _write_config(tmp_path, "t.json", {"demo": "sin_fit", "loss": loss})
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_unwritable_output_is_an_io_failure(self, tmp_path, capsys):
+        (tmp_path / "sin_fit_model.json").mkdir()  # the model file cannot be opened
+        cfg = _write_config(tmp_path, "t.json", {
+            "demo": "sin_fit", "H": 4, "samples": 8, "iters": 2, "seed": 1})
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
+
 
 class TestProbe:
     def test_small_campaign(self, tmp_path):
@@ -300,6 +375,62 @@ class TestReport:
         rcfg = _write_config(tmp_path, "r.json", {"verify_csv": str(tmp_path / "v.csv")})
         assert cli.main(["report", "--config", rcfg, "--out", str(tmp_path)]) == 0
         assert "any rnn (2 instances, no gap measured)" in (tmp_path / "report.md").read_text()
+
+
+_COMMAND_BASES = {
+    "verify": {"instances": 1, "assemblies": 0, "probes": 2, "sequence_length": 2,
+               "pairs": ["rnn_to_rftnet"]},
+    "train": {"demo": "sin_fit", "H": 4, "samples": 8, "iters": 2},
+    "train_rec": {"demo": "dods_linear", "H": 4, "sequences": 2, "T": 2, "iters": 2},
+    "probe": {"n": 2, "I": 3, "instances": 1},
+    "convert": {"target": "fftnet", "out_model": "out.json"},
+}
+_INT_KEYS = {
+    "verify": ("seed", "instances", "assemblies", "probes", "sequence_length"),
+    "train": ("seed", "H", "hidden", "samples", "iters"),
+    "train_rec": ("sequences", "T"),
+    "probe": ("seed", "n", "I", "instances", "case2_instances", "H"),
+    "convert": ("seed", "probes"),
+}
+_FLOAT_KEYS = {
+    "verify": ("tolerance",),
+    "train": ("step_size", "init_scale", "target_mse"),
+    "probe": ("delta", "init_scale"),
+    "convert": ("c",),
+}
+_BAD_NUMBERS = ([(cmd, key, bad) for cmd, keys in _INT_KEYS.items() for key in keys
+                 for bad in ("abc", True, 2.5, None)]
+                + [(cmd, key, bad) for cmd, keys in _FLOAT_KEYS.items() for key in keys
+                   for bad in ("abc", False, [1.0], float("nan"))])
+
+
+def _numeric_argv(tmp_path, rng, command, cfg):
+    if command == "convert":
+        save_model(tmp_path / "fnn.json", _sample_fnn(rng))
+        cfg = {**cfg, "in_model": str(tmp_path / "fnn.json")}
+    path = _write_config(tmp_path, "cfg.json", cfg)
+    return [command.removesuffix("_rec"), "--config", path, "--out", str(tmp_path / "o")]
+
+
+class TestNumericConfig:
+    @pytest.mark.parametrize("command,key,bad", _BAD_NUMBERS)
+    def test_non_numbers_rejected_naming_the_key(self, tmp_path, rng, capsys,
+                                                 command, key, bad):
+        cfg = {**_COMMAND_BASES[command], key: bad}
+        assert cli.main(_numeric_argv(tmp_path, rng, command, cfg)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key}: expected ")
+
+    @pytest.mark.parametrize("command", sorted(_COMMAND_BASES))
+    def test_base_configs_run(self, tmp_path, rng, command):
+        argv = _numeric_argv(tmp_path, rng, command, _COMMAND_BASES[command])
+        assert cli.main(argv) in (0, 1)  # a two-step fit may miss its target
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        path = _write_config(tmp_path, "cfg.json", _COMMAND_BASES["probe"])
+        assert cli.main(["probe", "--config", path, "--seed", "-1",
+                         "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: seed: expected a value >= 0")
 
 
 class TestConfigValidation:

@@ -396,6 +396,27 @@ class TestSerialization:
         assert (json.dumps(model_to_dict(again), sort_keys=True)
                 == json.dumps(model_to_dict(model), sort_keys=True))
 
+    def test_malformed_fields_rejected_by_name(self, rng):
+        """Every array, state and scalar field of every kind, made non-numeric or ragged."""
+        checked = 0
+        for model in _sample_models(rng):
+            d = model_to_dict(model)
+            for key, value in d.items():
+                if key in ("kind", "I", "H", "activation"):
+                    continue
+                bads = ["x", {"a": 1}]
+                if isinstance(value, list):
+                    bads += [[value[0]] + [[value[0]]] * (len(value) - 1)]  # ragged
+                for bad in bads:
+                    with pytest.raises(ContractViolationError, match=f"^{key}: "):
+                        model_from_dict({**d, key: bad})
+                    checked += 1
+        assert checked > 50
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ContractViolationError, match="JSON object"):
+            model_from_dict([1, 2])
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractViolationError):
             model_from_dict({"kind": "mlp", "activation": "relu"})

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import tame_rftnet
-from ftnetlab.activations import HOLEXPM1, HOLSIN, ZRELU, apply
+from ftnetlab.activations import HOLEXPM1, HOLSIN, ZRELU, apply, modrelu
 from ftnetlab.errors import ContractViolationError
-from ftnetlab.losses import Dataset, param_cosh_loss, squared_loss
-from ftnetlab.models import FFTNetParams, eval_fftnet_many, kappa_many
+from ftnetlab.losses import Dataset, empirical_loss, param_cosh_loss, squared_loss
+from ftnetlab.models import FFTNetParams, RFTNetParams, Tape, eval_fftnet_many, kappa_many
 from ftnetlab.numerics import ComplexMatrix
+import ftnetlab.optimize as optimize
 from ftnetlab.optimize import (
     GradientBundle,
     ProbeResult,
@@ -155,6 +156,101 @@ class TestTraining:
     def test_step_size_contract(self):
         with pytest.raises(ContractViolationError):
             TrainConfig(step_size=0.0)
+
+
+def _assert_same_descent(got, ref):
+    (p, trace), (p_ref, trace_ref) = got, ref
+    assert len(trace) > 2 and trace == trace_ref
+    for name in ("W", "V", "alpha"):
+        assert np.array_equal(getattr(p, name), getattr(p_ref, name))
+
+
+class TestTape:
+    """The trainers share one taped forward pass between loss and gradient;
+    the steps they take must be those of an untaped loss and gradient."""
+
+    @pytest.mark.parametrize("act", [HOLSIN, HOLEXPM1, ZRELU, modrelu(-0.1)])
+    def test_train_fftnet_matches_untaped_descent(self, rng, act):
+        p0 = random_fftnet(2, 5, act, 0.5, rng)
+        data = Dataset(rng.standard_normal((12, 2)), rng.standard_normal(12))
+        spec, cfg = squared_loss(), TrainConfig(step_size=0.5, max_iters=40)
+
+        def mk(w, v, a):
+            return FFTNetParams(p0.I, p0.H, w, v, a, p0.activation)
+
+        ref = optimize._descend(
+            p0, loss_of=lambda w, v, a: empirical_loss(mk(w, v, a), data, spec),
+            grad_of=lambda w, v, a: grad_fftnet(mk(w, v, a), data, spec),
+            rebuild=mk, cfg=cfg)
+        _assert_same_descent(train_fftnet(p0, data, spec, cfg), ref)
+
+    @pytest.mark.parametrize("act", [HOLSIN, HOLEXPM1, ZRELU])
+    def test_train_rftnet_matches_untaped_descent(self, rng, act):
+        p0 = random_rftnet(2, 5, act, 0.3, rng)
+        p0 = RFTNetParams(p0.I, p0.H, p0.W, p0.V, p0.alpha, act,
+                          0.1 * rng.standard_normal(p0.H))
+        xs = rng.uniform(-1, 1, (4, 3, 2))
+        data = SequenceDataset(xs, rng.standard_normal((4, 3)))
+        spec, cfg = squared_loss(), TrainConfig(step_size=0.2, max_iters=40)
+
+        def mk(w, v, a):
+            return RFTNetParams(p0.I, p0.H, w, v, a, p0.activation, p0.r0)
+
+        ref = optimize._descend(
+            p0, loss_of=lambda w, v, a: optimize._rftnet_loss(mk(w, v, a), data, spec),
+            grad_of=lambda w, v, a: grad_rftnet(mk(w, v, a), data, spec),
+            rebuild=mk, cfg=cfg)
+        _assert_same_descent(train_rftnet(p0, data, spec, cfg), ref)
+
+    def test_gradient_ignores_a_tape_of_other_arrays(self, rng):
+        spec = squared_loss()
+        p = random_fftnet(2, 4, HOLSIN, 0.4, rng)
+        data = Dataset(rng.standard_normal((5, 2)), rng.standard_normal(5))
+        want = grad_fftnet(p, data, spec)
+        same_values = FFTNetParams(p.I, p.H, p.W.copy(), p.V, p.alpha, p.activation)
+        other_data = Dataset(data.xs.copy(), data.ys)
+        for q, d in ((random_fftnet(2, 4, HOLSIN, 0.4, rng), data), (same_values, data),
+                     (p, other_data)):
+            tape = Tape()
+            empirical_loss(q, d, spec, tape)
+            assert not tape.matches(p, data.xs)
+            got = grad_fftnet(p, data, spec, tape)
+            for name in ("dW", "dV", "dAlpha"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_recurrent_gradient_ignores_a_tape_of_other_arrays(self, rng):
+        spec = squared_loss()
+        p = random_rftnet(2, 4, HOLSIN, 0.3, rng)
+        data = SequenceDataset(rng.uniform(-1, 1, (3, 4, 2)), rng.standard_normal((3, 4)))
+        want = grad_rftnet(p, data, spec)
+        other_r0 = RFTNetParams(p.I, p.H, p.W, p.V, p.alpha, p.activation, p.r0 + 0.5)
+        for q in (random_rftnet(2, 4, HOLSIN, 0.3, rng), other_r0):
+            tape = Tape()
+            optimize._rftnet_loss(q, data, spec, tape)
+            got = grad_rftnet(p, data, spec, tape)
+            for name in ("dW", "dV", "dAlpha"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_matching_tape_is_reused(self, rng, monkeypatch):
+        spec = squared_loss()
+        p = random_fftnet(2, 4, HOLSIN, 0.4, rng)
+        data = Dataset(rng.standard_normal((5, 2)), rng.standard_normal(5))
+        r = random_rftnet(2, 4, HOLSIN, 0.3, rng)
+        seqs = SequenceDataset(rng.uniform(-1, 1, (3, 4, 2)), rng.standard_normal((3, 4)))
+        tape, rtape = Tape(), Tape()
+        empirical_loss(p, data, spec, tape)
+        optimize._rftnet_loss(r, seqs, spec, rtape)
+        want = grad_fftnet(p, data, spec), grad_rftnet(r, seqs, spec)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("the gradient ran a second forward pass")
+
+        monkeypatch.setattr(optimize, "eval_fftnet_many", no_forward)
+        monkeypatch.setattr(optimize, "eval_rftnet_many", no_forward)
+        got = grad_fftnet(p, data, spec, tape), grad_rftnet(r, seqs, spec, rtape)
+        for g, w in zip(got, want):
+            for name in ("dW", "dV", "dAlpha"):
+                assert np.array_equal(getattr(g, name), getattr(w, name))
 
 
 def _ball_search_oracle(p, data, spec, delta, tries=4000, seed=99):

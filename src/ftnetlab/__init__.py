@@ -1,9 +1,9 @@
 """Complex-weighted flexible-transmitter networks and their exact embeddings.
 
-The package provides split real/imaginary linear algebra, the complex
-activation catalog, forward evaluators for every model family, the
-constructive embeddings between them, well-posed regression losses, and
-gradient machinery including the positive-loss descent probe.
+The package provides the complex activation catalog, forward evaluators
+for every model family, the constructive embeddings between them, well-posed
+regression losses, and gradient machinery including the positive-loss
+descent probe.
 """
 
 from .activations import (
@@ -70,7 +70,7 @@ from .models import (
     param_count,
     save_model,
 )
-from .numerics import ComplexMatrix, ComplexVector, cmatvec, null_vector_against
+from .numerics import null_vector_against
 from .optimize import (
     GradientBundle,
     ProbeResult,

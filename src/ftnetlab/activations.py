@@ -18,7 +18,6 @@ from .errors import ContractViolationError
 # real part, feedforward ones in the imaginary part.
 REAL_ARG_IMAG_BIAS = "real_arg_imag_bias"  # sigma(x) = Re/Im of act(x + c i)
 IMAG_ARG_REAL_BIAS = "imag_arg_real_bias"  # sigma(x) = Re/Im of act(c + x i)
-_CONVENTIONS = (REAL_ARG_IMAG_BIAS, IMAG_ARG_REAL_BIAS)
 
 _TAGS = ("zrelu", "modrelu", "crelu", "holexpm1", "holsin", "relu", "identity")
 _HOLOMORPHIC_NONPOLY = ("holexpm1", "holsin")

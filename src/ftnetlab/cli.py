@@ -111,11 +111,23 @@ def _number(cfg: dict, key: str, default, kind=int, minimum=None):
     return kind(value)
 
 
+def _string(cfg: dict, key: str, default=None) -> str:
+    """The config value under ``key`` (``default`` when absent), which must be a string."""
+    value = cfg.get(key, default)
+    if not isinstance(value, str):
+        raise ContractViolationError(f"{key}: expected a string, got {value!r}")
+    return value
+
+
 def cmd_convert(cfg: dict, out_dir: Path, seed: int) -> int:
+    in_model = _string(cfg, "in_model")  # open() reads an int as a file descriptor
+    target = _string(cfg, "target")
+    out_model = _string(cfg, "out_model")
+    mode = _string(cfg, "mode", "zrelu")
     c = _number(cfg, "c", 1.0, float)
     probes = _number(cfg, "probes", 0, minimum=0)
     try:
-        model = load_model(cfg["in_model"])
+        model = load_model(in_model)
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: cannot read model: {exc}", file=sys.stderr)
         return EXIT_IO_FAILURE
@@ -124,9 +136,9 @@ def cmd_convert(cfg: dict, out_dir: Path, seed: int) -> int:
         print(f"error: bad model: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     src_kind = model_kind(model)
-    fam = conversion(src_kind, cfg["target"], cfg.get("mode", "zrelu"))
+    fam = conversion(src_kind, target, mode)
     if fam is None:
-        print(f"error: unsupported conversion {src_kind} -> {cfg['target']}",
+        print(f"error: unsupported conversion {src_kind} -> {target}",
               file=sys.stderr)
         return EXIT_REJECTED
     try:
@@ -134,7 +146,7 @@ def cmd_convert(cfg: dict, out_dir: Path, seed: int) -> int:
     except (ContractViolationError, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    out_path = out_dir / cfg["out_model"]
+    out_path = out_dir / out_model
     try:
         save_model(out_path, converted)
     except OSError as exc:
@@ -148,6 +160,7 @@ def cmd_convert(cfg: dict, out_dir: Path, seed: int) -> int:
 
 
 def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
+    csv_name = _string(cfg, "csv_name", "verify.csv")
     counts = {"instances": _number(cfg, "instances", 200, minimum=0),
               "assemblies": _number(cfg, "assemblies", 50, minimum=0)}
     probes = _number(cfg, "probes", 100, minimum=1)
@@ -185,7 +198,7 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
                 print(f"FAIL {pair}[{idx}]: gap {rep.max_abs_output_gap!r} "
                       f"> {tolerance!r} (replay: {replay_path})", file=sys.stderr)
 
-    csv_path = out_dir / cfg.get("csv_name", "verify.csv")
+    csv_path = out_dir / csv_name
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(cons.reports_to_csv(all_reports))
     worst = max((r.max_abs_output_gap or 0.0) for r in all_reports)
@@ -201,14 +214,14 @@ def _write_trace(path: Path, trace) -> None:
 
 
 def cmd_train(cfg: dict, out_dir: Path, seed: int) -> int:
-    demo = cfg.get("demo")
+    demo = _string(cfg, "demo")
+    act = activation_from_tag(_string(cfg, "activation", "holsin"))
     spec = loss_spec_from_config(cfg.get("loss", {"loss": "squared"}))
     if demo not in ("sin_fit", "dods_linear"):
         print(f"error: unknown demo {demo!r}", file=sys.stderr)
         return EXIT_REJECTED
     recurrent = demo == "dods_linear"
     h = _number(cfg, "H", _number(cfg, "hidden", 16 if recurrent else 32), minimum=1)
-    act = activation_from_tag(cfg.get("activation", "holsin"))
     target_mse = _number(cfg, "target_mse", 1e-2 if recurrent else 1e-3, float, minimum=0)
     init_scale = _number(cfg, "init_scale", 0.2 if recurrent else 0.3, float)
     step_size = _number(cfg, "step_size", 1e-3 if recurrent else 3e-3, float)
@@ -252,6 +265,7 @@ def cmd_train(cfg: dict, out_dir: Path, seed: int) -> int:
 
 
 def cmd_probe(cfg: dict, out_dir: Path, seed: int) -> int:
+    act = activation_from_tag(_string(cfg, "activation", "holexpm1"))
     n = _number(cfg, "n", None, minimum=1)
     i = _number(cfg, "I", None, minimum=1)
     if n > i:
@@ -262,7 +276,6 @@ def cmd_probe(cfg: dict, out_dir: Path, seed: int) -> int:
     delta = _number(cfg, "delta", 0.1, float)
     instances = _number(cfg, "instances", 100, minimum=1)
     case2 = _number(cfg, "case2_instances", instances // 2, minimum=0)
-    act = activation_from_tag(cfg.get("activation", "holexpm1"))
     spec = loss_spec_from_config(cfg.get("loss", {"loss": "squared"}))
     scale = _number(cfg, "init_scale", 0.4, float)
 
@@ -310,7 +323,8 @@ _REPORT_SECTIONS = ((False, "FNN", "Omega(e^(eps1*I)/I)"),
 
 
 def cmd_report(cfg: dict, out_dir: Path, seed: int) -> int:
-    csv_path = Path(cfg["verify_csv"])
+    csv_path = Path(_string(cfg, "verify_csv"))
+    out_name = _string(cfg, "out_name", "report.md")
     try:
         rows = csv_path.read_text(encoding="utf-8").strip().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -357,7 +371,7 @@ def cmd_report(cfg: dict, out_dir: Path, seed: int) -> int:
                          f"| H -> {formula} |")
     lines += ["", "Parameter formulas: FTNet 2H^2+H (<= 3H^2); CRNet 2H(I+2); "
               "FNN 2H(I+1); RNN H(I+H+2).", ""]
-    out_path = out_dir / cfg.get("out_name", "report.md")
+    out_path = out_dir / out_name
     out_path.write_text("\n".join(lines), encoding="utf-8")
     print(f"report written to {out_path}")
     return EXIT_OK

@@ -145,8 +145,8 @@ def additive_to_rftnet(a: AdditiveFTNetParams) -> RFTNetParams:
 
 
 def _crnet_blocks(cr: CRNetParams):
-    wr, wi = cr.WC.re, cr.WC.im
-    br, bi = cr.bC.re, cr.bC.im
+    wr, wi = cr.WC.real, cr.WC.imag
+    br, bi = cr.bC.real, cr.bC.imag
     half = cr.I // 2
     hc = cr.HC
     # rows 2*HC, cols I+1 (input halves plus the trailing bias column)
@@ -156,7 +156,7 @@ def _crnet_blocks(cr: CRNetParams):
     w[hc:, :half], w[hc:, half : cr.I], w[hc:, cr.I] = wi, wr, bi
     v[:hc, :half], v[:hc, half : cr.I], v[:hc, cr.I] = wi, wr, bi
     v[hc:, :half], v[hc:, half : cr.I], v[hc:, cr.I] = wr, -wi, br
-    alpha = np.concatenate([cr.alphaC.re, -cr.alphaC.im])
+    alpha = np.concatenate([cr.alphaC.real, -cr.alphaC.imag])
     return w, v, alpha
 
 

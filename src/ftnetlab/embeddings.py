@@ -19,7 +19,6 @@ from .activations import HOLSIN, RELU, ZRELU
 from .errors import ContractViolationError
 from .models import (AdditiveFTNetParams, CRNetParams, FFTNetParams, FNNParams,
                      RFTNetParams, RNNParams)
-from .numerics import ComplexMatrix, ComplexVector
 
 SEQUENCE_LENGTH = 10  # default T of recurrent gap checks
 
@@ -54,9 +53,10 @@ def random_crnet(rng: np.random.Generator, i_choices=(2, 4, 6, 8),
     h = int(rng.integers(1, hmax + 1))
     return CRNetParams(
         i, h,
-        ComplexMatrix(rng.standard_normal((h, i // 2)), rng.standard_normal((h, i // 2))),
-        ComplexVector(rng.standard_normal(h), rng.standard_normal(h)),
-        ComplexVector(rng.standard_normal(h), rng.standard_normal(h)),
+        # each real part is drawn before its imaginary part, which fixes what a seed gives
+        rng.standard_normal((h, i // 2)) + 1j * rng.standard_normal((h, i // 2)),
+        rng.standard_normal(h) + 1j * rng.standard_normal(h),
+        rng.standard_normal(h) + 1j * rng.standard_normal(h),
         ZRELU)
 
 

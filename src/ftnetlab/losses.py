@@ -7,6 +7,7 @@ loss is a plain sum over samples (no 1/n).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,8 +36,10 @@ def param_cosh_loss(a: float = 1.0, b: float = 1.0, c: float = 1.0) -> LossSpec:
     Well posed only for a == b; asymmetric choices shift the minimum to
     ln(b/a)/(a+b), which check_well_posed reports.
     """
-    if min(a, b, c) <= 0:
-        raise ContractViolationError("param_cosh parameters must be positive")
+    # NaN fails every comparison; inf and ints past the largest double fail the upper one
+    if not all(0 < v <= sys.float_info.max for v in (a, b, c)):
+        raise ContractViolationError(
+            f"param_cosh parameters must be positive and finite, got {a!r}, {b!r}, {c!r}")
 
     def value(x):
         x = np.asarray(x, dtype=np.float64)
@@ -72,13 +75,14 @@ def check_well_posed(spec: LossSpec, grid_max: float = 10.0,
         raise ContractViolationError("grid must cover [-10, 10] with step <= 1e-2")
     violations = []
     l0 = loss_value(spec, 0.0)
-    if abs(l0) > 1e-12:
+    # written as "not ok" so that a NaN value or derivative is a violation
+    if not abs(l0) <= 1e-12:
         violations.append(f"l(0) = {l0!r} is not 0")
     xs = np.arange(grid_step, grid_max + grid_step / 2, grid_step)
     dpos = spec.deriv(xs)
     dneg = spec.deriv(-xs)
-    bad_pos = np.flatnonzero(dpos <= 0.0)
-    bad_neg = np.flatnonzero(dneg >= 0.0)
+    bad_pos = np.flatnonzero(~(dpos > 0.0))
+    bad_neg = np.flatnonzero(~(dneg < 0.0))
     if bad_pos.size:
         x = xs[bad_pos[0]]
         violations.append(f"not strictly increasing at x = {x:.4g} (l' = {dpos[bad_pos[0]]:.4g})")

@@ -26,7 +26,6 @@ from .activations import (
     induced_real,
 )
 from .errors import ContractViolationError
-from .numerics import ComplexMatrix, ComplexVector
 
 
 def _check_finite(name: str, *arrays) -> None:
@@ -35,9 +34,9 @@ def _check_finite(name: str, *arrays) -> None:
             raise ContractViolationError(f"{name}: non-finite entries")
 
 
-def _floats(x, name: str) -> np.ndarray:
+def _floats(x, name: str, dtype=np.float64) -> np.ndarray:
     try:
-        return np.asarray(x, dtype=np.float64)
+        return np.asarray(x, dtype=dtype)
     except (TypeError, ValueError):  # strings, ragged nesting, objects
         raise ContractViolationError(
             f"{name}: expected a number or a rectangular array of numbers") from None
@@ -50,15 +49,15 @@ def _scalar(x, name: str) -> float:
     return float(a)
 
 
-def _vec(x, n: int, name: str) -> np.ndarray:
-    a = _floats(x, name)
+def _vec(x, n: int, name: str, dtype=np.float64) -> np.ndarray:
+    a = _floats(x, name, dtype)
     if a.shape != (n,):
         raise ContractViolationError(f"{name}: expected shape ({n},), got {a.shape}")
     return a
 
 
-def _mat(x, rows: int, cols: int, name: str) -> np.ndarray:
-    a = _floats(x, name)
+def _mat(x, rows: int, cols: int, name: str, dtype=np.float64) -> np.ndarray:
+    a = _floats(x, name, dtype)
     if a.shape != (rows, cols):
         raise ContractViolationError(
             f"{name}: expected shape ({rows}, {cols}), got {a.shape}"
@@ -190,23 +189,19 @@ class CRNetParams:
 
     I: int
     HC: int
-    WC: ComplexMatrix
-    bC: ComplexVector
-    alphaC: ComplexVector
+    WC: np.ndarray                     # complex (HC, I/2)
+    bC: np.ndarray                     # complex (HC,)
+    alphaC: np.ndarray                 # complex (HC,)
     activation: ActivationKind
 
     def __post_init__(self):
         if self.I % 2 != 0:
             raise ContractViolationError(f"CRNet input dimension must be even, got {self.I}")
-        if self.WC.rows != self.HC or self.WC.cols != self.I // 2:
-            raise ContractViolationError(
-                f"WC: expected shape ({self.HC}, {self.I // 2}), got "
-                f"({self.WC.rows}, {self.WC.cols})"
-            )
-        if self.bC.length != self.HC or self.alphaC.length != self.HC:
-            raise ContractViolationError("bC/alphaC must have length HC")
-        _check_finite("CRNetParams", self.WC.re, self.WC.im, self.bC.re, self.bC.im,
-                      self.alphaC.re, self.alphaC.im)
+        c = np.complex128
+        object.__setattr__(self, "WC", _mat(self.WC, self.HC, self.I // 2, "WC", c))
+        object.__setattr__(self, "bC", _vec(self.bC, self.HC, "bC", c))
+        object.__setattr__(self, "alphaC", _vec(self.alphaC, self.HC, "alphaC", c))
+        _check_finite("CRNetParams", self.WC, self.bC, self.alphaC)
 
 
 @dataclass(frozen=True)
@@ -472,9 +467,9 @@ def eval_crnet_many(p: CRNetParams, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != p.I:
         raise ContractViolationError(f"expected inputs of shape (N, {p.I})")
-    pre = fold_input(X) @ p.WC.to_complex().T + p.bC.to_complex()
+    pre = fold_input(X) @ p.WC.T + p.bC
     act = np.asarray(apply(p.activation, pre))
-    return (act @ p.alphaC.to_complex()).real
+    return (act @ p.alphaC).real
 
 
 def eval_crnet(p: CRNetParams, x) -> float:
@@ -523,14 +518,12 @@ class ModelSpec:
     state: str | None = None           # initial state; zeros when a file omits it
     scalars: tuple = ()                # float attributes stored as they are
     activation: str = "activation"     # attribute holding the ActivationKind
-    complex_types: tuple = ()          # per array: stored as "<key>_re", "<key>_im"
+    complex: bool = False              # arrays stored as "<key>_re", "<key>_im"
 
     def file_keys(self):
-        """(file key, attribute, complex type or None) of each array."""
+        """(file key, attribute) of each array."""
         suffix = self.hidden[1:]
-        types = self.complex_types or (None,) * len(self.arrays)
-        return [(attr.removesuffix(suffix), attr, ctype)
-                for attr, ctype in zip(self.arrays, types)]
+        return [(attr.removesuffix(suffix), attr) for attr in self.arrays]
 
 
 MODEL_SPECS = {spec.cls: spec for spec in (
@@ -543,8 +536,7 @@ MODEL_SPECS = {spec.cls: spec for spec in (
     ModelSpec("rnn", RNNParams, "HR", ("WR", "VR", "bR", "alphaR"),
               lambda h, i: h * (i + h + 2), state="m0"),
     ModelSpec("crnet", CRNetParams, "HC", ("WC", "bC", "alphaC"),
-              lambda h, i: 2 * h * (i + 2),
-              complex_types=(ComplexMatrix, ComplexVector, ComplexVector)),
+              lambda h, i: 2 * h * (i + 2), complex=True),
 )}
 
 _SPECS_BY_KIND = {spec.kind: spec for spec in MODEL_SPECS.values()}
@@ -581,13 +573,13 @@ def param_count(model_kind: str, hidden: int, I: int = 0) -> int:
 def model_to_dict(p) -> dict:
     spec = _spec_of(p)
     d = {"kind": spec.kind, "I": p.I, "H": getattr(p, spec.hidden)}
-    for key, attr, ctype in spec.file_keys():
+    for key, attr in spec.file_keys():
         value = getattr(p, attr)
-        if ctype is None:
-            d[key] = value.tolist()
+        if spec.complex:
+            d[f"{key}_re"] = value.real.tolist()
+            d[f"{key}_im"] = value.imag.tolist()
         else:
-            d[f"{key}_re"] = value.re.tolist()
-            d[f"{key}_im"] = value.im.tolist()
+            d[key] = value.tolist()
     if spec.state is not None:
         d[spec.state] = getattr(p, spec.state).tolist()
     for key in spec.scalars:
@@ -597,6 +589,19 @@ def model_to_dict(p) -> dict:
     if act.tag == "modrelu":
         d["activation_bias"] = act.bias
     return d
+
+
+def _complex_parts(d: dict, key: str) -> np.ndarray:
+    """The complex array a model file stores as "<key>_re" and "<key>_im"."""
+    re, im = (_floats(d[k], k) for k in (f"{key}_re", f"{key}_im"))
+    if re.shape != im.shape:
+        raise ContractViolationError(
+            f"{key}_im: expected the shape {re.shape} of {key}_re, got {im.shape}")
+    # one part at a time: re + 1j*im would turn a -0.0 real part into 0.0
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real = re
+    z.imag = im
+    return z
 
 
 def model_from_dict(d: dict):
@@ -615,11 +620,8 @@ def model_from_dict(d: dict):
         bias = _scalar(bias, "activation_bias")
     fields = {"I": d["I"], spec.hidden: h,
               spec.activation: activation_from_tag(d["activation"], bias)}
-    for key, attr, ctype in spec.file_keys():
-        if ctype is None:
-            fields[attr] = _floats(d[key], key)
-        else:
-            fields[attr] = ctype(*(_floats(d[k], k) for k in (f"{key}_re", f"{key}_im")))
+    for key, attr in spec.file_keys():
+        fields[attr] = _complex_parts(d, key) if spec.complex else _floats(d[key], key)
     if spec.state is not None:
         fields[spec.state] = _floats(d.get(spec.state, np.zeros(h)), spec.state)
     for key in spec.scalars:

@@ -1,13 +1,10 @@
-"""Dense complex linear algebra on split real/imaginary storage.
+"""Rank tests and the bilinear-orthogonal vector of the descent probe.
 
-Complex weights and states are kept as separate float64 ``re``/``im``
-arrays so that every real parameter stays an independent coordinate for
-training and perturbation bookkeeping.
+Complex weights are plain ``complex128`` arrays; the real coordinates used
+for training and perturbation bookkeeping are their ``.real``/``.imag``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,112 +13,19 @@ from .errors import ContractViolationError, DegenerateInputError
 RANK_TOLERANCE = 1e-8  # rank-revealing threshold, relative to sigma_max
 
 
-def _as_float_array(x, ndim: int) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != ndim:
-        raise ContractViolationError(f"expected a {ndim}-d array, got shape {a.shape}")
-    return a
+def null_vector_against(rows, keep: int) -> np.ndarray:
+    """Unit vector v with v^T rows[keep] != 0 and v^T rows[j] = 0 otherwise.
 
-
-@dataclass(frozen=True)
-class ComplexVector:
-    """A vector in C^n stored as two real arrays of equal length."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", _as_float_array(self.re, 1))
-        object.__setattr__(self, "im", _as_float_array(self.im, 1))
-        if self.re.shape != self.im.shape:
-            raise ContractViolationError(
-                f"re/im lengths differ: {self.re.shape} vs {self.im.shape}"
-            )
-
-    @property
-    def length(self) -> int:
-        return self.re.shape[0]
-
-    def to_complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
-
-    @staticmethod
-    def from_complex(z) -> "ComplexVector":
-        z = np.asarray(z, dtype=np.complex128)
-        return ComplexVector(z.real.copy(), z.imag.copy())
-
-    @staticmethod
-    def zeros(n: int) -> "ComplexVector":
-        return ComplexVector(np.zeros(n), np.zeros(n))
-
-
-@dataclass(frozen=True)
-class ComplexMatrix:
-    """A matrix in C^{rows x cols} stored as two real matrices."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", _as_float_array(self.re, 2))
-        object.__setattr__(self, "im", _as_float_array(self.im, 2))
-        if self.re.shape != self.im.shape:
-            raise ContractViolationError(
-                f"re/im shapes differ: {self.re.shape} vs {self.im.shape}"
-            )
-
-    @property
-    def rows(self) -> int:
-        return self.re.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.re.shape[1]
-
-    def to_complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
-
-    @staticmethod
-    def from_complex(z) -> "ComplexMatrix":
-        z = np.asarray(z, dtype=np.complex128)
-        return ComplexMatrix(z.real.copy(), z.imag.copy())
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "ComplexMatrix":
-        return ComplexMatrix(np.zeros((rows, cols)), np.zeros((rows, cols)))
-
-
-def cmatvec(m: ComplexMatrix, v: ComplexVector) -> ComplexVector:
-    """(W + Vi)(a + bi) = (Wa - Vb) + (Va + Wb)i, computed in the split form."""
-    if m.cols != v.length:
-        raise ContractViolationError(
-            f"matrix has {m.cols} columns but vector has length {v.length}"
-        )
-    re = m.re @ v.re - m.im @ v.im
-    im = m.im @ v.re + m.re @ v.im
-    return ComplexVector(re, im)
-
-
-def _stack_complex(vectors: list[ComplexVector]) -> np.ndarray:
-    if not vectors:
-        raise ContractViolationError("need at least one vector")
-    n = vectors[0].length
-    rows = []
-    for v in vectors:
-        if v.length != n:
-            raise ContractViolationError("vectors must share a common length")
-        rows.append(v.to_complex())
-    return np.array(rows)
-
-
-def null_vector_against(vectors: list[ComplexVector], keep: int) -> ComplexVector:
-    """Unit vector v with v^T vectors[keep] != 0 and v^T vectors[j] = 0 otherwise.
-
-    The dot products are bilinear (no conjugation).  Raises
-    DegenerateInputError when the inputs are numerically dependent at the
+    ``rows`` is a 2-d stack of vectors in C^n (a real stack is read as
+    complex).  The dot products are bilinear (no conjugation).  Raises
+    DegenerateInputError when the rows are numerically dependent at the
     rank tolerance, in which case no such v is guaranteed to exist.
     """
-    a = _stack_complex(vectors)
+    # cast before the SVDs: a real stack would take LAPACK's real path,
+    # whose singular vectors differ from the complex path's
+    a = np.asarray(rows, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] == 0:
+        raise ContractViolationError(f"expected a non-empty stack of rows, got shape {a.shape}")
     count, n = a.shape
     if not 0 <= keep < count:
         raise ContractViolationError(f"keep index {keep} out of range [0, {count})")
@@ -143,8 +47,7 @@ def null_vector_against(vectors: list[ComplexVector], keep: int) -> ComplexVecto
     if np.linalg.norm(w) == 0.0:
         raise DegenerateInputError("kept vector lies in the span of the others")
     v = basis @ np.conj(w)
-    v = v / np.linalg.norm(v)
-    return ComplexVector.from_complex(v)
+    return v / np.linalg.norm(v)
 
 
 def numerical_rank(rows: np.ndarray, tol: float = RANK_TOLERANCE) -> int:

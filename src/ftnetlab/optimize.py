@@ -21,7 +21,7 @@ from .models import (
     eval_rftnet_many,
     kappa_many,
 )
-from .numerics import ComplexMatrix, ComplexVector, null_vector_against, numerical_rank
+from .numerics import null_vector_against, numerical_rank
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,7 @@ PROBE_RADIUS_MARGIN = 1.0 - 1e-9
 @dataclass(frozen=True)
 class ProbeResult:
     found: bool
-    deltaZ: ComplexMatrix
+    deltaZ: np.ndarray                 # complex (H, H)
     deltaAlpha: np.ndarray
     old_loss: float
     new_loss: float
@@ -304,14 +304,14 @@ class ProbeResult:
             "old_loss": self.old_loss,
             "new_loss": self.new_loss,
             "perturbation_norm": self.perturbation_norm,
-            "deltaZ_re": self.deltaZ.re.tolist(),
-            "deltaZ_im": self.deltaZ.im.tolist(),
+            "deltaZ_re": self.deltaZ.real.tolist(),
+            "deltaZ_im": self.deltaZ.imag.tolist(),
             "deltaAlpha": self.deltaAlpha.tolist(),
         }
 
 
-def _perturbation_norm(dz: ComplexMatrix, dalpha: np.ndarray) -> float:
-    fro = math.sqrt(float(np.sum(dz.re**2 + dz.im**2)))
+def _perturbation_norm(dz: np.ndarray, dalpha: np.ndarray) -> float:
+    fro = math.sqrt(float(np.sum(dz.real**2 + dz.imag**2)))
     return fro + float(np.linalg.norm(dalpha))
 
 
@@ -332,12 +332,10 @@ def _probe_preconditions(p: FFTNetParams, data: Dataset, spec: LossSpec) -> floa
     return loss
 
 
-def _row_matrix(h: int, row: int, dz: np.ndarray) -> ComplexMatrix:
-    re = np.zeros((h, h))
-    im = np.zeros((h, h))
-    re[row] = dz.real
-    im[row] = dz.imag
-    return ComplexMatrix(re, im)
+def _row_matrix(h: int, row: int, dz: np.ndarray) -> np.ndarray:
+    m = np.zeros((h, h), dtype=np.complex128)
+    m[row] = dz
+    return m
 
 
 def _apply_row_perturbation(p: FFTNetParams, row: int, dz: np.ndarray,
@@ -374,8 +372,7 @@ def descent_probe(p: FFTNetParams, data: Dataset, spec: LossSpec,
 def _probe_case_alpha_nonzero(p, data, spec, delta, old_loss, k, res):
     j0 = int(np.argmax(np.abs(res)))
     k0 = int(np.argmax(np.abs(p.alpha)))
-    v = null_vector_against([ComplexVector(k[j], np.zeros(p.H)) for j in range(data.n)],
-                            keep=j0).to_complex()
+    v = null_vector_against(k, keep=j0)
     beta = complex(v @ k[j0])
     w0 = complex((p.W[k0] + 1j * p.V[k0]) @ k[j0])
     base = p.alpha[k0] * complex(apply(p.activation, w0)).real
@@ -398,7 +395,7 @@ def _probe_case_alpha_nonzero(p, data, spec, delta, old_loss, k, res):
             dzm = _row_matrix(p.H, k0, dz)
             return ProbeResult(True, dzm, np.zeros(p.H), old_loss, cand_loss,
                                "alpha_nonzero", _perturbation_norm(dzm, np.zeros(p.H)))
-    return ProbeResult(False, ComplexMatrix.zeros(p.H, p.H), np.zeros(p.H),
+    return ProbeResult(False, np.zeros((p.H, p.H), dtype=np.complex128), np.zeros(p.H),
                        old_loss, old_loss, "alpha_nonzero", 0.0)
 
 
@@ -418,7 +415,7 @@ def _probe_case_alpha_zero(p, data, spec, delta, seed, old_loss, k):
             dz, r_vals, c1_sign = cand, vals, np.sign(c1)
             break
     if dz is None:
-        return ProbeResult(False, ComplexMatrix.zeros(p.H, p.H), np.zeros(p.H),
+        return ProbeResult(False, np.zeros((p.H, p.H), dtype=np.complex128), np.zeros(p.H),
                            old_loss, old_loss, "alpha_zero", 0.0)
 
     eta = PROBE_RADIUS_MARGIN * delta / 2.0
@@ -435,7 +432,7 @@ def _probe_case_alpha_zero(p, data, spec, delta, seed, old_loss, k):
                 return ProbeResult(True, dzm, dalpha, old_loss, cand_loss,
                                    "alpha_zero", _perturbation_norm(dzm, dalpha))
         eta /= 2.0
-    return ProbeResult(False, ComplexMatrix.zeros(p.H, p.H), np.zeros(p.H),
+    return ProbeResult(False, np.zeros((p.H, p.H), dtype=np.complex128), np.zeros(p.H),
                        old_loss, old_loss, "alpha_zero", 0.0)
 
 

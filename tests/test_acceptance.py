@@ -75,12 +75,11 @@ def test_criterion_2_width_and_parameter_bookkeeping():
         ic = int(rng.choice([2, 4, 6, 8]))
         hc = int(rng.integers(1, 9))
         crn = ft.CRNetParams(ic, hc,
-                             ft.ComplexMatrix(rng.standard_normal((hc, ic // 2)),
-                                              rng.standard_normal((hc, ic // 2))),
-                             ft.ComplexVector(rng.standard_normal(hc),
-                                              rng.standard_normal(hc)),
-                             ft.ComplexVector(rng.standard_normal(hc),
-                                              rng.standard_normal(hc)), ft.ZRELU)
+                             rng.standard_normal((hc, ic // 2))
+                             + 1j * rng.standard_normal((hc, ic // 2)),
+                             rng.standard_normal(hc) + 1j * rng.standard_normal(hc),
+                             rng.standard_normal(hc) + 1j * rng.standard_normal(hc),
+                             ft.ZRELU)
         assert ft.crnet_to_fftnet(crn).H == max(2 * hc, ic + 1)
         assert ft.crnet_to_rftnet(crn).H == 2 * hc + ic + 1
 

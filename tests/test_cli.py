@@ -7,6 +7,7 @@ import pytest
 import ftnetlab.cli as cli
 from ftnetlab.activations import HOLSIN, RELU
 from ftnetlab.constructions import EMBEDDING_CSV_HEADER
+from ftnetlab.embeddings import random_crnet
 from ftnetlab.models import FNNParams, RNNParams, load_model, model_to_dict, save_model
 from ftnetlab.optimize import random_fftnet
 
@@ -15,6 +16,10 @@ def _write_config(tmp_path, name, cfg):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _sample_fnn(rng):
@@ -106,6 +111,37 @@ class TestConvert:
         assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: bad model: {key}: ")
+
+    @pytest.mark.parametrize("key", ["W", "b", "alpha"])
+    def test_mismatched_re_im_shapes_rejected(self, tmp_path, capsys, key):
+        model = model_to_dict(random_crnet(np.random.default_rng(3)))
+        model[f"{key}_im"] = np.atleast_2d(model[f"{key}_im"]).tolist() + [[0.0]]
+        (tmp_path / "bad.json").write_text(json.dumps(model))
+        cfg = _write_config(tmp_path, "c.json", {
+            "in_model": str(tmp_path / "bad.json"), "target": "fftnet",
+            "out_model": "out.json"})
+        assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: bad model: {key}_im: ")
+
+    @pytest.mark.parametrize("target,model_sha,row_sha", [
+        ("fftnet", "a2204fde77075bfa9873d53cd354cd98c22cd29455890bf8deec44a3c94a3f3e",
+         "c164d9ff1ca4f9d970a273a5cebc66c5104b0ab14f5892cde87505526528cc53"),
+        ("rftnet", "09d25d51d00d65a6313e54051f30de470b127f70cb16771ab50799d569c206d1",
+         "bd002b972ca8bbe1d81e17f8c391c1645e99a7804f3ff8b373de8261d24f5557"),
+    ])
+    def test_golden_outputs(self, tmp_path, capsys, target, model_sha, row_sha):
+        """Pins the bytes of a saved random CRNet, its conversion and the gap row."""
+        save_model(tmp_path / "crnet.json", random_crnet(np.random.default_rng(3)))
+        assert _sha256((tmp_path / "crnet.json").read_bytes()) == (
+            "8e2e3a92798340af8024bc9563045cb0186b55d31ba62fab7810ac6bf9581672")
+        cfg = _write_config(tmp_path, "c.json", {
+            "in_model": str(tmp_path / "crnet.json"), "target": target,
+            "out_model": "out.json", "probes": 20})
+        assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert _sha256((tmp_path / "out.json").read_bytes()) == model_sha
+        assert _sha256(row.encode()) == row_sha
 
 
 class TestVerify:
@@ -280,7 +316,11 @@ class TestTrain:
         key = next(k for k in extra if k != "demo")
         assert len(err) == 1 and err[0].startswith(f"error: {key}: expected a value >= 1")
 
-    @pytest.mark.parametrize("loss", ["squared", {"loss": "param_cosh", "a": "x"}])
+    @pytest.mark.parametrize("loss", ["squared", {"loss": "param_cosh", "a": "x"},
+                                      {"loss": "param_cosh", "a": float("nan")},
+                                      {"loss": "param_cosh", "b": float("inf")},
+                                      {"loss": "param_cosh", "c": -float("inf")}],
+                             ids=["squared", "loss1", "nan", "inf", "-inf"])
     def test_malformed_loss_rejected(self, tmp_path, capsys, loss):
         cfg = _write_config(tmp_path, "t.json", {"demo": "sin_fit", "loss": loss})
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -338,6 +378,18 @@ class TestProbe:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = _write_config(tmp_path, "p.json", {"n": 2, "I": 4, "gpu": True})
         assert cli.main(["probe", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_golden_outputs(self, tmp_path):
+        """Pins the bytes of a campaign that runs both probe cases."""
+        cfg = _write_config(tmp_path, "p.json", {"n": 2, "I": 3, "instances": 4, "seed": 0})
+        assert cli.main(["probe", "--config", cfg, "--out", str(tmp_path)]) == 0
+        digests = {name: _sha256((tmp_path / name).read_bytes())
+                   for name in ("probe.csv", "probe_results.jsonl")}
+        assert digests == {
+            "probe.csv": "a47a71976f9803d4466ebc6c3881f2c4aecf07576c1f0ce20b4de658d35aee4d",
+            "probe_results.jsonl":
+                "197cdeb417379d89908dbb2cb293dea74a3050167ed709bdbbec154c08d94a06",
+        }
 
 
 class TestReport:
@@ -407,7 +459,7 @@ _BAD_NUMBERS = ([(cmd, key, bad) for cmd, keys in _INT_KEYS.items() for key in k
 def _numeric_argv(tmp_path, rng, command, cfg):
     if command == "convert":
         save_model(tmp_path / "fnn.json", _sample_fnn(rng))
-        cfg = {**cfg, "in_model": str(tmp_path / "fnn.json")}
+        cfg = {"in_model": str(tmp_path / "fnn.json"), **cfg}
     path = _write_config(tmp_path, "cfg.json", cfg)
     return [command.removesuffix("_rec"), "--config", path, "--out", str(tmp_path / "o")]
 
@@ -431,6 +483,29 @@ class TestNumericConfig:
         assert cli.main(["probe", "--config", path, "--seed", "-1",
                          "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: seed: expected a value >= 0")
+
+
+_STRING_KEYS = {
+    "convert": ("in_model", "out_model", "target", "mode"),
+    "verify": ("csv_name",),
+    "train": ("demo", "activation"),
+    "probe": ("activation",),
+    "report": ("verify_csv", "out_name"),
+}
+_STRING_BASES = {**_COMMAND_BASES, "report": {"verify_csv": "verify.csv"}}
+
+
+class TestStringConfig:
+    @pytest.mark.parametrize("command,key,bad", [
+        (cmd, key, bad) for cmd, keys in _STRING_KEYS.items() for key in keys
+        for bad in (5, True, None, ["x"])])
+    def test_non_strings_rejected_before_any_work(self, tmp_path, rng, capsys,
+                                                  command, key, bad):
+        cfg = {**_STRING_BASES[command], key: bad}
+        assert cli.main(_numeric_argv(tmp_path, rng, command, cfg)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key}: expected a string, ")
+        assert not any((tmp_path / "o").iterdir())
 
 
 class TestConfigValidation:

@@ -151,11 +151,8 @@ class TestCrnetEmbeddings:
 
     def test_gated_imaginary_readout(self):
         from ftnetlab.models import CRNetParams
-        from ftnetlab.numerics import ComplexMatrix, ComplexVector
 
-        crn = CRNetParams(2, 1, ComplexMatrix([[1.0]], [[0.0]]),
-                          ComplexVector([0.0], [0.0]), ComplexVector([0.0], [1.0]),
-                          ZRELU)
+        crn = CRNetParams(2, 1, [[1.0 + 0.0j]], [0.0j], [1.0j], ZRELU)
         g = crnet_to_fftnet(crn)
         # tau((1, -1)) = 1 - i is gated, so both paths give 0
         x = np.array([[1.0, -1.0]])

@@ -32,8 +32,10 @@ def test_param_cosh_at_one():
 
 
 def test_param_cosh_requires_positive_parameters():
-    with pytest.raises(ContractViolationError):
-        param_cosh_loss(0.0, 1.0, 1.0)
+    for abc in [(0.0, 1.0, 1.0), (float("nan"), 1.0, 1.0), (1.0, float("inf"), 1.0),
+                (1.0, 1.0, float("nan")), (1.0, 1.0, 10**400)]:
+        with pytest.raises(ContractViolationError):
+            param_cosh_loss(*abc)
 
 
 def test_param_cosh_extreme_arguments_stable():
@@ -89,6 +91,13 @@ class TestWellPosedness:
                            deriv=lambda x: 2.0 * np.asarray(x, float))
         report = check_well_posed(shifted)
         assert not report.passed
+
+    def test_nan_loss_fails_every_check(self):
+        nan = LossSpec("nan", value=lambda x: np.full(np.shape(x), np.nan),
+                       deriv=lambda x: np.full(np.shape(x), np.nan))
+        report = check_well_posed(nan)
+        assert not report.passed
+        assert len(report.violations) == 3
 
     def test_grid_contract(self):
         with pytest.raises(ContractViolationError):

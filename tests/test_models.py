@@ -36,7 +36,6 @@ from ftnetlab.models import (
     param_count,
     save_model,
 )
-from ftnetlab.numerics import ComplexMatrix, ComplexVector
 
 
 class TestKappa:
@@ -237,15 +236,13 @@ class TestBaselines:
             assert ys[t] == pytest.approx(p.alphaR @ m)
 
     def test_crnet_hand_example(self):
-        p = CRNetParams(2, 1, ComplexMatrix([[1.0]], [[0.0]]),
-                        ComplexVector([0.0], [0.0]), ComplexVector([1.0], [0.0]), ZRELU)
+        p = CRNetParams(2, 1, [[1.0 + 0.0j]], [0.0j], [1.0 + 0.0j], ZRELU)
         # tau((1, 1)) = 1 + 1i, gate passes, Re = 1
         assert eval_crnet(p, [1.0, 1.0]) == pytest.approx(1.0)
 
     def test_crnet_odd_input_rejected(self):
         with pytest.raises(ContractViolationError):
-            CRNetParams(3, 1, ComplexMatrix([[1.0]], [[0.0]]),
-                        ComplexVector([0.0], [0.0]), ComplexVector([1.0], [0.0]), ZRELU)
+            CRNetParams(3, 1, [[1.0 + 0.0j]], [0.0j], [1.0 + 0.0j], ZRELU)
 
     def test_dods_input_passthrough(self, rng):
         f = lambda x: float(np.sum(x**2))
@@ -315,10 +312,9 @@ def _sample_models(rng):
     yield RNNParams(2, h, rng.standard_normal((h, 2)), rng.standard_normal((h, h)),
                     rng.standard_normal(h), rng.standard_normal(h),
                     rng.standard_normal(h), modrelu(-0.25))
-    yield CRNetParams(2, h, ComplexMatrix(rng.standard_normal((h, 1)),
-                                          rng.standard_normal((h, 1))),
-                      ComplexVector(rng.standard_normal(h), rng.standard_normal(h)),
-                      ComplexVector(rng.standard_normal(h), rng.standard_normal(h)),
+    yield CRNetParams(2, h, rng.standard_normal((h, 1)) + 1j * rng.standard_normal((h, 1)),
+                      rng.standard_normal(h) + 1j * rng.standard_normal(h),
+                      rng.standard_normal(h) + 1j * rng.standard_normal(h),
                       ZRELU)
 
 
@@ -335,8 +331,11 @@ def _any_model(draw):
     def arr(*shape):
         return draw(hnp.arrays(np.float64, shape, elements=_FINITE))
 
-    def cvec(n):
-        return ComplexVector(arr(n), arr(n))
+    def carr(*shape):
+        # part by part, so that a -0.0 real part survives
+        z = np.empty(shape, dtype=np.complex128)
+        z.real, z.imag = arr(*shape), arr(*shape)
+        return z
 
     hf = i + h  # the FTNet variants need H >= I + 1
     build = {
@@ -347,8 +346,7 @@ def _any_model(draw):
                                                 arr(h), arr(h), act, draw(_FINITE)),
         "fnn": lambda: FNNParams(i, h, arr(h, i), arr(h), arr(h), act),
         "rnn": lambda: RNNParams(i, h, arr(h, i), arr(h, h), arr(h), arr(h), arr(h), act),
-        "crnet": lambda: CRNetParams(2 * i, h, ComplexMatrix(arr(h, i), arr(h, i)),
-                                     cvec(h), cvec(h), act),
+        "crnet": lambda: CRNetParams(2 * i, h, carr(h, i), carr(h), carr(h), act),
     }
     return build[draw(st.sampled_from(sorted(build)))]()
 
@@ -395,6 +393,16 @@ class TestSerialization:
         # repr of a double round-trips exactly and tells -0.0 from 0.0
         assert (json.dumps(model_to_dict(again), sort_keys=True)
                 == json.dumps(model_to_dict(model), sort_keys=True))
+
+    def test_crnet_signed_zeros_round_trip(self):
+        z = np.empty((1, 1), dtype=np.complex128)
+        z.real, z.imag = -0.0, 2.0  # re + 1j*im would give a real part of +0.0
+        model = CRNetParams(2, 1, z, z[0], z[0].conj(), ZRELU)
+        again = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        for attr in ("WC", "bC", "alphaC"):
+            got, want = getattr(again, attr), getattr(model, attr)
+            np.testing.assert_array_equal(np.signbit(got.real), np.signbit(want.real))
+            np.testing.assert_array_equal(got.imag, want.imag)
 
     def test_malformed_fields_rejected_by_name(self, rng):
         """Every array, state and scalar field of every kind, made non-numeric or ragged."""

@@ -1,137 +1,66 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ftnetlab.errors import ContractViolationError, DegenerateInputError
-from ftnetlab.numerics import (
-    ComplexMatrix,
-    ComplexVector,
-    cmatvec,
-    null_vector_against,
-    numerical_rank,
-)
+from ftnetlab.numerics import null_vector_against, numerical_rank
 
 
-def cmatvec_oracle(m: ComplexMatrix, v: ComplexVector) -> np.ndarray:
-    # naive double loop over (W+Vi)(a+bi)
-    out = np.zeros(m.rows, dtype=np.complex128)
-    for r in range(m.rows):
-        acc = 0.0 + 0.0j
-        for c in range(m.cols):
-            acc += (m.re[r, c] + 1j * m.im[r, c]) * (v.re[c] + 1j * v.im[c])
-        out[r] = acc
-    return out
-
-
-def test_identity():
-    m = ComplexMatrix([[1.0]], [[0.0]])
-    v = ComplexVector([1.0], [1.0])
-    assert cmatvec(m, v).to_complex() == pytest.approx(1 + 1j)
-
-
-def test_times_i():
-    m = ComplexMatrix([[0.0]], [[1.0]])
-    v = ComplexVector([1.0], [0.0])
-    assert cmatvec(m, v).to_complex() == pytest.approx(1j)
-
-
-def test_matches_double_loop_oracle(rng):
-    m = ComplexMatrix(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
-    v = ComplexVector(rng.standard_normal(4), rng.standard_normal(4))
-    got = cmatvec(m, v).to_complex()
-    np.testing.assert_allclose(got, cmatvec_oracle(m, v), rtol=1e-13, atol=1e-13)
-
-
-def test_matches_block_realization(rng):
-    # [[W, -V], [V, W]] acting on (re; im)
-    for _ in range(25):
-        n = int(rng.integers(1, 9))
-        m = ComplexMatrix(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
-        v = ComplexVector(rng.standard_normal(n), rng.standard_normal(n))
-        block = np.block([[m.re, -m.im], [m.im, m.re]])
-        stacked = block @ np.concatenate([v.re, v.im])
-        got = cmatvec(m, v)
-        ref = np.concatenate([got.re, got.im])
-        np.testing.assert_allclose(ref, stacked, rtol=1e-14, atol=1e-14)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31))
-def test_agrees_with_numpy_complex_product(n, seed):
-    r = np.random.default_rng(seed)
-    m = ComplexMatrix(r.standard_normal((n, n)), r.standard_normal((n, n)))
-    v = ComplexVector(r.standard_normal(n), r.standard_normal(n))
-    np.testing.assert_allclose(cmatvec(m, v).to_complex(),
-                               m.to_complex() @ v.to_complex(),
-                               rtol=1e-12, atol=1e-12)
-
-
-def test_dimension_mismatch():
-    m = ComplexMatrix(np.zeros((2, 3)), np.zeros((2, 3)))
-    v = ComplexVector(np.zeros(2), np.zeros(2))
-    with pytest.raises(ContractViolationError):
-        cmatvec(m, v)
-
-
-def test_mismatched_re_im_rejected():
-    with pytest.raises(ContractViolationError):
-        ComplexVector([1.0, 2.0], [1.0])
-    with pytest.raises(ContractViolationError):
-        ComplexMatrix(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-def _check_null_vector(vectors, keep):
-    v = null_vector_against(vectors, keep)
-    z = v.to_complex()
+def _check_null_vector(rows, keep):
+    rows = np.asarray(rows, dtype=np.complex128)
+    z = null_vector_against(rows, keep)
+    assert z.dtype == np.complex128
     assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-12)
-    kept = vectors[keep].to_complex()
-    assert abs(z @ kept) > 1e-10
-    for j, other in enumerate(vectors):
+    assert abs(z @ rows[keep]) > 1e-10
+    for j, u in enumerate(rows):
         if j == keep:
             continue
-        u = other.to_complex()
         bound = 1e-10 * np.linalg.norm(z) * max(np.linalg.norm(u), 1e-30)
         assert abs(z @ u) <= bound
     return z
 
 
 def test_null_vector_standard_basis():
-    e1 = ComplexVector([1.0, 0.0], [0.0, 0.0])
-    e2 = ComplexVector([0.0, 1.0], [0.0, 0.0])
-    z = _check_null_vector([e1, e2], keep=0)
+    z = _check_null_vector(np.eye(2), keep=0)
     # e1 up to phase
     assert abs(z[0]) == pytest.approx(1.0, abs=1e-12)
     assert abs(z[1]) <= 1e-12
 
 
 def test_null_vector_overlapping_pair():
-    a = ComplexVector([1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
-    b = ComplexVector([0.0, 1.0, 1.0], [0.0, 0.0, 0.0])
-    _check_null_vector([a, b], keep=1)
+    _check_null_vector([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], keep=1)
 
 
 def test_null_vector_dependent_inputs():
-    a = ComplexVector([1.0, 0.0], [0.0, 0.0])
-    b = ComplexVector([2.0, 0.0], [0.0, 0.0])
     with pytest.raises(DegenerateInputError):
-        null_vector_against([a, b], keep=0)
+        null_vector_against(np.array([[1.0, 0.0], [2.0, 0.0]]), keep=0)
 
 
 def test_null_vector_random_instances(rng):
     for _ in range(30):
         n = int(rng.integers(2, 9))
         count = int(rng.integers(2, n + 1))
-        vectors = [ComplexVector(rng.standard_normal(n), rng.standard_normal(n))
-                   for _ in range(count)]
+        rows = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
         keep = int(rng.integers(0, count))
-        _check_null_vector(vectors, keep)
+        _check_null_vector(rows, keep)
+
+
+def test_null_vector_real_rows_take_the_complex_path(rng):
+    # the descent probe passes real padded samples; they must give the same
+    # bits as their complex cast, not LAPACK's real-path singular vectors
+    rows = rng.standard_normal((3, 5))
+    np.testing.assert_array_equal(null_vector_against(rows, 1),
+                                  null_vector_against(rows.astype(np.complex128), 1))
 
 
 def test_null_vector_keep_out_of_range():
-    a = ComplexVector([1.0, 0.0], [0.0, 0.0])
     with pytest.raises(ContractViolationError):
-        null_vector_against([a], keep=1)
+        null_vector_against(np.array([[1.0, 0.0]]), keep=1)
+
+
+@pytest.mark.parametrize("rows", [np.zeros((0, 2)), np.ones(2), np.ones((1, 2, 2))])
+def test_null_vector_needs_a_stack_of_rows(rows):
+    with pytest.raises(ContractViolationError):
+        null_vector_against(rows, keep=0)
 
 
 def test_numerical_rank(rng):

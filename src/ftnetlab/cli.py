@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,137 +54,180 @@ PROBE_CSV_HEADER = "instance_id,case_tag,old_loss,new_loss,perturbation_norm,fou
 
 
 # ---------------------------------------------------------------------------
-# config validation
+# config tables
 # ---------------------------------------------------------------------------
 
-_SCHEMAS = {
-    "convert": {"required": {"in_model", "target", "out_model"},
-                "optional": {"mode", "c", "probes", "seed"}},
-    "verify": {"required": set(),
-               "optional": {"seed", "instances", "probes", "sequence_length",
-                            "tolerance", "pairs", "assemblies", "csv_name"}},
-    "train": {"required": {"demo"},
-              "optional": {"seed", "H", "hidden", "iters", "step_size",
-                           "init_scale", "target_mse", "samples", "sequences",
-                           "T", "activation", "loss"}},
-    "probe": {"required": {"n", "I"},
-              "optional": {"seed", "instances", "case2_instances", "H",
-                           "delta", "activation", "loss", "init_scale"}},
-    "report": {"required": {"verify_csv"}, "optional": {"out_name"}},
+
+class PerDemo(dict):
+    """A ``train`` default for each demo; a demo it lacks does not take the key."""
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its JSON kind, default, inclusive range and allowed strings."""
+
+    kind: type                    # int, float, str, list (of str) or dict
+    default: object = None        # None if required, a value, a PerDemo or f(resolved keys)
+    minimum: float | None = None
+    maximum: float | None = None
+    choices: tuple | None = None  # for a str, or for each entry of a list
+
+
+DEMOS = ("sin_fit", "dods_linear")
+POSITIVE = 5e-324  # the least positive double: this minimum means "> 0"
+
+# delta and init_scale stop at 1: past it, overflow or rounding, not a claim, exits 1
+CONFIG_TABLES = {
+    "convert": {
+        "in_model": Key(str),  # open() would read an int as a file descriptor
+        "target": Key(str),
+        "out_model": Key(str),
+        "mode": Key(str, "zrelu"),
+        "c": Key(float, 1.0),
+        "probes": Key(int, 0, 0),
+        "seed": Key(int, 0, 0),
+    },
+    "verify": {
+        "seed": Key(int, 0, 0),
+        "instances": Key(int, 200, 0),
+        "assemblies": Key(int, 50, 0),
+        "probes": Key(int, 100, 1),
+        "sequence_length": Key(int, SEQUENCE_LENGTH, 1),
+        "tolerance": Key(float, 1e-12, 0),
+        "pairs": Key(list, list(FAMILIES), choices=tuple(FAMILIES)),
+        "csv_name": Key(str, "verify.csv"),
+    },
+    "train": {  # demo comes first: the other defaults depend on it
+        "demo": Key(str, choices=DEMOS),
+        "seed": Key(int, 0, 0),
+        "activation": Key(str, "holsin"),
+        "loss": Key(dict, {"loss": "squared"}),
+        "H": Key(int, PerDemo(sin_fit=32, dods_linear=16), 1),
+        "iters": Key(int, PerDemo(sin_fit=50000, dods_linear=20000), 1),
+        "step_size": Key(float, PerDemo(sin_fit=3e-3, dods_linear=1e-3), POSITIVE),
+        "init_scale": Key(float, PerDemo(sin_fit=0.3, dods_linear=0.2), 0, 1.0),
+        "target_mse": Key(float, PerDemo(sin_fit=1e-3, dods_linear=1e-2), 0),
+        "samples": Key(int, PerDemo(sin_fit=256), 1),
+        "sequences": Key(int, PerDemo(dods_linear=48), 1),
+        "T": Key(int, PerDemo(dods_linear=8), 1),
+    },
+    "probe": {
+        "n": Key(int, minimum=1),
+        "I": Key(int, minimum=1),
+        "seed": Key(int, 0, 0),
+        "activation": Key(str, "holexpm1"),
+        "loss": Key(dict, {"loss": "squared"}),
+        "H": Key(int, lambda cfg: cfg["I"] + 1, 1),
+        "delta": Key(float, 0.1, POSITIVE, 1.0),
+        "instances": Key(int, 100, 1),
+        "case2_instances": Key(int, lambda cfg: cfg["instances"] // 2, 0),
+        "init_scale": Key(float, 0.4, 0, 1.0),
+    },
+    "report": {
+        "verify_csv": Key(str),
+        "out_name": Key(str, "report.md"),
+    },
 }
 
-
-def validate_config(command: str, cfg: dict) -> list[str]:
-    schema = _SCHEMAS[command]
-    problems = []
-    if not isinstance(cfg, dict):
-        return [f"config must be a JSON object, got {type(cfg).__name__}"]
-    keys = set(cfg)
-    unknown = keys - schema["required"] - schema["optional"]
-    missing = schema["required"] - keys
-    for k in sorted(unknown):
-        problems.append(f"unknown config key {k!r}")
-    for k in sorted(missing):
-        problems.append(f"missing required config key {k!r}")
-    return problems
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               list: "a list of strings", dict: "a JSON object"}
 
 
-def _number(cfg: dict, key: str, default, kind=int, minimum=None):
-    """The config value under ``key`` (``default`` when absent) as a ``kind``.
+def _checked(key: str, spec: Key, value):
+    if spec.kind in (int, float):
+        # NaN, the infinities and ints past the largest double all fail the bound
+        ok = isinstance(value, (int, spec.kind)) and abs(value) <= sys.float_info.max
+    elif spec.kind is list:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    elif spec.kind is str:  # no file name holds a NUL, and open() raises on one
+        ok = isinstance(value, str) and "\0" not in value
+    else:
+        ok = isinstance(value, spec.kind)
+    if not ok or isinstance(value, bool):  # an int subclass, but never a number here
+        raise ContractViolationError(f"{key}: expected {_KIND_NAMES[spec.kind]}, got {value!r}")
+    if spec.minimum is not None and value < spec.minimum:
+        raise ContractViolationError(f"{key}: expected a value >= {spec.minimum}, got {value!r}")
+    if spec.maximum is not None and value > spec.maximum:
+        raise ContractViolationError(f"{key}: expected a value <= {spec.maximum}, got {value!r}")
+    for entry in value if spec.kind is list else [value]:
+        if spec.choices is not None and entry not in spec.choices:
+            raise ContractViolationError(
+                f"{key}: expected one of {', '.join(spec.choices)}, got {entry!r}")
+    return float(value) if spec.kind is float else value
 
-    An int field takes an int and a float field an int or a float.  A bool,
-    a string, a non-finite value or one below ``minimum`` is rejected with a
-    message naming the key.
+
+def resolve_config(command: str, cfg, seed: int | None = None) -> dict:
+    """``cfg`` with every default filled in; ``seed`` (``--seed``) overrides its own.
+
+    Raises ContractViolationError naming the key of the first problem, checking
+    required keys, unknown keys, keys the chosen demo does not take, then each
+    value's kind, range and choices.
     """
-    value = cfg.get(key, default)
-    allowed = int if kind is int else (int, float)
+    table = CONFIG_TABLES[command]
+    if not isinstance(cfg, dict):
+        raise ContractViolationError(f"config must be a JSON object, got {type(cfg).__name__}")
+    if seed is not None and "seed" in table:
+        cfg = {**cfg, "seed": seed}
+    for key, spec in table.items():
+        if spec.default is None and key not in cfg:
+            raise ContractViolationError(f"{key}: missing required config key")
+    for key in cfg:
+        if key not in table:
+            raise ContractViolationError(f"{key}: unknown config key for {command}")
+    for key in cfg:
+        default = table[key].default
+        if isinstance(default, PerDemo) and cfg["demo"] in DEMOS and cfg["demo"] not in default:
+            raise ContractViolationError(f"{key}: does not apply to demo {cfg['demo']}")
+    resolved = {}
+    for key, spec in table.items():
+        default = spec.default
+        if isinstance(default, PerDemo):
+            if resolved["demo"] not in default:
+                continue
+            default = default[resolved["demo"]]
+        if callable(default):
+            default = default(resolved)
+        resolved[key] = _checked(key, spec, cfg.get(key, default))
+    return resolved
+
+
+def _fail(code: int, message) -> int:
+    """Print ``message`` as one ``error:`` line, whatever line breaks it holds."""
+    print("error: " + " ".join(str(message).splitlines()), file=sys.stderr)
+    return code
+
+
+def cmd_convert(cfg: dict, out_dir: Path) -> int:
     try:
-        ok = (isinstance(value, allowed) and not isinstance(value, bool)
-              and math.isfinite(value))
-    except OverflowError:  # an int too large for a float
-        ok = False
-    if not ok:
-        what = "an integer" if kind is int else "a finite number"
-        raise ContractViolationError(f"{key}: expected {what}, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ContractViolationError(f"{key}: expected a value >= {minimum}, got {value!r}")
-    return kind(value)
-
-
-def _string(cfg: dict, key: str, default=None) -> str:
-    """The config value under ``key`` (``default`` when absent), which must be a string."""
-    value = cfg.get(key, default)
-    if not isinstance(value, str):
-        raise ContractViolationError(f"{key}: expected a string, got {value!r}")
-    return value
-
-
-def cmd_convert(cfg: dict, out_dir: Path, seed: int) -> int:
-    in_model = _string(cfg, "in_model")  # open() reads an int as a file descriptor
-    target = _string(cfg, "target")
-    out_model = _string(cfg, "out_model")
-    mode = _string(cfg, "mode", "zrelu")
-    c = _number(cfg, "c", 1.0, float)
-    probes = _number(cfg, "probes", 0, minimum=0)
-    try:
-        model = load_model(in_model)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: cannot read model: {exc}", file=sys.stderr)
-        return EXIT_IO_FAILURE
+        model = load_model(cfg["in_model"])
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return _fail(EXIT_IO_FAILURE, f"cannot read model: {exc}")
     except ContractViolationError as exc:
         # the file parsed but the model breaks a documented invariant
-        print(f"error: bad model: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
+        return _fail(EXIT_REJECTED, f"bad model: {exc}")
     src_kind = model_kind(model)
-    fam = conversion(src_kind, target, mode)
+    fam = conversion(src_kind, cfg["target"], cfg["mode"])
     if fam is None:
-        print(f"error: unsupported conversion {src_kind} -> {target}",
-              file=sys.stderr)
-        return EXIT_REJECTED
-    try:
-        converted = fam.convert(model, c)
-    except (ContractViolationError, DegenerateInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
-    out_path = out_dir / out_model
-    try:
-        save_model(out_path, converted)
-    except OSError as exc:
-        print(f"error: cannot write model: {exc}", file=sys.stderr)
-        return EXIT_IO_FAILURE
-
-    rep = fam.check(model, converted, np.random.default_rng(seed),
-                    probes, SEQUENCE_LENGTH)
+        raise ContractViolationError(f"unsupported conversion {src_kind} -> {cfg['target']}")
+    converted = fam.convert(model, cfg["c"])
+    save_model(out_dir / cfg["out_model"], converted)
+    rep = fam.check(model, converted, np.random.default_rng(cfg["seed"]),
+                    cfg["probes"], SEQUENCE_LENGTH)
     print(cons.reports_to_csv([rep]), end="")
     return EXIT_OK
 
 
-def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
-    csv_name = _string(cfg, "csv_name", "verify.csv")
-    counts = {"instances": _number(cfg, "instances", 200, minimum=0),
-              "assemblies": _number(cfg, "assemblies", 50, minimum=0)}
-    probes = _number(cfg, "probes", 100, minimum=1)
-    t_len = _number(cfg, "sequence_length", SEQUENCE_LENGTH, minimum=1)
-    tolerance = _number(cfg, "tolerance", 1e-12, float, minimum=0)
-    pairs = cfg.get("pairs", list(FAMILIES))
-    if not isinstance(pairs, list) or not all(isinstance(p, str) for p in pairs):
-        print(f"error: pairs must be a list of family names, got {pairs!r}",
-              file=sys.stderr)
-        return EXIT_REJECTED
-    bad = [p for p in pairs if p not in FAMILIES]
-    if bad:
-        print(f"error: unknown pairs {bad}", file=sys.stderr)
-        return EXIT_REJECTED
-    if sum(counts[FAMILIES[p].count_key] for p in pairs) == 0:
+def cmd_verify(cfg: dict, out_dir: Path) -> int:
+    seed, probes, t_len, tolerance = (cfg["seed"], cfg["probes"], cfg["sequence_length"],
+                                      cfg["tolerance"])
+    if sum(cfg[FAMILIES[p].count_key] for p in cfg["pairs"]) == 0:
         # an empty campaign proves nothing, so it is not a pass
-        print("error: nothing to verify: the selected pairs have 0 instances",
-              file=sys.stderr)
-        return EXIT_REJECTED
+        raise ContractViolationError("nothing to verify: the selected pairs have 0 instances")
 
     all_reports = []
     failures = 0
-    for pair in pairs:
-        count = counts[FAMILIES[pair].count_key]
+    for pair in cfg["pairs"]:
+        count = cfg[FAMILIES[pair].count_key]
         reports, replays = run_embedding_sweep(pair, seed, count, probes, t_len)
         for idx, rep in enumerate(reports):
             all_reports.append(rep)
@@ -198,38 +241,20 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
                 print(f"FAIL {pair}[{idx}]: gap {rep.max_abs_output_gap!r} "
                       f"> {tolerance!r} (replay: {replay_path})", file=sys.stderr)
 
-    csv_path = out_dir / csv_name
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(cons.reports_to_csv(all_reports))
+    (out_dir / cfg["csv_name"]).write_text(cons.reports_to_csv(all_reports), encoding="utf-8")
     worst = max((r.max_abs_output_gap or 0.0) for r in all_reports)
     print(f"verify: {len(all_reports)} instances, worst gap {worst:.3e}, "
           f"tolerance {tolerance:.1e} -> {'OK' if failures == 0 else 'FAIL'}")
     return EXIT_OK if failures == 0 else EXIT_PROPERTY_FAILURE
 
 
-def _write_trace(path: Path, trace) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for it, loss in enumerate(trace):
-            fh.write(json.dumps({"iter": it, "loss": loss}) + "\n")
-
-
-def cmd_train(cfg: dict, out_dir: Path, seed: int) -> int:
-    demo = _string(cfg, "demo")
-    act = activation_from_tag(_string(cfg, "activation", "holsin"))
-    spec = loss_spec_from_config(cfg.get("loss", {"loss": "squared"}))
-    if demo not in ("sin_fit", "dods_linear"):
-        print(f"error: unknown demo {demo!r}", file=sys.stderr)
-        return EXIT_REJECTED
-    recurrent = demo == "dods_linear"
-    h = _number(cfg, "H", _number(cfg, "hidden", 16 if recurrent else 32), minimum=1)
-    target_mse = _number(cfg, "target_mse", 1e-2 if recurrent else 1e-3, float, minimum=0)
-    init_scale = _number(cfg, "init_scale", 0.2 if recurrent else 0.3, float)
-    step_size = _number(cfg, "step_size", 1e-3 if recurrent else 3e-3, float)
-    iters = _number(cfg, "iters", 20000 if recurrent else 50000, minimum=1)
-    rng = np.random.default_rng(seed)
-    if recurrent:
-        t_len = _number(cfg, "T", 8, minimum=1)
-        n_seq = _number(cfg, "sequences", 48, minimum=1)
+def cmd_train(cfg: dict, out_dir: Path) -> int:
+    demo, h, init_scale, target_mse = cfg["demo"], cfg["H"], cfg["init_scale"], cfg["target_mse"]
+    act = activation_from_tag(cfg["activation"])
+    spec = loss_spec_from_config(cfg["loss"])
+    rng = np.random.default_rng(cfg["seed"])
+    if demo == "dods_linear":
+        t_len, n_seq = cfg["T"], cfg["sequences"]
         spec_dods = dods_linear(P=[[0.8, 0.0], [0.2, 0.5]],
                                 Q=[[0.3, -0.2], [0.1, 0.4]],
                                 readout=[1.0, -0.7], h0=[0.0, 0.0])
@@ -240,21 +265,22 @@ def cmd_train(cfg: dict, out_dir: Path, seed: int) -> int:
         train, samples, target_loss = train_rftnet, n_seq * t_len, target_mse * n_seq * t_len
         model_file, trace_file = "dods_model.json", "dods_trace.jsonl"
     else:
-        n = _number(cfg, "samples", 256, minimum=1)
+        n = cfg["samples"]
         xs = np.linspace(-1.0, 1.0, n)[:, None]
         data = Dataset(xs, np.sin(3.0 * xs[:, 0]))
         p0 = random_fftnet(1, h, act, init_scale, rng)
         train, samples, target_loss = train_fftnet, n, target_mse * n
         model_file, trace_file = "sin_fit_model.json", "sin_fit_trace.jsonl"
-    tc = TrainConfig(step_size=step_size, max_iters=iters, target_loss=target_loss)
+    tc = TrainConfig(step_size=cfg["step_size"], max_iters=cfg["iters"], target_loss=target_loss)
     try:
         trained, trace = train(p0, data, spec, tc)
     except RuntimeError as exc:  # the loss was not finite at the start, or diverged
-        print(f"error: train {demo} failed: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY_FAILURE
+        return _fail(EXIT_PROPERTY_FAILURE, f"train {demo} failed: {exc}")
     final_mse = trace[-1] / samples
     save_model(out_dir / model_file, trained)
-    _write_trace(out_dir / trace_file, trace)
+    with open(out_dir / trace_file, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps({"iter": it, "loss": loss}) + "\n"
+                      for it, loss in enumerate(trace))
     summary = {"demo": demo, "iters": len(trace) - 1, "final_mse": final_mse,
                "target_mse": target_mse, "reached": final_mse <= target_mse}
     with open(out_dir / f"{demo}_summary.json", "w", encoding="utf-8") as fh:
@@ -264,30 +290,23 @@ def cmd_train(cfg: dict, out_dir: Path, seed: int) -> int:
     return EXIT_OK if summary["reached"] else EXIT_PROPERTY_FAILURE
 
 
-def cmd_probe(cfg: dict, out_dir: Path, seed: int) -> int:
-    act = activation_from_tag(_string(cfg, "activation", "holexpm1"))
-    n = _number(cfg, "n", None, minimum=1)
-    i = _number(cfg, "I", None, minimum=1)
+def cmd_probe(cfg: dict, out_dir: Path) -> int:
+    act = activation_from_tag(cfg["activation"])
+    n, i, h, seed = cfg["n"], cfg["I"], cfg["H"], cfg["seed"]
     if n > i:
-        print(f"error: n={n} exceeds I={i}; sample independence is only "
-              "guaranteed for n <= I", file=sys.stderr)
-        return EXIT_REJECTED
-    h = _number(cfg, "H", i + 1, minimum=1)
-    delta = _number(cfg, "delta", 0.1, float)
-    instances = _number(cfg, "instances", 100, minimum=1)
-    case2 = _number(cfg, "case2_instances", instances // 2, minimum=0)
-    spec = loss_spec_from_config(cfg.get("loss", {"loss": "squared"}))
-    scale = _number(cfg, "init_scale", 0.4, float)
+        raise ContractViolationError(f"n={n} exceeds I={i}; sample independence is only "
+                                     "guaranteed for n <= I")
+    spec = loss_spec_from_config(cfg["loss"])
 
     rows = []
     jsonl = []
     skipped = 0
     all_found = True
-    for idx in range(instances):
+    for idx in range(cfg["instances"]):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                            spawn_key=(idx,)))
-        p = random_fftnet(i, h, act, scale, rng)
-        if idx < case2:
+        p = random_fftnet(i, h, act, cfg["init_scale"], rng)
+        if idx < cfg["case2_instances"]:
             p = FFTNetParams(p.I, p.H, p.W, p.V, np.zeros(p.H), p.activation)
         data = Dataset(rng.standard_normal((n, i)), rng.standard_normal(n))
         if empirical_loss(p, data, spec) <= 1e-12:
@@ -295,7 +314,7 @@ def cmd_probe(cfg: dict, out_dir: Path, seed: int) -> int:
             print(f"note: instance {idx} has (near-)zero loss; filtered out "
                   "(descent is only claimed for positive loss)")
             continue
-        result = descent_probe(p, data, spec, delta=delta, seed=idx)
+        result = descent_probe(p, data, spec, delta=cfg["delta"], seed=idx)
         rows.append(f"{idx},{result.case_tag},{result.old_loss!r},"
                     f"{result.new_loss!r},{result.perturbation_norm!r},"
                     f"{str(result.found).lower()}")
@@ -306,12 +325,10 @@ def cmd_probe(cfg: dict, out_dir: Path, seed: int) -> int:
             print(f"FAIL instance {idx}: probe exhausted (replay seed {seed}, "
                   f"spawn {idx})", file=sys.stderr)
 
-    csv_path = out_dir / "probe.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(PROBE_CSV_HEADER + "\n")
-        fh.write("\n".join(rows) + ("\n" if rows else ""))
+    with open(out_dir / "probe.csv", "w", encoding="utf-8") as fh:
+        fh.write("\n".join([PROBE_CSV_HEADER, *rows]) + "\n")
     with open(out_dir / "probe_results.jsonl", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(jsonl) + ("\n" if jsonl else ""))
+        fh.writelines(line + "\n" for line in jsonl)
     print(f"probe: {len(rows)} instances ({skipped} filtered), "
           f"{'all found' if all_found else 'NOT all found'}")
     return EXIT_OK if all_found else EXIT_PROPERTY_FAILURE
@@ -322,17 +339,17 @@ _REPORT_SECTIONS = ((False, "FNN", "Omega(e^(eps1*I)/I)"),
                     (True, "RNN", "Omega(e^(eps2*I))"))
 
 
-def cmd_report(cfg: dict, out_dir: Path, seed: int) -> int:
-    csv_path = Path(_string(cfg, "verify_csv"))
-    out_name = _string(cfg, "out_name", "report.md")
+def cmd_report(cfg: dict, out_dir: Path) -> int:
+    csv_path = Path(cfg["verify_csv"])
     try:
         rows = csv_path.read_text(encoding="utf-8").strip().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read verify CSV: {exc}", file=sys.stderr)
-        return EXIT_IO_FAILURE
+        return _fail(EXIT_IO_FAILURE, f"cannot read verify CSV: {exc}")
+    # the file was read, so a bad header or no rows is a rejected contract
+    if rows[:1] != [cons.EMBEDDING_CSV_HEADER]:
+        raise ContractViolationError(f"{csv_path} line 1: expected the verify CSV header")
     if len(rows) < 2:
-        print("error: verify CSV has no data rows", file=sys.stderr)
-        return EXIT_IO_FAILURE
+        raise ContractViolationError(f"{csv_path}: no data rows")
     columns = len(cons.EMBEDDING_CSV_HEADER.split(","))
     by_pair: dict[tuple[str, str], list[float | None]] = {}
     for lineno, line in enumerate(rows[1:], start=2):
@@ -371,7 +388,7 @@ def cmd_report(cfg: dict, out_dir: Path, seed: int) -> int:
                          f"| H -> {formula} |")
     lines += ["", "Parameter formulas: FTNet 2H^2+H (<= 3H^2); CRNet 2H(I+2); "
               "FNN 2H(I+1); RNN H(I+H+2).", ""]
-    out_path = out_dir / out_name
+    out_path = out_dir / cfg["out_name"]
     out_path.write_text("\n".join(lines), encoding="utf-8")
     print(f"report written to {out_path}")
     return EXIT_OK
@@ -396,36 +413,17 @@ def main(argv=None) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot parse config: {exc}", file=sys.stderr)
-        return EXIT_IO_FAILURE
-
-    problems = validate_config(args.command, cfg)
-    if problems:
-        for p in problems:
-            print(f"error: {p}", file=sys.stderr)
-        return EXIT_REJECTED
-
-    try:
-        seed = _number(cfg if args.seed is None else {"seed": args.seed}, "seed", 0,
-                       minimum=0)
-    except ContractViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        return _fail(EXIT_IO_FAILURE, f"cannot parse config: {exc}")
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output dir: {exc}", file=sys.stderr)
-        return EXIT_IO_FAILURE
-    try:
-        return _COMMANDS[args.command](cfg, out_dir, seed)
+        cfg = resolve_config(args.command, cfg, args.seed)
+        return _COMMANDS[args.command](cfg, out_dir)
     except (ContractViolationError, DegenerateInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
+        return _fail(EXIT_REJECTED, exc)
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO_FAILURE
+        return _fail(EXIT_IO_FAILURE, f"cannot write output: {exc}")
 
 
 if __name__ == "__main__":

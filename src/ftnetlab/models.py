@@ -37,7 +37,7 @@ def _check_finite(name: str, *arrays) -> None:
 def _floats(x, name: str, dtype=np.float64) -> np.ndarray:
     try:
         return np.asarray(x, dtype=dtype)
-    except (TypeError, ValueError):  # strings, ragged nesting, objects
+    except (TypeError, ValueError, OverflowError):  # strings, ragged, objects, huge ints
         raise ContractViolationError(
             f"{name}: expected a number or a rectangular array of numbers") from None
 
@@ -539,7 +539,6 @@ MODEL_SPECS = {spec.cls: spec for spec in (
               lambda h, i: 2 * h * (i + 2), complex=True),
 )}
 
-_SPECS_BY_KIND = {spec.kind: spec for spec in MODEL_SPECS.values()}
 # "ftnet" counts either FTNet variant, as the width bounds do
 _PARAM_COUNTS = {"ftnet": _ftnet_params,
                  **{spec.kind: spec.params for spec in MODEL_SPECS.values()}}
@@ -604,26 +603,34 @@ def _complex_parts(d: dict, key: str) -> np.ndarray:
     return z
 
 
+class _ModelFile(dict):
+    """A model file's fields; reading a missing one names it as a broken contract."""
+
+    def __missing__(self, key):
+        raise ContractViolationError(f"{key}: missing required field")
+
+
 def model_from_dict(d: dict):
     if not isinstance(d, dict):
         raise ContractViolationError(f"a model must be a JSON object, got {type(d).__name__}")
-    spec = _SPECS_BY_KIND.get(d.get("kind"))
+    d = _ModelFile(d)
+    spec = next((s for s in MODEL_SPECS.values() if s.kind == d["kind"]), None)
     if spec is None:
-        raise ContractViolationError(f"unknown model kind {d.get('kind')!r}")
+        raise ContractViolationError(f"unknown model kind {d['kind']!r}")
     for key in ("I", "H"):
         # bool is an int subclass, and "5" or 5.0 would pass the shape checks
         if not isinstance(d[key], int) or isinstance(d[key], bool):
             raise ContractViolationError(f"{key}: expected an integer, got {d[key]!r}")
-    h = d["H"]
     bias = d.get("activation_bias")
     if bias is not None:
         bias = _scalar(bias, "activation_bias")
-    fields = {"I": d["I"], spec.hidden: h,
+    fields = {"I": d["I"], spec.hidden: d["H"],
               spec.activation: activation_from_tag(d["activation"], bias)}
     for key, attr in spec.file_keys():
         fields[attr] = _complex_parts(d, key) if spec.complex else _floats(d[key], key)
-    if spec.state is not None:
-        fields[spec.state] = _floats(d.get(spec.state, np.zeros(h)), spec.state)
+    if spec.state is not None:  # zeros by default, one per readout weight (the last array)
+        zeros = np.zeros_like(fields[spec.arrays[-1]])
+        fields[spec.state] = _floats(d.get(spec.state, zeros), spec.state)
     for key in spec.scalars:
         fields[key] = _scalar(d[key], key)
     return spec.cls(**fields)

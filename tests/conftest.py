@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from ftnetlab.models import RFTNetParams, eval_rftnet_many
+from ftnetlab.activations import HOLSIN
+from ftnetlab.embeddings import random_additive, random_crnet, random_relu_fnn, random_relu_rnn
+from ftnetlab.models import MODEL_SPECS, RFTNetParams, eval_rftnet_many, model_to_dict
+from ftnetlab.optimize import random_fftnet, random_rftnet
 
 
 def tame_rftnet(p: RFTNetParams, xs: np.ndarray, bound: float = 50.0) -> RFTNetParams:
@@ -18,6 +21,15 @@ def tame_rftnet(p: RFTNetParams, xs: np.ndarray, bound: float = 50.0) -> RFTNetP
             return p
         p = RFTNetParams(p.I, p.H, 0.5 * p.W, 0.5 * p.V, p.alpha, p.activation, p.r0)
     return p
+
+
+def sample_models(seed: int = 3) -> dict:
+    """One small model of each of the six kinds, as a model-file dict."""
+    rng = np.random.default_rng(seed)
+    models = [random_relu_fnn(rng, 3, 3), random_relu_rnn(rng, 3, 3), random_crnet(rng),
+              random_additive(rng, 3, 3), random_fftnet(2, 3, HOLSIN, 0.3, rng),
+              random_rftnet(2, 3, HOLSIN, 0.3, rng)]
+    return {MODEL_SPECS[type(m)].kind: model_to_dict(m) for m in models}
 
 
 @pytest.fixture

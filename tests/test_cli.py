@@ -1,13 +1,16 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ftnetlab.cli as cli
+from conftest import sample_models
 from ftnetlab.activations import HOLSIN, RELU
 from ftnetlab.constructions import EMBEDDING_CSV_HEADER
 from ftnetlab.embeddings import random_crnet
+from ftnetlab.errors import ContractViolationError
 from ftnetlab.models import FNNParams, RNNParams, load_model, model_to_dict, save_model
 from ftnetlab.optimize import random_fftnet
 
@@ -31,6 +34,12 @@ def _sample_rnn(rng):
     return RNNParams(3, 2, rng.standard_normal((2, 3)),
                      0.3 * rng.standard_normal((2, 2)), rng.standard_normal(2),
                      rng.standard_normal(2), np.zeros(2), RELU)
+
+
+# (kind, field) for every field a model file must hold; the state and the
+# modrelu bias have defaults
+_REQUIRED_FIELDS = [(kind, key) for kind, d in sample_models().items() for key in d
+                    if key not in ("r0", "m0", "q0", "activation_bias")]
 
 
 class TestConvert:
@@ -111,6 +120,18 @@ class TestConvert:
         assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: bad model: {key}: ")
+
+    @pytest.mark.parametrize("kind,field", _REQUIRED_FIELDS)
+    def test_missing_field_rejected_by_name(self, tmp_path, capsys, kind, field):
+        model = sample_models()[kind]
+        del model[field]
+        (tmp_path / "bad.json").write_text(json.dumps(model))
+        cfg = _write_config(tmp_path, "c.json", {
+            "in_model": str(tmp_path / "bad.json"), "target": "fftnet",
+            "out_model": "out.json"})
+        assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: bad model: {field}: missing required field"]
 
     @pytest.mark.parametrize("key", ["W", "b", "alpha"])
     def test_mismatched_re_im_shapes_rejected(self, tmp_path, capsys, key):
@@ -421,6 +442,21 @@ class TestReport:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "line 3" in err[0]
 
+    @pytest.mark.parametrize("text,line", [
+        (f"{EMBEDDING_CSV_HEADER}\n", "no data rows"),
+        ("", "line 1"),
+        (EMBEDDING_CSV_HEADER.replace("gap", "err") + "\nfnn,fftnet,2,1,3,3,16,21,0.0\n",
+         "line 1"),
+        ("fnn,fftnet,2,1,3,3,16,21,0.0\n", "line 1"),
+    ], ids=["header_only", "empty", "wrong_header", "no_header"])
+    def test_bad_header_or_no_rows_rejected(self, tmp_path, capsys, text, line):
+        (tmp_path / "v.csv").write_text(text)
+        rcfg = _write_config(tmp_path, "r.json", {"verify_csv": str(tmp_path / "v.csv")})
+        assert cli.main(["report", "--config", rcfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and line in err[0]
+        assert not (tmp_path / "report.md").exists()
+
     def test_blank_gaps_reported_as_unmeasured(self, tmp_path):
         rows = ["rnn,rftnet,3,10,2,8,14,136,", "rnn,rftnet,3,10,2,8,14,136,"]
         (tmp_path / "v.csv").write_text("\n".join([EMBEDDING_CSV_HEADER, *rows]) + "\n")
@@ -471,7 +507,9 @@ class TestNumericConfig:
         cfg = {**_COMMAND_BASES[command], key: bad}
         assert cli.main(_numeric_argv(tmp_path, rng, command, cfg)) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {key}: expected ")
+        # train's undocumented alias of H is gone, so it is an unknown key now
+        want = "unknown config key" if key == "hidden" else "expected "
+        assert len(err) == 1 and err[0].startswith(f"error: {key}: {want}")
 
     @pytest.mark.parametrize("command", sorted(_COMMAND_BASES))
     def test_base_configs_run(self, tmp_path, rng, command):
@@ -510,11 +548,61 @@ class TestStringConfig:
 
 class TestConfigValidation:
     def test_unknown_command_key(self):
-        assert cli.validate_config("verify", {"instances": 3, "cuda": 1})
+        with pytest.raises(ContractViolationError, match="^cuda: unknown config key"):
+            cli.resolve_config("verify", {"instances": 3, "cuda": 1})
 
     def test_missing_required(self):
-        assert cli.validate_config("convert", {"in_model": "x"})
+        with pytest.raises(ContractViolationError, match="^target: missing required"):
+            cli.resolve_config("convert", {"in_model": "x"})
 
     def test_clean_config(self):
-        assert cli.validate_config("probe", {"n": 2, "I": 3}) == []
+        cfg = cli.resolve_config("probe", {"n": 2, "I": 3, "instances": 7})
+        assert cfg["H"] == 3 + 1 and cfg["case2_instances"] == 7 // 2
+        assert set(cfg) == set(cli.CONFIG_TABLES["probe"])
 
+    @pytest.mark.parametrize("command,extra,message", [
+        ("probe", {"delta": 1e308}, "delta: expected a value <= "),
+        ("probe", {"init_scale": 1e30}, "init_scale: expected a value <= "),
+        ("train", {"init_scale": 1e30}, "init_scale: expected a value <= "),
+        ("train", {"sequences": "x"}, "sequences: does not apply to demo sin_fit"),
+        ("train", {"T": []}, "T: does not apply to demo sin_fit"),
+        ("train_rec", {"samples": 8}, "samples: does not apply to demo dods_linear"),
+        ("train", {"hidden": 8}, "hidden: unknown config key"),
+        ("verify", {"csv_name": "a\0.csv"}, "csv_name: expected a string"),
+    ])
+    def test_rejected_before_any_work(self, tmp_path, rng, capsys, command, extra, message):
+        cfg = {**_COMMAND_BASES[command], **extra}
+        assert cli.main(_numeric_argv(tmp_path, rng, command, cfg)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not any((tmp_path / "o").iterdir())
+
+
+
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+_README_KINDS = {int: "int", float: "float", str: "str", list: "list of str", dict: "object"}
+
+
+def _readme_table(command: str) -> dict:
+    """key -> cells of the README's config table for ``command``."""
+    section = _README.split(f"#### `{command}`\n", 1)[1].split("\n#### ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    return {row[0].strip("`"): row[1:] for row in rows}
+
+
+class TestReadme:
+    @pytest.mark.parametrize("command", sorted(cli.CONFIG_TABLES))
+    def test_every_key_documented(self, command):
+        table, documented = cli.CONFIG_TABLES[command], _readme_table(command)
+        assert set(documented) == set(table)
+        for key, spec in table.items():
+            assert documented[key][0] == _README_KINDS[spec.kind], key
+            assert (documented[key][1] == "required") == (spec.default is None), key
+
+    def test_examples_resolve(self):
+        block = _README.split("#### Examples\n\n```jsonc\n", 1)[1].split("```", 1)[0]
+        examples = [chunk.split("\n", 1) for chunk in block.split("// ")[1:]]
+        assert sorted(head.split(".json")[0] for head, _ in examples) == sorted(cli.CONFIG_TABLES)
+        for head, body in examples:
+            cli.resolve_config(head.split(".json")[0], json.loads(body))

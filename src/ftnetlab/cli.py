@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,11 @@ from .embeddings import (
     relative_gap,  # noqa: F401  (the per-layer benchmark traces cli.relative_gap)
     run_embedding_sweep,
 )
-from .errors import ContractViolationError, DegenerateInputError
+from .errors import ContractViolationError, DegenerateInputError, NonFiniteInitialLossError
 from .losses import Dataset, empirical_loss, loss_spec_from_config
 from .models import (
     FFTNetParams,
+    Tape,
     dods_linear,
     eval_dods,
     load_model,
@@ -51,6 +53,9 @@ EXIT_REJECTED = 2
 EXIT_IO_FAILURE = 3
 
 PROBE_CSV_HEADER = "instance_id,case_tag,old_loss,new_loss,perturbation_norm,found"
+
+# p0 draws a training run may take while the initial loss is not finite
+TRAIN_INIT_DRAWS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +266,31 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
         xs = rng.uniform(-1.0, 1.0, size=(n_seq, t_len, spec_dods.I))
         ys = np.stack([eval_dods(spec_dods, xs[b]) for b in range(n_seq)])
         data = SequenceDataset(xs, ys)
-        p0 = random_rftnet(spec_dods.I, h, act, init_scale, rng)
+        draw_p0 = partial(random_rftnet, spec_dods.I, h, act, init_scale, rng)
         train, samples, target_loss = train_rftnet, n_seq * t_len, target_mse * n_seq * t_len
         model_file, trace_file = "dods_model.json", "dods_trace.jsonl"
     else:
         n = cfg["samples"]
         xs = np.linspace(-1.0, 1.0, n)[:, None]
         data = Dataset(xs, np.sin(3.0 * xs[:, 0]))
-        p0 = random_fftnet(1, h, act, init_scale, rng)
+        draw_p0 = partial(random_fftnet, 1, h, act, init_scale, rng)
         train, samples, target_loss = train_fftnet, n, target_mse * n
         model_file, trace_file = "sin_fit_model.json", "sin_fit_trace.jsonl"
     tc = TrainConfig(step_size=cfg["step_size"], max_iters=cfg["iters"], target_loss=target_loss)
-    try:
-        trained, trace = train(p0, data, spec, tc)
-    except RuntimeError as exc:  # the loss was not finite at the start, or diverged
-        return _fail(EXIT_PROPERTY_FAILURE, f"train {demo} failed: {exc}")
+    # p0 is the last draw from rng, so redrawing it changes no run whose first draw is finite
+    for draws in range(1, TRAIN_INIT_DRAWS + 1):
+        try:
+            trained, trace = train(draw_p0(), data, spec, tc)
+            break
+        except NonFiniteInitialLossError as exc:
+            start_failure = exc
+        except RuntimeError as exc:  # the loss diverged
+            return _fail(EXIT_PROPERTY_FAILURE, f"train {demo} failed: {exc}")
+    else:
+        return _fail(EXIT_PROPERTY_FAILURE, f"train {demo} failed: {start_failure} "
+                                            f"({TRAIN_INIT_DRAWS} draws of p0)")
+    if draws > 1:
+        print(f"note: initial loss not finite; drew p0 {draws} times")
     final_mse = trace[-1] / samples
     save_model(out_dir / model_file, trained)
     with open(out_dir / trace_file, "w", encoding="utf-8") as fh:
@@ -309,17 +324,17 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
         if idx < cfg["case2_instances"]:
             p = FFTNetParams(p.I, p.H, p.W, p.V, np.zeros(p.H), p.activation)
         data = Dataset(rng.standard_normal((n, i)), rng.standard_normal(n))
-        if empirical_loss(p, data, spec) <= 1e-12:
+        tape = Tape()  # the filter's forward pass, reused by the probe
+        if empirical_loss(p, data, spec, tape) <= 1e-12:
             skipped += 1
             print(f"note: instance {idx} has (near-)zero loss; filtered out "
                   "(descent is only claimed for positive loss)")
             continue
-        result = descent_probe(p, data, spec, delta=cfg["delta"], seed=idx)
+        result = descent_probe(p, data, spec, delta=cfg["delta"], seed=idx, tape=tape)
         rows.append(f"{idx},{result.case_tag},{result.old_loss!r},"
                     f"{result.new_loss!r},{result.perturbation_norm!r},"
                     f"{str(result.found).lower()}")
-        jsonl.append(json.dumps({"instance_id": idx, **result.to_dict()},
-                                sort_keys=True))
+        jsonl.append(result.json_line(idx))
         if not result.found:
             all_found = False
             print(f"FAIL instance {idx}: probe exhausted (replay seed {seed}, "
@@ -422,6 +437,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, out_dir)
     except (ContractViolationError, DegenerateInputError) as exc:
         return _fail(EXIT_REJECTED, exc)
+    except MemoryError as exc:  # a size too large to allocate is a rejected config
+        return _fail(EXIT_REJECTED, f"out of memory: {exc}")
     except OSError as exc:
         return _fail(EXIT_IO_FAILURE, f"cannot write output: {exc}")
 

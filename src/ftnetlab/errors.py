@@ -7,3 +7,7 @@ class ContractViolationError(ValueError):
 
 class DegenerateInputError(ValueError):
     """Numerically rank-deficient or otherwise degenerate input."""
+
+
+class NonFiniteInitialLossError(RuntimeError):
+    """Training started from parameters whose loss is not finite."""

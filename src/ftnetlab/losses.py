@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -22,6 +23,11 @@ class LossSpec:
     kind: str
     value: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
+
+    @cached_property
+    def well_posedness(self) -> WellPosednessReport:
+        """:func:`check_well_posed` on the default grid, run once per spec."""
+        return check_well_posed(self)
 
 
 def squared_loss() -> LossSpec:
@@ -120,8 +126,13 @@ class Dataset:
 
 def empirical_loss(p: FFTNetParams, data: Dataset, spec: LossSpec,
                    tape: Tape | None = None) -> float:
-    """The summed loss; ``tape`` records the forward pass for a gradient."""
-    return float(np.sum(spec.value(eval_fftnet_many(p, data.xs, tape=tape) - data.ys)))
+    """The summed loss.  ``tape`` records the forward pass for a gradient, or
+    supplies it when it already recorded these very arrays (``Tape.matches``)."""
+    if tape is not None and tape.matches(p, data.xs):
+        out = tape.out
+    else:
+        out = eval_fftnet_many(p, data.xs, tape=tape)
+    return float(np.sum(spec.value(out - data.ys)))
 
 
 def loss_spec_from_config(cfg: dict) -> LossSpec:

@@ -5,21 +5,22 @@ losses on holomorphic networks.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .activations import ActivationKind, apply, jacobian_parts
-from .errors import ContractViolationError
-from .losses import Dataset, LossSpec, check_well_posed, empirical_loss
+from .errors import ContractViolationError, NonFiniteInitialLossError
+from .losses import Dataset, LossSpec, empirical_loss
 from .models import (
     FFTNetParams,
     RFTNetParams,
     Tape,
     eval_fftnet_many,
     eval_rftnet_many,
-    kappa_many,
 )
 from .numerics import null_vector_against, numerical_rank
 
@@ -203,7 +204,7 @@ def _descend(params, loss_of, grad_of, rebuild, cfg: TrainConfig):
     with np.errstate(over="ignore", invalid="ignore"):
         cur = loss_of(w, v, a)
         if not math.isfinite(cur):
-            raise RuntimeError(f"initial loss is not finite: {cur}")
+            raise NonFiniteInitialLossError(f"initial loss is not finite: {cur}")
         trace = [cur]
         step = cfg.step_size
         for _ in range(cfg.max_iters):
@@ -297,17 +298,39 @@ class ProbeResult:
             if not self.new_loss < self.old_loss:
                 raise ContractViolationError("found probe must strictly decrease loss")
 
-    def to_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "case_tag": self.case_tag,
-            "old_loss": self.old_loss,
-            "new_loss": self.new_loss,
-            "perturbation_norm": self.perturbation_norm,
-            "deltaZ_re": self.deltaZ.real.tolist(),
-            "deltaZ_im": self.deltaZ.imag.tolist(),
-            "deltaAlpha": self.deltaAlpha.tolist(),
-        }
+    def json_line(self, instance_id: int) -> str:
+        """The result as one JSON object with sorted keys: the bytes of
+        ``json.dumps`` of its fields plus ``instance_id``, ``sort_keys=True``.
+
+        Only rows that are not all +0.0 go through ``json.dumps``; the probe
+        perturbs one row of ``deltaZ``, so the other rows share one encoding.
+        """
+        fields = (
+            ("case_tag", json.dumps(self.case_tag)),
+            ("deltaAlpha", _rows_json(self.deltaAlpha[None, :])[0]),
+            ("deltaZ_im", "[" + ", ".join(_rows_json(self.deltaZ.imag)) + "]"),
+            ("deltaZ_re", "[" + ", ".join(_rows_json(self.deltaZ.real)) + "]"),
+            ("found", json.dumps(self.found)),
+            ("instance_id", json.dumps(instance_id)),
+            ("new_loss", json.dumps(self.new_loss)),
+            ("old_loss", json.dumps(self.old_loss)),
+            ("perturbation_norm", json.dumps(self.perturbation_norm)),
+        )
+        return "{" + ", ".join(f'"{key}": {value}' for key, value in fields) + "}"
+
+
+@lru_cache(maxsize=8)
+def _zero_row_json(h: int) -> str:
+    return json.dumps([0.0] * h)
+
+
+def _rows_json(m: np.ndarray) -> list[str]:
+    """``json.dumps(row.tolist())`` for each row of the 2-d float array ``m``."""
+    rows = [_zero_row_json(m.shape[1])] * m.shape[0]
+    # +0.0 is the one double whose bits are all zero, so a row holding -0.0 stays live
+    for r in np.flatnonzero(m.view(np.uint64).any(axis=1)):
+        rows[r] = json.dumps(m[r].tolist())
+    return rows
 
 
 def _perturbation_norm(dz: np.ndarray, dalpha: np.ndarray) -> float:
@@ -315,17 +338,19 @@ def _perturbation_norm(dz: np.ndarray, dalpha: np.ndarray) -> float:
     return fro + float(np.linalg.norm(dalpha))
 
 
-def _probe_preconditions(p: FFTNetParams, data: Dataset, spec: LossSpec) -> float:
+def _probe_preconditions(p: FFTNetParams, data: Dataset, spec: LossSpec,
+                         tape: Tape) -> float:
+    """The loss of p, after checking the probe's premises; ``tape`` then holds
+    the forward pass of p on data.xs."""
     if not p.activation.is_holomorphic_nonpolynomial:
         raise ContractViolationError(
             "descent probe needs a holomorphic non-polynomial activation")
-    wp = check_well_posed(spec)
+    wp = spec.well_posedness
     if not wp.passed:
         raise ContractViolationError(f"loss is not well posed: {wp.violations}")
-    k = kappa_many(data.xs, p.H)
-    if numerical_rank(k) < data.n:
+    loss = empirical_loss(p, data, spec, tape)
+    if numerical_rank(tape.K) < data.n:
         raise ContractViolationError("padded samples are not linearly independent")
-    loss = empirical_loss(p, data, spec)
     if not loss > 0.0:
         raise ContractViolationError(
             "descent is only claimed for positive loss; nothing to improve")
@@ -348,7 +373,8 @@ def _apply_row_perturbation(p: FFTNetParams, row: int, dz: np.ndarray,
 
 
 def descent_probe(p: FFTNetParams, data: Dataset, spec: LossSpec,
-                  delta: float = 0.1, seed: int = 0) -> ProbeResult:
+                  delta: float = 0.1, seed: int = 0,
+                  tape: Tape | None = None) -> ProbeResult:
     """Find a strict loss decrease within a delta-ball of (Z, alpha).
 
     Case 1 (some alpha_k nonzero): a rank-one row update c*v that moves only
@@ -356,13 +382,17 @@ def descent_probe(p: FFTNetParams, data: Dataset, spec: LossSpec,
     phases.  Case 2 (alpha identically zero): sample a row perturbation
     until the readout's directional derivative is nonzero, then backtrack on
     the first readout weight.
+
+    A ``tape`` that recorded the forward pass of p on data.xs saves running
+    it again (see :func:`empirical_loss`); otherwise it records that pass.
     """
     if delta <= 0:
         raise ContractViolationError("delta must be positive")
-    old_loss = _probe_preconditions(p, data, spec)
-    k = kappa_many(data.xs, p.H)
-    outs = eval_fftnet_many(p, data.xs)
-    res = outs - data.ys
+    if tape is None:
+        tape = Tape()
+    old_loss = _probe_preconditions(p, data, spec, tape)
+    k = tape.K
+    res = tape.out - data.ys
 
     if np.max(np.abs(p.alpha)) > 0.0:
         return _probe_case_alpha_nonzero(p, data, spec, delta, old_loss, k, res)

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ftnetlab.cli as cli
+import ftnetlab.losses as losses
+import ftnetlab.optimize as optimize
 from conftest import sample_models
 from ftnetlab.activations import HOLSIN, RELU
 from ftnetlab.constructions import EMBEDDING_CSV_HEADER
@@ -317,13 +322,25 @@ class TestTrain:
         assert digests == files
 
     def test_divergence_is_one_line(self, tmp_path, capsys):
-        # seed 19 draws a start whose loss is not finite
+        # at init_scale 1 every draw of p0 starts with a loss that is not finite
         cfg = _write_config(tmp_path, "t.json", {
-            "demo": "dods_linear", "target_mse": 3e-5, "seed": 19})
+            "demo": "dods_linear", "target_mse": 3e-5, "seed": 19, "init_scale": 1.0})
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: train dods_linear failed: initial loss is not finite")
+        assert err[0].endswith(f"({cli.TRAIN_INIT_DRAWS} draws of p0)")
+
+    @pytest.mark.parametrize("seed, notes", [(19, ["note: initial loss not finite; "
+                                                   "drew p0 2 times"]), (0, [])])
+    def test_non_finite_start_is_redrawn(self, tmp_path, capsys, seed, notes):
+        """Seed 19's first p0 has a non-finite loss; its second does not."""
+        cfg = _write_config(tmp_path, "t.json", {"demo": "dods_linear", "iters": 2, "seed": seed})
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == 1  # target missed
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert [line for line in captured.out.splitlines() if line.startswith("note:")] == notes
+        assert json.loads((tmp_path / "dods_linear_summary.json").read_text())["iters"] == 2
 
     @pytest.mark.parametrize("extra", [{"demo": "sin_fit", "samples": 0},
                                        {"demo": "sin_fit", "iters": 0},
@@ -382,9 +399,9 @@ class TestProbe:
         calls = {"count": 0}
         real = cli.empirical_loss
 
-        def mostly_zero(p, data, spec):
+        def mostly_zero(p, data, spec, tape=None):
             calls["count"] += 1
-            return 0.0 if calls["count"] == 1 else real(p, data, spec)
+            return 0.0 if calls["count"] == 1 else real(p, data, spec, tape)
 
         monkeypatch.setattr(cli, "empirical_loss", mostly_zero)
         cfg = _write_config(tmp_path, "p.json", {
@@ -411,6 +428,40 @@ class TestProbe:
             "probe_results.jsonl":
                 "197cdeb417379d89908dbb2cb293dea74a3050167ed709bdbbec154c08d94a06",
         }
+
+    def test_golden_outputs_at_benchmark_shape(self, tmp_path):
+        """Pins both probe cases at the benchmark's n and I (H 33), where all but
+        one row of each deltaZ is zero."""
+        cfg = _write_config(tmp_path, "p.json", {"n": 16, "I": 32, "instances": 20, "seed": 0})
+        assert cli.main(["probe", "--config", cfg, "--out", str(tmp_path)]) == 0
+        digests = {name: _sha256((tmp_path / name).read_bytes())
+                   for name in ("probe.csv", "probe_results.jsonl")}
+        assert digests == {
+            "probe.csv": "981b6e9331860f94336aa1233eac675171a925363c2aefa483a2787f40e33539",
+            "probe_results.jsonl":
+                "0730af899c1051b86858dd0a1bb07714374d899d96ecec2eb78b2afa74cd7264",
+        }
+
+    def test_one_shared_forward_pass_per_instance(self, tmp_path, monkeypatch):
+        """The zero-loss filter, the probe's premises and its residuals share one
+        forward pass, the candidate step takes the other, and the loss is checked
+        for well-posedness once per campaign."""
+        counts = {"eval_fftnet_many": 0, "check_well_posed": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (losses, optimize):
+            counting(module, "eval_fftnet_many")
+        counting(losses, "check_well_posed")
+        cfg = _write_config(tmp_path, "p.json", {"n": 3, "I": 4, "instances": 6, "seed": 2})
+        assert cli.main(["probe", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert counts == {"eval_fftnet_many": 2 * 6, "check_well_posed": 1}
 
 
 class TestReport:
@@ -577,6 +628,32 @@ class TestConfigValidation:
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
         assert not any((tmp_path / "o").iterdir())
 
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command,cfg", [
+        ("train", {"demo": "sin_fit", "H": 1000000000, "samples": 8, "iters": 2}),
+        ("verify", {"probes": 1000000000000}),
+    ], ids=["train", "verify"])
+    def test_rejected_with_one_line(self, tmp_path, command, cfg):
+        """A size too large to allocate exits 2 with one line, not 1 with a traceback.
+
+        The command runs in a child process under a 4 GiB address-space limit,
+        so its huge array fails to allocate whatever the overcommit policy."""
+        script = ("import resource, sys\n"
+                  "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+                  "cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+                  "from ftnetlab.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        argv = [command, "--config", _write_config(tmp_path, "c.json", cfg),
+                "--out", str(tmp_path / "o")]
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 2, proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory: "), proc.stderr
 
 
 _README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -1,11 +1,16 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import tame_rftnet
 from ftnetlab.activations import HOLEXPM1, HOLSIN, ZRELU, apply, modrelu
 from ftnetlab.errors import ContractViolationError
 from ftnetlab.losses import Dataset, empirical_loss, param_cosh_loss, squared_loss
 from ftnetlab.models import FFTNetParams, RFTNetParams, Tape, eval_fftnet_many, kappa_many
+import ftnetlab.losses as losses
 import ftnetlab.optimize as optimize
 from ftnetlab.optimize import (
     GradientBundle,
@@ -217,6 +222,35 @@ class TestTape:
             for name in ("dW", "dV", "dAlpha"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
 
+    def test_probe_ignores_a_tape_of_other_arrays(self, rng):
+        spec = squared_loss()
+        p = random_fftnet(3, 4, HOLEXPM1, 0.4, rng)
+        data = Dataset(rng.standard_normal((2, 3)), rng.standard_normal(2))
+        want = descent_probe(p, data, spec, delta=0.1, seed=1)
+        same_values = FFTNetParams(p.I, p.H, p.W.copy(), p.V, p.alpha, p.activation)
+        other_data = Dataset(data.xs.copy(), data.ys)
+        for q, d in ((random_fftnet(3, 4, HOLEXPM1, 0.4, rng), data), (same_values, data),
+                     (p, other_data)):
+            tape = Tape()
+            empirical_loss(q, d, spec, tape)
+            assert not tape.matches(p, data.xs)
+            got = descent_probe(p, data, spec, delta=0.1, seed=1, tape=tape)
+            assert got.json_line(0) == want.json_line(0)
+            assert tape.matches(p, data.xs)  # re-recorded for p
+
+    def test_loss_reuses_a_matching_tape(self, rng, monkeypatch):
+        spec = squared_loss()
+        p = random_fftnet(2, 4, HOLSIN, 0.4, rng)
+        data = Dataset(rng.standard_normal((5, 2)), rng.standard_normal(5))
+        tape = Tape()
+        want = empirical_loss(p, data, spec, tape)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("the loss ran a second forward pass")
+
+        monkeypatch.setattr(losses, "eval_fftnet_many", no_forward)
+        assert empirical_loss(p, data, spec, tape) == want
+
     def test_recurrent_gradient_ignores_a_tape_of_other_arrays(self, rng):
         spec = squared_loss()
         p = random_rftnet(2, 4, HOLSIN, 0.3, rng)
@@ -349,12 +383,67 @@ class TestDescentProbe:
                         old_loss=1.0, new_loss=1.5, case_tag="alpha_nonzero",
                         perturbation_norm=0.05)
 
-    def test_to_dict_round_trip_fields(self, rng):
+    def test_json_line_round_trip_fields(self, rng):
         p, data = self._case1_instance(rng)
         res = descent_probe(p, data, squared_loss(), delta=0.1, seed=0)
-        d = res.to_dict()
+        d = json.loads(res.json_line(7))
         assert d["found"] and d["case_tag"] == "alpha_nonzero"
         assert d["new_loss"] < d["old_loss"]
+        assert d["instance_id"] == 7
+        assert np.array_equal(np.array(d["deltaZ_re"]) + 1j * np.array(d["deltaZ_im"]),
+                              res.deltaZ)
+
+
+def _to_dict(res: ProbeResult) -> dict:
+    """The reference layout of a ``probe_results.jsonl`` line, less its instance_id."""
+    return {
+        "found": res.found,
+        "case_tag": res.case_tag,
+        "old_loss": res.old_loss,
+        "new_loss": res.new_loss,
+        "perturbation_norm": res.perturbation_norm,
+        "deltaZ_re": res.deltaZ.real.tolist(),
+        "deltaZ_im": res.deltaZ.imag.tolist(),
+        "deltaAlpha": res.deltaAlpha.tolist(),
+    }
+
+
+# signed zeros and subnormals first: the encoder must tell -0.0 from +0.0
+_ENTRY = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]) | st.floats()
+
+
+@st.composite
+def _probe_results(draw):
+    h = draw(st.integers(1, 40))
+    dz = np.zeros((h, h), dtype=np.complex128)
+    live = draw(st.none() | st.integers(0, h - 1))
+    if live is not None:
+        # part by part: re + 1j*im would turn a -0.0 real part into +0.0
+        entries = draw(st.sampled_from([st.sampled_from([0.0, -0.0]), _ENTRY]))
+        dz.real[live] = draw(st.lists(entries, min_size=h, max_size=h))
+        dz.imag[live] = draw(st.lists(entries, min_size=h, max_size=h))
+    dalpha = np.zeros(h)
+    if draw(st.booleans()):
+        dalpha[draw(st.integers(0, h - 1))] = draw(_ENTRY.filter(lambda x: x != 0))
+    found = draw(st.booleans())
+    old = draw(st.floats(allow_nan=False, allow_infinity=False))
+    new = draw(st.floats(max_value=old, exclude_max=True) if found else st.floats())
+    return ProbeResult(found, dz, dalpha, old, new,
+                       draw(st.sampled_from(["alpha_nonzero", "alpha_zero"])),
+                       draw(st.floats(min_value=0.0)))
+
+
+_SIGNED_ZERO_ROW = ProbeResult(False, np.array([[0.0, 0.0], [-0.0, 0.0]], dtype=np.complex128),
+                               np.zeros(2), 1.0, 1.0, "alpha_zero", 0.0)
+
+
+class TestProbeJsonLine:
+    @settings(max_examples=300, deadline=None)
+    @given(res=_probe_results(), instance_id=st.integers(0, 10**6))
+    @example(res=_SIGNED_ZERO_ROW, instance_id=0)
+    def test_matches_json_dumps(self, res, instance_id):
+        want = json.dumps({"instance_id": instance_id, **_to_dict(res)}, sort_keys=True)
+        assert res.json_line(instance_id) == want
 
 
 class TestBidirectionalSearch:

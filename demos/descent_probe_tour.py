@@ -16,33 +16,34 @@ empirical loss.  The probe constructs one:
 
 import numpy as np
 
-import ftnetlab as ft
-from ftnetlab.optimize import holomorphic_bidirectional_search, random_fftnet
+from ftnetlab.activations import HOLEXPM1
+from ftnetlab.errors import ContractViolationError
+from ftnetlab.losses import Dataset, squared_loss
+from ftnetlab.models import FFTNetParams, eval_fftnet_many
+from ftnetlab.optimize import descent_probe, holomorphic_bidirectional_search, random_fftnet
 
 print(__doc__)
 delta = 0.1
-spec = ft.squared_loss()
+spec = squared_loss()
 rng = np.random.default_rng(4)
 
-p = random_fftnet(4, 5, ft.HOLEXPM1, 0.4, rng)
-data = ft.Dataset(rng.standard_normal((3, 4)), rng.standard_normal(3))
-res = ft.descent_probe(p, data, spec, delta=delta, seed=0)
+p = random_fftnet(4, 5, HOLEXPM1, 0.4, rng)
+data = Dataset(rng.standard_normal((3, 4)), rng.standard_normal(3))
+res = descent_probe(p, data, spec, delta=delta, seed=0)
 print(f"case 1: loss {res.old_loss:.6f} -> {res.new_loss:.6f} "
       f"(norm {res.perturbation_norm:.4f} <= {delta}, tag {res.case_tag})")
 
-silent = ft.FFTNetParams(p.I, p.H, p.W, p.V, np.zeros(p.H), p.activation)
-res2 = ft.descent_probe(silent, data, spec, delta=delta, seed=0)
+silent = FFTNetParams(p.I, p.H, p.W, p.V, np.zeros(p.H), p.activation)
+res2 = descent_probe(silent, data, spec, delta=delta, seed=0)
 print(f"case 2: loss {res2.old_loss:.6f} -> {res2.new_loss:.6f} "
       f"(norm {res2.perturbation_norm:.4f} <= {delta}, tag {res2.case_tag})")
 
 print("\nzero loss is refused (descent is only claimed for positive loss):")
-from ftnetlab.models import eval_fftnet_many
-
 xs = rng.standard_normal((2, 4))
-interpolated = ft.Dataset(xs, eval_fftnet_many(p, xs))
+interpolated = Dataset(xs, eval_fftnet_many(p, xs))
 try:
-    ft.descent_probe(p, interpolated, spec, delta=delta, seed=0)
-except ft.ContractViolationError as exc:
+    descent_probe(p, interpolated, spec, delta=delta, seed=0)
+except ContractViolationError as exc:
     print(f"  refused: {exc}")
 
 print("\nbidirectional neighborhood search on g(z) = z0^2 at the flat point 0:")

@@ -11,13 +11,14 @@ claims: the receptor carries the RNN memory or the additive q-state exactly.
 
 import numpy as np
 
-import ftnetlab as ft
+from ftnetlab.constructions import rnn_timepoint_to_fnn
 from ftnetlab.embeddings import (
     FAMILIES,
     SEQUENCE_LENGTH,
     random_relu_rnn,
     run_embedding_sweep,
 )
+from ftnetlab.models import eval_fnn_many, eval_rnn_many
 
 print(__doc__)
 
@@ -36,10 +37,10 @@ print(f"(recurrent families run {SEQUENCE_LENGTH} steps; the induced FNN route "
 rng = np.random.default_rng(7)
 rnn = random_relu_rnn(rng)
 prefix = rng.uniform(-1, 1, size=(5, rnn.I))
-frozen = ft.rnn_timepoint_to_fnn(rnn, prefix, t0=4)
+frozen = rnn_timepoint_to_fnn(rnn, prefix, t0=4)
 probe = rng.uniform(-1, 1, size=rnn.I)
 seq = prefix[:4].copy()
 seq[3] = probe
-rerun = ft.eval_rnn(rnn, seq)[3]
-print(f"Frozen time step t0=4: feedforward value {ft.eval_fnn(frozen, probe):+.6f} "
+rerun = eval_rnn_many(rnn, seq[None])[0, 3]
+print(f"Frozen time step t0=4: feedforward value {eval_fnn_many(frozen, probe[None])[0]:+.6f} "
       f"vs rerun {rerun:+.6f}")

@@ -10,21 +10,30 @@ ln(b/a)/(a+b), strictly off the origin, and the checker catches this.
 
 import numpy as np
 
-import ftnetlab as ft
+from ftnetlab.activations import ZRELU
+from ftnetlab.losses import (
+    Dataset,
+    LossSpec,
+    check_well_posed,
+    empirical_loss,
+    param_cosh_loss,
+    squared_loss,
+)
+from ftnetlab.models import FFTNetParams
 
 print(__doc__)
 
 cases = [
-    ("squared", ft.squared_loss()),
-    ("smooth cosh a=b=1, c=1", ft.param_cosh_loss(1, 1, 1)),
-    ("smooth cosh a=b=2.5, c=0.4", ft.param_cosh_loss(2.5, 2.5, 0.4)),
-    ("smooth cosh a=2, b=3, c=1 (asymmetric)", ft.param_cosh_loss(2, 3, 1)),
-    ("x^3 probe", ft.LossSpec("cubic", value=lambda x: np.asarray(x, float) ** 3,
-                              deriv=lambda x: 3.0 * np.asarray(x, float) ** 2)),
+    ("squared", squared_loss()),
+    ("smooth cosh a=b=1, c=1", param_cosh_loss(1, 1, 1)),
+    ("smooth cosh a=b=2.5, c=0.4", param_cosh_loss(2.5, 2.5, 0.4)),
+    ("smooth cosh a=2, b=3, c=1 (asymmetric)", param_cosh_loss(2, 3, 1)),
+    ("x^3 probe", LossSpec("cubic", value=lambda x: np.asarray(x, float) ** 3,
+                           deriv=lambda x: 3.0 * np.asarray(x, float) ** 2)),
 ]
 
 for name, spec in cases:
-    report = ft.check_well_posed(spec)
+    report = check_well_posed(spec)
     verdict = "well posed" if report.passed else "REJECTED"
     print(f"{name:42s} -> {verdict}")
     for v in report.violations:
@@ -32,13 +41,13 @@ for name, spec in cases:
 
 a, b = 2.0, 3.0
 x_star = np.log(b / a) / (a + b)
-spec = ft.param_cosh_loss(a, b, 1.0)
-print(f"\nasymmetric minimum: l({x_star:.4f}) = {ft.loss_value(spec, x_star):+.5f} "
-      f"< l(0) = {ft.loss_value(spec, 0.0):+.5f}")
+spec = param_cosh_loss(a, b, 1.0)
+print(f"\nasymmetric minimum: l({x_star:.4f}) = {spec.value(x_star):+.5f} "
+      f"< l(0) = {spec.value(0.0):+.5f}")
 
 print("\nthe empirical loss is a plain sum of per-sample terms:")
 h = 3
-net = ft.FFTNetParams(2, h, np.zeros((h, h)), np.zeros((h, h)), np.zeros(h), ft.ZRELU)
-data = ft.Dataset(np.zeros((2, 2)), np.array([1.0, -1.0]))
+net = FFTNetParams(2, h, np.zeros((h, h)), np.zeros((h, h)), np.zeros(h), ZRELU)
+data = Dataset(np.zeros((2, 2)), np.array([1.0, -1.0]))
 print(f"  zero network on labels (1, -1), squared: "
-      f"{ft.empirical_loss(net, data, ft.squared_loss())} (= l(-1) + l(1))")
+      f"{empirical_loss(net, data, squared_loss())} (= l(-1) + l(1))")

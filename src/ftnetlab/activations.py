@@ -1,13 +1,15 @@
-"""Complex activation functions, their induced real restrictions, and subgradients.
+"""Complex activation functions, their Jacobians and induced real restrictions.
 
-The gate activation passes z exactly when Re(z) * Im(z) >= 0, which is the
-closed phase set [0, pi/2] u [pi, 3pi/2]; the sign-product form is the
-implementation rule.  Every kind maps 0 to 0.
+``TABLE`` holds one record per tag; every function here looks its tag up
+there.  The gate activation passes z exactly when Re(z) * Im(z) >= 0, which
+is the closed phase set [0, pi/2] u [pi, 3pi/2]; the sign-product form is
+the implementation rule.  Every kind maps 0 to 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,24 +21,98 @@ from .errors import ContractViolationError
 REAL_ARG_IMAG_BIAS = "real_arg_imag_bias"  # sigma(x) = Re/Im of act(x + c i)
 IMAG_ARG_REAL_BIAS = "imag_arg_real_bias"  # sigma(x) = Re/Im of act(c + x i)
 
-_TAGS = ("zrelu", "modrelu", "crelu", "holexpm1", "holsin", "relu", "identity")
-_HOLOMORPHIC_NONPOLY = ("holexpm1", "holsin")
+
+@dataclass(frozen=True)
+class Activation:
+    """One tag's record: its value at complex z and the real Jacobian there.
+
+    Both take ``(z, bias)`` with z a complex128 array; ``jacobian`` returns
+    (J11, J12, J21, J22) of (Re act, Im act) w.r.t. (Re z, Im z), elementwise.
+    """
+
+    value: Callable
+    jacobian: Callable
+    holomorphic_nonpolynomial: bool = False
+    default_bias: float | None = None  # set for the kinds that read ``bias``
+
+
+def _step(x):
+    """1.0 where x >= 0, else 0.0: boundary points take the pass-region value."""
+    return (x >= 0.0).astype(np.float64)
+
+
+def _diagonal(j11, j22=None):
+    """A Jacobian with no cross terms; J22 is J11 unless given."""
+    zero = np.zeros_like(j11)
+    return j11, zero, zero, j11 if j22 is None else j22
+
+
+def _cauchy_riemann(d):
+    """The Jacobian of a holomorphic map whose complex derivative is d."""
+    u, v = d.real, d.imag
+    return u, -v, v.copy(), u.copy()
+
+
+def _modrelu(z, bias):
+    m = np.abs(z)
+    scale = np.where((m > 0.0) & (m + bias >= 0.0),
+                     (m + bias) / np.where(m > 0.0, m, 1.0), 0.0)
+    return scale * z
+
+
+def _modrelu_jacobian(z, bias):
+    a, b = z.real, z.imag
+    m = np.abs(z)
+    on = (m > 0.0) & (m + bias >= 0.0)
+    safe = np.where(m > 0.0, m, 1.0)
+    k = bias / safe**3
+    j11 = np.where(on, 1.0 + k * b * b, 0.0)
+    j12 = np.where(on, -k * a * b, 0.0)
+    j22 = np.where(on, 1.0 + k * a * a, 0.0)
+    return j11, j12, j12.copy(), j22
+
+
+TABLE = {
+    "zrelu": Activation(
+        lambda z, bias: np.where((z.real * z.imag) >= 0.0, z, 0.0 + 0.0j),
+        lambda z, bias: _diagonal(_step(z.real * z.imag))),
+    "modrelu": Activation(_modrelu, _modrelu_jacobian, default_bias=-0.5),
+    "crelu": Activation(
+        lambda z, bias: np.maximum(z.real, 0.0) + 1j * np.maximum(z.imag, 0.0),
+        lambda z, bias: _diagonal(_step(z.real), _step(z.imag))),
+    "holexpm1": Activation(
+        lambda z, bias: np.exp(z) - 1.0,
+        lambda z, bias: _cauchy_riemann(np.exp(z)),
+        holomorphic_nonpolynomial=True),
+    "holsin": Activation(
+        lambda z, bias: np.sin(z),
+        lambda z, bias: _cauchy_riemann(np.cos(z)),
+        holomorphic_nonpolynomial=True),
+    # real kinds act on Re(z); the complex identity keeps z whole
+    "relu": Activation(
+        lambda z, bias: np.maximum(z.real, 0.0) + 0.0j,
+        lambda z, bias: _diagonal(_step(z.real), np.zeros(z.shape))),
+    "identity": Activation(
+        lambda z, bias: z,
+        lambda z, bias: _cauchy_riemann(np.ones_like(z))),
+}
 
 
 @dataclass(frozen=True)
 class ActivationKind:
-    """Tagged activation; ``bias`` is used by modrelu only."""
+    """Tagged activation; ``bias`` is read only by kinds with a ``default_bias``."""
 
     tag: str
     bias: float = 0.0
 
     def __post_init__(self):
-        if self.tag not in _TAGS:
+        # a tag read from a model file may be any JSON value, lists included
+        if not isinstance(self.tag, str) or self.tag not in TABLE:
             raise ContractViolationError(f"unknown activation tag {self.tag!r}")
 
     @property
     def is_holomorphic_nonpolynomial(self) -> bool:
-        return self.tag in _HOLOMORPHIC_NONPOLY
+        return TABLE[self.tag].holomorphic_nonpolynomial
 
 
 ZRELU = ActivationKind("zrelu")
@@ -47,45 +123,36 @@ RELU = ActivationKind("relu")
 IDENTITY = ActivationKind("identity")
 
 
-def modrelu(bias: float = -0.5) -> ActivationKind:
-    return ActivationKind("modrelu", bias=float(bias))
-
-
 def activation_from_tag(tag: str, bias: float | None = None) -> ActivationKind:
-    if tag == "modrelu":
-        return modrelu(-0.5 if bias is None else bias)
-    return ActivationKind(tag)
+    """The kind ``tag`` names; ``bias`` replaces the default of a kind that reads one."""
+    kind = ActivationKind(tag)  # rejects an unknown tag
+    default = TABLE[tag].default_bias
+    if default is None:
+        return kind
+    return ActivationKind(tag, float(default if bias is None else bias))
+
+
+def modrelu(bias: float | None = None) -> ActivationKind:
+    return activation_from_tag("modrelu", bias)
 
 
 def apply(kind: ActivationKind, z):
     """Evaluate the activation at complex z (scalar or ndarray).
 
-    Real kinds (relu, identity on the real axis) act on Re(z); the complex
-    identity keeps z whole.  zrelu at z = 0 returns 0 (undefined phase).
+    zrelu at z = 0 returns 0 (undefined phase).
     """
-    z = np.asarray(z, dtype=np.complex128)
-    t = kind.tag
-    if t == "zrelu":
-        gate = (z.real * z.imag) >= 0.0
-        out = np.where(gate, z, 0.0 + 0.0j)
-    elif t == "modrelu":
-        m = np.abs(z)
-        scale = np.where((m > 0.0) & (m + kind.bias >= 0.0),
-                         (m + kind.bias) / np.where(m > 0.0, m, 1.0), 0.0)
-        out = scale * z
-    elif t == "crelu":
-        out = np.maximum(z.real, 0.0) + 1j * np.maximum(z.imag, 0.0)
-    elif t == "holexpm1":
-        out = np.exp(z) - 1.0
-    elif t == "holsin":
-        out = np.sin(z)
-    elif t == "relu":
-        out = np.maximum(z.real, 0.0) + 0.0j
-    else:  # identity
-        out = z
+    out = TABLE[kind.tag].value(np.asarray(z, dtype=np.complex128), kind.bias)
     if out.ndim == 0:
         return complex(out)
     return out
+
+
+def jacobian_parts(kind: ActivationKind, z):
+    """(J11, J12, J21, J22) of (Re act, Im act) w.r.t. (Re z, Im z), elementwise.
+
+    Boundary points of piecewise kinds take the pass-region value.
+    """
+    return TABLE[kind.tag].jacobian(np.asarray(z, dtype=np.complex128), kind.bias)
 
 
 def apply_real(kind: ActivationKind, x):
@@ -94,72 +161,21 @@ def apply_real(kind: ActivationKind, x):
     return np.asarray(apply(kind, x + 0.0j)).real
 
 
-def induced_real(kind: ActivationKind, c: float, x, convention: str):
-    """Re of the activation along a line through the complex plane."""
+def _line(c: float, x, convention: str):
+    """The complex points an induced restriction reads: x + c i or c + x i."""
     x = np.asarray(x, dtype=np.float64)
     if convention == REAL_ARG_IMAG_BIAS:
-        return np.asarray(apply(kind, x + 1j * c)).real
+        return x + 1j * c
     if convention == IMAG_ARG_REAL_BIAS:
-        return np.asarray(apply(kind, c + 1j * x)).real
+        return c + 1j * x
     raise ContractViolationError(f"unknown convention {convention!r}")
+
+
+def induced_real(kind: ActivationKind, c: float, x, convention: str):
+    """Re of the activation along a line through the complex plane."""
+    return np.asarray(apply(kind, _line(c, x, convention))).real
 
 
 def induced_imag(kind: ActivationKind, c: float, x, convention: str):
     """Im counterpart of :func:`induced_real`."""
-    x = np.asarray(x, dtype=np.float64)
-    if convention == REAL_ARG_IMAG_BIAS:
-        return np.asarray(apply(kind, x + 1j * c)).imag
-    if convention == IMAG_ARG_REAL_BIAS:
-        return np.asarray(apply(kind, c + 1j * x)).imag
-    raise ContractViolationError(f"unknown convention {convention!r}")
-
-
-def _complex_derivative(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
-    if kind.tag == "holexpm1":
-        return np.exp(z)
-    if kind.tag == "holsin":
-        return np.cos(z)
-    if kind.tag == "identity":
-        return np.ones_like(z)
-    raise ContractViolationError(f"{kind.tag} has no complex derivative")
-
-
-def jacobian_parts(kind: ActivationKind, z):
-    """(J11, J12, J21, J22) of (Re act, Im act) w.r.t. (Re z, Im z), elementwise.
-
-    Boundary points of piecewise kinds take the pass-region value.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    t = kind.tag
-    if t == "zrelu":
-        g = ((z.real * z.imag) >= 0.0).astype(np.float64)
-        zero = np.zeros_like(g)
-        return g, zero, zero, g
-    if t == "crelu":
-        ga = (z.real >= 0.0).astype(np.float64)
-        gb = (z.imag >= 0.0).astype(np.float64)
-        zero = np.zeros_like(ga)
-        return ga, zero, zero, gb
-    if t == "relu":
-        ga = (z.real >= 0.0).astype(np.float64)
-        zero = np.zeros_like(ga)
-        return ga, zero, zero, zero
-    if t == "modrelu":
-        a, b = z.real, z.imag
-        m = np.abs(z)
-        on = (m > 0.0) & (m + kind.bias >= 0.0)
-        safe = np.where(m > 0.0, m, 1.0)
-        k = kind.bias / safe**3
-        j11 = np.where(on, 1.0 + k * b * b, 0.0)
-        j12 = np.where(on, -k * a * b, 0.0)
-        j22 = np.where(on, 1.0 + k * a * a, 0.0)
-        return j11, j12, j12.copy(), j22
-    d = _complex_derivative(kind, z)
-    u, v = d.real, d.imag
-    return u, -v, v.copy(), u.copy()
-
-
-def subgradient(kind: ActivationKind, z: complex) -> np.ndarray:
-    """2x2 real Jacobian at a single point; Cauchy-Riemann block for holomorphic kinds."""
-    j11, j12, j21, j22 = jacobian_parts(kind, np.asarray(z, dtype=np.complex128))
-    return np.array([[float(j11), float(j12)], [float(j21), float(j22)]])
+    return np.asarray(apply(kind, _line(c, x, convention))).imag

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import constructions as cons
-from .activations import activation_from_tag
+from .activations import TABLE, activation_from_tag
 from .embeddings import (
     FAMILIES,
     SEQUENCE_LENGTH,
@@ -54,7 +54,7 @@ EXIT_IO_FAILURE = 3
 
 PROBE_CSV_HEADER = "instance_id,case_tag,old_loss,new_loss,perturbation_norm,found"
 
-# p0 draws a training run may take while the initial loss is not finite
+# p0 draws a training run may take while its start's loss is not finite or takes no step
 TRAIN_INIT_DRAWS = 5
 
 
@@ -105,7 +105,7 @@ CONFIG_TABLES = {
     "train": {  # demo comes first: the other defaults depend on it
         "demo": Key(str, choices=DEMOS),
         "seed": Key(int, 0, 0),
-        "activation": Key(str, "holsin"),
+        "activation": Key(str, "holsin", choices=tuple(TABLE)),
         "loss": Key(dict, {"loss": "squared"}),
         "H": Key(int, PerDemo(sin_fit=32, dods_linear=16), 1),
         "iters": Key(int, PerDemo(sin_fit=50000, dods_linear=20000), 1),
@@ -120,7 +120,9 @@ CONFIG_TABLES = {
         "n": Key(int, minimum=1),
         "I": Key(int, minimum=1),
         "seed": Key(int, 0, 0),
-        "activation": Key(str, "holexpm1"),
+        # the descent probe's claim needs a holomorphic non-polynomial activation
+        "activation": Key(str, "holexpm1", choices=tuple(
+            tag for tag, act in TABLE.items() if act.holomorphic_nonpolynomial)),
         "loss": Key(dict, {"loss": "squared"}),
         "H": Key(int, lambda cfg: cfg["I"] + 1, 1),
         "delta": Key(float, 0.1, POSITIVE, 1.0),
@@ -277,20 +279,26 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
         train, samples, target_loss = train_fftnet, n, target_mse * n
         model_file, trace_file = "sin_fit_model.json", "sin_fit_trace.jsonl"
     tc = TrainConfig(step_size=cfg["step_size"], max_iters=cfg["iters"], target_loss=target_loss)
-    # p0 is the last draw from rng, so redrawing it changes no run whose first draw is finite
+    # p0 is the last draw from rng, so redrawing it changes no run whose first draw steps
+    reasons = []  # why each rejected draw was rejected
     for draws in range(1, TRAIN_INIT_DRAWS + 1):
         try:
             trained, trace = train(draw_p0(), data, spec, tc)
-            break
         except NonFiniteInitialLossError as exc:
-            start_failure = exc
+            start_failure, reason = exc, "initial loss not finite"
         except RuntimeError as exc:  # the loss diverged
             return _fail(EXIT_PROPERTY_FAILURE, f"train {demo} failed: {exc}")
+        else:
+            if len(trace) > 1 or trace[0] <= target_loss:
+                break
+            reason = "no step lowered the initial loss"
+            start_failure = f"{reason} {trace[0]!r}"
+        reasons.append(reason)
     else:
         return _fail(EXIT_PROPERTY_FAILURE, f"train {demo} failed: {start_failure} "
                                             f"({TRAIN_INIT_DRAWS} draws of p0)")
-    if draws > 1:
-        print(f"note: initial loss not finite; drew p0 {draws} times")
+    if reasons:
+        print(f"note: {'; '.join(dict.fromkeys(reasons))}; drew p0 {draws} times")
     final_mse = trace[-1] / samples
     save_model(out_dir / model_file, trained)
     with open(out_dir / trace_file, "w", encoding="utf-8") as fh:

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import (
-    IMAG_ARG_REAL_BIAS,
     REAL_ARG_IMAG_BIAS,
     RELU,
     ZRELU,
     ActivationKind,
     apply,
     apply_real,
-    induced_imag,
     induced_real,
 )
 from .errors import ContractViolationError, DegenerateInputError
@@ -32,7 +30,8 @@ from .models import (
     FNNParams,
     RFTNetParams,
     RNNParams,
-    eval_rnn,
+    additive_restrictions,
+    eval_rnn_many,
 )
 from .numerics import numerical_rank
 
@@ -248,8 +247,8 @@ def rnn_timepoint_to_fnn(r: RNNParams, xs_prefix, t0: int) -> FNNParams:
     if t0 == 1:
         m_prev = r.m0
     else:
-        _, ms = eval_rnn(r, xs_prefix[: t0 - 1], return_memory=True)
-        m_prev = ms[-1]
+        _, ms = eval_rnn_many(r, xs_prefix[None, : t0 - 1], return_memory=True)
+        m_prev = ms[0, -1]
     return FNNParams(r.I, r.HR, r.WR, r.VR @ m_prev + r.bR, r.alphaR, r.activation)
 
 
@@ -369,13 +368,7 @@ def dods_stage_trajectories(stage1: StateStage, stage2: StateStage,
     """
     xs = np.asarray(xs, dtype=np.float64)
     h0 = np.asarray(h0, dtype=np.float64)
-
-    def s1(u):
-        return induced_real(base_activation, c, u, IMAG_ARG_REAL_BIAS)
-
-    def s2(u):
-        return induced_imag(base_activation, c, u, IMAG_ARG_REAL_BIAS)
-
+    s1, s2 = additive_restrictions(base_activation, c)
     t_len = xs.shape[0]
     h1, h2, h5 = stage1.hidden, stage2.hidden, readout.hidden
     p1 = np.zeros((t_len, h0.size))

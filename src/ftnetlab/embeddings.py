@@ -135,35 +135,39 @@ def _crnet_fftnet_gap(crn, g, x):
     return relative_gap(models.eval_fftnet_many(g, x), models.eval_crnet_many(crn, x))
 
 
+def outputs_and_receptors(g, xs):
+    """Outputs of g on xs and the receptor after each step, shape (B, T, H)."""
+    tape = models.Tape()
+    out = models.eval_rftnet_many(g, xs, tape=tape)
+    return out, np.stack([act.imag for act in tape.acts], axis=1)
+
+
+def _recurrent_gap(g, xs, src, mirrors=()) -> float:
+    """Worst of the output gap of g on xs against ``src`` and the receptor's errors:
+    it holds each (block, states) of ``mirrors`` and stays 0 on the input block and
+    in the bias slot at every step."""
+    tgt, rec = outputs_and_receptors(g, xs)
+    return _worst(relative_gap(tgt, src),
+                  *(np.max(np.abs(rec[:, :, block] - states)) for block, states in mirrors),
+                  np.max(np.abs(rec[:, :, : g.I])),
+                  np.max(np.abs(rec[:, :, -1])))
+
+
 def _additive_gap(a, g, xs):
     src, _, qs = models.eval_additive_many(a, xs, return_states=True)
-    tgt, _, rec = models.eval_rftnet_many(g, xs, return_trajectory=True)
     # receptor mirrors (0; q_t; 0) at every step
-    return _worst(
-        relative_gap(tgt, src),
-        np.max(np.abs(rec[:, :, a.I : a.I + a.Hplus] - qs)),
-        np.max(np.abs(rec[:, :, : a.I])),
-        np.max(np.abs(rec[:, :, -1])),
-    )
+    return _recurrent_gap(g, xs, src, [(slice(a.I, a.I + a.Hplus), qs)])
 
 
 def _crnet_rftnet_gap(crn, g, xs):
-    tgt, _, rec = models.eval_rftnet_many(g, xs, return_trajectory=True)
-    t_len = xs.shape[1]
-    src = np.stack([models.eval_crnet_many(crn, xs[:, t, :]) for t in range(t_len)], axis=1)
-    return _worst(relative_gap(tgt, src),
-                  np.max(np.abs(rec[:, :, : crn.I])),
-                  np.max(np.abs(rec[:, :, -1])))
+    src = np.stack([models.eval_crnet_many(crn, xs[:, t, :]) for t in range(xs.shape[1])],
+                   axis=1)
+    return _recurrent_gap(g, xs, src)
 
 
 def _rnn_gap(r, g, xs):
     src, ms = models.eval_rnn_many(r, xs, return_memory=True)
-    tgt, _, rec = models.eval_rftnet_many(g, xs, return_trajectory=True)
-    b3 = slice(r.I + r.HR, r.I + 2 * r.HR)
-    return _worst(relative_gap(tgt, src),
-                  np.max(np.abs(rec[:, :, b3] - ms)),
-                  np.max(np.abs(rec[:, :, : r.I])),
-                  np.max(np.abs(rec[:, :, -1])))
+    return _recurrent_gap(g, xs, src, [(slice(r.I + r.HR, r.I + 2 * r.HR), ms)])
 
 
 def assembly_structural_gap(s1, s2, readout, base, c, h0, xs) -> float:

@@ -45,7 +45,7 @@ def param_cosh_loss(a: float = 1.0, b: float = 1.0, c: float = 1.0) -> LossSpec:
     # NaN fails every comparison; inf and ints past the largest double fail the upper one
     if not all(0 < v <= sys.float_info.max for v in (a, b, c)):
         raise ContractViolationError(
-            f"param_cosh parameters must be positive and finite, got {a!r}, {b!r}, {c!r}")
+            f"loss: param_cosh a, b and c must be positive and finite, got {a!r}, {b!r}, {c!r}")
 
     def value(x):
         x = np.asarray(x, dtype=np.float64)
@@ -60,14 +60,6 @@ def param_cosh_loss(a: float = 1.0, b: float = 1.0, c: float = 1.0) -> LossSpec:
     return LossSpec(f"param_cosh({a},{b},{c})", value=value, deriv=deriv)
 
 
-def loss_value(spec: LossSpec, x) -> float:
-    return float(spec.value(np.asarray(x, dtype=np.float64)))
-
-
-def loss_deriv(spec: LossSpec, x) -> float:
-    return float(spec.deriv(np.asarray(x, dtype=np.float64)))
-
-
 @dataclass(frozen=True)
 class WellPosednessReport:
     passed: bool
@@ -80,7 +72,7 @@ def check_well_posed(spec: LossSpec, grid_max: float = 10.0,
     if grid_max < 10.0 or grid_step > 1e-2:
         raise ContractViolationError("grid must cover [-10, 10] with step <= 1e-2")
     violations = []
-    l0 = loss_value(spec, 0.0)
+    l0 = float(spec.value(np.asarray(0.0)))
     # written as "not ok" so that a NaN value or derivative is a violation
     if not abs(l0) <= 1e-12:
         violations.append(f"l(0) = {l0!r} is not 0")
@@ -119,10 +111,6 @@ class Dataset:
     def n(self) -> int:
         return self.xs.shape[0]
 
-    @property
-    def I(self) -> int:
-        return self.xs.shape[1]
-
 
 def empirical_loss(p: FFTNetParams, data: Dataset, spec: LossSpec,
                    tape: Tape | None = None) -> float:
@@ -135,14 +123,22 @@ def empirical_loss(p: FFTNetParams, data: Dataset, spec: LossSpec,
     return float(np.sum(spec.value(out - data.ys)))
 
 
+# the keys each loss takes beside "loss"; a, b and c default to 1
+_LOSS_KEYS = {"squared": (), "param_cosh": ("a", "b", "c")}
+
+
 def loss_spec_from_config(cfg: dict) -> LossSpec:
-    """{"loss": "squared"} or {"loss": "param_cosh", "a":..., "b":..., "c":...}."""
+    """{"loss": "squared"} or {"loss": "param_cosh", "a":..., "b":..., "c":...};
+    any other key is rejected, and every error names the ``loss`` config key."""
     kind = cfg.get("loss")
+    if not isinstance(kind, str) or kind not in _LOSS_KEYS:
+        raise ContractViolationError(f"loss: unknown loss {kind!r}")
+    extra = sorted(set(cfg) - {"loss", *_LOSS_KEYS[kind]})
+    if extra:
+        raise ContractViolationError(f"loss: {kind} takes no key {extra[0]!r}")
     if kind == "squared":
         return squared_loss()
-    if kind == "param_cosh":
-        abc = [cfg.get(key, 1.0) for key in "abc"]
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in abc):
-            raise ContractViolationError(f"param_cosh: a, b and c must be numbers, got {abc}")
-        return param_cosh_loss(*abc)
-    raise ContractViolationError(f"unknown loss {kind!r}")
+    abc = [cfg.get(key, 1.0) for key in "abc"]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in abc):
+        raise ContractViolationError(f"loss: param_cosh a, b and c must be numbers, got {abc}")
+    return param_cosh_loss(*abc)

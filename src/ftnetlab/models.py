@@ -18,6 +18,7 @@ import numpy as np
 
 from .activations import (
     IMAG_ARG_REAL_BIAS,
+    TABLE,
     ActivationKind,
     activation_from_tag,
     apply,
@@ -109,9 +110,6 @@ class RFTNetParams:
         object.__setattr__(self, "alpha", _vec(self.alpha, self.H, "alpha"))
         object.__setattr__(self, "r0", _vec(self.r0, self.H, "r0"))
         _check_finite("RFTNetParams", self.W, self.V, self.alpha, self.r0)
-
-    def feedforward(self) -> FFTNetParams:
-        return FFTNetParams(self.I, self.H, self.W, self.V, self.alpha, self.activation)
 
 
 @dataclass(frozen=True)
@@ -229,39 +227,12 @@ def dods_linear(P, Q, readout, h0) -> DODSSpec:
                     psi=lambda h: float(readout @ h))
 
 
-def dods_tanh_saturating(P, Q, readout, h0) -> DODSSpec:
-    """h_t = tanh(P x_t + Q h_{t-1}), y_t = readout . h_t."""
-    P = np.asarray(P, dtype=np.float64)
-    Q = np.asarray(Q, dtype=np.float64)
-    readout = np.asarray(readout, dtype=np.float64)
-    hd, i = P.shape
-    return DODSSpec(i, hd, np.asarray(h0, dtype=np.float64),
-                    phi=lambda x, h: np.tanh(P @ x + Q @ h),
-                    psi=lambda h: float(readout @ h))
-
-
-def dods_input_passthrough(f: Callable[[np.ndarray], float], I: int,
-                           h0=None) -> DODSSpec:
-    """h_t = x_t, y_t = f(x_t); the memoryless system used in the RNN separation."""
-    if h0 is None:
-        h0 = np.zeros(I)
-    return DODSSpec(I, I, np.asarray(h0, dtype=np.float64),
-                    phi=lambda x, h: np.asarray(x, dtype=np.float64),
-                    psi=lambda h: float(f(h)))
-
-
 # ---------------------------------------------------------------------------
 # kappa and evaluators
 # ---------------------------------------------------------------------------
 
-def kappa(x, H: int) -> np.ndarray:
-    """Lift x in R^I to (x; 0; ...; 0; 1) in R^H.  Requires H >= I + 1."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return kappa_many(x[None], H)[0]
-
-
 def kappa_many(X: np.ndarray, H: int) -> np.ndarray:
-    """Row-wise kappa for a batch of inputs, shape (N, I) -> (N, H)."""
+    """Lift each row x in R^I to (x; 0; ...; 0; 1) in R^H: (N, I) -> (N, H)."""
     X = np.asarray(X, dtype=np.float64)
     n, i = X.shape
     if H < i + 1:
@@ -318,17 +289,10 @@ def eval_fftnet_many(p: FFTNetParams, X: np.ndarray, tape: Tape | None = None) -
     return out
 
 
-def eval_fftnet(p: FFTNetParams, x) -> float:
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return float(eval_fftnet_many(p, x[None, :])[0])
-
-
-def eval_rftnet_many(p: RFTNetParams, XS: np.ndarray, return_trajectory: bool = False,
-                     tape: Tape | None = None):
+def eval_rftnet_many(p: RFTNetParams, XS: np.ndarray, tape: Tape | None = None):
     """Batch of sequences, shape (B, T, I) -> outputs (B, T); fills ``tape`` when given.
 
-    With ``return_trajectory`` also returns (stimuli, receptors), each of
-    shape (B, T, H).
+    The receptor after step t is the imaginary part of ``tape.acts[t]``.
     """
     XS = np.asarray(XS, dtype=np.float64)
     if XS.ndim != 3 or XS.shape[2] != p.I:
@@ -338,53 +302,31 @@ def eval_rftnet_many(p: RFTNetParams, XS: np.ndarray, return_trajectory: bool = 
         raise ContractViolationError("need at least one time step")
     r = np.broadcast_to(p.r0, (b, p.H)).copy()
     ys = np.zeros((b, t_len))
-    stim = np.zeros((b, t_len, p.H)) if return_trajectory else None
-    rec = np.zeros((b, t_len, p.H)) if return_trajectory else None
-    if tape is not None:
-        ks, rs, acts = [], [], []
-        zs = np.empty((t_len, b, p.H), dtype=np.complex128)
+    ks, rs, acts = [], [], []
+    zs = np.empty((t_len, b, p.H), dtype=np.complex128)
     for t in range(t_len):
         k = kappa_many(XS[:, t, :], p.H)
-        pre = np.empty((b, p.H), dtype=np.complex128) if tape is None else zs[t]
+        pre = zs[t]
         pre.real = k @ p.W.T - r @ p.V.T
         pre.imag = k @ p.V.T + r @ p.W.T
         act = np.asarray(apply(p.activation, pre))
-        if tape is not None:
-            ks.append(k)
-            rs.append(r)
-            acts.append(act)
+        ks.append(k)
+        rs.append(r)
+        acts.append(act)
         s, r = act.real, act.imag
         ys[:, t] = s @ p.alpha
-        if return_trajectory:
-            stim[:, t, :] = s
-            rec[:, t, :] = r
     if tape is not None:
         tape.record(p, XS, ys, ks, zs, acts, rs)
-    if return_trajectory:
-        return ys, stim, rec
     return ys
 
 
-def _unbatch(out):
-    """A one-sequence batch result, or tuple of them, without its batch axis."""
-    return tuple(a[0] for a in out) if isinstance(out, tuple) else out[0]
-
-
-def eval_rftnet(p: RFTNetParams, xs, return_trajectory: bool = False):
-    """Single sequence of shape (T, I) -> outputs (T,)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2:
-        raise ContractViolationError("expected a sequence of shape (T, I)")
-    return _unbatch(eval_rftnet_many(p, xs[None], return_trajectory=return_trajectory))
-
-
-def additive_restrictions(p: AdditiveFTNetParams):
-    """The (sigma1, sigma2) pair the additive network iterates with."""
+def additive_restrictions(base_activation: ActivationKind, c: float):
+    """The (sigma1, sigma2) pair an additive network with this base iterates with."""
     def sigma1(u):
-        return induced_real(p.base_activation, p.c, u, IMAG_ARG_REAL_BIAS)
+        return induced_real(base_activation, c, u, IMAG_ARG_REAL_BIAS)
 
     def sigma2(u):
-        return induced_imag(p.base_activation, p.c, u, IMAG_ARG_REAL_BIAS)
+        return induced_imag(base_activation, c, u, IMAG_ARG_REAL_BIAS)
 
     return sigma1, sigma2
 
@@ -395,7 +337,7 @@ def eval_additive_many(p: AdditiveFTNetParams, XS: np.ndarray,
     XS = np.asarray(XS, dtype=np.float64)
     if XS.ndim != 3 or XS.shape[2] != p.I:
         raise ContractViolationError(f"expected sequences of shape (B, T, {p.I})")
-    sigma1, sigma2 = additive_restrictions(p)
+    sigma1, sigma2 = additive_restrictions(p.base_activation, p.c)
     b, t_len, _ = XS.shape
     q = np.broadcast_to(p.q0, (b, p.Hplus)).copy()
     ys = np.zeros((b, t_len))
@@ -414,21 +356,11 @@ def eval_additive_many(p: AdditiveFTNetParams, XS: np.ndarray,
     return ys
 
 
-def eval_additive(p: AdditiveFTNetParams, xs, return_states: bool = False):
-    xs = np.asarray(xs, dtype=np.float64)
-    return _unbatch(eval_additive_many(p, xs[None], return_states=return_states))
-
-
 def eval_fnn_many(p: FNNParams, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != p.I:
         raise ContractViolationError(f"expected inputs of shape (N, {p.I})")
     return apply_real(p.activation, X @ p.WF.T + p.bF) @ p.alphaF
-
-
-def eval_fnn(p: FNNParams, x) -> float:
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return float(eval_fnn_many(p, x[None, :])[0])
 
 
 def eval_rnn_many(p: RNNParams, XS: np.ndarray, return_memory: bool = False):
@@ -449,32 +381,15 @@ def eval_rnn_many(p: RNNParams, XS: np.ndarray, return_memory: bool = False):
     return ys
 
 
-def eval_rnn(p: RNNParams, xs, return_memory: bool = False):
-    xs = np.asarray(xs, dtype=np.float64)
-    return _unbatch(eval_rnn_many(p, xs[None], return_memory=return_memory))
-
-
-def fold_input(x: np.ndarray) -> np.ndarray:
-    """tau: fold (x1; x2) in R^I into x1 + x2 i in C^{I/2} (batch-aware)."""
-    x = np.asarray(x, dtype=np.float64)
-    half = x.shape[-1] // 2
-    if x.shape[-1] % 2 != 0:
-        raise ContractViolationError("fold_input needs an even input dimension")
-    return x[..., :half] + 1j * x[..., half:]
-
-
 def eval_crnet_many(p: CRNetParams, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != p.I:
         raise ContractViolationError(f"expected inputs of shape (N, {p.I})")
-    pre = fold_input(X) @ p.WC.T + p.bC
+    half = p.I // 2
+    # tau folds (x1; x2) in R^I into x1 + x2 i in C^{I/2}; CRNetParams keeps I even
+    pre = (X[:, :half] + 1j * X[:, half:]) @ p.WC.T + p.bC
     act = np.asarray(apply(p.activation, pre))
     return (act @ p.alphaC).real
-
-
-def eval_crnet(p: CRNetParams, x) -> float:
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return float(eval_crnet_many(p, x[None, :])[0])
 
 
 def eval_dods(spec: DODSSpec, xs, return_hidden: bool = False):
@@ -585,7 +500,7 @@ def model_to_dict(p) -> dict:
         d[key] = getattr(p, key)
     act = getattr(p, spec.activation)
     d["activation"] = act.tag
-    if act.tag == "modrelu":
+    if TABLE[act.tag].default_bias is not None:
         d["activation_bias"] = act.bias
     return d
 

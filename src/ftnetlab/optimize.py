@@ -127,9 +127,6 @@ def _rftnet_loss(p: RFTNetParams, data: SequenceDataset, spec: LossSpec,
 def finite_diff_grad(p: FFTNetParams, data: Dataset, spec: LossSpec,
                      step: float = 1e-5) -> GradientBundle:
     """Central differences per real coordinate; the oracle for grad_fftnet."""
-    if not 1e-7 <= step <= 1e-3:
-        raise ContractViolationError("step must lie in [1e-7, 1e-3]")
-
     def loss_of(w, v, a):
         return empirical_loss(FFTNetParams(p.I, p.H, w, v, a, p.activation),
                               data, spec)
@@ -139,9 +136,6 @@ def finite_diff_grad(p: FFTNetParams, data: Dataset, spec: LossSpec,
 
 def finite_diff_grad_rftnet(p: RFTNetParams, data: SequenceDataset, spec: LossSpec,
                             step: float = 1e-5) -> GradientBundle:
-    if not 1e-7 <= step <= 1e-3:
-        raise ContractViolationError("step must lie in [1e-7, 1e-3]")
-
     def loss_of(w, v, a):
         return _rftnet_loss(RFTNetParams(p.I, p.H, w, v, a, p.activation, p.r0),
                             data, spec)
@@ -150,6 +144,9 @@ def finite_diff_grad_rftnet(p: RFTNetParams, data: SequenceDataset, spec: LossSp
 
 
 def _central_differences(w0, v0, a0, loss_of, step):
+    if not 1e-7 <= step <= 1e-3:
+        raise ContractViolationError("step must lie in [1e-7, 1e-3]")
+
     def diff_array(arr, rebuild):
         g = np.zeros_like(arr)
         flat = arr.ravel()

@@ -8,25 +8,46 @@ import time
 
 import numpy as np
 
-import ftnetlab as ft
+from ftnetlab.activations import HOLEXPM1, HOLSIN, RELU, ZRELU
+from ftnetlab.constructions import (
+    additive_to_rftnet,
+    crnet_to_fftnet,
+    crnet_to_rftnet,
+    fnn_to_fftnet,
+    rnn_to_rftnet,
+)
 from ftnetlab.embeddings import (
     FAMILIES,
     Assembly,
     assembly_structural_gap,
     _random_assembly,
+    outputs_and_receptors,
     random_additive,
     random_relu_rnn,
     run_embedding_sweep,
 )
+from ftnetlab.losses import (
+    Dataset,
+    LossSpec,
+    check_well_posed,
+    empirical_loss,
+    param_cosh_loss,
+    squared_loss,
+)
 from ftnetlab.models import (
+    CRNetParams,
+    FFTNetParams,
+    FNNParams,
+    dods_linear,
     eval_additive_many,
     eval_dods,
-    eval_rftnet_many,
     eval_rnn_many,
+    param_count,
 )
 from ftnetlab.optimize import (
     SequenceDataset,
     TrainConfig,
+    descent_probe,
     finite_diff_grad,
     finite_diff_grad_rftnet,
     grad_fftnet,
@@ -65,34 +86,34 @@ def test_criterion_2_width_and_parameter_bookkeeping():
     for _ in range(50):
         i = int(rng.integers(1, 9))
         hf = int(rng.integers(1, 17))
-        fnn = ft.FNNParams(i, hf, rng.standard_normal((hf, i)),
-                           rng.standard_normal(hf), rng.standard_normal(hf), ft.RELU)
-        assert ft.fnn_to_fftnet(fnn, mode="zrelu").H == max(hf, i + 1)
+        fnn = FNNParams(i, hf, rng.standard_normal((hf, i)),
+                        rng.standard_normal(hf), rng.standard_normal(hf), RELU)
+        assert fnn_to_fftnet(fnn, mode="zrelu").H == max(hf, i + 1)
 
         a = random_additive(rng)
-        assert ft.additive_to_rftnet(a).H == a.I + a.Hplus + 1
+        assert additive_to_rftnet(a).H == a.I + a.Hplus + 1
 
         ic = int(rng.choice([2, 4, 6, 8]))
         hc = int(rng.integers(1, 9))
-        crn = ft.CRNetParams(ic, hc,
-                             rng.standard_normal((hc, ic // 2))
-                             + 1j * rng.standard_normal((hc, ic // 2)),
-                             rng.standard_normal(hc) + 1j * rng.standard_normal(hc),
-                             rng.standard_normal(hc) + 1j * rng.standard_normal(hc),
-                             ft.ZRELU)
-        assert ft.crnet_to_fftnet(crn).H == max(2 * hc, ic + 1)
-        assert ft.crnet_to_rftnet(crn).H == 2 * hc + ic + 1
+        crn = CRNetParams(ic, hc,
+                          rng.standard_normal((hc, ic // 2))
+                          + 1j * rng.standard_normal((hc, ic // 2)),
+                          rng.standard_normal(hc) + 1j * rng.standard_normal(hc),
+                          rng.standard_normal(hc) + 1j * rng.standard_normal(hc),
+                          ZRELU)
+        assert crnet_to_fftnet(crn).H == max(2 * hc, ic + 1)
+        assert crnet_to_rftnet(crn).H == 2 * hc + ic + 1
 
         r = random_relu_rnn(rng)
-        assert ft.rnn_to_rftnet(r).H == 2 * r.HR + r.I + 1
+        assert rnn_to_rftnet(r).H == 2 * r.HR + r.I + 1
         checked += 1
 
-    assert ft.param_count("ftnet", 2) == 10
-    assert ft.param_count("crnet", 3, 4) == 36
-    assert ft.param_count("fnn", 2, 3) == 16
-    assert ft.param_count("rnn", 2, 3) == 14
+    assert param_count("ftnet", 2) == 10
+    assert param_count("crnet", 3, 4) == 36
+    assert param_count("fnn", 2, 3) == 16
+    assert param_count("rnn", 2, 3) == 14
     for h in range(1, 257):
-        assert ft.param_count("ftnet", h) <= 3 * h * h
+        assert param_count("ftnet", h) <= 3 * h * h
     print(f"\nACCEPTANCE 2 PASS: width formulas max{{H_F,I+1}}, I+H+1, "
           f"max{{2H_C,I+1}}, 2H_C+I+1, 2H_R+I+1 asserted on {checked} conversions "
           f"per family; parameter formulas 2H^2+H, 2H_C(I+2), 2H_F(I+1), "
@@ -113,10 +134,10 @@ def test_criterion_3_structural_trajectory_claims():
     worst_receptor = 0.0
     for _ in range(50):
         a = random_additive(rng)
-        g = ft.additive_to_rftnet(a)
+        g = additive_to_rftnet(a)
         xs = rng.uniform(-1, 1, size=(4, int(rng.integers(2, 11)), a.I))
         _, _, qs = eval_additive_many(a, xs, return_states=True)
-        _, _, rec = eval_rftnet_many(g, xs, return_trajectory=True)
+        _, rec = outputs_and_receptors(g, xs)
         worst_receptor = max(worst_receptor,
                              float(np.max(np.abs(rec[:, :, a.I:a.I + a.Hplus] - qs))),
                              float(np.max(np.abs(rec[:, :, :a.I]))),
@@ -126,10 +147,10 @@ def test_criterion_3_structural_trajectory_claims():
     worst_memory = 0.0
     for _ in range(50):
         r = random_relu_rnn(rng)
-        g = ft.rnn_to_rftnet(r)
+        g = rnn_to_rftnet(r)
         xs = rng.uniform(-1, 1, size=(4, int(rng.integers(2, 11)), r.I))
         _, ms = eval_rnn_many(r, xs, return_memory=True)
-        _, _, rec = eval_rftnet_many(g, xs, return_trajectory=True)
+        _, rec = outputs_and_receptors(g, xs)
         b3 = slice(r.I + r.HR, r.I + 2 * r.HR)
         worst_memory = max(worst_memory,
                            float(np.max(np.abs(rec[:, :, b3] - ms))),
@@ -144,17 +165,17 @@ def test_criterion_3_structural_trajectory_claims():
 
 def test_criterion_4_gradient_correctness():
     start = time.time()
-    spec_pool = (ft.squared_loss(), ft.param_cosh_loss(1.5, 1.5, 0.7))
+    spec_pool = (squared_loss(), param_cosh_loss(1.5, 1.5, 0.7))
     worst_ff = 0.0
     for idx in range(50):
         rng = np.random.default_rng(40_000 + idx)
         i = int(rng.integers(1, 6))
         h = i + 1 + int(rng.integers(0, 4))
         n = int(rng.integers(1, 7))
-        act = ft.HOLEXPM1 if idx % 2 else ft.HOLSIN
+        act = HOLEXPM1 if idx % 2 else HOLSIN
         spec = spec_pool[idx % 2]
         p = random_fftnet(i, h, act, 0.4, rng)
-        data = ft.Dataset(rng.standard_normal((n, i)), rng.standard_normal(n))
+        data = Dataset(rng.standard_normal((n, i)), rng.standard_normal(n))
         worst_ff = max(worst_ff, gradient_relative_error(
             grad_fftnet(p, data, spec), finite_diff_grad(p, data, spec)))
     assert worst_ff <= 1e-5
@@ -165,14 +186,14 @@ def test_criterion_4_gradient_correctness():
         i = int(rng.integers(1, 4))
         h = i + 1 + int(rng.integers(0, 3))
         b, t_len = int(rng.integers(1, 4)), int(rng.integers(1, 6))
-        act = ft.HOLSIN if idx % 2 else ft.HOLEXPM1
+        act = HOLSIN if idx % 2 else HOLEXPM1
         p = random_rftnet(i, h, act, 0.3, rng)
         xs = rng.uniform(-1, 1, (b, t_len, i))
         p = tame_rftnet(p, xs)
         data = SequenceDataset(xs, rng.standard_normal((b, t_len)))
         worst_rec = max(worst_rec, gradient_relative_error(
-            grad_rftnet(p, data, ft.squared_loss()),
-            finite_diff_grad_rftnet(p, data, ft.squared_loss())))
+            grad_rftnet(p, data, squared_loss()),
+            finite_diff_grad_rftnet(p, data, squared_loss())))
     assert worst_rec <= 1e-4
     elapsed = time.time() - start
     assert elapsed < 60.0
@@ -184,7 +205,7 @@ def test_criterion_4_gradient_correctness():
 def test_criterion_5_descent_probe():
     start = time.time()
     delta = 0.1
-    spec = ft.squared_loss()
+    spec = squared_loss()
     stats = {"alpha_nonzero": 0, "alpha_zero": 0}
     worst_norm = 0.0
     for idx in range(100):
@@ -192,12 +213,12 @@ def test_criterion_5_descent_probe():
         i = int(rng.integers(2, 11))
         n = int(rng.integers(1, i + 1))
         h = i + 1
-        p = random_fftnet(i, h, ft.HOLEXPM1, 0.4, rng)
+        p = random_fftnet(i, h, HOLEXPM1, 0.4, rng)
         if idx < 50:  # forced readout-zero instances
-            p = ft.FFTNetParams(p.I, p.H, p.W, p.V, np.zeros(h), p.activation)
-        data = ft.Dataset(rng.standard_normal((n, i)), rng.standard_normal(n))
-        assert ft.empirical_loss(p, data, spec) > 1e-6
-        res = ft.descent_probe(p, data, spec, delta=delta, seed=idx)
+            p = FFTNetParams(p.I, p.H, p.W, p.V, np.zeros(h), p.activation)
+        data = Dataset(rng.standard_normal((n, i)), rng.standard_normal(n))
+        assert empirical_loss(p, data, spec) > 1e-6
+        res = descent_probe(p, data, spec, delta=delta, seed=idx)
         assert res.found, f"instance {idx} not found"
         assert res.new_loss < res.old_loss
         assert res.perturbation_norm <= delta
@@ -214,11 +235,11 @@ def test_criterion_5_descent_probe():
 def test_criterion_6_sin_fit():
     n, h = 256, 32
     xs = np.linspace(-1.0, 1.0, n)[:, None]
-    data = ft.Dataset(xs, np.sin(3.0 * xs[:, 0]))
+    data = Dataset(xs, np.sin(3.0 * xs[:, 0]))
     rng = np.random.default_rng(0)
-    p0 = random_fftnet(1, h, ft.HOLSIN, 0.3, rng)
+    p0 = random_fftnet(1, h, HOLSIN, 0.3, rng)
     cfg = TrainConfig(step_size=3e-3, max_iters=50_000, target_loss=1e-3 * n)
-    trained, trace = train_fftnet(p0, data, ft.squared_loss(), cfg)
+    trained, trace = train_fftnet(p0, data, squared_loss(), cfg)
     iters = len(trace) - 1
     mse = trace[-1] / n
     assert iters <= 50_000
@@ -228,17 +249,17 @@ def test_criterion_6_sin_fit():
 
 
 def test_criterion_7_dods_demo():
-    dods = ft.dods_linear(P=[[0.8, 0.0], [0.2, 0.5]], Q=[[0.3, -0.2], [0.1, 0.4]],
-                          readout=[1.0, -0.7], h0=[0.0, 0.0])
+    dods = dods_linear(P=[[0.8, 0.0], [0.2, 0.5]], Q=[[0.3, -0.2], [0.1, 0.4]],
+                       readout=[1.0, -0.7], h0=[0.0, 0.0])
     t_len, n_seq, h = 8, 48, 16
     assert h <= 48
     rng = np.random.default_rng(0)
     xs = rng.uniform(-1, 1, size=(n_seq, t_len, dods.I))
     ys = np.stack([eval_dods(dods, xs[b]) for b in range(n_seq)])
     data = SequenceDataset(xs, ys)
-    p0 = random_rftnet(dods.I, h, ft.HOLSIN, 0.2, rng)
+    p0 = random_rftnet(dods.I, h, HOLSIN, 0.2, rng)
     cfg = TrainConfig(step_size=1e-3, max_iters=20_000, target_loss=1e-2 * n_seq * t_len)
-    trained, trace = train_rftnet(p0, data, ft.squared_loss(), cfg)
+    trained, trace = train_rftnet(p0, data, squared_loss(), cfg)
     mse = trace[-1] / (n_seq * t_len)
     assert mse <= 1e-2
     print(f"\nACCEPTANCE 7 PASS: recurrent net (H={h}) tracked the linear "
@@ -247,20 +268,20 @@ def test_criterion_7_dods_demo():
 
 
 def test_criterion_8_well_posedness_checker():
-    assert ft.check_well_posed(ft.squared_loss()).passed
+    assert check_well_posed(squared_loss()).passed
     rng = np.random.default_rng(808)
     triples = []
     for _ in range(5):
         a = float(rng.uniform(0.3, 3.0))
         c = float(rng.uniform(0.3, 3.0))
         triples.append((a, a, c))
-        assert ft.check_well_posed(ft.param_cosh_loss(a, a, c)).passed
-    cubic = ft.LossSpec("cubic", value=lambda x: np.asarray(x, float) ** 3,
-                        deriv=lambda x: 3.0 * np.asarray(x, float) ** 2)
-    assert not ft.check_well_posed(cubic).passed
+        assert check_well_posed(param_cosh_loss(a, a, c)).passed
+    cubic = LossSpec("cubic", value=lambda x: np.asarray(x, float) ** 3,
+                     deriv=lambda x: 3.0 * np.asarray(x, float) ** 2)
+    assert not check_well_posed(cubic).passed
     # asymmetric variants shift the minimum off the origin; the checker is
     # honest about them (the symmetric a == b family is the well-posed one)
-    assert not ft.check_well_posed(ft.param_cosh_loss(2, 3, 1)).passed
+    assert not check_well_posed(param_cosh_loss(2, 3, 1)).passed
     print(f"\nACCEPTANCE 8 PASS: checker accepts squared and 5 random smooth-cosh "
           f"triples {['(%.2f,%.2f,%.2f)' % t for t in triples]}, rejects the x^3 "
           f"control (and the asymmetric variant, whose minimum is off the origin)")
@@ -273,13 +294,13 @@ def test_criterion_9_interpolation_consistency():
     iters = []
     for run in range(10):
         rng = np.random.default_rng(9_000 + run)
-        data = ft.Dataset(rng.standard_normal((n, i)), rng.standard_normal(n))
+        data = Dataset(rng.standard_normal((n, i)), rng.standard_normal(n))
         from ftnetlab.models import kappa_many
         from ftnetlab.numerics import numerical_rank
         assert numerical_rank(kappa_many(data.xs, h)) == n
-        p0 = random_fftnet(i, h, ft.HOLEXPM1, 0.3, rng)
+        p0 = random_fftnet(i, h, HOLEXPM1, 0.3, rng)
         cfg = TrainConfig(step_size=0.02, max_iters=30_000, target_loss=1e-8)
-        _, trace = train_fftnet(p0, data, ft.squared_loss(), cfg)
+        _, trace = train_fftnet(p0, data, squared_loss(), cfg)
         reached += trace[-1] <= 1e-8
         iters.append(len(trace) - 1)
     assert reached == 10

@@ -11,18 +11,36 @@ from ftnetlab.activations import (
     IMAG_ARG_REAL_BIAS,
     REAL_ARG_IMAG_BIAS,
     RELU,
+    TABLE,
     ZRELU,
     ActivationKind,
     activation_from_tag,
     apply,
     induced_imag,
     induced_real,
+    jacobian_parts,
     modrelu,
-    subgradient,
 )
 from ftnetlab.errors import ContractViolationError
 
-ALL_KINDS = (ZRELU, modrelu(), CRELU, HOLEXPM1, HOLSIN, RELU, IDENTITY)
+ALL_KINDS = tuple(activation_from_tag(tag) for tag in TABLE)
+
+# distance of z from where a piecewise kind has no derivative (modrelu at its
+# default bias -0.5); one entry per tag, so a new tag must say where it kinks
+KINK_DISTANCE = {
+    "zrelu": lambda z: np.minimum(np.abs(z.real), np.abs(z.imag)),
+    "modrelu": lambda z: np.minimum(np.abs(z), np.abs(np.abs(z) - 0.5)),
+    "crelu": lambda z: np.minimum(np.abs(z.real), np.abs(z.imag)),
+    "holexpm1": lambda z: np.full(z.shape, np.inf),
+    "holsin": lambda z: np.full(z.shape, np.inf),
+    "relu": lambda z: np.abs(z.real),
+    "identity": lambda z: np.full(z.shape, np.inf),
+}
+
+
+def _jacobian(kind, z) -> np.ndarray:
+    """The 2x2 real Jacobian of the activation at the single point z."""
+    return np.array([float(j) for j in jacobian_parts(kind, z)]).reshape(2, 2)
 
 
 class TestGateActivation:
@@ -134,59 +152,39 @@ class TestInducedRestrictions:
 
 class TestSubgradient:
     def test_gate_pass_region(self):
-        np.testing.assert_array_equal(subgradient(ZRELU, 1 + 1j), np.eye(2))
+        np.testing.assert_array_equal(_jacobian(ZRELU, 1 + 1j), np.eye(2))
 
     def test_gate_blocked_region(self):
-        np.testing.assert_array_equal(subgradient(ZRELU, 1 - 1j), np.zeros((2, 2)))
+        np.testing.assert_array_equal(_jacobian(ZRELU, 1 - 1j), np.zeros((2, 2)))
 
     def test_gate_boundary_uses_pass_value(self):
-        np.testing.assert_array_equal(subgradient(ZRELU, 1 + 0j), np.eye(2))
+        np.testing.assert_array_equal(_jacobian(ZRELU, 1 + 0j), np.eye(2))
 
     def test_holexpm1_at_zero(self):
-        np.testing.assert_allclose(subgradient(HOLEXPM1, 0j), np.eye(2))
+        np.testing.assert_allclose(_jacobian(HOLEXPM1, 0j), np.eye(2))
 
     def test_cauchy_riemann_structure(self, rng):
         for kind in (HOLEXPM1, HOLSIN):
             z = complex(rng.standard_normal() + 1j * rng.standard_normal())
-            j = subgradient(kind, z)
+            j = _jacobian(kind, z)
             assert j[0, 0] == pytest.approx(j[1, 1])
             assert j[0, 1] == pytest.approx(-j[1, 0])
 
-    @pytest.mark.parametrize("kind", [HOLEXPM1, HOLSIN, IDENTITY])
-    def test_matches_finite_differences(self, kind, rng):
+    @pytest.mark.parametrize("tag", list(TABLE))
+    def test_matches_finite_differences(self, tag, rng):
+        kind = activation_from_tag(tag)
         step = 1e-5
-        pts = 20.0 * (rng.standard_normal(1000) + 1j * rng.standard_normal(1000))
-        pts = pts[np.abs(pts) <= 50.0]
-        worst = 0.0
-        for z in pts:
-            j = subgradient(kind, z)
-            fd = np.zeros((2, 2))
-            for col, dz in enumerate((step, 1j * step)):
-                hi = complex(apply(kind, z + dz))
-                lo = complex(apply(kind, z - dz))
-                fd[0, col] = (hi.real - lo.real) / (2 * step)
-                fd[1, col] = (hi.imag - lo.imag) / (2 * step)
-            scale = max(np.max(np.abs(j)), np.max(np.abs(fd)), 1.0)
-            worst = max(worst, np.max(np.abs(j - fd)) / scale)
-        assert worst <= 1e-6
-
-    def test_modrelu_matches_finite_differences(self, rng):
-        kind = modrelu(-0.5)
-        step = 1e-6
-        worst = 0.0
-        for _ in range(200):
-            z = complex(rng.standard_normal() + 1j * rng.standard_normal())
-            if abs(abs(z) + kind.bias) < 1e-2:  # stay off the kink
-                continue
-            j = subgradient(kind, z)
-            fd = np.zeros((2, 2))
-            for col, dz in enumerate((step, 1j * step)):
-                hi = complex(apply(kind, z + dz))
-                lo = complex(apply(kind, z - dz))
-                fd[0, col] = (hi.real - lo.real) / (2 * step)
-                fd[1, col] = (hi.imag - lo.imag) / (2 * step)
-            worst = max(worst, np.max(np.abs(j - fd)))
-        assert worst <= 1e-5
+        pts = np.concatenate([
+            20.0 * (rng.standard_normal(1000) + 1j * rng.standard_normal(1000)),
+            rng.standard_normal(1000) + 1j * rng.standard_normal(1000)])
+        pts = pts[(np.abs(pts) <= 50.0) & (KINK_DISTANCE[tag](pts) > 1e-3)]
+        j = np.stack(jacobian_parts(kind, pts), axis=-1).reshape(-1, 2, 2)
+        fd = np.empty_like(j)
+        for col, dz in enumerate((step, 1j * step)):
+            diff = (apply(kind, pts + dz) - apply(kind, pts - dz)) / (2 * step)
+            fd[:, 0, col], fd[:, 1, col] = diff.real, diff.imag
+        scale = np.maximum(np.maximum(np.abs(j), np.abs(fd)).max(axis=(1, 2)), 1.0)
+        assert np.max(np.abs(j - fd).max(axis=(1, 2)) / scale) <= 1e-6
 
 
 def test_tag_round_trip():

@@ -331,10 +331,14 @@ class TestTrain:
         assert err[0].startswith("error: train dods_linear failed: initial loss is not finite")
         assert err[0].endswith(f"({cli.TRAIN_INIT_DRAWS} draws of p0)")
 
-    @pytest.mark.parametrize("seed, notes", [(19, ["note: initial loss not finite; "
-                                                   "drew p0 2 times"]), (0, [])])
+    @pytest.mark.parametrize("seed, notes", [
+        (19, ["note: initial loss not finite; drew p0 2 times"]),
+        (0, []),
+        (315, ["note: initial loss not finite; no step lowered the initial loss; "
+               "drew p0 3 times"])])
     def test_non_finite_start_is_redrawn(self, tmp_path, capsys, seed, notes):
-        """Seed 19's first p0 has a non-finite loss; its second does not."""
+        """Seed 19's first p0 has a non-finite loss; its second does not.  Seed
+        315's second p0 starts at a finite loss of 2.6e20 that no step lowers."""
         cfg = _write_config(tmp_path, "t.json", {"demo": "dods_linear", "iters": 2, "seed": seed})
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == 1  # target missed
         captured = capsys.readouterr()
@@ -357,12 +361,17 @@ class TestTrain:
     @pytest.mark.parametrize("loss", ["squared", {"loss": "param_cosh", "a": "x"},
                                       {"loss": "param_cosh", "a": float("nan")},
                                       {"loss": "param_cosh", "b": float("inf")},
-                                      {"loss": "param_cosh", "c": -float("inf")}],
-                             ids=["squared", "loss1", "nan", "inf", "-inf"])
+                                      {"loss": "param_cosh", "c": -float("inf")},
+                                      {"loss": "squared", "a": "x"},
+                                      {"loss": "param_cosh", "zz": 1}],
+                             ids=["squared", "loss1", "nan", "inf", "-inf", "squared_a",
+                                  "unknown_key"])
     def test_malformed_loss_rejected(self, tmp_path, capsys, loss):
         cfg = _write_config(tmp_path, "t.json", {"demo": "sin_fit", "loss": loss})
-        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: loss: ")
+        assert not any((tmp_path / "o").iterdir())
 
     def test_unwritable_output_is_an_io_failure(self, tmp_path, capsys):
         (tmp_path / "sin_fit_model.json").mkdir()  # the model file cannot be opened
@@ -620,6 +629,8 @@ class TestConfigValidation:
         ("train_rec", {"samples": 8}, "samples: does not apply to demo dods_linear"),
         ("train", {"hidden": 8}, "hidden: unknown config key"),
         ("verify", {"csv_name": "a\0.csv"}, "csv_name: expected a string"),
+        ("train", {"activation": "bogus"}, "activation: expected one of zrelu, "),
+        ("probe", {"activation": "zrelu"}, "activation: expected one of holexpm1, holsin, "),
     ])
     def test_rejected_before_any_work(self, tmp_path, rng, capsys, command, extra, message):
         cfg = {**_COMMAND_BASES[command], **extra}

@@ -4,6 +4,7 @@ import pytest
 from ftnetlab.activations import HOLSIN, IDENTITY, RELU, ZRELU, apply_real, induced_imag
 from ftnetlab.embeddings import (
     assembly_structural_gap,
+    outputs_and_receptors,
     random_additive,
     random_crnet,
     random_dods_stages,
@@ -32,16 +33,11 @@ from ftnetlab.models import (
     AdditiveFTNetParams,
     FNNParams,
     RNNParams,
-    eval_additive,
     eval_additive_many,
     eval_crnet_many,
-    eval_fftnet,
     eval_fftnet_many,
-    eval_fnn,
     eval_fnn_many,
-    eval_rftnet,
     eval_rftnet_many,
-    eval_rnn,
     eval_rnn_many,
 )
 from ftnetlab.numerics import numerical_rank
@@ -53,14 +49,14 @@ class TestFnnEmbedding:
     def test_identity_fnn_pass_region(self):
         f = FNNParams(1, 1, [[1.0]], [0.0], [1.0], RELU)
         g = fnn_to_fftnet(f, mode="zrelu")
-        assert eval_fftnet(g, 0.5) == pytest.approx(0.5)
-        assert eval_fnn(f, 0.5) == pytest.approx(0.5)
+        assert eval_fftnet_many(g, [[0.5]])[0] == pytest.approx(0.5)
+        assert eval_fnn_many(f, [[0.5]])[0] == pytest.approx(0.5)
 
     def test_identity_fnn_gated_region(self):
         f = FNNParams(1, 1, [[1.0]], [0.0], [1.0], RELU)
         g = fnn_to_fftnet(f, mode="zrelu")
-        assert eval_fftnet(g, -0.5) == 0.0
-        assert eval_fnn(f, -0.5) == 0.0
+        assert eval_fftnet_many(g, [[-0.5]])[0] == 0.0
+        assert eval_fnn_many(f, [[-0.5]])[0] == 0.0
 
     def test_width_formula(self, rng):
         for _ in range(20):
@@ -92,8 +88,8 @@ class TestFnnEmbedding:
         f = FNNParams(2, 3, [[1.0, 0.5], [0.0, 2.0], [1.0, 1.0]],
                       [0.1, -0.2, 0.0], [1.0, -1.0, 0.5], IDENTITY)
         g = fnn_to_fftnet(f, c=0.7, mode="induced", target_activation=IDENTITY)
-        for x in ([0.3, -0.4], [1.5, 2.0]):
-            assert eval_fftnet(g, x) == pytest.approx(eval_fnn(f, x), rel=1e-13)
+        x = np.array([[0.3, -0.4], [1.5, 2.0]])
+        np.testing.assert_allclose(eval_fftnet_many(g, x), eval_fnn_many(f, x), rtol=1e-13)
 
     def test_unknown_mode(self):
         f = FNNParams(1, 1, [[1.0]], [0.0], [1.0], RELU)
@@ -108,7 +104,7 @@ class TestAdditiveEmbedding:
                                 np.zeros(h), np.zeros(h), ZRELU, 1.0)
         g = additive_to_rftnet(a)
         assert g.H == 2 + h + 1
-        np.testing.assert_array_equal(eval_rftnet(g, np.ones((5, 2))), np.zeros(5))
+        np.testing.assert_array_equal(eval_rftnet_many(g, np.ones((1, 5, 2))), np.zeros((1, 5)))
 
     def test_randomized_exactness_and_receptor(self, rng):
         worst = 0.0
@@ -118,7 +114,7 @@ class TestAdditiveEmbedding:
             assert g.H == a.I + a.Hplus + 1
             xs = rng.uniform(-1, 1, size=(10, 5, a.I))
             src, _, qs = eval_additive_many(a, xs, return_states=True)
-            tgt, _, rec = eval_rftnet_many(g, xs, return_trajectory=True)
+            tgt, rec = outputs_and_receptors(g, xs)
             worst = max(worst, relative_gap(tgt, src),
                         float(np.max(np.abs(rec[:, :, a.I:a.I + a.Hplus] - qs))),
                         float(np.max(np.abs(rec[:, :, :a.I]))),
@@ -131,14 +127,14 @@ class TestAdditiveEmbedding:
                                 rng.standard_normal(h), rng.standard_normal(h),
                                 np.zeros(h), ZRELU, 1.0)
         g = additive_to_rftnet(a)
-        xs = rng.standard_normal((3, i))
-        src = eval_additive(a, xs)
-        tgt, _, rec = eval_rftnet(g, xs, return_trajectory=True)
+        xs = rng.standard_normal((1, 3, i))
+        src = eval_additive_many(a, xs)
+        tgt, rec = outputs_and_receptors(g, xs)
         np.testing.assert_allclose(tgt, src, rtol=1e-12)
         for t in range(3):
-            u = a.A @ xs[t] - a.zeta
+            u = a.A @ xs[0, t] - a.zeta
             expected = induced_imag(a.base_activation, a.c, u, "imag_arg_real_bias")
-            np.testing.assert_allclose(rec[t, i:i + h], expected, atol=1e-13)
+            np.testing.assert_allclose(rec[0, t, i:i + h], expected, atol=1e-13)
 
 
 class TestCrnetEmbeddings:
@@ -185,7 +181,7 @@ class TestCrnetEmbeddings:
             crn = random_crnet(rng)
             gr = crnet_to_rftnet(crn)
             xs = rng.uniform(-2, 2, size=(10, 6, crn.I))
-            tgt, _, rec = eval_rftnet_many(gr, xs, return_trajectory=True)
+            tgt, rec = outputs_and_receptors(gr, xs)
             src = np.stack([eval_crnet_many(crn, xs[:, t, :]) for t in range(6)], axis=1)
             worst = max(worst, relative_gap(tgt, src),
                         float(np.max(np.abs(rec[:, :, :crn.I]))),
@@ -207,11 +203,11 @@ class TestRnnEmbedding:
                       np.zeros(3), np.zeros(3), RELU)
         g = rnn_to_rftnet(r)
         assert g.H == 2 * 3 + 2 + 1
-        xs = np.ones((4, 2))
-        ys, _, rec = eval_rftnet(g, xs, return_trajectory=True)
-        np.testing.assert_array_equal(ys, np.zeros(4))
+        xs = np.ones((1, 4, 2))
+        ys, rec = outputs_and_receptors(g, xs)
+        np.testing.assert_array_equal(ys, np.zeros((1, 4)))
         b3 = slice(r.I + r.HR, r.I + 2 * r.HR)
-        np.testing.assert_array_equal(rec[:, b3], np.zeros((4, 3)))
+        np.testing.assert_array_equal(rec[:, :, b3], np.zeros((1, 4, 3)))
 
     def test_randomized_exactness_and_memory(self, rng):
         worst = 0.0
@@ -221,7 +217,7 @@ class TestRnnEmbedding:
             assert g.H == 2 * r.HR + r.I + 1
             xs = rng.uniform(-1, 1, size=(8, 10, r.I))
             src, ms = eval_rnn_many(r, xs, return_memory=True)
-            tgt, _, rec = eval_rftnet_many(g, xs, return_trajectory=True)
+            tgt, rec = outputs_and_receptors(g, xs)
             b3 = slice(r.I + r.HR, r.I + 2 * r.HR)
             worst = max(worst, relative_gap(tgt, src),
                         float(np.max(np.abs(rec[:, :, b3] - ms))),
@@ -239,8 +235,8 @@ class TestRnnEmbedding:
         f = FNNParams(2, 1, r.WR, r.bR, r.alphaR, RELU)
         gf = fnn_to_fftnet(f, mode="zrelu")
         xs = rng.uniform(-1, 1, size=(5, 2))
-        ys = eval_rftnet(g, xs)
-        per_step = np.array([eval_fftnet(gf, x) for x in xs])
+        ys = eval_rftnet_many(g, xs[None])[0]
+        per_step = eval_fftnet_many(gf, xs)
         np.testing.assert_allclose(ys, per_step, rtol=1e-12, atol=1e-12)
 
     def test_non_relu_rejected(self, rng):
@@ -272,8 +268,9 @@ class TestRnnTimepoint:
             probe = rng.uniform(-1, 1, size=r.I)
             seq = prefix[:t0].copy()
             seq[t0 - 1] = probe
-            rerun = eval_rnn(r, seq)[t0 - 1]
-            worst = max(worst, abs(eval_fnn(f, probe) - rerun) / (1.0 + abs(rerun)))
+            rerun = eval_rnn_many(r, seq[None])[0, t0 - 1]
+            frozen = eval_fnn_many(f, probe[None])[0]
+            worst = max(worst, abs(frozen - rerun) / (1.0 + abs(rerun)))
         assert worst <= EXACT
 
     def test_memoryless_ignores_prefix(self, rng):
@@ -338,9 +335,9 @@ class TestDodsAssembly:
                         zeros(3))
         readout = ReadoutStage(zeros(2, i), zeros(2, 3), zeros(2), zeros(2))
         addnet = assemble_dods_additive(s1, s2, readout, ZRELU, 0.0, np.zeros(hd))
-        xs = rng.uniform(-1, 1, size=(4, i))
-        ys, ps, qs = eval_additive(addnet, xs, return_states=True)
-        np.testing.assert_array_equal(ys, np.zeros(4))
+        xs = rng.uniform(-1, 1, size=(1, 4, i))
+        ys, ps, qs = eval_additive_many(addnet, xs, return_states=True)
+        np.testing.assert_array_equal(ys, np.zeros((1, 4)))
         np.testing.assert_array_equal(ps, np.zeros_like(ps))
         np.testing.assert_array_equal(qs, np.zeros_like(qs))
 
@@ -355,9 +352,9 @@ class TestDodsAssembly:
                         zeros(2))
         readout = ReadoutStage(zeros(2, i), zeros(2, 2), zeros(2), zeros(2))
         addnet = assemble_dods_additive(s1, s2, readout, ZRELU, 1.0, np.zeros(hd))
-        xs = rng.uniform(-1, 1, size=(4, i))
-        ys, _, qs = eval_additive(addnet, xs, return_states=True)
-        np.testing.assert_array_equal(ys, np.zeros(4))
+        xs = rng.uniform(-1, 1, size=(1, 4, i))
+        ys, _, qs = eval_additive_many(addnet, xs, return_states=True)
+        np.testing.assert_array_equal(ys, np.zeros((1, 4)))
         np.testing.assert_array_equal(qs, np.zeros_like(qs))
 
     def test_exact_linear_state_tracking_through_q_side(self, rng):

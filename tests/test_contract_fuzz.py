@@ -4,7 +4,8 @@ Whatever a config, a model file or a verify CSV holds, a command exits 0, 1,
 2 or 3.  Exits 2 (rejected contract) and 3 (I/O failure) print exactly one
 ``error:`` line; no exit prints a traceback or a RuntimeWarning; and exit 1
 only reports a property: a gap above tolerance, a probe that found no
-descent step, or a fit that missed its target or whose loss was not finite.
+descent step, or a fit that missed its target, whose loss was not finite, or
+whose every start admitted no descent step.
 
 The config values are drawn from ``cli.CONFIG_TABLES``, so a new key is
 fuzzed as soon as it is declared.  Sizes stay tiny so the module runs in a
@@ -108,9 +109,10 @@ def _reports_a_property(command: str, out: str, err: list[str]) -> bool:
                 and "NOT all found" in out)
     if command == "train":
         missed = not err and "final per-sample loss" in out
-        not_finite = (len(err) == 1 and err[0].startswith("error: train ")
-                      and ("not finite" in err[0] or "diverged" in err[0]))
-        return missed or not_finite
+        no_start = (len(err) == 1 and err[0].startswith("error: train ")
+                    and any(why in err[0] for why in ("not finite", "diverged",
+                                                      "no step lowered the initial loss")))
+        return missed or no_start
     return False  # convert and report check no property
 
 

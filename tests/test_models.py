@@ -15,20 +15,17 @@ from ftnetlab.models import (
     FNNParams,
     RFTNetParams,
     RNNParams,
+    DODSSpec,
+    Tape,
     additive_restrictions,
-    dods_input_passthrough,
     dods_linear,
-    dods_tanh_saturating,
-    eval_additive,
-    eval_crnet,
+    eval_additive_many,
+    eval_crnet_many,
     eval_dods,
-    eval_fftnet,
     eval_fftnet_many,
-    eval_fnn,
-    eval_rftnet,
+    eval_fnn_many,
     eval_rftnet_many,
-    eval_rnn,
-    kappa,
+    eval_rnn_many,
     kappa_many,
     load_model,
     model_from_dict,
@@ -40,23 +37,24 @@ from ftnetlab.models import (
 
 class TestKappa:
     def test_basic(self):
-        np.testing.assert_array_equal(kappa([1.0, 2.0], 4), [1.0, 2.0, 0.0, 1.0])
+        np.testing.assert_array_equal(kappa_many([[1.0, 2.0]], 4), [[1.0, 2.0, 0.0, 1.0]])
 
     def test_empty_input(self):
-        np.testing.assert_array_equal(kappa([], 1), [1.0])
+        np.testing.assert_array_equal(kappa_many(np.zeros((1, 0)), 1), [[1.0]])
 
     def test_no_zero_block(self):
-        np.testing.assert_array_equal(kappa([3.0], 2), [3.0, 1.0])
+        np.testing.assert_array_equal(kappa_many([[3.0]], 2), [[3.0, 1.0]])
 
     def test_too_small_target(self):
         with pytest.raises(ContractViolationError):
-            kappa([1.0, 2.0], 2)
+            kappa_many([[1.0, 2.0]], 2)
 
     def test_batch_agrees(self, rng):
+        # each row is lifted on its own, whatever else the batch holds
         x = rng.standard_normal((5, 3))
         k = kappa_many(x, 7)
         for i in range(5):
-            np.testing.assert_array_equal(k[i], kappa(x[i], 7))
+            np.testing.assert_array_equal(k[i], kappa_many(x[i : i + 1], 7)[0])
 
 
 def _hand_fftnet():
@@ -68,16 +66,16 @@ def _hand_fftnet():
 class TestFeedforward:
     def test_zero_weights(self, rng):
         p = FFTNetParams(2, 4, np.zeros((4, 4)), np.zeros((4, 4)), np.zeros(4), ZRELU)
-        for _ in range(5):
-            assert eval_fftnet(p, rng.standard_normal(2)) == 0.0
+        np.testing.assert_array_equal(eval_fftnet_many(p, rng.standard_normal((5, 2))),
+                                      np.zeros(5))
 
     def test_hand_example_pass(self):
         # pre-activation 0.5 + 1i passes the gate
-        assert eval_fftnet(_hand_fftnet(), 0.5) == pytest.approx(0.5)
+        assert eval_fftnet_many(_hand_fftnet(), [[0.5]])[0] == pytest.approx(0.5)
 
     def test_hand_example_gated(self):
         # pre-activation -0.5 + 1i is gated
-        assert eval_fftnet(_hand_fftnet(), -0.5) == 0.0
+        assert eval_fftnet_many(_hand_fftnet(), [[-0.5]])[0] == 0.0
 
     def test_width_invariant(self):
         with pytest.raises(ContractViolationError):
@@ -88,9 +86,9 @@ class TestFeedforward:
                          rng.standard_normal(4), HOLSIN)
         lam = 2.75
         scaled = FFTNetParams(p.I, p.H, p.W, p.V, lam * p.alpha, p.activation)
-        for _ in range(10):
-            x = rng.standard_normal(2)
-            assert eval_fftnet(scaled, x) == pytest.approx(lam * eval_fftnet(p, x))
+        x = rng.standard_normal((10, 2))
+        np.testing.assert_allclose(eval_fftnet_many(scaled, x), lam * eval_fftnet_many(p, x),
+                                   rtol=1e-6)
 
     def test_row_sign_flip_invariance(self, rng):
         # the gate set is closed under z -> -z, so negating a row of (W, V)
@@ -102,9 +100,9 @@ class TestFeedforward:
         v[1] *= -1.0
         a[1] *= -1.0
         q = FFTNetParams(p.I, p.H, w, v, a, ZRELU)
-        for _ in range(20):
-            x = rng.standard_normal(2)
-            assert eval_fftnet(q, x) == pytest.approx(eval_fftnet(p, x), abs=1e-12)
+        x = rng.standard_normal((20, 2))
+        np.testing.assert_allclose(eval_fftnet_many(q, x), eval_fftnet_many(p, x),
+                                   rtol=1e-6, atol=1e-12)
 
     def test_dimension_check(self, rng):
         p = _hand_fftnet()
@@ -117,7 +115,7 @@ def _unrolled_oracle(p: RFTNetParams, xs: np.ndarray) -> np.ndarray:
     r = p.r0.astype(np.float64)
     ys = []
     for t in range(xs.shape[0]):
-        u = kappa(xs[t], p.H) + 1j * r
+        u = kappa_many(xs[t : t + 1], p.H)[0] + 1j * r
         z = (p.W + 1j * p.V) @ u
         act = np.asarray(apply(p.activation, z))
         r = act.imag
@@ -129,7 +127,7 @@ class TestRecurrent:
     def test_zero_weights(self):
         p = RFTNetParams(1, 3, np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3),
                          ZRELU, np.zeros(3))
-        np.testing.assert_array_equal(eval_rftnet(p, np.ones((4, 1))), np.zeros(4))
+        np.testing.assert_array_equal(eval_rftnet_many(p, np.ones((1, 4, 1))), np.zeros((1, 4)))
 
     def test_single_step_equals_feedforward(self, rng):
         for _ in range(10):
@@ -138,9 +136,10 @@ class TestRecurrent:
             p = RFTNetParams(i, h, rng.standard_normal((h, h)),
                              rng.standard_normal((h, h)), rng.standard_normal(h),
                              ZRELU, np.zeros(h))
-            x = rng.standard_normal(i)
-            assert eval_rftnet(p, x[None, :])[0] == pytest.approx(
-                eval_fftnet(p.feedforward(), x), rel=1e-12)
+            f = FFTNetParams(i, h, p.W, p.V, p.alpha, p.activation)
+            x = rng.standard_normal((1, i))
+            assert eval_rftnet_many(p, x[None])[0, 0] == pytest.approx(
+                eval_fftnet_many(f, x)[0], rel=1e-12)
 
     def test_matches_unrolled_oracle(self, rng):
         for _ in range(10):
@@ -150,14 +149,21 @@ class TestRecurrent:
                              0.5 * rng.standard_normal((h, h)), rng.standard_normal(h),
                              ZRELU, 0.3 * rng.standard_normal(h))
             xs = rng.standard_normal((3, i))
-            np.testing.assert_allclose(eval_rftnet(p, xs), _unrolled_oracle(p, xs),
+            np.testing.assert_allclose(eval_rftnet_many(p, xs[None])[0], _unrolled_oracle(p, xs),
                                        rtol=1e-12, atol=1e-12)
 
     def test_trajectory_shapes(self, rng):
-        p = RFTNetParams(1, 2, rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
-                         rng.standard_normal(2), HOLSIN, np.zeros(2))
-        ys, stim, rec = eval_rftnet(p, rng.standard_normal((5, 1)), return_trajectory=True)
-        assert ys.shape == (5,) and stim.shape == (5, 2) and rec.shape == (5, 2)
+        p = RFTNetParams(1, 2, 0.3 * rng.standard_normal((2, 2)),
+                         0.3 * rng.standard_normal((2, 2)), rng.standard_normal(2), HOLSIN,
+                         np.zeros(2))
+        tape = Tape()
+        ys = eval_rftnet_many(p, rng.standard_normal((3, 5, 1)), tape=tape)
+        assert ys.shape == (3, 5) and tape.Z.shape == (5, 3, 2)
+        assert [a.shape for a in tape.acts] == [(3, 2)] * 5
+        # each step reads the receptor the step before it left
+        np.testing.assert_array_equal(tape.R[0], np.zeros((3, 2)))
+        for t in range(1, 5):
+            np.testing.assert_array_equal(tape.R[t], tape.acts[t - 1].imag)
 
     def test_batch_agrees_with_loop(self, rng):
         p = RFTNetParams(2, 4, 0.4 * rng.standard_normal((4, 4)),
@@ -166,17 +172,18 @@ class TestRecurrent:
         xs = rng.standard_normal((6, 4, 2))
         batched = eval_rftnet_many(p, xs)
         for b in range(6):
-            np.testing.assert_allclose(batched[b], eval_rftnet(p, xs[b]), rtol=1e-14)
+            np.testing.assert_allclose(batched[b], eval_rftnet_many(p, xs[b : b + 1])[0],
+                                       rtol=1e-14)
 
     def test_empty_sequence_rejected(self):
         p = RFTNetParams(1, 2, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2),
                          ZRELU, np.zeros(2))
         with pytest.raises(ContractViolationError):
-            eval_rftnet(p, np.zeros((0, 1)))
+            eval_rftnet_many(p, np.zeros((1, 0, 1)))
 
 
 def _additive_oracle(p: AdditiveFTNetParams, xs: np.ndarray) -> np.ndarray:
-    sigma1, sigma2 = additive_restrictions(p)
+    sigma1, sigma2 = additive_restrictions(p.base_activation, p.c)
     q = p.q0
     ys = []
     for t in range(xs.shape[0]):
@@ -191,17 +198,18 @@ class TestAdditive:
         h = 3
         p = AdditiveFTNetParams(2, h, np.zeros((h, 2)), np.zeros((h, h)), np.zeros(h),
                                 np.zeros(h), np.zeros(h), ZRELU, 1.0)
-        np.testing.assert_array_equal(eval_additive(p, np.ones((4, 2))), np.zeros(4))
+        np.testing.assert_array_equal(eval_additive_many(p, np.ones((1, 4, 2))),
+                                      np.zeros((1, 4)))
 
     def test_memoryless_when_feedback_zero(self, rng):
         h = 4
         p = AdditiveFTNetParams(2, h, rng.standard_normal((h, 2)), np.zeros((h, h)),
                                 rng.standard_normal(h), rng.standard_normal(h),
                                 rng.standard_normal(h), ZRELU, 1.0)
-        xs = rng.standard_normal((3, 2))
-        ys = eval_additive(p, xs)
-        shuffled = eval_additive(p, xs[::-1].copy())
-        np.testing.assert_allclose(ys, shuffled[::-1], rtol=1e-14)
+        xs = rng.standard_normal((1, 3, 2))
+        ys = eval_additive_many(p, xs)
+        shuffled = eval_additive_many(p, xs[:, ::-1].copy())
+        np.testing.assert_allclose(ys, shuffled[:, ::-1], rtol=1e-14)
 
     def test_matches_two_recurrence_oracle(self, rng):
         for _ in range(10):
@@ -213,40 +221,40 @@ class TestAdditive:
                                     0.3 * rng.standard_normal(h), ZRELU,
                                     float(rng.uniform(0.5, 1.5)))
             xs = rng.standard_normal((4, i))
-            np.testing.assert_allclose(eval_additive(p, xs), _additive_oracle(p, xs),
+            np.testing.assert_allclose(eval_additive_many(p, xs[None])[0], _additive_oracle(p, xs),
                                        rtol=1e-12, atol=1e-14)
 
 
 class TestBaselines:
     def test_fnn_identity(self):
         p = FNNParams(1, 1, [[1.0]], [0.0], [1.0], RELU)
-        assert eval_fnn(p, 0.5) == pytest.approx(0.5)
-        assert eval_fnn(p, -0.5) == 0.0
+        np.testing.assert_allclose(eval_fnn_many(p, [[0.5], [-0.5]]), [0.5, 0.0])
 
     def test_rnn_memory(self, rng):
         p = RNNParams(1, 2, rng.standard_normal((2, 1)), 0.4 * rng.standard_normal((2, 2)),
                       rng.standard_normal(2), rng.standard_normal(2),
                       rng.standard_normal(2), RELU)
         xs = rng.standard_normal((4, 1))
-        ys, ms = eval_rnn(p, xs, return_memory=True)
+        ys, ms = eval_rnn_many(p, xs[None], return_memory=True)
         m = p.m0
         for t in range(4):
             m = np.maximum(p.WR @ xs[t] + p.VR @ m + p.bR, 0.0)
-            np.testing.assert_allclose(ms[t], m, rtol=1e-14)
-            assert ys[t] == pytest.approx(p.alphaR @ m)
+            np.testing.assert_allclose(ms[0, t], m, rtol=1e-14)
+            assert ys[0, t] == pytest.approx(p.alphaR @ m)
 
     def test_crnet_hand_example(self):
         p = CRNetParams(2, 1, [[1.0 + 0.0j]], [0.0j], [1.0 + 0.0j], ZRELU)
         # tau((1, 1)) = 1 + 1i, gate passes, Re = 1
-        assert eval_crnet(p, [1.0, 1.0]) == pytest.approx(1.0)
+        assert eval_crnet_many(p, [[1.0, 1.0]])[0] == pytest.approx(1.0)
 
     def test_crnet_odd_input_rejected(self):
         with pytest.raises(ContractViolationError):
             CRNetParams(3, 1, [[1.0 + 0.0j]], [0.0j], [1.0 + 0.0j], ZRELU)
 
     def test_dods_input_passthrough(self, rng):
+        # h_t = x_t, y_t = f(x_t): a memoryless system
         f = lambda x: float(np.sum(x**2))
-        spec = dods_input_passthrough(f, I=3)
+        spec = DODSSpec(3, 3, np.zeros(3), phi=lambda x, h: x, psi=f)
         xs = rng.standard_normal((5, 3))
         ys = eval_dods(spec, xs)
         np.testing.assert_allclose(ys, [f(x) for x in xs])
@@ -263,9 +271,9 @@ class TestBaselines:
             assert ys[t] == pytest.approx(spec.psi(h))
 
     def test_dods_tanh_bounded(self, rng):
-        spec = dods_tanh_saturating(rng.standard_normal((2, 3)),
-                                    rng.standard_normal((2, 2)),
-                                    [1.0, 1.0], [0.0, 0.0])
+        P, Q = rng.standard_normal((2, 3)), rng.standard_normal((2, 2))
+        spec = DODSSpec(3, 2, np.zeros(2), phi=lambda x, h: np.tanh(P @ x + Q @ h),
+                        psi=lambda h: float(np.sum(h)))
         _, hs = eval_dods(spec, 5 * rng.standard_normal((6, 3)), return_hidden=True)
         assert np.max(np.abs(hs)) <= 1.0
 

@@ -114,8 +114,8 @@ class TestRecurrentGradient:
         xs = rng.standard_normal((3, 1, i))
         ys = rng.standard_normal((3, 1))
         g_r = grad_rftnet(p, SequenceDataset(xs, ys), squared_loss())
-        g_f = grad_fftnet(p.feedforward(), Dataset(xs[:, 0, :], ys[:, 0]),
-                          squared_loss())
+        f = FFTNetParams(i, h, p.W, p.V, p.alpha, p.activation)
+        g_f = grad_fftnet(f, Dataset(xs[:, 0, :], ys[:, 0]), squared_loss())
         np.testing.assert_allclose(g_r.dW, g_f.dW, rtol=1e-12)
         np.testing.assert_allclose(g_r.dV, g_f.dV, rtol=1e-12)
         np.testing.assert_allclose(g_r.dAlpha, g_f.dAlpha, rtol=1e-12)

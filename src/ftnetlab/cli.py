@@ -280,25 +280,23 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
         model_file, trace_file = "sin_fit_model.json", "sin_fit_trace.jsonl"
     tc = TrainConfig(step_size=cfg["step_size"], max_iters=cfg["iters"], target_loss=target_loss)
     # p0 is the last draw from rng, so redrawing it changes no run whose first draw steps
-    reasons = []  # why each rejected draw was rejected
     for draws in range(1, TRAIN_INIT_DRAWS + 1):
         try:
             trained, trace = train(draw_p0(), data, spec, tc)
         except NonFiniteInitialLossError as exc:
-            start_failure, reason = exc, "initial loss not finite"
+            reason, start_failure = "initial loss not finite", str(exc)
+            continue
         except RuntimeError as exc:  # the loss diverged
             return _fail(EXIT_PROPERTY_FAILURE, f"train {demo} failed: {exc}")
-        else:
-            if len(trace) > 1 or trace[0] <= target_loss:
-                break
-            reason = "no step lowered the initial loss"
-            start_failure = f"{reason} {trace[0]!r}"
-        reasons.append(reason)
+        if len(trace) > 1 or trace[0] <= target_loss:  # stepped, or started on target
+            break
+        reason = "no step lowered the initial loss"
+        start_failure = f"{reason} {trace[0]!r}"
     else:
         return _fail(EXIT_PROPERTY_FAILURE, f"train {demo} failed: {start_failure} "
                                             f"({TRAIN_INIT_DRAWS} draws of p0)")
-    if reasons:
-        print(f"note: {'; '.join(dict.fromkeys(reasons))}; drew p0 {draws} times")
+    if draws > 1:
+        print(f"note: {reason}; drew p0 {draws} times")
     final_mse = trace[-1] / samples
     save_model(out_dir / model_file, trained)
     with open(out_dir / trace_file, "w", encoding="utf-8") as fh:

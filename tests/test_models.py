@@ -102,7 +102,7 @@ class TestFeedforward:
         q = FFTNetParams(p.I, p.H, w, v, a, ZRELU)
         x = rng.standard_normal((20, 2))
         np.testing.assert_allclose(eval_fftnet_many(q, x), eval_fftnet_many(p, x),
-                                   rtol=1e-6, atol=1e-12)
+                                   rtol=0, atol=1e-12)
 
     def test_dimension_check(self, rng):
         p = _hand_fftnet()

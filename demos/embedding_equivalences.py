@@ -41,6 +41,6 @@ frozen = rnn_timepoint_to_fnn(rnn, prefix, t0=4)
 probe = rng.uniform(-1, 1, size=rnn.I)
 seq = prefix[:4].copy()
 seq[3] = probe
-rerun = eval_rnn_many(rnn, seq[None])[0, 3]
+rerun = eval_rnn_many(rnn, seq[None])[0][0, 3]
 print(f"Frozen time step t0=4: feedforward value {eval_fnn_many(frozen, probe[None])[0]:+.6f} "
       f"vs rerun {rerun:+.6f}")

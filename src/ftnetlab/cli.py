@@ -38,7 +38,6 @@ from .models import (
     save_model,
 )
 from .optimize import (
-    SequenceDataset,
     TrainConfig,
     descent_probe,
     random_fftnet,
@@ -110,7 +109,8 @@ CONFIG_TABLES = {
         "H": Key(int, PerDemo(sin_fit=32, dods_linear=16), 1),
         "iters": Key(int, PerDemo(sin_fit=50000, dods_linear=20000), 1),
         "step_size": Key(float, PerDemo(sin_fit=3e-3, dods_linear=1e-3), POSITIVE),
-        "init_scale": Key(float, PerDemo(sin_fit=0.3, dods_linear=0.2), 0, 1.0),
+        # at 0 every draw of p0 is the zero net, a stationary point of the loss
+        "init_scale": Key(float, PerDemo(sin_fit=0.3, dods_linear=0.2), POSITIVE, 1.0),
         "target_mse": Key(float, PerDemo(sin_fit=1e-3, dods_linear=1e-2), 0),
         "samples": Key(int, PerDemo(sin_fit=256), 1),
         "sequences": Key(int, PerDemo(dods_linear=48), 1),
@@ -266,18 +266,18 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
                                 Q=[[0.3, -0.2], [0.1, 0.4]],
                                 readout=[1.0, -0.7], h0=[0.0, 0.0])
         xs = rng.uniform(-1.0, 1.0, size=(n_seq, t_len, spec_dods.I))
-        ys = np.stack([eval_dods(spec_dods, xs[b]) for b in range(n_seq)])
-        data = SequenceDataset(xs, ys)
+        ys = np.stack([eval_dods(spec_dods, xs[b])[0] for b in range(n_seq)])
         draw_p0 = partial(random_rftnet, spec_dods.I, h, act, init_scale, rng)
         train, samples, target_loss = train_rftnet, n_seq * t_len, target_mse * n_seq * t_len
         model_file, trace_file = "dods_model.json", "dods_trace.jsonl"
     else:
         n = cfg["samples"]
         xs = np.linspace(-1.0, 1.0, n)[:, None]
-        data = Dataset(xs, np.sin(3.0 * xs[:, 0]))
+        ys = np.sin(3.0 * xs[:, 0])
         draw_p0 = partial(random_fftnet, 1, h, act, init_scale, rng)
         train, samples, target_loss = train_fftnet, n, target_mse * n
         model_file, trace_file = "sin_fit_model.json", "sin_fit_trace.jsonl"
+    data = Dataset(xs, ys)
     tc = TrainConfig(step_size=cfg["step_size"], max_iters=cfg["iters"], target_loss=target_loss)
     # p0 is the last draw from rng, so redrawing it changes no run whose first draw steps
     for draws in range(1, TRAIN_INIT_DRAWS + 1):

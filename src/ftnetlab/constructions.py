@@ -247,7 +247,7 @@ def rnn_timepoint_to_fnn(r: RNNParams, xs_prefix, t0: int) -> FNNParams:
     if t0 == 1:
         m_prev = r.m0
     else:
-        _, ms = eval_rnn_many(r, xs_prefix[None, : t0 - 1], return_memory=True)
+        _, ms = eval_rnn_many(r, xs_prefix[None, : t0 - 1])
         m_prev = ms[0, -1]
     return FNNParams(r.I, r.HR, r.WR, r.VR @ m_prev + r.bR, r.alphaR, r.activation)
 

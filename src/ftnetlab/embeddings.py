@@ -154,7 +154,7 @@ def _recurrent_gap(g, xs, src, mirrors=()) -> float:
 
 
 def _additive_gap(a, g, xs):
-    src, _, qs = models.eval_additive_many(a, xs, return_states=True)
+    src, _, qs = models.eval_additive_many(a, xs)
     # receptor mirrors (0; q_t; 0) at every step
     return _recurrent_gap(g, xs, src, [(slice(a.I, a.I + a.Hplus), qs)])
 
@@ -166,7 +166,7 @@ def _crnet_rftnet_gap(crn, g, xs):
 
 
 def _rnn_gap(r, g, xs):
-    src, ms = models.eval_rnn_many(r, xs, return_memory=True)
+    src, ms = models.eval_rnn_many(r, xs)
     return _recurrent_gap(g, xs, src, [(slice(r.I + r.HR, r.I + 2 * r.HR), ms)])
 
 
@@ -174,7 +174,7 @@ def assembly_structural_gap(s1, s2, readout, base, c, h0, xs) -> float:
     """Worst violation of the three exact chain claims plus state stacking."""
     traj = cons.dods_stage_trajectories(s1, s2, readout, base, c, h0, xs)
     addnet = cons.assemble_dods_additive(s1, s2, readout, base, c, h0)
-    _, ps, qs = models.eval_additive_many(addnet, np.asarray(xs)[None], return_states=True)
+    _, ps, qs = models.eval_additive_many(addnet, np.asarray(xs)[None])
     ps, qs = ps[0], qs[0]
     h1 = s1.hidden
     return _worst(

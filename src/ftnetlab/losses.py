@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError
-from .models import FFTNetParams, Tape, eval_fftnet_many
+from .models import FFTNetParams, RFTNetParams, Tape, forward
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,8 @@ def check_well_posed(spec: LossSpec, grid_max: float = 10.0,
 
 @dataclass(frozen=True)
 class Dataset:
-    """Regression samples; xs has shape (n, I), ys shape (n,)."""
+    """Regression targets: samples xs (n, I) with ys (n,) for the feedforward
+    net, or sequences xs (B, T, I) with ys (B, T) for the recurrent one."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -100,8 +101,8 @@ class Dataset:
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=np.float64)
         ys = np.asarray(self.ys, dtype=np.float64)
-        if xs.ndim != 2 or ys.ndim != 1 or xs.shape[0] != ys.shape[0]:
-            raise ContractViolationError("xs must be (n, I) and ys (n,)")
+        if xs.ndim not in (2, 3) or ys.shape != xs.shape[:-1]:
+            raise ContractViolationError("xs must be (n, I) and ys (n,), or (B, T, I) and (B, T)")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise ContractViolationError("dataset entries must be finite")
         object.__setattr__(self, "xs", xs)
@@ -112,15 +113,11 @@ class Dataset:
         return self.xs.shape[0]
 
 
-def empirical_loss(p: FFTNetParams, data: Dataset, spec: LossSpec,
+def empirical_loss(p: FFTNetParams | RFTNetParams, data: Dataset, spec: LossSpec,
                    tape: Tape | None = None) -> float:
-    """The summed loss.  ``tape`` records the forward pass for a gradient, or
-    supplies it when it already recorded these very arrays (``Tape.matches``)."""
-    if tape is not None and tape.matches(p, data.xs):
-        out = tape.out
-    else:
-        out = eval_fftnet_many(p, data.xs, tape=tape)
-    return float(np.sum(spec.value(out - data.ys)))
+    """The summed loss of either FTNet.  ``tape`` records the forward pass for a
+    gradient, or supplies it when it already recorded these very arrays."""
+    return float(np.sum(spec.value(forward(p, data.xs, tape).out - data.ys)))
 
 
 # the keys each loss takes beside "loss"; a, b and c default to 1

@@ -232,14 +232,14 @@ def dods_linear(P, Q, readout, h0) -> DODSSpec:
 # ---------------------------------------------------------------------------
 
 def kappa_many(X: np.ndarray, H: int) -> np.ndarray:
-    """Lift each row x in R^I to (x; 0; ...; 0; 1) in R^H: (N, I) -> (N, H)."""
+    """Lift each row x in R^I to (x; 0; ...; 0; 1) in R^H: (..., I) -> (..., H)."""
     X = np.asarray(X, dtype=np.float64)
-    n, i = X.shape
+    i = X.shape[-1]
     if H < i + 1:
         raise ContractViolationError(f"kappa needs H >= I+1 ({H} < {i + 1})")
-    out = np.zeros((n, H))
-    out[:, :i] = X
-    out[:, -1] = 1.0
+    out = np.zeros((*X.shape[:-1], H))
+    out[..., :i] = X
+    out[..., -1] = 1.0
     return out
 
 
@@ -247,11 +247,12 @@ class Tape:
     """The intermediates of one FTNet forward pass, kept for its gradient.
 
     Pass an empty Tape as ``tape=`` to :func:`eval_fftnet_many` or
-    :func:`eval_rftnet_many`.  It then holds the outputs ``out``, the padded
-    inputs ``K``, the pre-activations ``Z`` and the activations ``acts``:
-    one (N, H) array each for the feedforward net.  For the recurrent net,
-    ``K``, ``acts`` and ``R`` (the receptor each step read) are lists of T
-    arrays of shape (B, H), and ``Z`` is stacked as (T, B, H).
+    :func:`eval_rftnet_many`, or let :func:`forward` pick the evaluator.  It
+    then holds the outputs ``out``, the padded inputs ``K``, the
+    pre-activations ``Z`` and the activations ``acts``: one (N, H) array each
+    for the feedforward net.  For the recurrent net, ``K`` and ``Z`` are
+    stacked as (T, B, H), and ``acts`` and ``R`` (the receptor each step
+    read) are lists of T arrays of shape (B, H).
     """
 
     __slots__ = ("source", "out", "K", "Z", "acts", "R")
@@ -302,15 +303,15 @@ def eval_rftnet_many(p: RFTNetParams, XS: np.ndarray, tape: Tape | None = None):
         raise ContractViolationError("need at least one time step")
     r = np.broadcast_to(p.r0, (b, p.H)).copy()
     ys = np.zeros((b, t_len))
-    ks, rs, acts = [], [], []
+    rs, acts = [], []
+    # time-major, so each ks[t] is a contiguous (B, H) block
+    ks = kappa_many(XS.transpose(1, 0, 2), p.H)
     zs = np.empty((t_len, b, p.H), dtype=np.complex128)
     for t in range(t_len):
-        k = kappa_many(XS[:, t, :], p.H)
         pre = zs[t]
-        pre.real = k @ p.W.T - r @ p.V.T
-        pre.imag = k @ p.V.T + r @ p.W.T
+        pre.real = ks[t] @ p.W.T - r @ p.V.T
+        pre.imag = ks[t] @ p.V.T + r @ p.W.T
         act = np.asarray(apply(p.activation, pre))
-        ks.append(k)
         rs.append(r)
         acts.append(act)
         s, r = act.real, act.imag
@@ -318,6 +319,18 @@ def eval_rftnet_many(p: RFTNetParams, XS: np.ndarray, tape: Tape | None = None):
     if tape is not None:
         tape.record(p, XS, ys, ks, zs, acts, rs)
     return ys
+
+
+def forward(p: FFTNetParams | RFTNetParams, X: np.ndarray, tape: Tape | None = None) -> Tape:
+    """``tape`` when it recorded the pass of either FTNet p on X (``Tape.matches``);
+    otherwise that pass, recorded into ``tape`` or into a new Tape."""
+    if tape is not None and tape.matches(p, X):
+        return tape
+    tape = Tape() if tape is None else tape
+    # looked up at call time, so a patched evaluator is the one that runs
+    evaluate = eval_rftnet_many if isinstance(p, RFTNetParams) else eval_fftnet_many
+    evaluate(p, X, tape=tape)
+    return tape
 
 
 def additive_restrictions(base_activation: ActivationKind, c: float):
@@ -331,9 +344,9 @@ def additive_restrictions(base_activation: ActivationKind, c: float):
     return sigma1, sigma2
 
 
-def eval_additive_many(p: AdditiveFTNetParams, XS: np.ndarray,
-                       return_states: bool = False):
-    """Batch of sequences (B, T, I) -> outputs (B, T); optionally (p_t, q_t) stacks."""
+def eval_additive_many(p: AdditiveFTNetParams, XS: np.ndarray):
+    """Batch of sequences (B, T, I) -> outputs (B, T) and the (p_t, q_t)
+    stacks, each (B, T, Hplus)."""
     XS = np.asarray(XS, dtype=np.float64)
     if XS.ndim != 3 or XS.shape[2] != p.I:
         raise ContractViolationError(f"expected sequences of shape (B, T, {p.I})")
@@ -341,19 +354,16 @@ def eval_additive_many(p: AdditiveFTNetParams, XS: np.ndarray,
     b, t_len, _ = XS.shape
     q = np.broadcast_to(p.q0, (b, p.Hplus)).copy()
     ys = np.zeros((b, t_len))
-    ps = np.zeros((b, t_len, p.Hplus)) if return_states else None
-    qs = np.zeros((b, t_len, p.Hplus)) if return_states else None
+    ps = np.zeros((b, t_len, p.Hplus))
+    qs = np.zeros((b, t_len, p.Hplus))
     for t in range(t_len):
         u = XS[:, t, :] @ p.A.T + q @ p.B.T - p.zeta
         pt = sigma1(u)
         q = sigma2(u)
         ys[:, t] = pt @ p.alphaplus
-        if return_states:
-            ps[:, t, :] = pt
-            qs[:, t, :] = q
-    if return_states:
-        return ys, ps, qs
-    return ys
+        ps[:, t, :] = pt
+        qs[:, t, :] = q
+    return ys, ps, qs
 
 
 def eval_fnn_many(p: FNNParams, X: np.ndarray) -> np.ndarray:
@@ -363,22 +373,20 @@ def eval_fnn_many(p: FNNParams, X: np.ndarray) -> np.ndarray:
     return apply_real(p.activation, X @ p.WF.T + p.bF) @ p.alphaF
 
 
-def eval_rnn_many(p: RNNParams, XS: np.ndarray, return_memory: bool = False):
+def eval_rnn_many(p: RNNParams, XS: np.ndarray):
+    """Batch of sequences (B, T, I) -> outputs (B, T) and memories (B, T, HR)."""
     XS = np.asarray(XS, dtype=np.float64)
     if XS.ndim != 3 or XS.shape[2] != p.I:
         raise ContractViolationError(f"expected sequences of shape (B, T, {p.I})")
     b, t_len, _ = XS.shape
     m = np.broadcast_to(p.m0, (b, p.HR)).copy()
     ys = np.zeros((b, t_len))
-    ms = np.zeros((b, t_len, p.HR)) if return_memory else None
+    ms = np.zeros((b, t_len, p.HR))
     for t in range(t_len):
         m = apply_real(p.activation, XS[:, t, :] @ p.WR.T + m @ p.VR.T + p.bR)
         ys[:, t] = m @ p.alphaR
-        if return_memory:
-            ms[:, t, :] = m
-    if return_memory:
-        return ys, ms
-    return ys
+        ms[:, t, :] = m
+    return ys, ms
 
 
 def eval_crnet_many(p: CRNetParams, X: np.ndarray) -> np.ndarray:
@@ -392,21 +400,19 @@ def eval_crnet_many(p: CRNetParams, X: np.ndarray) -> np.ndarray:
     return (act @ p.alphaC).real
 
 
-def eval_dods(spec: DODSSpec, xs, return_hidden: bool = False):
+def eval_dods(spec: DODSSpec, xs):
+    """One sequence (T, I) -> outputs (T,) and hidden states (T, HD)."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != spec.I:
         raise ContractViolationError(f"expected a sequence of shape (T, {spec.I})")
     h = spec.h0
     ys = np.zeros(xs.shape[0])
-    hs = np.zeros((xs.shape[0], spec.HD)) if return_hidden else None
+    hs = np.zeros((xs.shape[0], spec.HD))
     for t in range(xs.shape[0]):
         h = np.asarray(spec.phi(xs[t], h), dtype=np.float64)
         ys[t] = spec.psi(h)
-        if return_hidden:
-            hs[t] = h
-    if return_hidden:
-        return ys, hs
-    return ys
+        hs[t] = h
+    return ys, hs
 
 
 # ---------------------------------------------------------------------------

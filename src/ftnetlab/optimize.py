@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -15,13 +15,7 @@ import numpy as np
 from .activations import ActivationKind, apply, jacobian_parts
 from .errors import ContractViolationError, NonFiniteInitialLossError
 from .losses import Dataset, LossSpec, empirical_loss
-from .models import (
-    FFTNetParams,
-    RFTNetParams,
-    Tape,
-    eval_fftnet_many,
-    eval_rftnet_many,
-)
+from .models import FFTNetParams, RFTNetParams, Tape, forward
 from .numerics import null_vector_against, numerical_rank
 
 
@@ -52,40 +46,16 @@ class TrainConfig:
             raise ContractViolationError("step_size must be positive")
 
 
-@dataclass(frozen=True)
-class SequenceDataset:
-    """Batched sequence regression targets; xs (B, T, I), ys (B, T)."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=np.float64)
-        ys = np.asarray(self.ys, dtype=np.float64)
-        if xs.ndim != 3 or ys.ndim != 2 or xs.shape[:2] != ys.shape:
-            raise ContractViolationError("xs must be (B, T, I) and ys (B, T)")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-
-
 # ---------------------------------------------------------------------------
 # analytic gradients
 # ---------------------------------------------------------------------------
-
-def _taped(evaluate, p, xs, tape: Tape | None) -> Tape:
-    """``tape`` when it recorded p on xs, else a fresh tape of that pass."""
-    if tape is None or not tape.matches(p, xs):
-        tape = Tape()
-        evaluate(p, xs, tape=tape)
-    return tape
-
 
 def grad_fftnet(p: FFTNetParams, data: Dataset, spec: LossSpec,
                 tape: Tape | None = None) -> GradientBundle:
     """d/d(W, V, alpha) of the summed loss, real and imaginary parts as
     independent real coordinates.  Reuses ``tape`` when it recorded the
     forward pass of these very arrays, and runs that pass otherwise."""
-    tape = _taped(eval_fftnet_many, p, data.xs, tape)
+    tape = forward(p, data.xs, tape)
     k, s = tape.K, tape.acts.real
     lp = spec.deriv(tape.out - data.ys)
     j11, j12, _, _ = jacobian_parts(p.activation, tape.Z)
@@ -94,11 +64,11 @@ def grad_fftnet(p: FFTNetParams, data: Dataset, spec: LossSpec,
                           dAlpha=s.T @ lp)
 
 
-def grad_rftnet(p: RFTNetParams, data: SequenceDataset, spec: LossSpec,
+def grad_rftnet(p: RFTNetParams, data: Dataset, spec: LossSpec,
                 tape: Tape | None = None) -> GradientBundle:
     """Reverse-mode gradient through the unrolled recurrence (r0 kept fixed),
     reading the forward pass from ``tape`` as :func:`grad_fftnet` does."""
-    tape = _taped(eval_rftnet_many, p, data.xs, tape)
+    tape = forward(p, data.xs, tape)
     lp = spec.deriv(tape.out - data.ys)
     j11, j12, j21, j22 = jacobian_parts(p.activation, tape.Z)
 
@@ -119,52 +89,28 @@ def grad_rftnet(p: RFTNetParams, data: SequenceDataset, spec: LossSpec,
     return GradientBundle(dW=dw, dV=dv, dAlpha=da)
 
 
-def _rftnet_loss(p: RFTNetParams, data: SequenceDataset, spec: LossSpec,
-                 tape: Tape | None = None) -> float:
-    return float(np.sum(spec.value(eval_rftnet_many(p, data.xs, tape=tape) - data.ys)))
-
-
-def finite_diff_grad(p: FFTNetParams, data: Dataset, spec: LossSpec,
+def finite_diff_grad(p: FFTNetParams | RFTNetParams, data: Dataset, spec: LossSpec,
                      step: float = 1e-5) -> GradientBundle:
-    """Central differences per real coordinate; the oracle for grad_fftnet."""
-    def loss_of(w, v, a):
-        return empirical_loss(FFTNetParams(p.I, p.H, w, v, a, p.activation),
-                              data, spec)
-
-    return _central_differences(p.W, p.V, p.alpha, loss_of, step)
-
-
-def finite_diff_grad_rftnet(p: RFTNetParams, data: SequenceDataset, spec: LossSpec,
-                            step: float = 1e-5) -> GradientBundle:
-    def loss_of(w, v, a):
-        return _rftnet_loss(RFTNetParams(p.I, p.H, w, v, a, p.activation, p.r0),
-                            data, spec)
-
-    return _central_differences(p.W, p.V, p.alpha, loss_of, step)
-
-
-def _central_differences(w0, v0, a0, loss_of, step):
+    """Central differences per real coordinate of either FTNet; the oracle for
+    grad_fftnet and grad_rftnet."""
     if not 1e-7 <= step <= 1e-3:
         raise ContractViolationError("step must lie in [1e-7, 1e-3]")
+    w, v, a = p.W.copy(), p.V.copy(), p.alpha.copy()
 
-    def diff_array(arr, rebuild):
+    def diff_array(arr):
         g = np.zeros_like(arr)
         flat = arr.ravel()
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + step
-            hi = loss_of(*rebuild())
+            hi = empirical_loss(replace(p, W=w, V=v, alpha=a), data, spec)
             flat[idx] = orig - step
-            lo = loss_of(*rebuild())
+            lo = empirical_loss(replace(p, W=w, V=v, alpha=a), data, spec)
             flat[idx] = orig
             g.ravel()[idx] = (hi - lo) / (2 * step)
         return g
 
-    w, v, a = w0.copy(), v0.copy(), a0.copy()
-    dw = diff_array(w, lambda: (w, v, a))
-    dv = diff_array(v, lambda: (w, v, a))
-    da = diff_array(a, lambda: (w, v, a))
-    return GradientBundle(dW=dw, dV=dv, dAlpha=da)
+    return GradientBundle(dW=diff_array(w), dV=diff_array(v), dAlpha=diff_array(a))
 
 
 def gradient_relative_error(g1: GradientBundle, g2: GradientBundle) -> float:
@@ -191,15 +137,17 @@ def random_rftnet(I: int, H: int, activation: ActivationKind, scale: float,
     return RFTNetParams(I, H, f.W, f.V, f.alpha, activation, np.zeros(H))
 
 
-def _descend(params, loss_of, grad_of, rebuild, cfg: TrainConfig):
-    """Shared GD loop: accepted steps never increase the loss.
+def _descend(p0, loss_of, grad_of, cfg: TrainConfig):
+    """Shared GD loop over (W, V, alpha) of either FTNet: accepted steps never
+    increase the loss.  ``loss_of`` and ``grad_of`` take a params object; each
+    candidate is ``p0``'s kind with the stepped arrays.
 
     Overshooting candidates may overflow to inf/nan; they are rejected by
     the finiteness check, so IEEE overflow is silenced within this loop.
     """
-    w, v, a = (params.W.copy(), params.V.copy(), params.alpha.copy())
+    p = p0
     with np.errstate(over="ignore", invalid="ignore"):
-        cur = loss_of(w, v, a)
+        cur = loss_of(p)
         if not math.isfinite(cur):
             raise NonFiniteInitialLossError(f"initial loss is not finite: {cur}")
         trace = [cur]
@@ -207,25 +155,22 @@ def _descend(params, loss_of, grad_of, rebuild, cfg: TrainConfig):
         for _ in range(cfg.max_iters):
             if cur <= cfg.target_loss:
                 break
-            g = grad_of(w, v, a)
-            accepted = False
+            g = grad_of(p)
             for _ in range(31):
-                wn = w - step * g.dW
-                vn = v - step * g.dV
-                an = a - step * g.dAlpha
-                cand = loss_of(wn, vn, an)
-                if math.isfinite(cand) and cand < cur:
-                    accepted = True
+                cand = replace(p, W=p.W - step * g.dW, V=p.V - step * g.dV,
+                               alpha=p.alpha - step * g.dAlpha)
+                cand_loss = loss_of(cand)
+                if math.isfinite(cand_loss) and cand_loss < cur:
                     break
                 step *= 0.5
-            if not accepted:
+            else:
                 break  # no descent step at any scale; stationary for our purposes
-            w, v, a, cur = wn, vn, an, cand
+            p, cur = cand, cand_loss
             trace.append(cur)
             step *= 2.0
     if not math.isfinite(cur):
         raise RuntimeError(f"loss diverged to {cur}")
-    return rebuild(w, v, a), trace
+    return p, trace
 
 
 def train_fftnet(p0: FFTNetParams, data: Dataset, spec: LossSpec,
@@ -236,35 +181,17 @@ def train_fftnet(p0: FFTNetParams, data: Dataset, spec: LossSpec,
     gradient at an accepted step reuses that step's pass.
     """
     tape = Tape()
-
-    def mk(w, v, a):
-        return FFTNetParams(p0.I, p0.H, w, v, a, p0.activation)
-
-    return _descend(
-        p0,
-        loss_of=lambda w, v, a: empirical_loss(mk(w, v, a), data, spec, tape),
-        grad_of=lambda w, v, a: grad_fftnet(mk(w, v, a), data, spec, tape),
-        rebuild=mk,
-        cfg=cfg,
-    )
+    return _descend(p0, loss_of=lambda p: empirical_loss(p, data, spec, tape),
+                    grad_of=lambda p: grad_fftnet(p, data, spec, tape), cfg=cfg)
 
 
-def train_rftnet(p0: RFTNetParams, data: SequenceDataset, spec: LossSpec,
+def train_rftnet(p0: RFTNetParams, data: Dataset, spec: LossSpec,
                  cfg: TrainConfig):
     """Backpropagation through time on the unrolled recurrence, sharing one
     tape between loss and gradient as :func:`train_fftnet` does."""
     tape = Tape()
-
-    def mk(w, v, a):
-        return RFTNetParams(p0.I, p0.H, w, v, a, p0.activation, p0.r0)
-
-    return _descend(
-        p0,
-        loss_of=lambda w, v, a: _rftnet_loss(mk(w, v, a), data, spec, tape),
-        grad_of=lambda w, v, a: grad_rftnet(mk(w, v, a), data, spec, tape),
-        rebuild=mk,
-        cfg=cfg,
-    )
+    return _descend(p0, loss_of=lambda p: empirical_loss(p, data, spec, tape),
+                    grad_of=lambda p: grad_rftnet(p, data, spec, tape), cfg=cfg)
 
 
 # ---------------------------------------------------------------------------

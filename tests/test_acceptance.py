@@ -45,11 +45,9 @@ from ftnetlab.models import (
     param_count,
 )
 from ftnetlab.optimize import (
-    SequenceDataset,
     TrainConfig,
     descent_probe,
     finite_diff_grad,
-    finite_diff_grad_rftnet,
     grad_fftnet,
     grad_rftnet,
     gradient_relative_error,
@@ -136,7 +134,7 @@ def test_criterion_3_structural_trajectory_claims():
         a = random_additive(rng)
         g = additive_to_rftnet(a)
         xs = rng.uniform(-1, 1, size=(4, int(rng.integers(2, 11)), a.I))
-        _, _, qs = eval_additive_many(a, xs, return_states=True)
+        _, _, qs = eval_additive_many(a, xs)
         _, rec = outputs_and_receptors(g, xs)
         worst_receptor = max(worst_receptor,
                              float(np.max(np.abs(rec[:, :, a.I:a.I + a.Hplus] - qs))),
@@ -149,7 +147,7 @@ def test_criterion_3_structural_trajectory_claims():
         r = random_relu_rnn(rng)
         g = rnn_to_rftnet(r)
         xs = rng.uniform(-1, 1, size=(4, int(rng.integers(2, 11)), r.I))
-        _, ms = eval_rnn_many(r, xs, return_memory=True)
+        _, ms = eval_rnn_many(r, xs)
         _, rec = outputs_and_receptors(g, xs)
         b3 = slice(r.I + r.HR, r.I + 2 * r.HR)
         worst_memory = max(worst_memory,
@@ -190,10 +188,10 @@ def test_criterion_4_gradient_correctness():
         p = random_rftnet(i, h, act, 0.3, rng)
         xs = rng.uniform(-1, 1, (b, t_len, i))
         p = tame_rftnet(p, xs)
-        data = SequenceDataset(xs, rng.standard_normal((b, t_len)))
+        data = Dataset(xs, rng.standard_normal((b, t_len)))
         worst_rec = max(worst_rec, gradient_relative_error(
             grad_rftnet(p, data, squared_loss()),
-            finite_diff_grad_rftnet(p, data, squared_loss())))
+            finite_diff_grad(p, data, squared_loss())))
     assert worst_rec <= 1e-4
     elapsed = time.time() - start
     assert elapsed < 60.0
@@ -255,8 +253,8 @@ def test_criterion_7_dods_demo():
     assert h <= 48
     rng = np.random.default_rng(0)
     xs = rng.uniform(-1, 1, size=(n_seq, t_len, dods.I))
-    ys = np.stack([eval_dods(dods, xs[b]) for b in range(n_seq)])
-    data = SequenceDataset(xs, ys)
+    ys = np.stack([eval_dods(dods, xs[b])[0] for b in range(n_seq)])
+    data = Dataset(xs, ys)
     p0 = random_rftnet(dods.I, h, HOLSIN, 0.2, rng)
     cfg = TrainConfig(step_size=1e-3, max_iters=20_000, target_loss=1e-2 * n_seq * t_len)
     trained, trace = train_rftnet(p0, data, squared_loss(), cfg)

@@ -10,7 +10,7 @@ import pytest
 
 import ftnetlab.cli as cli
 import ftnetlab.losses as losses
-import ftnetlab.optimize as optimize
+import ftnetlab.models as models
 from conftest import sample_models
 from ftnetlab.activations import HOLSIN, RELU
 from ftnetlab.constructions import EMBEDDING_CSV_HEADER
@@ -464,8 +464,7 @@ class TestProbe:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        for module in (losses, optimize):
-            counting(module, "eval_fftnet_many")
+        counting(models, "eval_fftnet_many")
         counting(losses, "check_well_posed")
         cfg = _write_config(tmp_path, "p.json", {"n": 3, "I": 4, "instances": 6, "seed": 2})
         assert cli.main(["probe", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -630,6 +629,8 @@ class TestConfigValidation:
         ("verify", {"csv_name": "a\0.csv"}, "csv_name: expected a string"),
         ("train", {"activation": "bogus"}, "activation: expected one of zrelu, "),
         ("probe", {"activation": "zrelu"}, "activation: expected one of holexpm1, holsin, "),
+        # every draw would be the zero net, a stationary point no step leaves
+        ("train", {"init_scale": 0.0}, "init_scale: expected a value >= 5e-324, got 0.0"),
     ])
     def test_rejected_before_any_work(self, tmp_path, rng, capsys, command, extra, message):
         cfg = {**_COMMAND_BASES[command], **extra}

@@ -113,7 +113,7 @@ class TestAdditiveEmbedding:
             g = additive_to_rftnet(a)
             assert g.H == a.I + a.Hplus + 1
             xs = rng.uniform(-1, 1, size=(10, 5, a.I))
-            src, _, qs = eval_additive_many(a, xs, return_states=True)
+            src, _, qs = eval_additive_many(a, xs)
             tgt, rec = outputs_and_receptors(g, xs)
             worst = max(worst, relative_gap(tgt, src),
                         float(np.max(np.abs(rec[:, :, a.I:a.I + a.Hplus] - qs))),
@@ -128,7 +128,7 @@ class TestAdditiveEmbedding:
                                 np.zeros(h), ZRELU, 1.0)
         g = additive_to_rftnet(a)
         xs = rng.standard_normal((1, 3, i))
-        src = eval_additive_many(a, xs)
+        src = eval_additive_many(a, xs)[0]
         tgt, rec = outputs_and_receptors(g, xs)
         np.testing.assert_allclose(tgt, src, rtol=1e-12)
         for t in range(3):
@@ -216,7 +216,7 @@ class TestRnnEmbedding:
             g = rnn_to_rftnet(r)
             assert g.H == 2 * r.HR + r.I + 1
             xs = rng.uniform(-1, 1, size=(8, 10, r.I))
-            src, ms = eval_rnn_many(r, xs, return_memory=True)
+            src, ms = eval_rnn_many(r, xs)
             tgt, rec = outputs_and_receptors(g, xs)
             b3 = slice(r.I + r.HR, r.I + 2 * r.HR)
             worst = max(worst, relative_gap(tgt, src),
@@ -268,7 +268,7 @@ class TestRnnTimepoint:
             probe = rng.uniform(-1, 1, size=r.I)
             seq = prefix[:t0].copy()
             seq[t0 - 1] = probe
-            rerun = eval_rnn_many(r, seq[None])[0, t0 - 1]
+            rerun = eval_rnn_many(r, seq[None])[0][0, t0 - 1]
             frozen = eval_fnn_many(f, probe[None])[0]
             worst = max(worst, abs(frozen - rerun) / (1.0 + abs(rerun)))
         assert worst <= EXACT
@@ -336,7 +336,7 @@ class TestDodsAssembly:
         readout = ReadoutStage(zeros(2, i), zeros(2, 3), zeros(2), zeros(2))
         addnet = assemble_dods_additive(s1, s2, readout, ZRELU, 0.0, np.zeros(hd))
         xs = rng.uniform(-1, 1, size=(1, 4, i))
-        ys, ps, qs = eval_additive_many(addnet, xs, return_states=True)
+        ys, ps, qs = eval_additive_many(addnet, xs)
         np.testing.assert_array_equal(ys, np.zeros((1, 4)))
         np.testing.assert_array_equal(ps, np.zeros_like(ps))
         np.testing.assert_array_equal(qs, np.zeros_like(qs))
@@ -353,7 +353,7 @@ class TestDodsAssembly:
         readout = ReadoutStage(zeros(2, i), zeros(2, 2), zeros(2), zeros(2))
         addnet = assemble_dods_additive(s1, s2, readout, ZRELU, 1.0, np.zeros(hd))
         xs = rng.uniform(-1, 1, size=(1, 4, i))
-        ys, _, qs = eval_additive_many(addnet, xs, return_states=True)
+        ys, _, qs = eval_additive_many(addnet, xs)
         np.testing.assert_array_equal(ys, np.zeros((1, 4)))
         np.testing.assert_array_equal(qs, np.zeros_like(qs))
 

@@ -142,14 +142,21 @@ class TestEmpiricalLoss:
 
 class TestDataset:
     def test_shape_validation(self):
-        with pytest.raises(ContractViolationError):
-            Dataset(np.zeros(3), np.zeros(3))
-        with pytest.raises(ContractViolationError):
-            Dataset(np.zeros((3, 2)), np.zeros(4))
+        # samples (n, I) with ys (n,), or sequences (B, T, I) with ys (B, T)
+        for xs, ys in ((np.zeros(3), np.zeros(3)), (np.zeros((3, 2)), np.zeros(4)),
+                       (np.zeros((3, 2)), np.zeros((3, 1))), (np.zeros((2, 4, 3)), np.zeros(2)),
+                       (np.zeros((2, 4, 3)), np.zeros((2, 3))),
+                       (np.zeros((2, 4, 3, 1)), np.zeros((2, 4, 3)))):
+            with pytest.raises(ContractViolationError):
+                Dataset(xs, ys)
+        assert Dataset(np.zeros((2, 4, 3)), np.zeros((2, 4))).xs.shape == (2, 4, 3)
 
     def test_finite_validation(self):
-        with pytest.raises(ContractViolationError):
-            Dataset(np.array([[np.nan, 0.0]]), np.zeros(1))
+        for xs, ys in ((np.array([[np.nan, 0.0]]), np.zeros(1)),
+                       (np.full((2, 4, 3), np.inf), np.zeros((2, 4))),
+                       (np.zeros((2, 4, 3)), np.full((2, 4), np.nan))):
+            with pytest.raises(ContractViolationError):
+                Dataset(xs, ys)
 
 
 def test_loss_config_parsing():

@@ -198,7 +198,7 @@ class TestAdditive:
         h = 3
         p = AdditiveFTNetParams(2, h, np.zeros((h, 2)), np.zeros((h, h)), np.zeros(h),
                                 np.zeros(h), np.zeros(h), ZRELU, 1.0)
-        np.testing.assert_array_equal(eval_additive_many(p, np.ones((1, 4, 2))),
+        np.testing.assert_array_equal(eval_additive_many(p, np.ones((1, 4, 2)))[0],
                                       np.zeros((1, 4)))
 
     def test_memoryless_when_feedback_zero(self, rng):
@@ -207,8 +207,8 @@ class TestAdditive:
                                 rng.standard_normal(h), rng.standard_normal(h),
                                 rng.standard_normal(h), ZRELU, 1.0)
         xs = rng.standard_normal((1, 3, 2))
-        ys = eval_additive_many(p, xs)
-        shuffled = eval_additive_many(p, xs[:, ::-1].copy())
+        ys = eval_additive_many(p, xs)[0]
+        shuffled = eval_additive_many(p, xs[:, ::-1].copy())[0]
         np.testing.assert_allclose(ys, shuffled[:, ::-1], rtol=1e-14)
 
     def test_matches_two_recurrence_oracle(self, rng):
@@ -221,8 +221,8 @@ class TestAdditive:
                                     0.3 * rng.standard_normal(h), ZRELU,
                                     float(rng.uniform(0.5, 1.5)))
             xs = rng.standard_normal((4, i))
-            np.testing.assert_allclose(eval_additive_many(p, xs[None])[0], _additive_oracle(p, xs),
-                                       rtol=1e-12, atol=1e-14)
+            ys = eval_additive_many(p, xs[None])[0]
+            np.testing.assert_allclose(ys[0], _additive_oracle(p, xs), rtol=1e-12, atol=1e-14)
 
 
 class TestBaselines:
@@ -235,7 +235,7 @@ class TestBaselines:
                       rng.standard_normal(2), rng.standard_normal(2),
                       rng.standard_normal(2), RELU)
         xs = rng.standard_normal((4, 1))
-        ys, ms = eval_rnn_many(p, xs[None], return_memory=True)
+        ys, ms = eval_rnn_many(p, xs[None])
         m = p.m0
         for t in range(4):
             m = np.maximum(p.WR @ xs[t] + p.VR @ m + p.bR, 0.0)
@@ -256,14 +256,14 @@ class TestBaselines:
         f = lambda x: float(np.sum(x**2))
         spec = DODSSpec(3, 3, np.zeros(3), phi=lambda x, h: x, psi=f)
         xs = rng.standard_normal((5, 3))
-        ys = eval_dods(spec, xs)
+        ys = eval_dods(spec, xs)[0]
         np.testing.assert_allclose(ys, [f(x) for x in xs])
 
     def test_dods_linear(self, rng):
         spec = dods_linear([[0.5, 0.1], [0.0, 0.3]], [[0.2, 0.0], [0.1, 0.1]],
                            [1.0, -1.0], [0.1, -0.2])
         xs = rng.standard_normal((4, 2))
-        ys, hs = eval_dods(spec, xs, return_hidden=True)
+        ys, hs = eval_dods(spec, xs)
         h = np.array([0.1, -0.2])
         for t in range(4):
             h = spec.phi(xs[t], h)
@@ -274,7 +274,7 @@ class TestBaselines:
         P, Q = rng.standard_normal((2, 3)), rng.standard_normal((2, 2))
         spec = DODSSpec(3, 2, np.zeros(2), phi=lambda x, h: np.tanh(P @ x + Q @ h),
                         psi=lambda h: float(np.sum(h)))
-        _, hs = eval_dods(spec, 5 * rng.standard_normal((6, 3)), return_hidden=True)
+        _, hs = eval_dods(spec, 5 * rng.standard_normal((6, 3)))
         assert np.max(np.abs(hs)) <= 1.0
 
 

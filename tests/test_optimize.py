@@ -10,16 +10,14 @@ from ftnetlab.activations import HOLEXPM1, HOLSIN, ZRELU, apply, modrelu
 from ftnetlab.errors import ContractViolationError
 from ftnetlab.losses import Dataset, empirical_loss, param_cosh_loss, squared_loss
 from ftnetlab.models import FFTNetParams, RFTNetParams, Tape, eval_fftnet_many, kappa_many
-import ftnetlab.losses as losses
+import ftnetlab.models as models
 import ftnetlab.optimize as optimize
 from ftnetlab.optimize import (
     GradientBundle,
     ProbeResult,
-    SequenceDataset,
     TrainConfig,
     descent_probe,
     finite_diff_grad,
-    finite_diff_grad_rftnet,
     grad_fftnet,
     grad_rftnet,
     gradient_relative_error,
@@ -102,10 +100,10 @@ class TestRecurrentGradient:
             p = random_rftnet(i, h, act, 0.3, rng)
             xs = rng.uniform(-1, 1, (b, t_len, i))
             p = tame_rftnet(p, xs)
-            data = SequenceDataset(xs, rng.standard_normal((b, t_len)))
+            data = Dataset(xs, rng.standard_normal((b, t_len)))
             worst = max(worst, gradient_relative_error(
                 grad_rftnet(p, data, squared_loss()),
-                finite_diff_grad_rftnet(p, data, squared_loss())))
+                finite_diff_grad(p, data, squared_loss())))
         assert worst <= 1e-4
 
     def test_single_step_agrees_with_feedforward(self, rng):
@@ -113,7 +111,7 @@ class TestRecurrentGradient:
         p = random_rftnet(i, h, HOLEXPM1, 0.3, rng)
         xs = rng.standard_normal((3, 1, i))
         ys = rng.standard_normal((3, 1))
-        g_r = grad_rftnet(p, SequenceDataset(xs, ys), squared_loss())
+        g_r = grad_rftnet(p, Dataset(xs, ys), squared_loss())
         f = FFTNetParams(i, h, p.W, p.V, p.alpha, p.activation)
         g_f = grad_fftnet(f, Dataset(xs[:, 0, :], ys[:, 0]), squared_loss())
         np.testing.assert_allclose(g_r.dW, g_f.dW, rtol=1e-12)
@@ -151,7 +149,7 @@ class TestTraining:
     def test_recurrent_zero_targets(self, rng):
         p0 = random_rftnet(2, 4, HOLSIN, 0.1, rng)
         xs = rng.uniform(-1, 1, (4, 3, 2))
-        data = SequenceDataset(xs, np.zeros((4, 3)))
+        data = Dataset(xs, np.zeros((4, 3)))
         _, trace = train_rftnet(p0, data, squared_loss(),
                                 TrainConfig(step_size=0.05, max_iters=5000,
                                             target_loss=1e-10))
@@ -178,14 +176,8 @@ class TestTape:
         p0 = random_fftnet(2, 5, act, 0.5, rng)
         data = Dataset(rng.standard_normal((12, 2)), rng.standard_normal(12))
         spec, cfg = squared_loss(), TrainConfig(step_size=0.5, max_iters=40)
-
-        def mk(w, v, a):
-            return FFTNetParams(p0.I, p0.H, w, v, a, p0.activation)
-
-        ref = optimize._descend(
-            p0, loss_of=lambda w, v, a: empirical_loss(mk(w, v, a), data, spec),
-            grad_of=lambda w, v, a: grad_fftnet(mk(w, v, a), data, spec),
-            rebuild=mk, cfg=cfg)
+        ref = optimize._descend(p0, loss_of=lambda p: empirical_loss(p, data, spec),
+                                grad_of=lambda p: grad_fftnet(p, data, spec), cfg=cfg)
         _assert_same_descent(train_fftnet(p0, data, spec, cfg), ref)
 
     @pytest.mark.parametrize("act", [HOLSIN, HOLEXPM1, ZRELU])
@@ -194,16 +186,10 @@ class TestTape:
         p0 = RFTNetParams(p0.I, p0.H, p0.W, p0.V, p0.alpha, act,
                           0.1 * rng.standard_normal(p0.H))
         xs = rng.uniform(-1, 1, (4, 3, 2))
-        data = SequenceDataset(xs, rng.standard_normal((4, 3)))
+        data = Dataset(xs, rng.standard_normal((4, 3)))
         spec, cfg = squared_loss(), TrainConfig(step_size=0.2, max_iters=40)
-
-        def mk(w, v, a):
-            return RFTNetParams(p0.I, p0.H, w, v, a, p0.activation, p0.r0)
-
-        ref = optimize._descend(
-            p0, loss_of=lambda w, v, a: optimize._rftnet_loss(mk(w, v, a), data, spec),
-            grad_of=lambda w, v, a: grad_rftnet(mk(w, v, a), data, spec),
-            rebuild=mk, cfg=cfg)
+        ref = optimize._descend(p0, loss_of=lambda p: empirical_loss(p, data, spec),
+                                grad_of=lambda p: grad_rftnet(p, data, spec), cfg=cfg)
         _assert_same_descent(train_rftnet(p0, data, spec, cfg), ref)
 
     def test_gradient_ignores_a_tape_of_other_arrays(self, rng):
@@ -238,28 +224,35 @@ class TestTape:
             assert got.json_line(0) == want.json_line(0)
             assert tape.matches(p, data.xs)  # re-recorded for p
 
-    def test_loss_reuses_a_matching_tape(self, rng, monkeypatch):
+    @pytest.mark.parametrize("kind", ["fftnet", "rftnet"])
+    def test_loss_reuses_a_matching_tape(self, rng, monkeypatch, kind):
         spec = squared_loss()
-        p = random_fftnet(2, 4, HOLSIN, 0.4, rng)
-        data = Dataset(rng.standard_normal((5, 2)), rng.standard_normal(5))
+        if kind == "fftnet":
+            p = random_fftnet(2, 4, HOLSIN, 0.4, rng)
+            data = Dataset(rng.standard_normal((5, 2)), rng.standard_normal(5))
+        else:
+            p = random_rftnet(2, 4, HOLSIN, 0.3, rng)
+            data = Dataset(rng.uniform(-1, 1, (3, 4, 2)), rng.standard_normal((3, 4)))
         tape = Tape()
         want = empirical_loss(p, data, spec, tape)
 
         def no_forward(*args, **kwargs):
             raise AssertionError("the loss ran a second forward pass")
 
-        monkeypatch.setattr(losses, "eval_fftnet_many", no_forward)
+        monkeypatch.setattr(models, f"eval_{kind}_many", no_forward)
         assert empirical_loss(p, data, spec, tape) == want
+        with pytest.raises(AssertionError):  # the patch is on the path a new pass takes
+            empirical_loss(p, data, spec, Tape())
 
     def test_recurrent_gradient_ignores_a_tape_of_other_arrays(self, rng):
         spec = squared_loss()
         p = random_rftnet(2, 4, HOLSIN, 0.3, rng)
-        data = SequenceDataset(rng.uniform(-1, 1, (3, 4, 2)), rng.standard_normal((3, 4)))
+        data = Dataset(rng.uniform(-1, 1, (3, 4, 2)), rng.standard_normal((3, 4)))
         want = grad_rftnet(p, data, spec)
         other_r0 = RFTNetParams(p.I, p.H, p.W, p.V, p.alpha, p.activation, p.r0 + 0.5)
         for q in (random_rftnet(2, 4, HOLSIN, 0.3, rng), other_r0):
             tape = Tape()
-            optimize._rftnet_loss(q, data, spec, tape)
+            empirical_loss(q, data, spec, tape)
             got = grad_rftnet(p, data, spec, tape)
             for name in ("dW", "dV", "dAlpha"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -269,17 +262,17 @@ class TestTape:
         p = random_fftnet(2, 4, HOLSIN, 0.4, rng)
         data = Dataset(rng.standard_normal((5, 2)), rng.standard_normal(5))
         r = random_rftnet(2, 4, HOLSIN, 0.3, rng)
-        seqs = SequenceDataset(rng.uniform(-1, 1, (3, 4, 2)), rng.standard_normal((3, 4)))
+        seqs = Dataset(rng.uniform(-1, 1, (3, 4, 2)), rng.standard_normal((3, 4)))
         tape, rtape = Tape(), Tape()
         empirical_loss(p, data, spec, tape)
-        optimize._rftnet_loss(r, seqs, spec, rtape)
+        empirical_loss(r, seqs, spec, rtape)
         want = grad_fftnet(p, data, spec), grad_rftnet(r, seqs, spec)
 
         def no_forward(*args, **kwargs):
             raise AssertionError("the gradient ran a second forward pass")
 
-        monkeypatch.setattr(optimize, "eval_fftnet_many", no_forward)
-        monkeypatch.setattr(optimize, "eval_rftnet_many", no_forward)
+        monkeypatch.setattr(models, "eval_fftnet_many", no_forward)
+        monkeypatch.setattr(models, "eval_rftnet_many", no_forward)
         got = grad_fftnet(p, data, spec, tape), grad_rftnet(r, seqs, spec, rtape)
         for g, w in zip(got, want):
             for name in ("dW", "dV", "dAlpha"):

@@ -171,11 +171,18 @@ def _line(c: float, x, convention: str):
     raise ContractViolationError(f"unknown convention {convention!r}")
 
 
+def induced_complex(kind: ActivationKind, c: float, x, convention: str):
+    """The activation along a line through the complex plane, as a complex
+    array: its real and imaginary parts are :func:`induced_real` and
+    :func:`induced_imag`, from one evaluation."""
+    return np.asarray(apply(kind, _line(c, x, convention)))
+
+
 def induced_real(kind: ActivationKind, c: float, x, convention: str):
     """Re of the activation along a line through the complex plane."""
-    return np.asarray(apply(kind, _line(c, x, convention))).real
+    return induced_complex(kind, c, x, convention).real
 
 
 def induced_imag(kind: ActivationKind, c: float, x, convention: str):
     """Im counterpart of :func:`induced_real`."""
-    return np.asarray(apply(kind, _line(c, x, convention))).imag
+    return induced_complex(kind, c, x, convention).imag

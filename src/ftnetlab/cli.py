@@ -319,38 +319,47 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
                                      "guaranteed for n <= I")
     spec = loss_spec_from_config(cfg["loss"])
 
-    rows = []
-    jsonl = []
-    skipped = 0
+    # each row goes to disk as it is produced, under a name that only a finished
+    # campaign renames into place, so memory stays flat and a rejected run leaves no file
+    csv_path, jsonl_path = out_dir / "probe.csv", out_dir / "probe_results.jsonl"
+    csv_part, jsonl_part = (path.with_name(path.name + ".partial")
+                            for path in (csv_path, jsonl_path))
+    rows = skipped = 0
     all_found = True
-    for idx in range(cfg["instances"]):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                           spawn_key=(idx,)))
-        p = random_fftnet(i, h, act, cfg["init_scale"], rng)
-        if idx < cfg["case2_instances"]:
-            p = FFTNetParams(p.I, p.H, p.W, p.V, np.zeros(p.H), p.activation)
-        data = Dataset(rng.standard_normal((n, i)), rng.standard_normal(n))
-        tape = Tape()  # the filter's forward pass, reused by the probe
-        if empirical_loss(p, data, spec, tape) <= 1e-12:
-            skipped += 1
-            print(f"note: instance {idx} has (near-)zero loss; filtered out "
-                  "(descent is only claimed for positive loss)")
-            continue
-        result = descent_probe(p, data, spec, delta=cfg["delta"], seed=idx, tape=tape)
-        rows.append(f"{idx},{result.case_tag},{result.old_loss!r},"
-                    f"{result.new_loss!r},{result.perturbation_norm!r},"
-                    f"{str(result.found).lower()}")
-        jsonl.append(result.json_line(idx))
-        if not result.found:
-            all_found = False
-            print(f"FAIL instance {idx}: probe exhausted (replay seed {seed}, "
-                  f"spawn {idx})", file=sys.stderr)
-
-    with open(out_dir / "probe.csv", "w", encoding="utf-8") as fh:
-        fh.write("\n".join([PROBE_CSV_HEADER, *rows]) + "\n")
-    with open(out_dir / "probe_results.jsonl", "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in jsonl)
-    print(f"probe: {len(rows)} instances ({skipped} filtered), "
+    try:
+        with open(csv_part, "w", encoding="utf-8") as csv_fh, \
+                open(jsonl_part, "w", encoding="utf-8") as jsonl_fh:
+            csv_fh.write(PROBE_CSV_HEADER + "\n")
+            for idx in range(cfg["instances"]):
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                                   spawn_key=(idx,)))
+                p = random_fftnet(i, h, act, cfg["init_scale"], rng)
+                if idx < cfg["case2_instances"]:
+                    p = FFTNetParams(p.I, p.H, p.W, p.V, np.zeros(p.H), p.activation)
+                data = Dataset(rng.standard_normal((n, i)), rng.standard_normal(n))
+                tape = Tape()  # the filter's forward pass, reused by the probe
+                if empirical_loss(p, data, spec, tape) <= 1e-12:
+                    skipped += 1
+                    print(f"note: instance {idx} has (near-)zero loss; filtered out "
+                          "(descent is only claimed for positive loss)")
+                    continue
+                result = descent_probe(p, data, spec, delta=cfg["delta"], seed=idx, tape=tape)
+                csv_fh.write(f"{idx},{result.case_tag},{result.old_loss!r},"
+                             f"{result.new_loss!r},{result.perturbation_norm!r},"
+                             f"{str(result.found).lower()}\n")
+                jsonl_fh.write(result.json_line(idx) + "\n")
+                rows += 1
+                if not result.found:
+                    all_found = False
+                    print(f"FAIL instance {idx}: probe exhausted (replay seed {seed}, "
+                          f"spawn {idx})", file=sys.stderr)
+    except BaseException:
+        csv_part.unlink(missing_ok=True)
+        jsonl_part.unlink(missing_ok=True)
+        raise
+    csv_part.replace(csv_path)
+    jsonl_part.replace(jsonl_path)
+    print(f"probe: {rows} instances ({skipped} filtered), "
           f"{'all found' if all_found else 'NOT all found'}")
     return EXIT_OK if all_found else EXIT_PROPERTY_FAILURE
 

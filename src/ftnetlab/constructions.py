@@ -30,7 +30,7 @@ from .models import (
     FNNParams,
     RFTNetParams,
     RNNParams,
-    additive_restrictions,
+    additive_activation,
     eval_rnn_many,
 )
 from .numerics import numerical_rank
@@ -368,7 +368,7 @@ def dods_stage_trajectories(stage1: StateStage, stage2: StateStage,
     """
     xs = np.asarray(xs, dtype=np.float64)
     h0 = np.asarray(h0, dtype=np.float64)
-    s1, s2 = additive_restrictions(base_activation, c)
+    sigma = additive_activation(base_activation, c)
     t_len = xs.shape[0]
     h1, h2, h5 = stage1.hidden, stage2.hidden, readout.hidden
     p1 = np.zeros((t_len, h0.size))
@@ -392,16 +392,14 @@ def dods_stage_trajectories(stage1: StateStage, stage2: StateStage,
 
     for t in range(t_len):
         x = xs[t]
-        p1[t] = stage1.C @ s1(stage1.A @ x + stage1.B @ p1_prev + stage1.b)
-        q1[t] = stage2.C @ s2(stage2.A @ x + stage2.B @ q1_prev + stage2.b)
-        p2[t] = s1(stage1.A @ x + stage1.B @ (stage1.C @ p2_prev) + stage1.b)
-        q2_new = s2(stage2.A @ x + stage2.B @ (stage2.C @ q2_prev) + stage2.b)
-        u3 = a3 @ x + b3 @ q3_prev + bias3
-        p3[t] = s1(u3)
-        q3[t] = s2(u3)
-        u5 = readout.A @ x + readout.B @ q2_prev + readout.b
-        p5[t] = s1(u5)
-        q5[t] = s2(u5)
+        p1[t] = stage1.C @ sigma(stage1.A @ x + stage1.B @ p1_prev + stage1.b).real
+        q1[t] = stage2.C @ sigma(stage2.A @ x + stage2.B @ q1_prev + stage2.b).imag
+        p2[t] = sigma(stage1.A @ x + stage1.B @ (stage1.C @ p2_prev) + stage1.b).real
+        q2_new = sigma(stage2.A @ x + stage2.B @ (stage2.C @ q2_prev) + stage2.b).imag
+        z3 = sigma(a3 @ x + b3 @ q3_prev + bias3)
+        p3[t], q3[t] = z3.real, z3.imag
+        z5 = sigma(readout.A @ x + readout.B @ q2_prev + readout.b)
+        p5[t], q5[t] = z5.real, z5.imag
         p1_prev, q1_prev = p1[t], q1[t]
         p2_prev, q2_prev = p2[t], q2_new
         q2[t] = q2_new

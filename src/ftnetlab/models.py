@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -23,8 +24,7 @@ from .activations import (
     activation_from_tag,
     apply,
     apply_real,
-    induced_imag,
-    induced_real,
+    induced_complex,
 )
 from .errors import ContractViolationError
 
@@ -333,15 +333,10 @@ def forward(p: FFTNetParams | RFTNetParams, X: np.ndarray, tape: Tape | None = N
     return tape
 
 
-def additive_restrictions(base_activation: ActivationKind, c: float):
-    """The (sigma1, sigma2) pair an additive network with this base iterates with."""
-    def sigma1(u):
-        return induced_real(base_activation, c, u, IMAG_ARG_REAL_BIAS)
-
-    def sigma2(u):
-        return induced_imag(base_activation, c, u, IMAG_ARG_REAL_BIAS)
-
-    return sigma1, sigma2
+def additive_activation(base_activation: ActivationKind, c: float):
+    """The complex map an additive network with this base iterates with: the base
+    at c + u i, whose real part is sigma1(u) and imaginary part sigma2(u)."""
+    return partial(induced_complex, base_activation, c, convention=IMAG_ARG_REAL_BIAS)
 
 
 def eval_additive_many(p: AdditiveFTNetParams, XS: np.ndarray):
@@ -350,7 +345,7 @@ def eval_additive_many(p: AdditiveFTNetParams, XS: np.ndarray):
     XS = np.asarray(XS, dtype=np.float64)
     if XS.ndim != 3 or XS.shape[2] != p.I:
         raise ContractViolationError(f"expected sequences of shape (B, T, {p.I})")
-    sigma1, sigma2 = additive_restrictions(p.base_activation, p.c)
+    sigma = additive_activation(p.base_activation, p.c)
     b, t_len, _ = XS.shape
     q = np.broadcast_to(p.q0, (b, p.Hplus)).copy()
     ys = np.zeros((b, t_len))
@@ -358,8 +353,8 @@ def eval_additive_many(p: AdditiveFTNetParams, XS: np.ndarray):
     qs = np.zeros((b, t_len, p.Hplus))
     for t in range(t_len):
         u = XS[:, t, :] @ p.A.T + q @ p.B.T - p.zeta
-        pt = sigma1(u)
-        q = sigma2(u)
+        z = sigma(u)
+        pt, q = z.real, z.imag
         ys[:, t] = pt @ p.alphaplus
         ps[:, t, :] = pt
         qs[:, t, :] = q

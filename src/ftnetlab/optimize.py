@@ -142,8 +142,9 @@ def _descend(p0, loss_of, grad_of, cfg: TrainConfig):
     increase the loss.  ``loss_of`` and ``grad_of`` take a params object; each
     candidate is ``p0``'s kind with the stepped arrays.
 
-    Overshooting candidates may overflow to inf/nan; they are rejected by
-    the finiteness check, so IEEE overflow is silenced within this loop.
+    Overshooting candidates may overflow to inf/nan, in their stepped arrays
+    or in their loss; either way they are rejected by a finiteness check and
+    the step is halved, so IEEE overflow is silenced within this loop.
     """
     p = p0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -157,11 +158,14 @@ def _descend(p0, loss_of, grad_of, cfg: TrainConfig):
                 break
             g = grad_of(p)
             for _ in range(31):
-                cand = replace(p, W=p.W - step * g.dW, V=p.V - step * g.dV,
-                               alpha=p.alpha - step * g.dAlpha)
-                cand_loss = loss_of(cand)
-                if math.isfinite(cand_loss) and cand_loss < cur:
-                    break
+                stepped = {"W": p.W - step * g.dW, "V": p.V - step * g.dV,
+                           "alpha": p.alpha - step * g.dAlpha}
+                # the params constructor would reject a stepped array that overflowed
+                if all(np.isfinite(a).all() for a in stepped.values()):
+                    cand = replace(p, **stepped)
+                    cand_loss = loss_of(cand)
+                    if math.isfinite(cand_loss) and cand_loss < cur:
+                        break
                 step *= 0.5
             else:
                 break  # no descent step at any scale; stationary for our purposes

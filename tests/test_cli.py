@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,9 @@ from conftest import sample_models
 from ftnetlab.activations import HOLSIN, RELU
 from ftnetlab.constructions import EMBEDDING_CSV_HEADER
 from ftnetlab.embeddings import random_crnet
-from ftnetlab.errors import ContractViolationError
+from ftnetlab.errors import ContractViolationError, DegenerateInputError
 from ftnetlab.models import FNNParams, RNNParams, load_model, model_to_dict, save_model
-from ftnetlab.optimize import random_fftnet
+from ftnetlab.optimize import ProbeResult, random_fftnet
 
 
 def _write_config(tmp_path, name, cfg):
@@ -345,6 +346,18 @@ class TestTrain:
         assert [line for line in captured.out.splitlines() if line.startswith("note:")] == notes
         assert json.loads((tmp_path / "dods_linear_summary.json").read_text())["iters"] == 2
 
+    @pytest.mark.parametrize("demo", ["sin_fit", "dods_linear"])
+    def test_overflowing_step_is_halved(self, tmp_path, capsys, demo):
+        """At step size 1e308 every stepped array overflows; such a candidate is
+        halved like one whose loss overflows, so no params constructor rejects
+        it after work has started.  31 halvings still overshoot, so no draw steps."""
+        cfg = _write_config(tmp_path, "t.json", {"demo": demo, "iters": 2, "step_size": 1e308})
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"error: train {demo} failed: no step lowered the initial loss")
+        assert err[0].endswith(f"({cli.TRAIN_INIT_DRAWS} draws of p0)")
+
     @pytest.mark.parametrize("extra", [{"demo": "sin_fit", "samples": 0},
                                        {"demo": "sin_fit", "iters": 0},
                                        {"demo": "dods_linear", "sequences": 0},
@@ -449,6 +462,51 @@ class TestProbe:
             "probe_results.jsonl":
                 "0730af899c1051b86858dd0a1bb07714374d899d96ecec2eb78b2afa74cd7264",
         }
+
+    @pytest.mark.parametrize("outcome", ["rejected", "not_found"])
+    def test_files_appear_when_the_campaign_ends(self, tmp_path, monkeypatch, outcome):
+        """A campaign rejected at instance 3 exits 2 and leaves --out empty; one whose
+        instance 3 finds no step exits 1 and still writes every row of both files."""
+        real = cli.descent_probe
+
+        def probe(p, data, spec, delta, seed, tape):
+            if seed == 3:
+                if outcome == "rejected":
+                    raise DegenerateInputError("padded samples are not independent")
+                return ProbeResult(False, np.zeros((p.H, p.H), dtype=np.complex128),
+                                   np.zeros(p.H), 1.0, 1.0, "alpha_nonzero", 0.0)
+            return real(p, data, spec, delta=delta, seed=seed, tape=tape)
+
+        monkeypatch.setattr(cli, "descent_probe", probe)
+        out = tmp_path / "o"
+        cfg = _write_config(tmp_path, "p.json", {"n": 2, "I": 3, "instances": 6, "seed": 0})
+        rc = cli.main(["probe", "--config", cfg, "--out", str(out)])
+        if outcome == "rejected":
+            assert rc == 2 and not any(out.iterdir())
+        else:
+            assert rc == 1
+            assert sorted(f.name for f in out.iterdir()) == ["probe.csv",
+                                                             "probe_results.jsonl"]
+            rows = (out / "probe.csv").read_text().splitlines()
+            assert len(rows) == 7 and rows[4].startswith("3,") and rows[4].endswith(",false")
+            assert len((out / "probe_results.jsonl").read_text().splitlines()) == 6
+
+    def test_memory_does_not_grow_with_instances(self, tmp_path):
+        """Rows go to disk as they are produced: the traced allocation peak of a
+        400-instance campaign is within 1 MB of a 40-instance one, where each
+        JSON line alone holds a 33x33 deltaZ of about 12.6 KB."""
+        peaks = []
+        for instances in (40, 400):
+            cfg = _write_config(tmp_path, f"p{instances}.json",
+                                {"n": 2, "I": 32, "instances": instances, "seed": 0})
+            tracemalloc.start()
+            try:
+                rc = cli.main(["probe", "--config", cfg, "--out", str(tmp_path / str(instances))])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+        assert peaks[1] - peaks[0] < 1 << 20, peaks
 
     def test_one_shared_forward_pass_per_instance(self, tmp_path, monkeypatch):
         """The zero-loss filter, the probe's premises and its residuals share one

@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ftnetlab.activations import HOLEXPM1, HOLSIN, RELU, ZRELU, apply, modrelu
+from ftnetlab.activations import (
+    HOLEXPM1,
+    HOLSIN,
+    IMAG_ARG_REAL_BIAS,
+    RELU,
+    ZRELU,
+    apply,
+    induced_imag,
+    induced_real,
+    modrelu,
+)
 from ftnetlab.errors import ContractViolationError
 from ftnetlab.models import (
     AdditiveFTNetParams,
@@ -17,7 +27,6 @@ from ftnetlab.models import (
     RNNParams,
     DODSSpec,
     Tape,
-    additive_restrictions,
     dods_linear,
     eval_additive_many,
     eval_crnet_many,
@@ -183,13 +192,13 @@ class TestRecurrent:
 
 
 def _additive_oracle(p: AdditiveFTNetParams, xs: np.ndarray) -> np.ndarray:
-    sigma1, sigma2 = additive_restrictions(p.base_activation, p.c)
     q = p.q0
     ys = []
     for t in range(xs.shape[0]):
         u = p.A @ xs[t] + p.B @ q - p.zeta
-        ys.append(float(p.alphaplus @ sigma1(u)))
-        q = sigma2(u)
+        ys.append(float(p.alphaplus @ induced_real(p.base_activation, p.c, u,
+                                                     IMAG_ARG_REAL_BIAS)))
+        q = induced_imag(p.base_activation, p.c, u, IMAG_ARG_REAL_BIAS)
     return np.array(ys)
 
 

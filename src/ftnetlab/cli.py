@@ -353,12 +353,12 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
                     all_found = False
                     print(f"FAIL instance {idx}: probe exhausted (replay seed {seed}, "
                           f"spawn {idx})", file=sys.stderr)
+        csv_part.replace(csv_path)
+        jsonl_part.replace(jsonl_path)
     except BaseException:
         csv_part.unlink(missing_ok=True)
         jsonl_part.unlink(missing_ok=True)
         raise
-    csv_part.replace(csv_path)
-    jsonl_part.replace(jsonl_path)
     print(f"probe: {rows} instances ({skipped} filtered), "
           f"{'all found' if all_found else 'NOT all found'}")
     return EXIT_OK if all_found else EXIT_PROPERTY_FAILURE

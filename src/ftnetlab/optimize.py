@@ -158,14 +158,15 @@ def _descend(p0, loss_of, grad_of, cfg: TrainConfig):
                 break
             g = grad_of(p)
             for _ in range(31):
-                stepped = {"W": p.W - step * g.dW, "V": p.V - step * g.dV,
-                           "alpha": p.alpha - step * g.dAlpha}
-                # the params constructor would reject a stepped array that overflowed
-                if all(np.isfinite(a).all() for a in stepped.values()):
-                    cand = replace(p, **stepped)
+                try:
+                    cand = replace(p, W=p.W - step * g.dW, V=p.V - step * g.dV,
+                                   alpha=p.alpha - step * g.dAlpha)
+                except ContractViolationError:  # a stepped array overflowed
+                    cand_loss = math.nan
+                else:
                     cand_loss = loss_of(cand)
-                    if math.isfinite(cand_loss) and cand_loss < cur:
-                        break
+                if math.isfinite(cand_loss) and cand_loss < cur:
+                    break
                 step *= 0.5
             else:
                 break  # no descent step at any scale; stationary for our purposes

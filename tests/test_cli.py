@@ -491,10 +491,19 @@ class TestProbe:
             assert len(rows) == 7 and rows[4].startswith("3,") and rows[4].endswith(",false")
             assert len((out / "probe_results.jsonl").read_text().splitlines()) == 6
 
+    def test_unwritable_output_leaves_no_partial_file(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "probe.csv").mkdir(parents=True)  # the finished CSV cannot take its name
+        cfg = _write_config(tmp_path, "p.json", {"n": 2, "I": 3, "instances": 2})
+        assert cli.main(["probe", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
+        assert [f.name for f in out.iterdir()] == ["probe.csv"]
+
     def test_memory_does_not_grow_with_instances(self, tmp_path):
         """Rows go to disk as they are produced: the traced allocation peak of a
-        400-instance campaign is within 1 MB of a 40-instance one, where each
-        JSON line alone holds a 33x33 deltaZ of about 12.6 KB."""
+        400-instance campaign is less than 1 MB above a 40-instance one, where
+        each JSON line alone holds a 33x33 deltaZ of about 12.6 KB."""
         peaks = []
         for instances in (40, 400):
             cfg = _write_config(tmp_path, f"p{instances}.json",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -28,15 +28,7 @@ from .embeddings import (
 )
 from .errors import ContractViolationError, DegenerateInputError, NonFiniteInitialLossError
 from .losses import Dataset, empirical_loss, loss_spec_from_config
-from .models import (
-    FFTNetParams,
-    Tape,
-    dods_linear,
-    eval_dods,
-    load_model,
-    model_kind,
-    save_model,
-)
+from .models import Tape, dods_linear, eval_dods, load_model, save_model
 from .optimize import (
     TrainConfig,
     descent_probe,
@@ -212,7 +204,7 @@ def cmd_convert(cfg: dict, out_dir: Path) -> int:
     except ContractViolationError as exc:
         # the file parsed but the model breaks a documented invariant
         return _fail(EXIT_REJECTED, f"bad model: {exc}")
-    src_kind = model_kind(model)
+    src_kind = model.kind
     fam = conversion(src_kind, cfg["target"], cfg["mode"])
     if fam is None:
         raise ContractViolationError(f"unsupported conversion {src_kind} -> {cfg['target']}")
@@ -335,7 +327,7 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
                                                                    spawn_key=(idx,)))
                 p = random_fftnet(i, h, act, cfg["init_scale"], rng)
                 if idx < cfg["case2_instances"]:
-                    p = FFTNetParams(p.I, p.H, p.W, p.V, np.zeros(p.H), p.activation)
+                    p = replace(p, alpha=np.zeros(p.H))
                 data = Dataset(rng.standard_normal((n, i)), rng.standard_normal(n))
                 tape = Tape()  # the filter's forward pass, reused by the probe
                 if empirical_loss(p, data, spec, tape) <= 1e-12:

@@ -124,7 +124,7 @@ def additive_to_rftnet(a: AdditiveFTNetParams) -> RFTNetParams:
     V carries A and -zeta; the receptor starts at (0; q0; 0) and stays of
     that shape, mirroring q_t at every step.
     """
-    if abs(complex(apply(a.base_activation, 0.0 + 0.0j))) != 0.0:
+    if abs(complex(apply(a.activation, 0.0 + 0.0j))) != 0.0:
         raise ContractViolationError("base activation must map 0 to 0")
     i, hp = a.I, a.Hplus
     h = i + hp + 1
@@ -138,7 +138,7 @@ def additive_to_rftnet(a: AdditiveFTNetParams) -> RFTNetParams:
     r0[i : i + hp] = a.q0
     alpha = np.zeros(h)
     alpha[i : i + hp] = a.alphaplus
-    out = RFTNetParams(i, h, w, v, alpha, a.base_activation, r0)
+    out = RFTNetParams(i, h, w, v, alpha, a.activation, r0)
     assert out.H == i + hp + 1
     return out
 

@@ -23,8 +23,8 @@ from .models import (AdditiveFTNetParams, CRNetParams, FFTNetParams, FNNParams,
 SEQUENCE_LENGTH = 10  # default T of recurrent gap checks
 
 _FNN, _RNN, _CRNET, _ADDITIVE, _FFTNET, _RFTNET = (
-    models.MODEL_SPECS[cls].kind for cls in (FNNParams, RNNParams, CRNetParams,
-                                             AdditiveFTNetParams, FFTNetParams, RFTNetParams))
+    cls.kind for cls in (FNNParams, RNNParams, CRNetParams, AdditiveFTNetParams, FFTNetParams,
+                         RFTNetParams))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ class Family:
             size = (probes, t_len, src.I) if self.recurrent else (probes, src.I)
             xs = rng.uniform(-self.input_bound, self.input_bound, size=size)
             gap = self.gap(src, tgt, xs)
-        hs, ht = models.hidden_size(src), models.hidden_size(tgt)
+        hs, ht = getattr(src, src.hidden), getattr(tgt, tgt.hidden)
         return cons.EmbeddingReport(self.source, self.target, src.I, t_len, hs, ht,
                                     models.param_count(self.source, hs, src.I),
                                     models.param_count(self.target, ht, src.I), gap)

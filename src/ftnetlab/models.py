@@ -11,8 +11,8 @@ Conventions used throughout:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field, fields
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -29,191 +29,187 @@ from .activations import (
 from .errors import ContractViolationError
 
 
-def _check_finite(name: str, *arrays) -> None:
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise ContractViolationError(f"{name}: non-finite entries")
-
-
-def _floats(x, name: str, dtype=np.float64) -> np.ndarray:
-    try:
-        return np.asarray(x, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):  # strings, ragged, objects, huge ints
-        raise ContractViolationError(
-            f"{name}: expected a number or a rectangular array of numbers") from None
-
-
-def _scalar(x, name: str) -> float:
-    a = _floats(x, name)
-    if a.ndim != 0:
-        raise ContractViolationError(f"{name}: expected a number, got shape {a.shape}")
-    return float(a)
-
-
-def _vec(x, n: int, name: str, dtype=np.float64) -> np.ndarray:
-    a = _floats(x, name, dtype)
-    if a.shape != (n,):
-        raise ContractViolationError(f"{name}: expected shape ({n},), got {a.shape}")
-    return a
-
-
-def _mat(x, rows: int, cols: int, name: str, dtype=np.float64) -> np.ndarray:
-    a = _floats(x, name, dtype)
-    if a.shape != (rows, cols):
-        raise ContractViolationError(
-            f"{name}: expected shape ({rows}, {cols}), got {a.shape}"
-        )
-    return a
-
-
 # ---------------------------------------------------------------------------
 # parameter containers
 # ---------------------------------------------------------------------------
 
+def _checked(x, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """``x`` as a finite array of this dtype and shape; otherwise a broken
+    contract naming ``key``."""
+    try:
+        a = np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):  # strings, ragged, objects, huge ints
+        raise ContractViolationError(
+            f"{key}: expected a number or a rectangular array of numbers") from None
+    if a.shape != shape:
+        raise ContractViolationError(f"{key}: expected shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ContractViolationError(f"{key}: non-finite entries")
+    return a
+
+
+def _array(key: str, *shape: str, dtype=np.float64, state: bool = False):
+    """Declare an array field: ``key`` names it in model files and in errors,
+    and ``shape`` lists the sizes that give its shape (see :func:`_sizes`).  A
+    ``state`` array given as None is zeros; a field without a shape is a number."""
+    return field(metadata={"key": key, "shape": shape, "dtype": dtype, "state": state})
+
+
+def _sizes(cls, i: int, h: int) -> dict:
+    """The sizes a shape may name: I, the hidden size field and half of I."""
+    return {"I": i, cls.hidden: h, "I/2": i // 2}
+
+
+@cache  # every descent candidate is checked through this list
+def _arrays(cls) -> tuple:
+    """(name, key, shape, dtype, state) of each declared array, in field order."""
+    return tuple((f.name, f.metadata["key"], f.metadata["shape"], f.metadata["dtype"],
+                  f.metadata["state"]) for f in fields(cls) if "key" in f.metadata)
+
+
+class _Params:
+    """Checks every declared array of a parameter class when it is built.
+
+    A class names its ``hidden`` size field; one stored in model files also
+    names its ``kind`` and its parameter count ``params(hidden, I)``.
+    """
+
+    def __post_init__(self):
+        cls = type(self)
+        sizes = _sizes(cls, self.I, getattr(self, cls.hidden))
+        for name, key, names, dtype, state in _arrays(cls):
+            shape = tuple(sizes[n] for n in names)
+            value = getattr(self, name)
+            if state and value is None:
+                value = np.zeros(shape)
+            a = _checked(value, key, shape, dtype)
+            object.__setattr__(self, name, a if shape else float(a))
+
+
+def _ftnet_params(h: int, i: int) -> int:
+    return 2 * h * h + h
+
+
 @dataclass(frozen=True)
-class FFTNetParams:
+class FFTNetParams(_Params):
     """One-hidden-layer feedforward network with complex weight W + Vi."""
 
+    kind = "fftnet"
+    hidden = "H"
+    params = staticmethod(_ftnet_params)
+
     I: int
     H: int
-    W: np.ndarray
-    V: np.ndarray
-    alpha: np.ndarray
+    W: np.ndarray = _array("W", "H", "H")
+    V: np.ndarray = _array("V", "H", "H")
+    alpha: np.ndarray = _array("alpha", "H")
     activation: ActivationKind
 
     def __post_init__(self):
         if self.H < self.I + 1:
             raise ContractViolationError(f"H={self.H} must be >= I+1={self.I + 1}")
-        object.__setattr__(self, "W", _mat(self.W, self.H, self.H, "W"))
-        object.__setattr__(self, "V", _mat(self.V, self.H, self.H, "V"))
-        object.__setattr__(self, "alpha", _vec(self.alpha, self.H, "alpha"))
-        _check_finite("FFTNetParams", self.W, self.V, self.alpha)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class RFTNetParams:
+class RFTNetParams(FFTNetParams):
     """Recurrent variant; the receptor r0 seeds the imaginary feedback."""
 
-    I: int
-    H: int
-    W: np.ndarray
-    V: np.ndarray
-    alpha: np.ndarray
-    activation: ActivationKind
-    r0: np.ndarray
+    kind = "rftnet"
 
-    def __post_init__(self):
-        if self.H < self.I + 1:
-            raise ContractViolationError(f"H={self.H} must be >= I+1={self.I + 1}")
-        object.__setattr__(self, "W", _mat(self.W, self.H, self.H, "W"))
-        object.__setattr__(self, "V", _mat(self.V, self.H, self.H, "V"))
-        object.__setattr__(self, "alpha", _vec(self.alpha, self.H, "alpha"))
-        object.__setattr__(self, "r0", _vec(self.r0, self.H, "r0"))
-        _check_finite("RFTNetParams", self.W, self.V, self.alpha, self.r0)
+    r0: np.ndarray = _array("r0", "H", state=True)
 
 
 @dataclass(frozen=True)
-class AdditiveFTNetParams:
+class AdditiveFTNetParams(_Params):
     """Two-recurrence network with shared pre-activation.
 
     p_t = sigma1(A x_t + B q_{t-1} - zeta), q_t = sigma2(same), y_t = alphaplus . p_t,
     where sigma1/sigma2 are the real/imaginary restrictions of
-    ``base_activation`` at the complex point (c + u i).
+    ``activation`` at the complex point (c + u i).
     """
+
+    kind = "additive"
+    hidden = "Hplus"
+    params = staticmethod(lambda h, i: h * (i + h + 3))  # A, B, zeta, alpha, q0
 
     I: int
     Hplus: int
-    A: np.ndarray
-    B: np.ndarray
-    zeta: np.ndarray
-    alphaplus: np.ndarray
-    q0: np.ndarray
-    base_activation: ActivationKind
-    c: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", _mat(self.A, self.Hplus, self.I, "A"))
-        object.__setattr__(self, "B", _mat(self.B, self.Hplus, self.Hplus, "B"))
-        object.__setattr__(self, "zeta", _vec(self.zeta, self.Hplus, "zeta"))
-        object.__setattr__(self, "alphaplus", _vec(self.alphaplus, self.Hplus, "alphaplus"))
-        object.__setattr__(self, "q0", _vec(self.q0, self.Hplus, "q0"))
-        _check_finite("AdditiveFTNetParams", self.A, self.B, self.zeta,
-                      self.alphaplus, self.q0, np.array([self.c]))
+    A: np.ndarray = _array("A", "Hplus", "I")
+    B: np.ndarray = _array("B", "Hplus", "Hplus")
+    zeta: np.ndarray = _array("zeta", "Hplus")
+    alphaplus: np.ndarray = _array("alpha", "Hplus")
+    q0: np.ndarray = _array("q0", "Hplus", state=True)
+    activation: ActivationKind
+    c: float = _array("c")
 
 
 @dataclass(frozen=True)
-class FNNParams:
+class FNNParams(_Params):
     """f(x) = alphaF . sigma(WF x + bF) with bias already added."""
+
+    kind = "fnn"
+    hidden = "HF"
+    params = staticmethod(lambda h, i: 2 * h * (i + 1))
 
     I: int
     HF: int
-    WF: np.ndarray
-    bF: np.ndarray
-    alphaF: np.ndarray
+    WF: np.ndarray = _array("W", "HF", "I")
+    bF: np.ndarray = _array("b", "HF")
+    alphaF: np.ndarray = _array("alpha", "HF")
     activation: ActivationKind
-
-    def __post_init__(self):
-        object.__setattr__(self, "WF", _mat(self.WF, self.HF, self.I, "WF"))
-        object.__setattr__(self, "bF", _vec(self.bF, self.HF, "bF"))
-        object.__setattr__(self, "alphaF", _vec(self.alphaF, self.HF, "alphaF"))
-        _check_finite("FNNParams", self.WF, self.bF, self.alphaF)
 
 
 @dataclass(frozen=True)
-class RNNParams:
+class RNNParams(_Params):
     """m_t = sigma(WR x_t + VR m_{t-1} + bR), y_t = alphaR . m_t."""
+
+    kind = "rnn"
+    hidden = "HR"
+    params = staticmethod(lambda h, i: h * (i + h + 2))
 
     I: int
     HR: int
-    WR: np.ndarray
-    VR: np.ndarray
-    bR: np.ndarray
-    alphaR: np.ndarray
-    m0: np.ndarray
+    WR: np.ndarray = _array("W", "HR", "I")
+    VR: np.ndarray = _array("V", "HR", "HR")
+    bR: np.ndarray = _array("b", "HR")
+    alphaR: np.ndarray = _array("alpha", "HR")
+    m0: np.ndarray = _array("m0", "HR", state=True)
     activation: ActivationKind
-
-    def __post_init__(self):
-        object.__setattr__(self, "WR", _mat(self.WR, self.HR, self.I, "WR"))
-        object.__setattr__(self, "VR", _mat(self.VR, self.HR, self.HR, "VR"))
-        object.__setattr__(self, "bR", _vec(self.bR, self.HR, "bR"))
-        object.__setattr__(self, "alphaR", _vec(self.alphaR, self.HR, "alphaR"))
-        object.__setattr__(self, "m0", _vec(self.m0, self.HR, "m0"))
-        _check_finite("RNNParams", self.WR, self.VR, self.bR, self.alphaR, self.m0)
 
 
 @dataclass(frozen=True)
-class CRNetParams:
+class CRNetParams(_Params):
     """Complex-reaction network; the input is folded into C^{I/2}."""
+
+    kind = "crnet"
+    hidden = "HC"
+    params = staticmethod(lambda h, i: 2 * h * (i + 2))
 
     I: int
     HC: int
-    WC: np.ndarray                     # complex (HC, I/2)
-    bC: np.ndarray                     # complex (HC,)
-    alphaC: np.ndarray                 # complex (HC,)
+    WC: np.ndarray = _array("W", "HC", "I/2", dtype=np.complex128)
+    bC: np.ndarray = _array("b", "HC", dtype=np.complex128)
+    alphaC: np.ndarray = _array("alpha", "HC", dtype=np.complex128)
     activation: ActivationKind
 
     def __post_init__(self):
         if self.I % 2 != 0:
             raise ContractViolationError(f"CRNet input dimension must be even, got {self.I}")
-        c = np.complex128
-        object.__setattr__(self, "WC", _mat(self.WC, self.HC, self.I // 2, "WC", c))
-        object.__setattr__(self, "bC", _vec(self.bC, self.HC, "bC", c))
-        object.__setattr__(self, "alphaC", _vec(self.alphaC, self.HC, "alphaC", c))
-        _check_finite("CRNetParams", self.WC, self.bC, self.alphaC)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class DODSSpec:
+class DODSSpec(_Params):
     """Discrete-time open dynamical system h_t = phi(x_t, h_{t-1}), y_t = psi(h_t)."""
+
+    hidden = "HD"
 
     I: int
     HD: int
-    h0: np.ndarray
+    h0: np.ndarray = _array("h0", "HD")
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
     psi: Callable[[np.ndarray], float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "h0", _vec(self.h0, self.HD, "h0"))
 
 
 def dods_linear(P, Q, readout, h0) -> DODSSpec:
@@ -345,7 +341,7 @@ def eval_additive_many(p: AdditiveFTNetParams, XS: np.ndarray):
     XS = np.asarray(XS, dtype=np.float64)
     if XS.ndim != 3 or XS.shape[2] != p.I:
         raise ContractViolationError(f"expected sequences of shape (B, T, {p.I})")
-    sigma = additive_activation(p.base_activation, p.c)
+    sigma = additive_activation(p.activation, p.c)
     b, t_len, _ = XS.shape
     q = np.broadcast_to(p.q0, (b, p.Hplus)).copy()
     ys = np.zeros((b, t_len))
@@ -411,68 +407,14 @@ def eval_dods(spec: DODSSpec, xs):
 
 
 # ---------------------------------------------------------------------------
-# model kinds: names, sizes and JSON model files
+# model kinds: parameter counts and JSON model files
 # ---------------------------------------------------------------------------
 
-def _ftnet_params(h: int, i: int) -> int:
-    return 2 * h * h + h
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """How one parameter class is named, sized and stored in a model file.
-
-    A file stores each array under its attribute name less the hidden-size
-    suffix: WF of an FNN (hidden HF) is "W", alphaplus (Hplus) is "alpha".
-    """
-
-    kind: str                          # the "kind" value of its model files
-    cls: type
-    hidden: str                        # attribute stored as "H"
-    arrays: tuple                      # array attributes, in file order
-    params: Callable[[int, int], int]  # parameter count from (hidden, I)
-    state: str | None = None           # initial state; zeros when a file omits it
-    scalars: tuple = ()                # float attributes stored as they are
-    activation: str = "activation"     # attribute holding the ActivationKind
-    complex: bool = False              # arrays stored as "<key>_re", "<key>_im"
-
-    def file_keys(self):
-        """(file key, attribute) of each array."""
-        suffix = self.hidden[1:]
-        return [(attr.removesuffix(suffix), attr) for attr in self.arrays]
-
-
-MODEL_SPECS = {spec.cls: spec for spec in (
-    ModelSpec("fftnet", FFTNetParams, "H", ("W", "V", "alpha"), _ftnet_params),
-    ModelSpec("rftnet", RFTNetParams, "H", ("W", "V", "alpha"), _ftnet_params, state="r0"),
-    ModelSpec("additive", AdditiveFTNetParams, "Hplus", ("A", "B", "zeta", "alphaplus"),
-              lambda h, i: h * (i + h + 3),  # A, B, zeta, alpha, q0
-              state="q0", scalars=("c",), activation="base_activation"),
-    ModelSpec("fnn", FNNParams, "HF", ("WF", "bF", "alphaF"), lambda h, i: 2 * h * (i + 1)),
-    ModelSpec("rnn", RNNParams, "HR", ("WR", "VR", "bR", "alphaR"),
-              lambda h, i: h * (i + h + 2), state="m0"),
-    ModelSpec("crnet", CRNetParams, "HC", ("WC", "bC", "alphaC"),
-              lambda h, i: 2 * h * (i + 2), complex=True),
-)}
+_KINDS = {cls.kind: cls for cls in (FFTNetParams, RFTNetParams, AdditiveFTNetParams,
+                                     FNNParams, RNNParams, CRNetParams)}
 
 # "ftnet" counts either FTNet variant, as the width bounds do
-_PARAM_COUNTS = {"ftnet": _ftnet_params,
-                 **{spec.kind: spec.params for spec in MODEL_SPECS.values()}}
-
-
-def _spec_of(p) -> ModelSpec:
-    spec = MODEL_SPECS.get(type(p))
-    if spec is None:
-        raise ContractViolationError(f"unsupported model object {type(p).__name__}")
-    return spec
-
-
-def model_kind(p) -> str:
-    return _spec_of(p).kind
-
-
-def hidden_size(p) -> int:
-    return getattr(p, _spec_of(p).hidden)
+_PARAM_COUNTS = {"ftnet": _ftnet_params, **{cls.kind: cls.params for cls in _KINDS.values()}}
 
 
 def param_count(model_kind: str, hidden: int, I: int = 0) -> int:
@@ -486,34 +428,27 @@ def param_count(model_kind: str, hidden: int, I: int = 0) -> int:
 
 
 def model_to_dict(p) -> dict:
-    spec = _spec_of(p)
-    d = {"kind": spec.kind, "I": p.I, "H": getattr(p, spec.hidden)}
-    for key, attr in spec.file_keys():
-        value = getattr(p, attr)
-        if spec.complex:
+    """The model file of p: each declared array under its key, a complex one as
+    "<key>_re" and "<key>_im" lists."""
+    d = {"kind": p.kind, "I": p.I, "H": getattr(p, p.hidden)}
+    for name, key, shape, dtype, _ in _arrays(type(p)):
+        value = getattr(p, name)
+        if dtype is np.complex128:
             d[f"{key}_re"] = value.real.tolist()
             d[f"{key}_im"] = value.imag.tolist()
         else:
-            d[key] = value.tolist()
-    if spec.state is not None:
-        d[spec.state] = getattr(p, spec.state).tolist()
-    for key in spec.scalars:
-        d[key] = getattr(p, key)
-    act = getattr(p, spec.activation)
-    d["activation"] = act.tag
-    if TABLE[act.tag].default_bias is not None:
-        d["activation_bias"] = act.bias
+            d[key] = value.tolist() if shape else value
+    d["activation"] = p.activation.tag
+    if TABLE[p.activation.tag].default_bias is not None:
+        d["activation_bias"] = p.activation.bias
     return d
 
 
-def _complex_parts(d: dict, key: str) -> np.ndarray:
+def _complex_parts(d: dict, key: str, shape: tuple) -> np.ndarray:
     """The complex array a model file stores as "<key>_re" and "<key>_im"."""
-    re, im = (_floats(d[k], k) for k in (f"{key}_re", f"{key}_im"))
-    if re.shape != im.shape:
-        raise ContractViolationError(
-            f"{key}_im: expected the shape {re.shape} of {key}_re, got {im.shape}")
+    re, im = (_checked(d[k], k, shape) for k in (f"{key}_re", f"{key}_im"))
     # one part at a time: re + 1j*im would turn a -0.0 real part into 0.0
-    z = np.empty(re.shape, dtype=np.complex128)
+    z = np.empty(shape, dtype=np.complex128)
     z.real = re
     z.imag = im
     return z
@@ -530,8 +465,9 @@ def model_from_dict(d: dict):
     if not isinstance(d, dict):
         raise ContractViolationError(f"a model must be a JSON object, got {type(d).__name__}")
     d = _ModelFile(d)
-    spec = next((s for s in MODEL_SPECS.values() if s.kind == d["kind"]), None)
-    if spec is None:
+    # a kind read from a file may be any JSON value, lists included
+    cls = _KINDS.get(d["kind"]) if isinstance(d["kind"], str) else None
+    if cls is None:
         raise ContractViolationError(f"unknown model kind {d['kind']!r}")
     for key in ("I", "H"):
         # bool is an int subclass, and "5" or 5.0 would pass the shape checks
@@ -539,17 +475,16 @@ def model_from_dict(d: dict):
             raise ContractViolationError(f"{key}: expected an integer, got {d[key]!r}")
     bias = d.get("activation_bias")
     if bias is not None:
-        bias = _scalar(bias, "activation_bias")
-    fields = {"I": d["I"], spec.hidden: d["H"],
-              spec.activation: activation_from_tag(d["activation"], bias)}
-    for key, attr in spec.file_keys():
-        fields[attr] = _complex_parts(d, key) if spec.complex else _floats(d[key], key)
-    if spec.state is not None:  # zeros by default, one per readout weight (the last array)
-        zeros = np.zeros_like(fields[spec.arrays[-1]])
-        fields[spec.state] = _floats(d.get(spec.state, zeros), spec.state)
-    for key in spec.scalars:
-        fields[key] = _scalar(d[key], key)
-    return spec.cls(**fields)
+        bias = float(_checked(bias, "activation_bias", ()))
+    kwargs = {"I": d["I"], cls.hidden: d["H"],
+              "activation": activation_from_tag(d["activation"], bias)}
+    sizes = _sizes(cls, d["I"], d["H"])
+    for name, key, names, dtype, state in _arrays(cls):
+        if dtype is np.complex128:
+            kwargs[name] = _complex_parts(d, key, tuple(sizes[n] for n in names))
+        else:  # checked by the constructor, which makes a missing state zeros
+            kwargs[name] = d.get(key) if state else d[key]
+    return cls(**kwargs)
 
 
 def save_model(path, p) -> None:

@@ -298,7 +298,7 @@ def _apply_row_perturbation(p: FFTNetParams, row: int, dz: np.ndarray,
     v = p.V.copy()
     w[row] += dz.real
     v[row] += dz.imag
-    return FFTNetParams(p.I, p.H, w, v, p.alpha + dalpha, p.activation)
+    return replace(p, W=w, V=v, alpha=p.alpha + dalpha)
 
 
 def descent_probe(p: FFTNetParams, data: Dataset, spec: LossSpec,

@@ -1,9 +1,13 @@
+import ctypes
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ftnetlab.activations import HOLSIN
 from ftnetlab.embeddings import random_additive, random_crnet, random_relu_fnn, random_relu_rnn
-from ftnetlab.models import MODEL_SPECS, RFTNetParams, eval_rftnet_many, model_to_dict
+from ftnetlab.models import RFTNetParams, eval_rftnet_many, model_to_dict
 from ftnetlab.optimize import random_fftnet, random_rftnet
 
 
@@ -19,7 +23,7 @@ def tame_rftnet(p: RFTNetParams, xs: np.ndarray, bound: float = 50.0) -> RFTNetP
             out = eval_rftnet_many(p, xs)
         if np.all(np.isfinite(out)) and np.max(np.abs(out)) < bound:
             return p
-        p = RFTNetParams(p.I, p.H, 0.5 * p.W, 0.5 * p.V, p.alpha, p.activation, p.r0)
+        p = replace(p, W=0.5 * p.W, V=0.5 * p.V)
     return p
 
 
@@ -29,7 +33,32 @@ def sample_models(seed: int = 3) -> dict:
     models = [random_relu_fnn(rng, 3, 3), random_relu_rnn(rng, 3, 3), random_crnet(rng),
               random_additive(rng, 3, 3), random_fftnet(2, 3, HOLSIN, 0.3, rng),
               random_rftnet(2, 3, HOLSIN, 0.3, rng)]
-    return {MODEL_SPECS[type(m)].kind: model_to_dict(m) for m in models}
+    return {m.kind: model_to_dict(m) for m in models}
+
+
+def openblas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS picked when it loaded, such as "SkylakeX"."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
+    if not libs:
+        return "unknown (numpy bundles no libscipy_openblas64_)"
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def pinned_for_kernel(by_kernel: dict) -> dict:
+    """The digests pinned for the loaded OpenBLAS kernel.
+
+    Some outputs differ in their low bits between kernels, so each kernel has
+    its own pins and a digest taken under one is never accepted under another.
+    """
+    kernel = openblas_kernel()
+    if kernel not in by_kernel:
+        pytest.fail(f"no golden digests for OpenBLAS kernel {kernel}; pinned kernels: "
+                    f"{', '.join(by_kernel)} (OPENBLAS_CORETYPE=Haswell loads Haswell on any "
+                    "AVX2 machine)", pytrace=False)
+    return by_kernel[kernel]
 
 
 @pytest.fixture

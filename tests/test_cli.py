@@ -12,7 +12,7 @@ import pytest
 import ftnetlab.cli as cli
 import ftnetlab.losses as losses
 import ftnetlab.models as models
-from conftest import sample_models
+from conftest import pinned_for_kernel, sample_models
 from ftnetlab.activations import HOLSIN, RELU
 from ftnetlab.constructions import EMBEDDING_CSV_HEADER
 from ftnetlab.embeddings import random_crnet
@@ -151,6 +151,34 @@ class TestConvert:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: bad model: {key}_im: ")
 
+    @pytest.mark.parametrize("kind,state", [("rftnet", "r0"), ("rnn", "m0"),
+                                            ("additive", "q0")])
+    def test_missing_state_with_negative_size_rejected(self, tmp_path, capsys, kind, state):
+        """The zeros a missing state defaults to are never sized by a bad H."""
+        model = sample_models()[kind]
+        del model[state]
+        (tmp_path / "bad.json").write_text(json.dumps({**model, "H": -1}))
+        cfg = _write_config(tmp_path, "c.json", {
+            "in_model": str(tmp_path / "bad.json"), "target": "rftnet",
+            "out_model": "out.json"})
+        assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad model: ")
+
+    @pytest.mark.parametrize("bad,message", [
+        ([0.0], "W: expected shape (3, 2), got (1,)"),
+        ([[float("nan")] * 2] * 3, "W: non-finite entries"),
+    ], ids=["shape", "nan"])
+    def test_bad_array_names_its_file_key(self, tmp_path, capsys, rng, bad, message):
+        """Python's json reads NaN, so a file can hold one."""
+        model = model_to_dict(_sample_fnn(rng))
+        (tmp_path / "bad.json").write_text(json.dumps({**model, "W": bad}))
+        cfg = _write_config(tmp_path, "c.json", {
+            "in_model": str(tmp_path / "bad.json"), "target": "fftnet",
+            "out_model": "out.json"})
+        assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: bad model: {message}"]
+
     @pytest.mark.parametrize("target,model_sha,row_sha", [
         ("fftnet", "a2204fde77075bfa9873d53cd354cd98c22cd29455890bf8deec44a3c94a3f3e",
          "c164d9ff1ca4f9d970a273a5cebc66c5104b0ab14f5892cde87505526528cc53"),
@@ -236,10 +264,14 @@ class TestVerify:
         assert cli.main(["report", "--config", rcfg, "--out", str(tmp_path)]) == 0
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in ("verify.csv", "report.md")}
-        assert digests == {
-            "verify.csv": "17b119836b63fdd854dd6bdfaab965301884a93a5eb724e318240ede7e7d3f7b",
-            "report.md": "5ca06d1674b26f0707335903cea22b9e7637b6244ef359fdff89f842ff8ea70e",
-        }
+        assert digests == pinned_for_kernel({
+            "SkylakeX": {
+                "verify.csv": "17b119836b63fdd854dd6bdfaab965301884a93a5eb724e318240ede7e7d3f7b",
+                "report.md": "5ca06d1674b26f0707335903cea22b9e7637b6244ef359fdff89f842ff8ea70e"},
+            "Haswell": {
+                "verify.csv": "9d11bb8d7436952967df30ba510057aab3711d3a7fbea866b89a1caf9bbc2d92",
+                "report.md": "0152a7e0695237dc93ba21c532a014ae8380668ae5a6d65429c0da40914ed6c8"},
+        })
 
     def test_deterministic_csv(self, tmp_path):
         cfg = _write_config(tmp_path, "v.json", {
@@ -298,24 +330,35 @@ class TestTrain:
         cfg = _write_config(tmp_path, "t.json", {"demo": "mnist"})
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("demo,files", [
-        ({"demo": "sin_fit", "H": 8, "samples": 32, "target_mse": 0.02}, {
-            "sin_fit_model.json":
-                "172c9fcb388f6f093f601cd1b15075c6d561f39ee38b79a31a44851062f581c5",
-            "sin_fit_trace.jsonl":
-                "3f35ae1c95288444964b116893ec544940ff1b9c1fa8bea54781a001ac4904a7",
-            "sin_fit_summary.json":
-                "6130ab90c4b57505f959cb69dcc6cfaa1cd72a749fc7889fd72f30d1fdc73032"}),
+    _SIN_FIT_FILES = {
+        "sin_fit_model.json": "172c9fcb388f6f093f601cd1b15075c6d561f39ee38b79a31a44851062f581c5",
+        "sin_fit_trace.jsonl": "3f35ae1c95288444964b116893ec544940ff1b9c1fa8bea54781a001ac4904a7",
+        "sin_fit_summary.json":
+            "6130ab90c4b57505f959cb69dcc6cfaa1cd72a749fc7889fd72f30d1fdc73032"}
+
+    @pytest.mark.parametrize("demo,by_kernel", [
+        # the same bytes under both kernels
+        ({"demo": "sin_fit", "H": 8, "samples": 32, "target_mse": 0.02},
+         {"SkylakeX": _SIN_FIT_FILES, "Haswell": _SIN_FIT_FILES}),
         ({"demo": "dods_linear", "H": 6, "sequences": 4, "T": 3, "target_mse": 0.01}, {
-            "dods_model.json":
-                "d25614e06536758902419726360e55f9a4bd0e1c959c2539d7d7f2e53fdd313f",
-            "dods_trace.jsonl":
-                "98dc71c6e317a0982bd80feaf4f90645e9dc471dc0360df4eae60e2f03b4281c",
-            "dods_linear_summary.json":
-                "1eee7c107db5e91984fa15ba872cd34f7ed8c0862aaa8adfbc1d2c9528511369"}),
+            "SkylakeX": {
+                "dods_model.json":
+                    "d25614e06536758902419726360e55f9a4bd0e1c959c2539d7d7f2e53fdd313f",
+                "dods_trace.jsonl":
+                    "98dc71c6e317a0982bd80feaf4f90645e9dc471dc0360df4eae60e2f03b4281c",
+                "dods_linear_summary.json":
+                    "1eee7c107db5e91984fa15ba872cd34f7ed8c0862aaa8adfbc1d2c9528511369"},
+            "Haswell": {
+                "dods_model.json":
+                    "f8a478b19b29fe1ad1684bd60d0c3b35450fcaddc4508db77c16c505c98ebf3b",
+                "dods_trace.jsonl":
+                    "f19e136c90b7b612f77777582fd1cd3679201dad1f673e505cd2945247ce8b26",
+                "dods_linear_summary.json":
+                    "4c9a455c868499cc41e394b547e4d8b2a664c2f4163c9ce3ac27f4552f1c2765"}}),
     ], ids=["sin_fit", "dods_linear"])
-    def test_golden_outputs(self, tmp_path, demo, files):
+    def test_golden_outputs(self, tmp_path, demo, by_kernel):
         """Pins the bytes of a small training run: model, loss trace, summary."""
+        files = pinned_for_kernel(by_kernel)
         cfg = _write_config(tmp_path, "t.json", {**demo, "seed": 0})
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
@@ -457,11 +500,16 @@ class TestProbe:
         assert cli.main(["probe", "--config", cfg, "--out", str(tmp_path)]) == 0
         digests = {name: _sha256((tmp_path / name).read_bytes())
                    for name in ("probe.csv", "probe_results.jsonl")}
-        assert digests == {
-            "probe.csv": "981b6e9331860f94336aa1233eac675171a925363c2aefa483a2787f40e33539",
-            "probe_results.jsonl":
-                "0730af899c1051b86858dd0a1bb07714374d899d96ecec2eb78b2afa74cd7264",
-        }
+        assert digests == pinned_for_kernel({
+            "SkylakeX": {
+                "probe.csv": "981b6e9331860f94336aa1233eac675171a925363c2aefa483a2787f40e33539",
+                "probe_results.jsonl":
+                    "0730af899c1051b86858dd0a1bb07714374d899d96ecec2eb78b2afa74cd7264"},
+            "Haswell": {
+                "probe.csv": "168515677f8f56fc3a4c3cb815c46bdeb2f08aceacdbf74ff90c9edbabdee4c6",
+                "probe_results.jsonl":
+                    "c644d08437a28e79825cecc9890ee3cb3edb8456241859332837a4e7ae31897e"},
+        })
 
     @pytest.mark.parametrize("outcome", ["rejected", "not_found"])
     def test_files_appear_when_the_campaign_ends(self, tmp_path, monkeypatch, outcome):

@@ -133,7 +133,7 @@ class TestAdditiveEmbedding:
         np.testing.assert_allclose(tgt, src, rtol=1e-12)
         for t in range(3):
             u = a.A @ xs[0, t] - a.zeta
-            expected = induced_imag(a.base_activation, a.c, u, "imag_arg_real_bias")
+            expected = induced_imag(a.activation, a.c, u, "imag_arg_real_bias")
             np.testing.assert_allclose(rec[0, t, i:i + h], expected, atol=1e-13)
 
 

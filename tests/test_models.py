@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import sample_models
 from ftnetlab.activations import (
     HOLEXPM1,
     HOLSIN,
@@ -196,9 +197,9 @@ def _additive_oracle(p: AdditiveFTNetParams, xs: np.ndarray) -> np.ndarray:
     ys = []
     for t in range(xs.shape[0]):
         u = p.A @ xs[t] + p.B @ q - p.zeta
-        ys.append(float(p.alphaplus @ induced_real(p.base_activation, p.c, u,
-                                                     IMAG_ARG_REAL_BIAS)))
-        q = induced_imag(p.base_activation, p.c, u, IMAG_ARG_REAL_BIAS)
+        ys.append(float(p.alphaplus @ induced_real(p.activation, p.c, u,
+                                                   IMAG_ARG_REAL_BIAS)))
+        q = induced_imag(p.activation, p.c, u, IMAG_ARG_REAL_BIAS)
     return np.array(ys)
 
 
@@ -422,21 +423,35 @@ class TestSerialization:
             np.testing.assert_array_equal(got.imag, want.imag)
 
     def test_malformed_fields_rejected_by_name(self, rng):
-        """Every array, state and scalar field of every kind, made non-numeric or ragged."""
+        """Every array, state and scalar field of every kind, made non-numeric, ragged,
+        of the wrong shape or non-finite, is rejected naming its model-file key."""
         checked = 0
         for model in _sample_models(rng):
             d = model_to_dict(model)
             for key, value in d.items():
                 if key in ("kind", "I", "H", "activation"):
                     continue
-                bads = ["x", {"a": 1}]
+                bads = ["x", {"a": 1}, [value, value],  # one dimension too many
+                        np.full(np.shape(value), np.nan).tolist()]
                 if isinstance(value, list):
-                    bads += [[value[0]] + [[value[0]]] * (len(value) - 1)]  # ragged
+                    bads += [[value[0]] + [[value[0]]] * (len(value) - 1),  # ragged
+                             value + value[:1]]  # one row too many
+                    inf = np.array(value)
+                    inf.flat[-1] = -np.inf
+                    bads.append(inf.tolist())
                 for bad in bads:
                     with pytest.raises(ContractViolationError, match=f"^{key}: "):
                         model_from_dict({**d, key: bad})
                     checked += 1
-        assert checked > 50
+        assert checked > 150
+
+    @pytest.mark.parametrize("kind,state", [("rftnet", "r0"), ("rnn", "m0"),
+                                            ("additive", "q0")])
+    def test_missing_state_is_zeros(self, kind, state):
+        d = sample_models()[kind]
+        model = model_from_dict({key: v for key, v in d.items() if key != state})
+        zeros = getattr(model, state)
+        assert zeros.shape == (d["H"],) and not zeros.any()
 
     def test_non_object_rejected(self):
         with pytest.raises(ContractViolationError, match="JSON object"):

@@ -28,12 +28,19 @@ class Activation:
 
     Both take ``(z, bias)`` with z a complex128 array; ``jacobian`` returns
     (J11, J12, J21, J22) of (Re act, Im act) w.r.t. (Re z, Im z), elementwise.
+
+    ``real_envelope``, where set, takes the real and imaginary parts (a, b)
+    of z as float64 arrays and returns (s, env) or None.  Elementwise,
+    |Re act(a + ib)| <= (1 + 2^-32) env, and both s and the real part of
+    ``value`` lie within 2^-32 env of the true Re act(a + ib).  None means it
+    cannot vouch for these arrays.  ``losses.squared_loss_lower_bound`` reads it.
     """
 
     value: Callable
     jacobian: Callable
     holomorphic_nonpolynomial: bool = False
     default_bias: float | None = None  # set for the kinds that read ``bias``
+    real_envelope: Callable | None = None
 
 
 def _step(x):
@@ -51,6 +58,25 @@ def _cauchy_riemann(d):
     """The Jacobian of a holomorphic map whose complex derivative is d."""
     u, v = d.real, d.imag
     return u, -v, v.copy(), u.copy()
+
+
+# holsin's real_envelope vouches only for |a| up to here, so that its accuracy
+# never rests on how tan reduces a huge argument
+_HOLSIN_ENVELOPE_MAX_ARG = 2.0**20
+
+
+def _holsin_real_envelope(a, b):
+    """(sin a cosh b, cosh b) through the real tan and cosh: sin a = 2t / (1 + t^2)
+    with t = tan(a/2).  numpy's float64 tan is much faster than its sin, so
+    this takes about half the time of sin at 256 x 32 (x86-64 Xeon VM).
+
+    Where t^2 overflows, sin a is below 1e-154 and the quotient gives 0.
+    """
+    if not np.max(np.abs(a)) <= _HOLSIN_ENVELOPE_MAX_ARG:  # NaN fails too
+        return None
+    t = np.tan(0.5 * a)
+    c = np.cosh(b)
+    return 2.0 * t / (1.0 + t * t) * c, c
 
 
 def _modrelu(z, bias):
@@ -87,7 +113,7 @@ TABLE = {
     "holsin": Activation(
         lambda z, bias: np.sin(z),
         lambda z, bias: _cauchy_riemann(np.cos(z)),
-        holomorphic_nonpolynomial=True),
+        holomorphic_nonpolynomial=True, real_envelope=_holsin_real_envelope),
     # real kinds act on Re(z); the complex identity keeps z whole
     "relu": Activation(
         lambda z, bias: np.maximum(z.real, 0.0) + 0.0j,

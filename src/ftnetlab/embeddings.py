@@ -170,10 +170,12 @@ def _rnn_gap(r, g, xs):
     return _recurrent_gap(g, xs, src, [(slice(r.I + r.HR, r.I + 2 * r.HR), ms)])
 
 
-def assembly_structural_gap(s1, s2, readout, base, c, h0, xs) -> float:
-    """Worst violation of the three exact chain claims plus state stacking."""
-    traj = cons.dods_stage_trajectories(s1, s2, readout, base, c, h0, xs)
-    addnet = cons.assemble_dods_additive(s1, s2, readout, base, c, h0)
+def assembly_structural_gap(stages, addnet, xs) -> float:
+    """Worst violation of the three exact chain claims plus state stacking, for
+    ``addnet``, the net :func:`constructions.assemble_dods_additive` assembled
+    from ``stages`` = (s1, s2, readout, base, c, h0)."""
+    s1, s2 = stages[:2]
+    traj = cons.dods_stage_trajectories(*stages, xs)
     _, ps, qs = models.eval_additive_many(addnet, np.asarray(xs)[None])
     ps, qs = ps[0], qs[0]
     h1 = s1.hidden
@@ -271,8 +273,7 @@ FAMILIES = {fam.name: fam for fam in (
            _rnn_gap, 1.0, report=(2, "H_R", "2H_R + I + 1")),
     Assembly("dods_assembly", "dods_stages", _ADDITIVE, _random_assembly,
              lambda stages, c: cons.assemble_dods_additive(*stages),
-             lambda stages, net, xs: assembly_structural_gap(*stages, xs),
-             1.0, count_key="assemblies"),
+             assembly_structural_gap, 1.0, count_key="assemblies"),
 )}
 
 

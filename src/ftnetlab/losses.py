@@ -7,6 +7,7 @@ loss is a plain sum over samples (no 1/n).
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -14,8 +15,9 @@ from typing import Callable
 
 import numpy as np
 
+from .activations import TABLE
 from .errors import ContractViolationError
-from .models import FFTNetParams, RFTNetParams, Tape, forward
+from .models import FFTNetParams, RFTNetParams, Tape, forward, preactivation_parts
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,64 @@ def empirical_loss(p: FFTNetParams | RFTNetParams, data: Dataset, spec: LossSpec
     """The summed loss of either FTNet.  ``tape`` records the forward pass for a
     gradient, or supplies it when it already recorded these very arrays."""
     return float(np.sum(spec.value(forward(p, data.xs, tape).out - data.ys)))
+
+
+_U = 2.0**-53  # the unit roundoff of float64
+
+
+def squared_loss_lower_bound(p: FFTNetParams, k: np.ndarray, ys: np.ndarray) -> float:
+    """A lower bound on the summed squared loss of the feedforward net p at
+    padded inputs k (``kappa_many(xs, p.H)``) and targets ys, or -inf where
+    it cannot vouch for one.  It needs the ``real_envelope`` of p's
+    activation, and runs no complex activation.
+
+    Derivation.  Let a, b be the pre-activations from
+    :func:`models.preactivation_parts`, the same doubles that
+    :func:`empirical_loss` reads, and (s~, c) the activation's
+    ``real_envelope`` of them.  Let u = 2^-53, gamma_n = n u / (1 - n u),
+    A = c @ |alpha| in real arithmetic and A^ its computed value.
+
+    1. The exact pass takes the real parts s^ of the complex activation.
+       s^ and s~ each lie within 2^-32 c of the true Re act(a + ib), so
+       |s^ - s~| <= 2^-31 c, and |s^| and |s~| are <= (1 + 2^-31) c.
+    2. The outputs o^ = s^ @ alpha and o~ = s~ @ alpha are sums of H
+       products, so in any order, with or without FMA, each lies within
+       gamma_H (|s| @ |alpha|) <= gamma_H (1 + 2^-31) A of its real sum, and
+       A <= A^ / (1 - gamma_H).  Any H x H array that fits in memory has
+       H <= 2^20, so 2 gamma_H <= 2^-32 (1 + 2^-32) and
+       |o^ - o~| <= (2^-31 + 2^-32) (1 + 2^-29) A^ <= (4/5) 2^-30 A^.
+    3. r~ = fl(o~ - y) = (o~ - y)(1 + d) with |d| <= u, so
+       |o^ - y| >= |r~| (1 - u) - (4/5) 2^-30 A^.
+    4. e = fl(2^-30 A^ + 4u |r~|) >= (1 - u)(2^-30 A^ + 4u |r~|), and
+       m = max(fl(|r~| - e), 0) <= max((|r~| - e)(1 + u), 0)
+       <= max(|r~| (1 - u) - (4/5) 2^-30 A^, 0) <= |o^ - y|.
+    5. The exact loss is L = fl(sum fl(fl(o^ - y)^2)) >= (1 - g) sum (o^ - y)^2
+       with g = gamma_{N+2}, in any summation order.  The computed m . m is
+       <= (1 + gamma_N) sum m^2, and forming 1 - kappa and the product adds
+       two roundings, so the result is <= (1 - kappa)(1 + g) sum m^2 <= L
+       whenever kappa >= 2g / (1 + g) = 2 (N + 2) u; kappa is twice that.
+
+    The slack 2^-30 is about 8e6 ulps: the bound rests on numpy's functions
+    being accurate to 2^-32, not to a few ulps.  Underflow adds absolute
+    errors near 2^-1074 per operation, outside steps 1-5; a sum m . m below
+    2^-900 gives -inf, and above it they are below a relative 2^-170, inside
+    kappa's slack.  Any non-finite value gives -inf too.
+    """
+    envelope = TABLE[p.activation.tag].real_envelope
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = envelope(*preactivation_parts(p, k))
+        if parts is None:
+            return -math.inf
+        s, c = parts
+        envelope_sum = c @ np.abs(p.alpha)  # A^
+        r = np.abs(s @ p.alpha - ys)
+        m = np.maximum(r - (2.0**-30 * envelope_sum + 4.0 * _U * r), 0.0)
+        total = float(m @ m)
+    # an infinite A^ would make its rows' m 0 rather than spoil the total
+    if not (2.0**-900 <= total <= sys.float_info.max
+            and np.max(envelope_sum) <= sys.float_info.max):
+        return -math.inf
+    return (1.0 - 4.0 * (len(ys) + 2) * _U) * total
 
 
 # the keys each loss takes beside "loss"; a, b and c default to 1

@@ -270,6 +270,13 @@ class Tape:
             a is b for a, b in zip(self.source, self._source(p, X)))
 
 
+def preactivation_parts(p: FFTNetParams, k: np.ndarray) -> tuple:
+    """(k @ W.T, k @ V.T): the real and imaginary parts of a feedforward net's
+    pre-activations at padded inputs k.  Every caller gets them from these two
+    matmuls, so equal inputs give equal doubles."""
+    return k @ p.W.T, k @ p.V.T
+
+
 def eval_fftnet_many(p: FFTNetParams, X: np.ndarray, tape: Tape | None = None) -> np.ndarray:
     """Batch of inputs, shape (N, I) -> outputs (N,); fills ``tape`` when given."""
     X = np.asarray(X, dtype=np.float64)
@@ -277,8 +284,7 @@ def eval_fftnet_many(p: FFTNetParams, X: np.ndarray, tape: Tape | None = None) -
         raise ContractViolationError(f"expected inputs of shape (N, {p.I})")
     k = kappa_many(X, p.H)
     pre = np.empty((X.shape[0], p.H), dtype=np.complex128)
-    pre.real = k @ p.W.T
-    pre.imag = k @ p.V.T
+    pre.real, pre.imag = preactivation_parts(p, k)
     act = np.asarray(apply(p.activation, pre))
     out = act.real @ p.alpha
     if tape is not None:

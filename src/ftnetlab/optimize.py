@@ -8,14 +8,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .activations import ActivationKind, apply, jacobian_parts
+from .activations import TABLE, ActivationKind, apply, jacobian_parts
 from .errors import ContractViolationError, NonFiniteInitialLossError
-from .losses import Dataset, LossSpec, empirical_loss
-from .models import FFTNetParams, RFTNetParams, Tape, forward
+from .losses import Dataset, LossSpec, empirical_loss, squared_loss_lower_bound
+from .models import FFTNetParams, RFTNetParams, Tape, forward, kappa_many
 from .numerics import null_vector_against, numerical_rank
 
 
@@ -33,6 +33,9 @@ class GradientBundle:
     def max_abs(self) -> float:
         return max(np.max(np.abs(self.dW)), np.max(np.abs(self.dV)),
                    np.max(np.abs(self.dAlpha)))
+
+    def sq_norm(self) -> float:
+        return float(np.sum(self.dW**2) + np.sum(self.dV**2) + np.sum(self.dAlpha**2))
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,7 @@ def random_rftnet(I: int, H: int, activation: ActivationKind, scale: float,
     return RFTNetParams(I, H, f.W, f.V, f.alpha, activation, np.zeros(H))
 
 
-def _descend(p0, loss_of, grad_of, cfg: TrainConfig):
+def _descend(p0, loss_of, grad_of, cfg: TrainConfig, bound_of=None):
     """Shared GD loop over (W, V, alpha) of either FTNet: accepted steps never
     increase the loss.  ``loss_of`` and ``grad_of`` take a params object; each
     candidate is ``p0``'s kind with the stepped arrays.
@@ -145,6 +148,18 @@ def _descend(p0, loss_of, grad_of, cfg: TrainConfig):
     Overshooting candidates may overflow to inf/nan, in their stepped arrays
     or in their loss; either way they are rejected by a finiteness check and
     the step is halved, so IEEE overflow is silenced within this loop.
+
+    ``bound_of``, when given, takes a candidate and returns a lower bound on
+    its ``loss_of``, or -inf or NaN where it has none.  A candidate whose
+    bound is already >= the current loss is rejected without ``loss_of``:
+    the exact loss would have rejected it too, so every step, loss and
+    ``loss_of`` tape is the same as without ``bound_of``.
+
+    A bound only pays off on a candidate it rejects.  After a rejection at
+    step 2h, a quadratic through the current loss, its slope -|g|^2 along
+    -g and the rejected value at 2h predicts descent at h when that value
+    exceeded the current loss by less than 2 |g|^2 h; such a candidate goes
+    straight to ``loss_of``.
     """
     p = p0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -157,14 +172,21 @@ def _descend(p0, loss_of, grad_of, cfg: TrainConfig):
             if cur <= cfg.target_loss:
                 break
             g = grad_of(p)
+            slope = g.sq_norm()
+            above = math.inf  # how far the last rejected candidate lay above cur
             for _ in range(31):
                 try:
                     cand = replace(p, W=p.W - step * g.dW, V=p.V - step * g.dV,
                                    alpha=p.alpha - step * g.dAlpha)
                 except ContractViolationError:  # a stepped array overflowed
-                    cand_loss = math.nan
+                    cand_loss, above = math.nan, math.inf
                 else:
-                    cand_loss = loss_of(cand)
+                    bound = -math.inf
+                    if bound_of is not None and not above < 2.0 * slope * step:
+                        bound = bound_of(cand)
+                    # a bound >= cur certifies that the exact loss would reject cand
+                    cand_loss = math.nan if bound >= cur else loss_of(cand)
+                    above = (bound if bound >= cur else cand_loss) - cur
                 if math.isfinite(cand_loss) and cand_loss < cur:
                     break
                 step *= 0.5
@@ -183,11 +205,18 @@ def train_fftnet(p0: FFTNetParams, data: Dataset, spec: LossSpec,
     """Gradient descent with backtracking; returns (params, loss trace).
 
     Every loss evaluation records its forward pass on one tape, so the
-    gradient at an accepted step reuses that step's pass.
+    gradient at an accepted step reuses that step's pass.  For the squared
+    loss and an activation with a ``real_envelope`` (holsin), a candidate
+    that :func:`squared_loss_lower_bound` certifies is no better skips its
+    exact forward pass; the trajectory is that of the exact loss alone.
     """
     tape = Tape()
+    bound_of = None
+    if spec.kind == "squared" and TABLE[p0.activation.tag].real_envelope is not None:
+        bound_of = partial(squared_loss_lower_bound, k=kappa_many(data.xs, p0.H), ys=data.ys)
     return _descend(p0, loss_of=lambda p: empirical_loss(p, data, spec, tape),
-                    grad_of=lambda p: grad_fftnet(p, data, spec, tape), cfg=cfg)
+                    grad_of=lambda p: grad_fftnet(p, data, spec, tape), cfg=cfg,
+                    bound_of=bound_of)
 
 
 def train_rftnet(p0: RFTNetParams, data: Dataset, spec: LossSpec,

@@ -11,6 +11,7 @@ import numpy as np
 from ftnetlab.activations import HOLEXPM1, HOLSIN, RELU, ZRELU
 from ftnetlab.constructions import (
     additive_to_rftnet,
+    assemble_dods_additive,
     crnet_to_fftnet,
     crnet_to_rftnet,
     fnn_to_fftnet,
@@ -122,11 +123,11 @@ def test_criterion_3_structural_trajectory_claims():
     rng = np.random.default_rng(303)
     worst_assembly = 0.0
     for _ in range(50):
-        s1, s2, readout, base, c, h0 = _random_assembly(rng)
+        stages = _random_assembly(rng)
         t_len = int(rng.integers(2, 11))
-        xs = rng.uniform(-1, 1, size=(t_len, s1.A.shape[1]))
-        worst_assembly = max(worst_assembly,
-                             assembly_structural_gap(s1, s2, readout, base, c, h0, xs))
+        xs = rng.uniform(-1, 1, size=(t_len, stages[0].A.shape[1]))
+        worst_assembly = max(worst_assembly, assembly_structural_gap(
+            stages, assemble_dods_additive(*stages), xs))
     assert worst_assembly <= EXACT
 
     worst_receptor = 0.0

@@ -322,7 +322,8 @@ class TestDodsAssembly:
             s1, s2, readout = random_dods_stages(rng)
             h0 = rng.standard_normal(2)
             xs = rng.uniform(-1, 1, size=(6, 3))
-            gap = assembly_structural_gap(s1, s2, readout, ZRELU, 1.0, h0, xs)
+            stages = (s1, s2, readout, ZRELU, 1.0, h0)
+            gap = assembly_structural_gap(stages, assemble_dods_additive(*stages), xs)
             assert gap <= EXACT
 
     def test_zero_assembly_with_zero_height(self, rng):
@@ -381,7 +382,8 @@ class TestDodsAssembly:
             np.testing.assert_allclose(relu_pair.C @ traj["q2"][t], h,
                                        rtol=1e-12, atol=1e-12)
         # and the assembled network carries the same q2 block in its tail
-        gap = assembly_structural_gap(other, relu_pair, readout, ZRELU, 1.0, h0, xs)
+        stages = (other, relu_pair, readout, ZRELU, 1.0, h0)
+        gap = assembly_structural_gap(stages, assemble_dods_additive(*stages), xs)
         assert gap <= EXACT
 
     def test_rank_deficient_readout_rejected(self, rng):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 from conftest import tame_rftnet
 from ftnetlab.activations import HOLEXPM1, HOLSIN, ZRELU, apply, modrelu
 from ftnetlab.errors import ContractViolationError
-from ftnetlab.losses import Dataset, empirical_loss, param_cosh_loss, squared_loss
+from ftnetlab.losses import (
+    Dataset,
+    empirical_loss,
+    param_cosh_loss,
+    squared_loss,
+    squared_loss_lower_bound,
+)
 from ftnetlab.models import FFTNetParams, RFTNetParams, Tape, eval_fftnet_many, kappa_many
 import ftnetlab.models as models
 import ftnetlab.optimize as optimize
@@ -296,6 +303,74 @@ def _ball_search_oracle(p, data, spec, delta, tries=4000, seed=99):
         if empirical_loss(cand, data, spec) < base:
             return True
     return False
+
+
+class TestLossBound:
+    """``squared_loss_lower_bound`` lets ``train_fftnet`` reject a holsin
+    candidate without its exact forward pass, so it must never exceed the
+    exact loss, and the descent must be the one the exact loss alone takes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(h=st.integers(2, 40), i=st.integers(1, 8), n=st.integers(1, 60),
+           init_scale=st.floats(1e-3, 30.0), x_scale=st.floats(1e-3, 10.0),
+           y_scale=st.floats(0.0, 1e3), near_fit=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_never_exceeds_the_loss(self, h, i, n, init_scale, x_scale, y_scale,
+                                    near_fit, seed):
+        i = min(i, h - 1)
+        rng = np.random.default_rng(seed)
+        p = random_fftnet(i, h, HOLSIN, init_scale, rng)
+        xs = x_scale * rng.standard_normal((n, i))
+        ys = y_scale * rng.standard_normal(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if near_fit:  # residuals near rounding level, where the bound is tightest
+                ys = 1e-12 * ys + eval_fftnet_many(p, xs)
+            ys = np.where(np.isfinite(ys), ys, 0.0)
+            loss = empirical_loss(p, Dataset(xs, ys), squared_loss())
+        bound = squared_loss_lower_bound(p, kappa_many(xs, h), ys)
+        assert not math.isfinite(bound) or bound <= loss
+
+    def test_tight_on_a_sin_fit_start(self):
+        p = random_fftnet(1, 32, HOLSIN, 0.3, np.random.default_rng(0))
+        xs = np.linspace(-1.0, 1.0, 256)[:, None]
+        data = Dataset(xs, np.sin(3.0 * xs[:, 0]))
+        loss = empirical_loss(p, data, squared_loss())
+        bound = squared_loss_lower_bound(p, kappa_many(xs, 32), data.ys)
+        assert loss * (1 - 1e-7) <= bound <= loss
+
+    @pytest.mark.parametrize("w, v", [(2.0**21, 0.0), (1.0, 1e3)], ids=["huge", "overflow"])
+    def test_no_bound_for_huge_or_overflowing_pre_activations(self, w, v):
+        p = FFTNetParams(1, 2, np.full((2, 2), w), np.full((2, 2), v), np.ones(2), HOLSIN)
+        k = kappa_many(np.ones((1, 1)), 2)
+        assert squared_loss_lower_bound(p, k, np.zeros(1)) == -math.inf
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("step_size", [1e308, 1e3])
+    def test_sin_fit_descent_is_unchanged(self, seed, step_size, monkeypatch):
+        xs = np.linspace(-1.0, 1.0, 256)[:, None]
+        data = Dataset(xs, np.sin(3.0 * xs[:, 0]))
+        p0 = random_fftnet(1, 32, HOLSIN, 1.0, np.random.default_rng(seed))
+        spec, cfg = squared_loss(), TrainConfig(step_size=step_size, max_iters=30)
+        tape, exact_calls = Tape(), []
+
+        def loss_of(p):
+            exact_calls.append(p)
+            return empirical_loss(p, data, spec, tape)
+
+        ref = optimize._descend(p0, loss_of=loss_of, cfg=cfg,
+                                grad_of=lambda p: grad_fftnet(p, data, spec, tape))
+        bounded_calls = []
+        monkeypatch.setattr(optimize, "empirical_loss",
+                            lambda *a: bounded_calls.append(a) or empirical_loss(*a))
+        got = train_fftnet(p0, data, spec, cfg)
+        (p, trace), (p_ref, trace_ref) = got, ref
+        assert trace == trace_ref
+        for name in ("W", "V", "alpha"):
+            assert np.array_equal(getattr(p, name), getattr(p_ref, name))
+        if step_size == 1e308:  # no step from 1e308 down to 1e299 descends
+            assert len(trace) == 1 and len(bounded_calls) == len(exact_calls)
+        else:  # the bound rejected candidates without their exact pass
+            assert len(trace) > 2 and len(bounded_calls) < len(exact_calls)
 
 
 class TestDescentProbe:

@@ -172,7 +172,7 @@ def _descend(p0, loss_of, grad_of, cfg: TrainConfig, bound_of=None):
             if cur <= cfg.target_loss:
                 break
             g = grad_of(p)
-            slope = g.sq_norm()
+            slope = g.sq_norm()  # the loss falls at this rate per unit step along -g
             above = math.inf  # how far the last rejected candidate lay above cur
             for _ in range(31):
                 try:
@@ -182,6 +182,7 @@ def _descend(p0, loss_of, grad_of, cfg: TrainConfig, bound_of=None):
                     cand_loss, above = math.nan, math.inf
                 else:
                     bound = -math.inf
+                    # NaN or inf: no rejection to predict from; else the quadratic above
                     if bound_of is not None and not above < 2.0 * slope * step:
                         bound = bound_of(cand)
                     # a bound >= cur certifies that the exact loss would reject cand

@@ -57,7 +57,7 @@ def _diagonal(j11, j22=None):
 def _cauchy_riemann(d):
     """The Jacobian of a holomorphic map whose complex derivative is d."""
     u, v = d.real, d.imag
-    return u, -v, v.copy(), u.copy()
+    return u, -v, v, u
 
 
 # holsin's real_envelope vouches only for |a| up to here, so that its accuracy
@@ -95,7 +95,7 @@ def _modrelu_jacobian(z, bias):
     j11 = np.where(on, 1.0 + k * b * b, 0.0)
     j12 = np.where(on, -k * a * b, 0.0)
     j22 = np.where(on, 1.0 + k * a * a, 0.0)
-    return j11, j12, j12.copy(), j22
+    return j11, j12, j12, j22
 
 
 TABLE = {
@@ -176,7 +176,8 @@ def apply(kind: ActivationKind, z):
 def jacobian_parts(kind: ActivationKind, z):
     """(J11, J12, J21, J22) of (Re act, Im act) w.r.t. (Re z, Im z), elementwise.
 
-    Boundary points of piecewise kinds take the pass-region value.
+    Boundary points of piecewise kinds take the pass-region value.  Parts
+    may be one shared array (J22 is J11 for a holomorphic kind), so read only.
     """
     return TABLE[kind.tag].jacobian(np.asarray(z, dtype=np.complex128), kind.bias)
 

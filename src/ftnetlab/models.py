@@ -270,6 +270,16 @@ class Tape:
             a is b for a, b in zip(self.source, self._source(p, X)))
 
 
+def _batch(X, ndim: int, I: int) -> np.ndarray:
+    """X as a float64 array of ``ndim`` axes whose last has length I: inputs
+    (N, I), sequences (B, T, I) or one sequence (T, I)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != ndim or X.shape[-1] != I:
+        raise ContractViolationError(
+            f"expected a {ndim}-d array of shape (..., {I}), got shape {X.shape}")
+    return X
+
+
 def preactivation_parts(p: FFTNetParams, k: np.ndarray) -> tuple:
     """(k @ W.T, k @ V.T): the real and imaginary parts of a feedforward net's
     pre-activations at padded inputs k.  Every caller gets them from these two
@@ -279,9 +289,7 @@ def preactivation_parts(p: FFTNetParams, k: np.ndarray) -> tuple:
 
 def eval_fftnet_many(p: FFTNetParams, X: np.ndarray, tape: Tape | None = None) -> np.ndarray:
     """Batch of inputs, shape (N, I) -> outputs (N,); fills ``tape`` when given."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != p.I:
-        raise ContractViolationError(f"expected inputs of shape (N, {p.I})")
+    X = _batch(X, 2, p.I)
     k = kappa_many(X, p.H)
     pre = np.empty((X.shape[0], p.H), dtype=np.complex128)
     pre.real, pre.imag = preactivation_parts(p, k)
@@ -297,9 +305,7 @@ def eval_rftnet_many(p: RFTNetParams, XS: np.ndarray, tape: Tape | None = None):
 
     The receptor after step t is the imaginary part of ``tape.acts[t]``.
     """
-    XS = np.asarray(XS, dtype=np.float64)
-    if XS.ndim != 3 or XS.shape[2] != p.I:
-        raise ContractViolationError(f"expected sequences of shape (B, T, {p.I})")
+    XS = _batch(XS, 3, p.I)
     b, t_len, _ = XS.shape
     if t_len < 1:
         raise ContractViolationError("need at least one time step")
@@ -344,9 +350,7 @@ def additive_activation(base_activation: ActivationKind, c: float):
 def eval_additive_many(p: AdditiveFTNetParams, XS: np.ndarray):
     """Batch of sequences (B, T, I) -> outputs (B, T) and the (p_t, q_t)
     stacks, each (B, T, Hplus)."""
-    XS = np.asarray(XS, dtype=np.float64)
-    if XS.ndim != 3 or XS.shape[2] != p.I:
-        raise ContractViolationError(f"expected sequences of shape (B, T, {p.I})")
+    XS = _batch(XS, 3, p.I)
     sigma = additive_activation(p.activation, p.c)
     b, t_len, _ = XS.shape
     q = np.broadcast_to(p.q0, (b, p.Hplus)).copy()
@@ -364,17 +368,13 @@ def eval_additive_many(p: AdditiveFTNetParams, XS: np.ndarray):
 
 
 def eval_fnn_many(p: FNNParams, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != p.I:
-        raise ContractViolationError(f"expected inputs of shape (N, {p.I})")
+    X = _batch(X, 2, p.I)
     return apply_real(p.activation, X @ p.WF.T + p.bF) @ p.alphaF
 
 
 def eval_rnn_many(p: RNNParams, XS: np.ndarray):
     """Batch of sequences (B, T, I) -> outputs (B, T) and memories (B, T, HR)."""
-    XS = np.asarray(XS, dtype=np.float64)
-    if XS.ndim != 3 or XS.shape[2] != p.I:
-        raise ContractViolationError(f"expected sequences of shape (B, T, {p.I})")
+    XS = _batch(XS, 3, p.I)
     b, t_len, _ = XS.shape
     m = np.broadcast_to(p.m0, (b, p.HR)).copy()
     ys = np.zeros((b, t_len))
@@ -387,9 +387,7 @@ def eval_rnn_many(p: RNNParams, XS: np.ndarray):
 
 
 def eval_crnet_many(p: CRNetParams, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != p.I:
-        raise ContractViolationError(f"expected inputs of shape (N, {p.I})")
+    X = _batch(X, 2, p.I)
     half = p.I // 2
     # tau folds (x1; x2) in R^I into x1 + x2 i in C^{I/2}; CRNetParams keeps I even
     pre = (X[:, :half] + 1j * X[:, half:]) @ p.WC.T + p.bC
@@ -399,9 +397,7 @@ def eval_crnet_many(p: CRNetParams, X: np.ndarray) -> np.ndarray:
 
 def eval_dods(spec: DODSSpec, xs):
     """One sequence (T, I) -> outputs (T,) and hidden states (T, HD)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != spec.I:
-        raise ContractViolationError(f"expected a sequence of shape (T, {spec.I})")
+    xs = _batch(xs, 2, spec.I)
     h = spec.h0
     ys = np.zeros(xs.shape[0])
     hs = np.zeros((xs.shape[0], spec.HD))

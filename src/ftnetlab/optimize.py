@@ -297,40 +297,6 @@ def _perturbation_norm(dz: np.ndarray, dalpha: np.ndarray) -> float:
     return fro + float(np.linalg.norm(dalpha))
 
 
-def _probe_preconditions(p: FFTNetParams, data: Dataset, spec: LossSpec,
-                         tape: Tape) -> float:
-    """The loss of p, after checking the probe's premises; ``tape`` then holds
-    the forward pass of p on data.xs."""
-    if not p.activation.is_holomorphic_nonpolynomial:
-        raise ContractViolationError(
-            "descent probe needs a holomorphic non-polynomial activation")
-    wp = spec.well_posedness
-    if not wp.passed:
-        raise ContractViolationError(f"loss is not well posed: {wp.violations}")
-    loss = empirical_loss(p, data, spec, tape)
-    if numerical_rank(tape.K) < data.n:
-        raise ContractViolationError("padded samples are not linearly independent")
-    if not loss > 0.0:
-        raise ContractViolationError(
-            "descent is only claimed for positive loss; nothing to improve")
-    return loss
-
-
-def _row_matrix(h: int, row: int, dz: np.ndarray) -> np.ndarray:
-    m = np.zeros((h, h), dtype=np.complex128)
-    m[row] = dz
-    return m
-
-
-def _apply_row_perturbation(p: FFTNetParams, row: int, dz: np.ndarray,
-                            dalpha: np.ndarray) -> FFTNetParams:
-    w = p.W.copy()
-    v = p.V.copy()
-    w[row] += dz.real
-    v[row] += dz.imag
-    return replace(p, W=w, V=v, alpha=p.alpha + dalpha)
-
-
 def descent_probe(p: FFTNetParams, data: Dataset, spec: LossSpec,
                   delta: float = 0.1, seed: int = 0,
                   tape: Tape | None = None) -> ProbeResult:
@@ -340,25 +306,52 @@ def descent_probe(p: FFTNetParams, data: Dataset, spec: LossSpec,
     the worst sample's output, with c searched over geometric radii and 64
     phases.  Case 2 (alpha identically zero): sample a row perturbation
     until the readout's directional derivative is nonzero, then backtrack on
-    the first readout weight.
+    the first readout weight.  Each case proposes only the perturbations its
+    surrogate loss predicts will descend; the first whose exact loss is
+    below the current one is the result.
 
     A ``tape`` that recorded the forward pass of p on data.xs saves running
     it again (see :func:`empirical_loss`); otherwise it records that pass.
     """
     if delta <= 0:
         raise ContractViolationError("delta must be positive")
+    if not p.activation.is_holomorphic_nonpolynomial:
+        raise ContractViolationError(
+            "descent probe needs a holomorphic non-polynomial activation")
+    wp = spec.well_posedness
+    if not wp.passed:
+        raise ContractViolationError(f"loss is not well posed: {wp.violations}")
     if tape is None:
         tape = Tape()
-    old_loss = _probe_preconditions(p, data, spec, tape)
-    k = tape.K
-    res = tape.out - data.ys
+    old_loss = empirical_loss(p, data, spec, tape)
+    if numerical_rank(tape.K) < data.n:
+        raise ContractViolationError("padded samples are not linearly independent")
+    if not old_loss > 0.0:
+        raise ContractViolationError(
+            "descent is only claimed for positive loss; nothing to improve")
 
     if np.max(np.abs(p.alpha)) > 0.0:
-        return _probe_case_alpha_nonzero(p, data, spec, delta, old_loss, k, res)
-    return _probe_case_alpha_zero(p, data, spec, delta, seed, old_loss, k)
+        case = "alpha_nonzero"
+        proposals = _alpha_nonzero_proposals(p, spec, delta, old_loss, tape.K,
+                                             tape.out - data.ys)
+    else:
+        case = "alpha_zero"
+        proposals = _alpha_zero_proposals(p, data, spec, delta, seed, old_loss, tape.K)
+    for row, dz, dalpha in proposals:
+        dzm = np.zeros((p.H, p.H), dtype=np.complex128)
+        dzm[row] = dz
+        cand = replace(p, W=p.W + dzm.real, V=p.V + dzm.imag, alpha=p.alpha + dalpha)
+        cand_loss = empirical_loss(cand, data, spec)
+        if cand_loss < old_loss:
+            return ProbeResult(True, dzm, dalpha, old_loss, cand_loss, case,
+                               _perturbation_norm(dzm, dalpha))
+    return ProbeResult(False, np.zeros((p.H, p.H), dtype=np.complex128), np.zeros(p.H),
+                       old_loss, old_loss, case, 0.0)
 
 
-def _probe_case_alpha_nonzero(p, data, spec, delta, old_loss, k, res):
+def _alpha_nonzero_proposals(p, spec, delta, old_loss, k, res):
+    """Case 1: (row k0, c*v, no readout change) per radius level whose best
+    phase lowers the loss when only the worst sample's residual moves."""
     j0 = int(np.argmax(np.abs(res)))
     k0 = int(np.argmax(np.abs(p.alpha)))
     v = null_vector_against(k, keep=j0)
@@ -375,54 +368,35 @@ def _probe_case_alpha_nonzero(p, data, spec, delta, old_loss, k, res):
         new_res_j0 = res[j0] - base + terms
         new_losses = old_loss - float(spec.value(res[j0])) + spec.value(new_res_j0)
         best = int(np.argmin(new_losses))
-        if not new_losses[best] < old_loss:
-            continue
-        dz = cs[best] * v
-        cand = _apply_row_perturbation(p, k0, dz, np.zeros(p.H))
-        cand_loss = empirical_loss(cand, data, spec)
-        if cand_loss < old_loss:
-            dzm = _row_matrix(p.H, k0, dz)
-            return ProbeResult(True, dzm, np.zeros(p.H), old_loss, cand_loss,
-                               "alpha_nonzero", _perturbation_norm(dzm, np.zeros(p.H)))
-    return ProbeResult(False, np.zeros((p.H, p.H), dtype=np.complex128), np.zeros(p.H),
-                       old_loss, old_loss, "alpha_nonzero", 0.0)
+        if new_losses[best] < old_loss:
+            yield k0, cs[best] * v, np.zeros(p.H)
 
 
-def _probe_case_alpha_zero(p, data, spec, delta, seed, old_loss, k):
+def _alpha_zero_proposals(p, data, spec, delta, seed, old_loss, k):
+    """Case 2: (row 0, a sampled dz, a step on alpha_0) per halving of that
+    step whose loss, with the readout's other weights still zero, is lower."""
     rng = np.random.default_rng(seed)
     lp = spec.deriv(-data.ys)
     z1 = p.W[0] + 1j * p.V[0]
-    dz = None
-    r_vals = None
     for _ in range(PROBE_C1_SAMPLES):
         direction = rng.standard_normal(p.H) + 1j * rng.standard_normal(p.H)
         direction /= np.linalg.norm(direction)
-        cand = (delta / 2.0) * rng.uniform(0.2, 1.0) * direction
-        vals = np.asarray(apply(p.activation, k @ (z1 + cand))).real
+        dz = (delta / 2.0) * rng.uniform(0.2, 1.0) * direction
+        vals = np.asarray(apply(p.activation, k @ (z1 + dz))).real
         c1 = float(lp @ vals)
         if abs(c1) > PROBE_C1_FLOOR:
-            dz, r_vals, c1_sign = cand, vals, np.sign(c1)
             break
-    if dz is None:
-        return ProbeResult(False, np.zeros((p.H, p.H), dtype=np.complex128), np.zeros(p.H),
-                           old_loss, old_loss, "alpha_zero", 0.0)
+    else:
+        return  # the readout's derivative vanished along every sampled direction
 
     eta = PROBE_RADIUS_MARGIN * delta / 2.0
     for _ in range(PROBE_RADIUS_LEVELS + 1):
-        da1 = -c1_sign * eta
-        new_loss = float(np.sum(spec.value(da1 * r_vals - data.ys)))
-        if new_loss < old_loss:
+        da1 = -np.sign(c1) * eta
+        if float(np.sum(spec.value(da1 * vals - data.ys))) < old_loss:
             dalpha = np.zeros(p.H)
             dalpha[0] = da1
-            cand_params = _apply_row_perturbation(p, 0, dz, dalpha)
-            cand_loss = empirical_loss(cand_params, data, spec)
-            if cand_loss < old_loss:
-                dzm = _row_matrix(p.H, 0, dz)
-                return ProbeResult(True, dzm, dalpha, old_loss, cand_loss,
-                                   "alpha_zero", _perturbation_norm(dzm, dalpha))
+            yield 0, dz, dalpha
         eta /= 2.0
-    return ProbeResult(False, np.zeros((p.H, p.H), dtype=np.complex128), np.zeros(p.H),
-                       old_loss, old_loss, "alpha_zero", 0.0)
 
 
 def holomorphic_bidirectional_search(g, z0, delta: float, max_levels: int = 20):

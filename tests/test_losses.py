@@ -97,12 +97,6 @@ class TestWellPosedness:
         assert not report.passed
         assert len(report.violations) == 3
 
-    def test_grid_contract(self):
-        with pytest.raises(ContractViolationError):
-            check_well_posed(squared_loss(), grid_max=5.0)
-        with pytest.raises(ContractViolationError):
-            check_well_posed(squared_loss(), grid_step=0.5)
-
 
 def _zero_net(i=2, h=3):
     return FFTNetParams(i, h, np.zeros((h, h)), np.zeros((h, h)), np.zeros(h), ZRELU)

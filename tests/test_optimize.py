@@ -381,6 +381,14 @@ class TestDescentProbe:
         data = Dataset(rng.standard_normal((1, 2)), np.array([2.0]))
         return p, data
 
+    def _case2_instance(self, rng):
+        p0 = random_fftnet(3, 4, HOLEXPM1, 0.4, rng)
+        p = FFTNetParams(3, 4, p0.W, p0.V, np.zeros(4), HOLEXPM1)
+        return p, Dataset(rng.standard_normal((2, 3)), np.array([1.0, -0.5]))
+
+    def _instance(self, case, rng):
+        return (self._case1_instance if case == "alpha_nonzero" else self._case2_instance)(rng)
+
     def test_single_sample_case1(self, rng):
         p, data = self._case1_instance(rng)
         res = descent_probe(p, data, squared_loss(), delta=0.1, seed=0)
@@ -391,9 +399,7 @@ class TestDescentProbe:
         assert _ball_search_oracle(p, data, squared_loss(), 0.1)
 
     def test_case2_when_readout_zero(self, rng):
-        p0 = random_fftnet(3, 4, HOLEXPM1, 0.4, rng)
-        p = FFTNetParams(3, 4, p0.W, p0.V, np.zeros(4), HOLEXPM1)
-        data = Dataset(rng.standard_normal((2, 3)), np.array([1.0, -0.5]))
+        p, data = self._case2_instance(rng)
         res = descent_probe(p, data, squared_loss(), delta=0.1, seed=1)
         assert res.found
         assert res.case_tag == "alpha_zero"
@@ -401,14 +407,29 @@ class TestDescentProbe:
         assert res.perturbation_norm <= 0.1
         assert _ball_search_oracle(p, data, squared_loss(), 0.1)
 
-    def test_perturbation_actually_achieves_new_loss(self, rng):
-        from ftnetlab.losses import empirical_loss
-
-        p, data = self._case1_instance(rng)
-        res = descent_probe(p, data, squared_loss(), delta=0.1, seed=0)
+    @pytest.mark.parametrize("case", ["alpha_nonzero", "alpha_zero"])
+    def test_perturbation_actually_achieves_new_loss(self, rng, case):
+        p, data = self._instance(case, rng)
+        res = descent_probe(p, data, squared_loss(), delta=0.1, seed=1)
+        assert res.found and res.case_tag == case
         moved = FFTNetParams(p.I, p.H, p.W + res.deltaZ.real, p.V + res.deltaZ.imag,
                              p.alpha + res.deltaAlpha, p.activation)
-        assert empirical_loss(moved, data, squared_loss()) == pytest.approx(res.new_loss)
+        # the reported loss is the exact loss of the reported perturbation
+        assert empirical_loss(moved, data, squared_loss()) == res.new_loss
+
+    @pytest.mark.parametrize("case", ["alpha_nonzero", "alpha_zero"])
+    def test_not_found_when_nothing_is_proposed(self, rng, monkeypatch, case):
+        """With no radius level and no sampled direction neither case proposes a
+        perturbation, so the probe reports the unmoved net under its case tag."""
+        monkeypatch.setattr(optimize, "PROBE_RADIUS_LEVELS", 0)
+        monkeypatch.setattr(optimize, "PROBE_C1_SAMPLES", 0)
+        p, data = self._instance(case, rng)
+        res = descent_probe(p, data, squared_loss(), delta=0.1, seed=1)
+        assert not res.found and res.case_tag == case
+        assert res.deltaZ.shape == (p.H, p.H) and not res.deltaZ.any()
+        assert res.deltaAlpha.shape == (p.H,) and not res.deltaAlpha.any()
+        assert res.new_loss == res.old_loss == empirical_loss(p, data, squared_loss())
+        assert res.perturbation_norm == 0.0
 
     def test_zero_loss_refused(self, rng):
         p = random_fftnet(2, 3, HOLEXPM1, 0.4, rng)
@@ -436,9 +457,7 @@ class TestDescentProbe:
             descent_probe(p, data, param_cosh_loss(2, 3, 1), delta=0.1, seed=0)
 
     def test_deterministic_given_seed(self, rng):
-        p0 = random_fftnet(3, 4, HOLEXPM1, 0.4, rng)
-        p = FFTNetParams(3, 4, p0.W, p0.V, np.zeros(4), HOLEXPM1)
-        data = Dataset(rng.standard_normal((2, 3)), np.array([1.0, -0.5]))
+        p, data = self._case2_instance(rng)
         r1 = descent_probe(p, data, squared_loss(), delta=0.1, seed=7)
         r2 = descent_probe(p, data, squared_loss(), delta=0.1, seed=7)
         np.testing.assert_array_equal(r1.deltaZ, r2.deltaZ)

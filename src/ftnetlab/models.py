@@ -246,12 +246,14 @@ class Tape:
     :func:`eval_rftnet_many`, or let :func:`forward` pick the evaluator.  It
     then holds the outputs ``out``, the padded inputs ``K``, the
     pre-activations ``Z`` and the activations ``acts``: one (N, H) array each
-    for the feedforward net.  For the recurrent net, ``K`` and ``Z`` are
-    stacked as (T, B, H), and ``acts`` and ``R`` (the receptor each step
-    read) are lists of T arrays of shape (B, H).
+    for the feedforward net, which also keeps in ``D`` the derivative that
+    ``apply(..., derivative=True)`` returned with ``acts`` (None for a kind
+    without a shared form).  For the recurrent net, ``K`` and ``Z`` are
+    stacked as (T, B, H), ``acts`` and ``R`` (the receptor each step read)
+    are lists of T arrays of shape (B, H), and ``D`` is None.
     """
 
-    __slots__ = ("source", "out", "K", "Z", "acts", "R")
+    __slots__ = ("source", "out", "K", "Z", "acts", "R", "D")
 
     def __init__(self):
         self.source = ()
@@ -260,14 +262,19 @@ class Tape:
     def _source(p, X) -> tuple:
         return (p.W, p.V, p.alpha, getattr(p, "r0", None), p.activation, X)
 
-    def record(self, p, X, out, K, Z, acts, R=None) -> None:
+    def record(self, p, X, out, K, Z, acts, R=None, D=None) -> None:
         self.source = self._source(p, X)
-        self.out, self.K, self.Z, self.acts, self.R = out, K, Z, acts, R
+        self.out, self.K, self.Z, self.acts, self.R, self.D = out, K, Z, acts, R, D
 
     def matches(self, p, X) -> bool:
         """True when the recorded pass ran on these very parameter and input arrays."""
         return bool(self.source) and all(
             a is b for a, b in zip(self.source, self._source(p, X)))
+
+    def padded(self, X, H: int) -> bool:
+        """True when the recorded pass read this very input array X at width
+        H, so that ``K`` is ``kappa_many(X, H)``."""
+        return bool(self.source) and self.source[-1] is X and self.K.shape[-1] == H
 
 
 def _batch(X, ndim: int, I: int) -> np.ndarray:
@@ -288,15 +295,21 @@ def preactivation_parts(p: FFTNetParams, k: np.ndarray) -> tuple:
 
 
 def eval_fftnet_many(p: FFTNetParams, X: np.ndarray, tape: Tape | None = None) -> np.ndarray:
-    """Batch of inputs, shape (N, I) -> outputs (N,); fills ``tape`` when given."""
+    """Batch of inputs, shape (N, I) -> outputs (N,); fills ``tape`` when given.
+
+    A taped pass feeds a gradient, so it also takes the activation's
+    derivative where that comes from the same evaluation, and it reuses the
+    padded inputs of a tape that last read this very X array.
+    """
     X = _batch(X, 2, p.I)
-    k = kappa_many(X, p.H)
+    k = tape.K if tape is not None and tape.padded(X, p.H) else kappa_many(X, p.H)
     pre = np.empty((X.shape[0], p.H), dtype=np.complex128)
     pre.real, pre.imag = preactivation_parts(p, k)
-    act = np.asarray(apply(p.activation, pre))
+    if tape is None:
+        return apply(p.activation, pre).real @ p.alpha
+    act, d = apply(p.activation, pre, derivative=True)
     out = act.real @ p.alpha
-    if tape is not None:
-        tape.record(p, X, out, k, pre, act)
+    tape.record(p, X, out, k, pre, act, D=d)
     return out
 
 

@@ -61,7 +61,7 @@ def grad_fftnet(p: FFTNetParams, data: Dataset, spec: LossSpec,
     tape = forward(p, data.xs, tape)
     k, s = tape.K, tape.acts.real
     lp = spec.deriv(tape.out - data.ys)
-    j11, j12, _, _ = jacobian_parts(p.activation, tape.Z)
+    j11, j12, _, _ = jacobian_parts(p.activation, tape.Z, tape.D)
     gs = lp[:, None] * p.alpha[None, :]
     return GradientBundle(dW=(gs * j11).T @ k, dV=(gs * j12).T @ k,
                           dAlpha=s.T @ lp)

@@ -187,6 +187,73 @@ class TestSubgradient:
         assert np.max(np.abs(j - fd).max(axis=(1, 2)) / scale) <= 1e-6
 
 
+_DBL_MIN = 2.0**-1022
+_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2e-310, _DBL_MIN, -_DBL_MIN, np.nextafter(_DBL_MIN, 1.0))
+# holsin's shared form takes these: finite real parts and |imaginary part| <= 700
+_SHARED_RE = st.one_of(st.sampled_from(_EDGES), st.floats(-10.0, 10.0),
+                       st.floats(-1e300, 1e300))
+_SHARED_IM = st.one_of(st.sampled_from(_EDGES + (700.0, -700.0)), st.floats(-10.0, 10.0),
+                       st.floats(-700.0, 700.0))
+# and an array with one of these falls back to np.sin and np.cos
+_FALLBACK_RE = st.sampled_from([np.inf, -np.inf, np.nan])
+_FALLBACK_IM = st.one_of(st.sampled_from([np.inf, -np.inf, np.nan, 1e300]),
+                         st.floats(700.0, 1e4, exclude_min=True),
+                         st.floats(-1e4, -700.0, exclude_max=True))
+
+
+def _same_bytes(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestSharedDerivative:
+    """A taped feedforward pass takes act'(z) from ``apply(..., derivative=True)``
+    and hands it to ``jacobian_parts``; the model bytes rest on both giving
+    exactly what the separate evaluations give."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(parts=st.lists(st.tuples(_SHARED_RE, _SHARED_IM), min_size=1, max_size=40),
+           fallback=st.one_of(st.none(), st.tuples(_FALLBACK_RE, _SHARED_IM),
+                              st.tuples(_SHARED_RE, _FALLBACK_IM)))
+    def test_holsin_matches_np_sin_and_cos_bitwise(self, parts, fallback):
+        if fallback is not None:
+            parts = parts + [fallback]
+        z = np.array([complex(a, b) for a, b in parts])
+        with np.errstate(all="ignore"):
+            s, c = apply(HOLSIN, z, derivative=True)
+            assert _same_bytes(s, np.sin(z)) and _same_bytes(c, np.cos(z))
+
+    @pytest.mark.parametrize("re_scale, im_scale", [(1.0, 1.0), (30.0, 20.0), (1e6, 700.0),
+                                                    (1e300, 700.0), (1e-300, 1e-300)])
+    def test_holsin_matches_np_sin_and_cos_on_dense_draws(self, re_scale, im_scale):
+        rng = np.random.default_rng(7)
+        z = (re_scale * rng.uniform(-1.0, 1.0, (400, 50))
+             + 1j * im_scale * rng.uniform(-1.0, 1.0, (400, 50)))
+        s, c = apply(HOLSIN, z, derivative=True)
+        assert _same_bytes(s, np.sin(z)) and _same_bytes(c, np.cos(z))
+
+    def test_holexpm1_shares_one_exp(self, rng):
+        z = 3.0 * (rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5)))
+        value, d = apply(HOLEXPM1, z, derivative=True)
+        assert _same_bytes(value, np.exp(z) - 1.0) and _same_bytes(d, np.exp(z))
+
+    @pytest.mark.parametrize("tag", list(TABLE))
+    def test_value_and_jacobian_match_the_separate_calls(self, tag, rng):
+        kind = activation_from_tag(tag)
+        z = 2.0 * (rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4)))
+        z[0, :4] = [0.0, 1.0, 1j, -1.0 + 0j]  # kinks and the origin
+        value, d = apply(kind, z, derivative=True)
+        assert _same_bytes(value, apply(kind, z))
+        assert (d is None) == (TABLE[tag].value_and_derivative is None)
+        for got, want in zip(jacobian_parts(kind, z, d), jacobian_parts(kind, z)):
+            assert _same_bytes(got, want)
+
+    def test_scalar_value_stays_a_python_complex(self):
+        value, d = apply(HOLSIN, 0.5 + 0.25j, derivative=True)
+        assert value == apply(HOLSIN, 0.5 + 0.25j) and isinstance(value, complex)
+        assert complex(d) == complex(np.cos(0.5 + 0.25j))
+
+
 def test_tag_round_trip():
     for kind in ALL_KINDS:
         again = activation_from_tag(kind.tag, kind.bias if kind.tag == "modrelu" else None)

@@ -7,7 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import tame_rftnet
-from ftnetlab.activations import HOLEXPM1, HOLSIN, ZRELU, apply, modrelu
+from ftnetlab.activations import (
+    HOLEXPM1,
+    HOLSIN,
+    TABLE,
+    ZRELU,
+    activation_from_tag,
+    apply,
+    jacobian_parts,
+    modrelu,
+)
 from ftnetlab.errors import ContractViolationError
 from ftnetlab.losses import (
     Dataset,
@@ -284,6 +293,44 @@ class TestTape:
         for g, w in zip(got, want):
             for name in ("dW", "dV", "dAlpha"):
                 assert np.array_equal(getattr(g, name), getattr(w, name))
+
+
+    @pytest.mark.parametrize("tag", list(TABLE))
+    def test_gradient_reads_the_recorded_derivative(self, rng, tag):
+        """The gradient of a taped pass has the bytes of one that evaluates
+        the Jacobian at the tape's pre-activations afresh."""
+        spec = squared_loss()
+        p = random_fftnet(3, 8, activation_from_tag(tag), 0.7, rng)
+        data = Dataset(rng.standard_normal((30, 3)), rng.standard_normal(30))
+        tape = Tape()
+        empirical_loss(p, data, spec, tape)
+        assert (tape.D is None) == (TABLE[tag].value_and_derivative is None)
+        got = grad_fftnet(p, data, spec, tape)
+        lp = spec.deriv(tape.out - data.ys)
+        j11, j12, _, _ = jacobian_parts(p.activation, tape.Z)
+        gs = lp[:, None] * p.alpha[None, :]
+        want = ((gs * j11).T @ tape.K, (gs * j12).T @ tape.K, tape.acts.real.T @ lp)
+        for name, w in zip(("dW", "dV", "dAlpha"), want):
+            assert np.array_equal(getattr(got, name), w)
+
+    def test_taped_pass_pads_its_inputs_once(self, rng, monkeypatch):
+        p = random_fftnet(2, 4, HOLSIN, 0.4, rng)
+        q = random_fftnet(2, 4, HOLSIN, 0.4, rng)
+        xs = rng.standard_normal((6, 2))
+        tape = Tape()
+        eval_fftnet_many(p, xs, tape=tape)
+        calls = []
+        monkeypatch.setattr(models, "kappa_many",
+                            lambda *a: calls.append(a) or kappa_many(*a))
+        want = eval_fftnet_many(q, xs)
+        assert len(calls) == 1  # an untaped pass pads
+        assert np.array_equal(eval_fftnet_many(q, xs, tape=tape), want)
+        assert len(calls) == 1 and tape.matches(q, xs)
+        eval_fftnet_many(q, xs.copy(), tape=tape)  # equal values, another array
+        assert len(calls) == 2
+        wide = random_fftnet(2, 5, HOLSIN, 0.4, rng)
+        eval_fftnet_many(wide, tape.source[-1], tape=tape)  # another width
+        assert len(calls) == 3 and tape.K.shape == (6, 5)
 
 
 def _ball_search_oracle(p, data, spec, delta, tries=4000, seed=99):

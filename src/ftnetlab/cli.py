@@ -209,9 +209,10 @@ def cmd_convert(cfg: dict, out_dir: Path) -> int:
     if fam is None:
         raise ContractViolationError(f"unsupported conversion {src_kind} -> {cfg['target']}")
     converted = fam.convert(model, cfg["c"])
-    save_model(out_dir / cfg["out_model"], converted)
+    # checked before it is saved, so a convert rejected by its check leaves no model file
     rep = fam.check(model, converted, np.random.default_rng(cfg["seed"]),
                     cfg["probes"], SEQUENCE_LENGTH)
+    save_model(out_dir / cfg["out_model"], converted)
     print(cons.reports_to_csv([rep]), end="")
     return EXIT_OK
 
@@ -345,6 +346,9 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
                     all_found = False
                     print(f"FAIL instance {idx}: probe exhausted (replay seed {seed}, "
                           f"spawn {idx})", file=sys.stderr)
+        if rows == 0:  # an empty campaign proves nothing, so it is not a pass
+            raise ContractViolationError(
+                f"nothing to probe: all {skipped} instances have (near-)zero loss")
         csv_part.replace(csv_path)
         jsonl_part.replace(jsonl_path)
     except BaseException:
@@ -379,12 +383,14 @@ def cmd_report(cfg: dict, out_dir: Path) -> int:
         if len(parts) != columns:
             raise ContractViolationError(f"{csv_path} line {lineno}: expected "
                                          f"{columns} columns, got {len(parts)}")
+        # the row's own invariant decides: integer counts and a gap that is blank or >= 0
         try:
-            gap = float(parts[-1]) if parts[-1] else None
-        except ValueError:
-            raise ContractViolationError(
-                f"{csv_path} line {lineno}: bad gap {parts[-1]!r}") from None
-        by_pair.setdefault((parts[0], parts[1]), []).append(gap)
+            rep = cons.EmbeddingReport(*parts[:2], *map(int, parts[2:-1]),
+                                       float(parts[-1]) if parts[-1] else None)
+        except (ValueError, ContractViolationError) as exc:
+            raise ContractViolationError(f"{csv_path} line {lineno}: {exc}") from None
+        by_pair.setdefault((rep.source_kind, rep.target_kind), []).append(
+            rep.max_abs_output_gap)
 
     lines = ["# Width and parameter bookkeeping", "",
              "Constructive (upper bound) rows are measured by the verify sweep;",

@@ -52,8 +52,9 @@ class EmbeddingReport:
     max_abs_output_gap: float | None = None
 
     def __post_init__(self):
-        if self.max_abs_output_gap is not None and self.max_abs_output_gap < 0:
-            raise ContractViolationError("gap must be >= 0")
+        # written "not >= 0" so that a NaN gap is rejected too
+        if self.max_abs_output_gap is not None and not self.max_abs_output_gap >= 0:
+            raise ContractViolationError(f"gap must be >= 0, got {self.max_abs_output_gap!r}")
 
     def csv_row(self) -> str:
         gap = "" if self.max_abs_output_gap is None else repr(self.max_abs_output_gap)
@@ -143,22 +144,6 @@ def additive_to_rftnet(a: AdditiveFTNetParams) -> RFTNetParams:
     return out
 
 
-def _crnet_blocks(cr: CRNetParams):
-    wr, wi = cr.WC.real, cr.WC.imag
-    br, bi = cr.bC.real, cr.bC.imag
-    half = cr.I // 2
-    hc = cr.HC
-    # rows 2*HC, cols I+1 (input halves plus the trailing bias column)
-    w = np.zeros((2 * hc, cr.I + 1))
-    v = np.zeros((2 * hc, cr.I + 1))
-    w[:hc, :half], w[:hc, half : cr.I], w[:hc, cr.I] = wr, -wi, br
-    w[hc:, :half], w[hc:, half : cr.I], w[hc:, cr.I] = wi, wr, bi
-    v[:hc, :half], v[:hc, half : cr.I], v[:hc, cr.I] = wi, wr, bi
-    v[hc:, :half], v[hc:, half : cr.I], v[hc:, cr.I] = wr, -wi, br
-    alpha = np.concatenate([cr.alphaC.real, -cr.alphaC.imag])
-    return w, v, alpha
-
-
 def _require_zrelu(cr: CRNetParams) -> None:
     # the gate identity Re[act(x+yi)] = Im[act(conj(x+yi) i)] is zrelu-specific
     if cr.activation != ZRELU:
@@ -166,19 +151,21 @@ def _require_zrelu(cr: CRNetParams) -> None:
 
 
 def _crnet_host(cr: CRNetParams, h: int, row0: int):
-    """W, V, alpha of an H-wide gate net with the unit pairs from row row0 on."""
+    """W, V, alpha of an H-wide gate net with the unit pairs from row row0 on:
+    HC rows for the units z, then HC rows for their partners conj(z) i, each
+    reading the two input halves and the bias slot h - 1."""
     _require_zrelu(cr)
-    i = cr.I
-    rows = slice(row0, row0 + 2 * cr.HC)
+    wr, wi, br, bi = cr.WC.real, cr.WC.imag, cr.bC.real, cr.bC.imag
+    half, i, hc = cr.I // 2, cr.I, cr.HC
+    z, zc = slice(row0, row0 + hc), slice(row0 + hc, row0 + 2 * hc)
     w = np.zeros((h, h))
     v = np.zeros((h, h))
-    wb, vb, ab = _crnet_blocks(cr)
-    w[rows, :i] = wb[:, :i]
-    w[rows, h - 1] = wb[:, i]
-    v[rows, :i] = vb[:, :i]
-    v[rows, h - 1] = vb[:, i]
+    w[z, :half], w[z, half:i], w[z, h - 1] = wr, -wi, br
+    w[zc, :half], w[zc, half:i], w[zc, h - 1] = wi, wr, bi
+    v[z, :half], v[z, half:i], v[z, h - 1] = wi, wr, bi
+    v[zc, :half], v[zc, half:i], v[zc, h - 1] = wr, -wi, br
     alpha = np.zeros(h)
-    alpha[rows] = ab
+    alpha[z], alpha[zc] = cr.alphaC.real, -cr.alphaC.imag
     return w, v, alpha
 
 

@@ -215,7 +215,8 @@ class Family:
         if probes > 0:
             size = (probes, t_len, src.I) if self.recurrent else (probes, src.I)
             xs = rng.uniform(-self.input_bound, self.input_bound, size=size)
-            gap = self.gap(src, tgt, xs)
+            with np.errstate(over="ignore", invalid="ignore"):  # relative_gap maps these to inf
+                gap = self.gap(src, tgt, xs)
         hs, ht = getattr(src, src.hidden), getattr(tgt, tgt.hidden)
         return cons.EmbeddingReport(self.source, self.target, src.I, t_len, hs, ht,
                                     models.param_count(self.source, hs, src.I),

@@ -249,11 +249,11 @@ class Tape:
     for the feedforward net, which also keeps in ``D`` the derivative that
     ``apply(..., derivative=True)`` returned with ``acts`` (None for a kind
     without a shared form).  For the recurrent net, ``K`` and ``Z`` are
-    stacked as (T, B, H), ``acts`` and ``R`` (the receptor each step read)
-    are lists of T arrays of shape (B, H), and ``D`` is None.
+    stacked as (T, B, H), ``acts`` is a list of T arrays of shape (B, H)
+    (step t > 0 read the receptor ``acts[t - 1].imag``), and ``D`` is None.
     """
 
-    __slots__ = ("source", "out", "K", "Z", "acts", "R", "D")
+    __slots__ = ("source", "out", "K", "Z", "acts", "D")
 
     def __init__(self):
         self.source = ()
@@ -262,19 +262,22 @@ class Tape:
     def _source(p, X) -> tuple:
         return (p.W, p.V, p.alpha, getattr(p, "r0", None), p.activation, X)
 
-    def record(self, p, X, out, K, Z, acts, R=None, D=None) -> None:
+    def record(self, p, X, out, K, Z, acts, D=None) -> None:
         self.source = self._source(p, X)
-        self.out, self.K, self.Z, self.acts, self.R, self.D = out, K, Z, acts, R, D
+        self.out, self.K, self.Z, self.acts, self.D = out, K, Z, acts, D
 
     def matches(self, p, X) -> bool:
         """True when the recorded pass ran on these very parameter and input arrays."""
         return bool(self.source) and all(
             a is b for a, b in zip(self.source, self._source(p, X)))
 
-    def padded(self, X, H: int) -> bool:
-        """True when the recorded pass read this very input array X at width
-        H, so that ``K`` is ``kappa_many(X, H)``."""
-        return bool(self.source) and self.source[-1] is X and self.K.shape[-1] == H
+
+def _padded(X: np.ndarray, H: int, tape: Tape | None) -> np.ndarray:
+    """``kappa_many(X, H)``, time-major (T, B, H) for sequences X (B, T, I), or
+    the ``K`` of a tape that last read this very X array at width H."""
+    if tape is not None and tape.source and tape.source[-1] is X and tape.K.shape[-1] == H:
+        return tape.K
+    return kappa_many(X if X.ndim == 2 else X.transpose(1, 0, 2), H)
 
 
 def _batch(X, ndim: int, I: int) -> np.ndarray:
@@ -298,11 +301,10 @@ def eval_fftnet_many(p: FFTNetParams, X: np.ndarray, tape: Tape | None = None) -
     """Batch of inputs, shape (N, I) -> outputs (N,); fills ``tape`` when given.
 
     A taped pass feeds a gradient, so it also takes the activation's
-    derivative where that comes from the same evaluation, and it reuses the
-    padded inputs of a tape that last read this very X array.
+    derivative where that comes from the same evaluation.
     """
     X = _batch(X, 2, p.I)
-    k = tape.K if tape is not None and tape.padded(X, p.H) else kappa_many(X, p.H)
+    k = _padded(X, p.H, tape)
     pre = np.empty((X.shape[0], p.H), dtype=np.complex128)
     pre.real, pre.imag = preactivation_parts(p, k)
     if tape is None:
@@ -314,31 +316,26 @@ def eval_fftnet_many(p: FFTNetParams, X: np.ndarray, tape: Tape | None = None) -
 
 
 def eval_rftnet_many(p: RFTNetParams, XS: np.ndarray, tape: Tape | None = None):
-    """Batch of sequences, shape (B, T, I) -> outputs (B, T); fills ``tape`` when given.
-
-    The receptor after step t is the imaginary part of ``tape.acts[t]``.
-    """
+    """Batch of sequences, shape (B, T, I) -> outputs (B, T); fills ``tape`` when given."""
     XS = _batch(XS, 3, p.I)
     b, t_len, _ = XS.shape
     if t_len < 1:
         raise ContractViolationError("need at least one time step")
     r = np.broadcast_to(p.r0, (b, p.H)).copy()
     ys = np.zeros((b, t_len))
-    rs, acts = [], []
-    # time-major, so each ks[t] is a contiguous (B, H) block
-    ks = kappa_many(XS.transpose(1, 0, 2), p.H)
+    acts = []
+    ks = _padded(XS, p.H, tape)
     zs = np.empty((t_len, b, p.H), dtype=np.complex128)
     for t in range(t_len):
         pre = zs[t]
         pre.real = ks[t] @ p.W.T - r @ p.V.T
         pre.imag = ks[t] @ p.V.T + r @ p.W.T
         act = np.asarray(apply(p.activation, pre))
-        rs.append(r)
         acts.append(act)
         s, r = act.real, act.imag
         ys[:, t] = s @ p.alpha
     if tape is not None:
-        tape.record(p, XS, ys, ks, zs, acts, rs)
+        tape.record(p, XS, ys, ks, zs, acts)
     return ys
 
 

@@ -80,7 +80,8 @@ def grad_rftnet(p: RFTNetParams, data: Dataset, spec: LossSpec,
     da = np.zeros(p.H)
     gr = np.zeros((data.xs.shape[0], p.H))
     for t in range(len(tape.acts) - 1, -1, -1):
-        kt, r_prev, s = tape.K[t], tape.R[t], tape.acts[t].real
+        kt, s = tape.K[t], tape.acts[t].real
+        r_prev = tape.acts[t - 1].imag if t else np.broadcast_to(p.r0, gr.shape).copy()
         gy = lp[:, t]
         gs = gy[:, None] * p.alpha[None, :]
         da += s.T @ gy

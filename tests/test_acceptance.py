@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 summary lines.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -44,6 +45,7 @@ from ftnetlab.models import (
     eval_dods,
     eval_rnn_many,
     param_count,
+    save_model,
 )
 from ftnetlab.optimize import (
     TrainConfig,
@@ -231,7 +233,7 @@ def test_criterion_5_descent_probe():
           f"{elapsed:.1f}s")
 
 
-def test_criterion_6_sin_fit():
+def test_criterion_6_sin_fit(tmp_path):
     n, h = 256, 32
     xs = np.linspace(-1.0, 1.0, n)[:, None]
     data = Dataset(xs, np.sin(3.0 * xs[:, 0]))
@@ -243,6 +245,10 @@ def test_criterion_6_sin_fit():
     mse = trace[-1] / n
     assert iters <= 50_000
     assert mse <= 1e-3
+    # the bytes of `train` sin_fit at seed 0, the same under both pinned kernels
+    save_model(tmp_path / "sin_fit_model.json", trained)
+    assert hashlib.sha256((tmp_path / "sin_fit_model.json").read_bytes()).hexdigest() == (
+        "e6334674802d9a42af26e9e2d49f407fe7033ce89c83f866b9095e3c9955fdc0")
     print(f"\nACCEPTANCE 6 PASS: H=32 network fit sin(3x) on 256 points to "
           f"MSE {mse:.2e} <= 1e-3 in {iters} iterations")
 

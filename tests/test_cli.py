@@ -84,6 +84,17 @@ class TestConvert:
         assert row["T"] == "10"
         assert float(row["max_abs_output_gap"]) <= 1e-12
 
+    def test_overflowing_outputs_give_an_inf_gap(self, tmp_path, capsys):
+        """Outputs that overflow are an inf gap, without a RuntimeWarning."""
+        save_model(tmp_path / "fnn.json", FNNParams(1, 1, [[1e308]], [1e308], [1e308], RELU))
+        cfg = _write_config(tmp_path, "c.json", {
+            "in_model": str(tmp_path / "fnn.json"), "target": "fftnet",
+            "out_model": "out.json", "probes": 3})
+        assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.strip().splitlines()[1].split(",")[-1] == "inf"
+        assert err == ""
+
     def test_contract_breaking_model_rejected(self, tmp_path):
         # crnet with odd input dimension: parses, but violates the contract
         bad = {"kind": "crnet", "I": 3, "H": 1, "activation": "zrelu",
@@ -355,7 +366,23 @@ class TestTrain:
                     "f19e136c90b7b612f77777582fd1cd3679201dad1f673e505cd2945247ce8b26",
                 "dods_linear_summary.json":
                     "4c9a455c868499cc41e394b547e4d8b2a664c2f4163c9ce3ac27f4552f1c2765"}}),
-    ], ids=["sin_fit", "dods_linear"])
+        # the train_rec benchmark workload: 1,407 steps at full size
+        ({"demo": "dods_linear", "target_mse": 3e-5}, {
+            "SkylakeX": {
+                "dods_model.json":
+                    "5f5b10f90235ee525b81efecc0839954a6c60cc634e21316fd7135af522dd419",
+                "dods_trace.jsonl":
+                    "18cc44428f15083c67185f868815c124afd8a4216b0f62845204ceacbcf5d2c0",
+                "dods_linear_summary.json":
+                    "58f58ad617f9df724c723d76b7d5129bed62af5d384e9d1a3920e580a162c376"},
+            "Haswell": {
+                "dods_model.json":
+                    "98e3ec5bae9bfa13213466abab7901bfb0d2e359050f13e1ea03d54118ce9e35",
+                "dods_trace.jsonl":
+                    "d7900e9097d462c379f4af575495d9c344281d6e82cea43c7be50aaf3c2e9756",
+                "dods_linear_summary.json":
+                    "7e9b6c0ede70c74bf28a8c1af0f3f3d5f2ae567bb3193b29cab94fef28f18f2a"}}),
+    ], ids=["sin_fit", "dods_linear", "dods_linear_full"])
     def test_golden_outputs(self, tmp_path, demo, by_kernel):
         """Pins the bytes of a small training run: model, loss trace, summary."""
         files = pinned_for_kernel(by_kernel)
@@ -458,6 +485,16 @@ class TestProbe:
     def test_oversized_sample_count_rejected(self, tmp_path):
         cfg = _write_config(tmp_path, "p.json", {"n": 9, "I": 4})
         assert cli.main(["probe", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_campaign_that_probes_nothing_rejected(self, tmp_path, capsys):
+        """Every instance filtered as (near-)zero loss leaves nothing probed: exit 2."""
+        cfg = _write_config(tmp_path, "p.json", {
+            "n": 2, "I": 2, "instances": 3, "loss": {"loss": "param_cosh", "c": 1e300}})
+        out_dir = tmp_path / "out"
+        assert cli.main(["probe", "--config", cfg, "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: nothing to probe: ")
+        assert list(out_dir.iterdir()) == []
 
     def test_zero_loss_instances_filtered_with_note(self, tmp_path, monkeypatch, capsys):
         calls = {"count": 0}
@@ -606,7 +643,10 @@ class TestReport:
         assert cli.main(["report", "--config", rcfg, "--out", str(tmp_path)]) == 3
 
     @pytest.mark.parametrize("row", ["fnn,fftnet,2,1,3", "fnn,fftnet,2,1,3,3,16,21,0.0,9",
-                                     "fnn,fftnet,2,1,3,3,16,21,tiny"])
+                                     "fnn,fftnet,2,1,3,3,16,21,tiny",
+                                     "fnn,fftnet,2,1,3,3,16,21,nan",
+                                     "fnn,fftnet,2,1,3,3,16,21,-1.0",
+                                     "fnn,fftnet,x,1,3,3,16,21,0.0"])
     def test_malformed_row_rejected(self, tmp_path, capsys, row):
         good = "fnn,fftnet,2,1,3,3,16,21,0.0"
         (tmp_path / "v.csv").write_text(f"{EMBEDDING_CSV_HEADER}\n{good}\n{row}\n")
@@ -759,12 +799,17 @@ class TestOutOfMemory:
     @pytest.mark.parametrize("command,cfg", [
         ("train", {"demo": "sin_fit", "H": 1000000000, "samples": 8, "iters": 2}),
         ("verify", {"probes": 1000000000000}),
-    ], ids=["train", "verify"])
-    def test_rejected_with_one_line(self, tmp_path, command, cfg):
-        """A size too large to allocate exits 2 with one line, not 1 with a traceback.
+        ("convert", {"in_model": "fnn.json", "target": "fftnet", "out_model": "out.json",
+                     "probes": 1000000000}),
+    ], ids=["train", "verify", "convert"])
+    def test_rejected_with_one_line(self, tmp_path, rng, command, cfg):
+        """A size too large to allocate exits 2 with one line, not 1 with a
+        traceback, and writes no file.
 
         The command runs in a child process under a 4 GiB address-space limit,
-        so its huge array fails to allocate whatever the overcommit policy."""
+        so its huge array fails to allocate whatever the overcommit policy.  It
+        runs in tmp_path, which holds the model that convert reads."""
+        save_model(tmp_path / "fnn.json", _sample_fnn(rng))
         script = ("import resource, sys\n"
                   "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
                   "cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)\n"
@@ -775,11 +820,12 @@ class TestOutOfMemory:
         argv = [command, "--config", _write_config(tmp_path, "c.json", cfg),
                 "--out", str(tmp_path / "o")]
         proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
-                              text=True, timeout=120,
+                              text=True, timeout=120, cwd=tmp_path,
                               env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
         assert proc.returncode == 2, proc.stderr
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: out of memory: "), proc.stderr
+        assert list((tmp_path / "o").iterdir()) == []
 
 
 _README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

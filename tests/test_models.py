@@ -165,15 +165,16 @@ class TestRecurrent:
     def test_trajectory_shapes(self, rng):
         p = RFTNetParams(1, 2, 0.3 * rng.standard_normal((2, 2)),
                          0.3 * rng.standard_normal((2, 2)), rng.standard_normal(2), HOLSIN,
-                         np.zeros(2))
+                         0.5 * rng.standard_normal(2))
         tape = Tape()
         ys = eval_rftnet_many(p, rng.standard_normal((3, 5, 1)), tape=tape)
         assert ys.shape == (3, 5) and tape.Z.shape == (5, 3, 2)
         assert [a.shape for a in tape.acts] == [(3, 2)] * 5
-        # each step reads the receptor the step before it left
-        np.testing.assert_array_equal(tape.R[0], np.zeros((3, 2)))
-        for t in range(1, 5):
-            np.testing.assert_array_equal(tape.R[t], tape.acts[t - 1].imag)
+        # each step reads the receptor the step before it left, r0 at the first
+        for t in range(5):
+            r = tape.acts[t - 1].imag if t else np.broadcast_to(p.r0, (3, 2)).copy()
+            assert np.array_equal(tape.Z[t].real, tape.K[t] @ p.W.T - r @ p.V.T)
+            assert np.array_equal(tape.Z[t].imag, tape.K[t] @ p.V.T + r @ p.W.T)
 
     def test_batch_agrees_with_loop(self, rng):
         p = RFTNetParams(2, 4, 0.4 * rng.standard_normal((4, 4)),

@@ -25,7 +25,14 @@ from ftnetlab.losses import (
     squared_loss,
     squared_loss_lower_bound,
 )
-from ftnetlab.models import FFTNetParams, RFTNetParams, Tape, eval_fftnet_many, kappa_many
+from ftnetlab.models import (
+    FFTNetParams,
+    RFTNetParams,
+    Tape,
+    eval_fftnet_many,
+    eval_rftnet_many,
+    kappa_many,
+)
 import ftnetlab.models as models
 import ftnetlab.optimize as optimize
 from ftnetlab.optimize import (
@@ -313,24 +320,29 @@ class TestTape:
         for name, w in zip(("dW", "dV", "dAlpha"), want):
             assert np.array_equal(getattr(got, name), w)
 
-    def test_taped_pass_pads_its_inputs_once(self, rng, monkeypatch):
-        p = random_fftnet(2, 4, HOLSIN, 0.4, rng)
-        q = random_fftnet(2, 4, HOLSIN, 0.4, rng)
-        xs = rng.standard_normal((6, 2))
+    @pytest.mark.parametrize("model, evaluate, shape", [
+        (random_fftnet, eval_fftnet_many, (6, 2)),
+        (random_rftnet, eval_rftnet_many, (3, 5, 2)),
+    ], ids=["feedforward", "recurrent"])
+    def test_taped_pass_pads_its_inputs_once(self, rng, monkeypatch, model, evaluate, shape):
+        p = model(2, 4, HOLSIN, 0.2, rng)
+        q = model(2, 4, HOLSIN, 0.2, rng)
+        xs = rng.standard_normal(shape)
         tape = Tape()
-        eval_fftnet_many(p, xs, tape=tape)
+        evaluate(p, xs, tape=tape)
         calls = []
         monkeypatch.setattr(models, "kappa_many",
                             lambda *a: calls.append(a) or kappa_many(*a))
-        want = eval_fftnet_many(q, xs)
+        want = evaluate(q, xs)
         assert len(calls) == 1  # an untaped pass pads
-        assert np.array_equal(eval_fftnet_many(q, xs, tape=tape), want)
+        assert np.array_equal(evaluate(q, xs, tape=tape), want)
         assert len(calls) == 1 and tape.matches(q, xs)
-        eval_fftnet_many(q, xs.copy(), tape=tape)  # equal values, another array
+        evaluate(q, xs.copy(), tape=tape)  # equal values, another array
         assert len(calls) == 2
-        wide = random_fftnet(2, 5, HOLSIN, 0.4, rng)
-        eval_fftnet_many(wide, tape.source[-1], tape=tape)  # another width
-        assert len(calls) == 3 and tape.K.shape == (6, 5)
+        wide = model(2, 5, HOLSIN, 0.2, rng)
+        evaluate(wide, tape.source[-1], tape=tape)  # another width
+        # sequences are padded time-major: (T, B, H)
+        assert len(calls) == 3 and tape.K.shape == (*shape[-2::-1], 5)
 
 
 def _ball_search_oracle(p, data, spec, delta, tries=4000, seed=99):

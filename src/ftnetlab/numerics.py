@@ -29,8 +29,7 @@ def null_vector_against(rows, keep: int) -> np.ndarray:
     count, n = a.shape
     if not 0 <= keep < count:
         raise ContractViolationError(f"keep index {keep} out of range [0, {count})")
-    sv = np.linalg.svd(a, compute_uv=False)
-    if count > n or sv[-1] <= RANK_TOLERANCE * sv[0]:
+    if numerical_rank(a) < count:
         raise DegenerateInputError("input vectors are numerically linearly dependent")
 
     others = np.delete(a, keep, axis=0)

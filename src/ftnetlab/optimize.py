@@ -8,14 +8,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .activations import TABLE, ActivationKind, apply, jacobian_parts
 from .errors import ContractViolationError, NonFiniteInitialLossError
 from .losses import Dataset, LossSpec, empirical_loss, squared_loss_lower_bound
-from .models import FFTNetParams, RFTNetParams, Tape, forward, kappa_many
+from .models import FFTNetParams, RFTNetParams, Tape, _padded, forward
 from .numerics import null_vector_against, numerical_rank
 
 
@@ -142,9 +142,11 @@ def random_rftnet(I: int, H: int, activation: ActivationKind, scale: float,
 
 
 def _descend(p0, loss_of, grad_of, cfg: TrainConfig, bound_of=None):
-    """Shared GD loop over (W, V, alpha) of either FTNet: accepted steps never
-    increase the loss.  ``loss_of`` and ``grad_of`` take a params object; each
-    candidate is ``p0``'s kind with the stepped arrays.
+    """Shared GD loop over (W, V, alpha) of either FTNet: the start's loss must
+    be finite, and a step is accepted only when its loss is finite and below
+    the current one, so every loss in the trace is finite.  ``loss_of`` and
+    ``grad_of`` take a params object; each candidate is ``p0``'s kind with the
+    stepped arrays.
 
     Overshooting candidates may overflow to inf/nan, in their stepped arrays
     or in their loss; either way they are rejected by a finiteness check and
@@ -197,8 +199,6 @@ def _descend(p0, loss_of, grad_of, cfg: TrainConfig, bound_of=None):
             p, cur = cand, cand_loss
             trace.append(cur)
             step *= 2.0
-    if not math.isfinite(cur):
-        raise RuntimeError(f"loss diverged to {cur}")
     return p, trace
 
 
@@ -215,7 +215,9 @@ def train_fftnet(p0: FFTNetParams, data: Dataset, spec: LossSpec,
     tape = Tape()
     bound_of = None
     if spec.kind == "squared" and TABLE[p0.activation.tag].real_envelope is not None:
-        bound_of = partial(squared_loss_lower_bound, k=kappa_many(data.xs, p0.H), ys=data.ys)
+        # the padded inputs of the pass loss_of has taped, so a fit pads them once
+        def bound_of(p):
+            return squared_loss_lower_bound(p, _padded(data.xs, p.H, tape), data.ys)
     return _descend(p0, loss_of=lambda p: empirical_loss(p, data, spec, tape),
                     grad_of=lambda p: grad_fftnet(p, data, spec, tape), cfg=cfg,
                     bound_of=bound_of)

@@ -1,8 +1,14 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftnetlab.activations import HOLSIN, IDENTITY, RELU, ZRELU, apply_real, induced_imag
 from ftnetlab.embeddings import (
+    FAMILIES,
     assembly_structural_gap,
     outputs_and_receptors,
     random_additive,
@@ -396,11 +402,25 @@ class TestDodsAssembly:
             assemble_dods_additive(s1, broken2, readout, ZRELU, 1.0, np.zeros(2))
 
 
+_KINDS = st.sampled_from(sorted({kind for fam in FAMILIES.values()
+                                 for kind in (fam.source, fam.target)}))
+_GAPS = st.none() | st.sampled_from([0.0, 5e-324, math.inf]) | st.floats(
+    min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
 class TestEmbeddingReport:
     def test_csv_header(self):
         assert EMBEDDING_CSV_HEADER == ("source_kind,target_kind,I,T,source_hidden,"
                                         "target_hidden,source_params,target_params,"
                                         "max_abs_output_gap")
+        assert EMBEDDING_CSV_HEADER.split(",") == [f.name for f in fields(EmbeddingReport)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(kinds=st.tuples(_KINDS, _KINDS), counts=st.tuples(*[st.integers(0, 2**64)] * 6),
+           gap=_GAPS)
+    def test_csv_row_round_trip(self, kinds, counts, gap):
+        rep = EmbeddingReport(*kinds, *counts, gap)
+        assert EmbeddingReport.from_csv_row(rep.csv_row()) == rep
 
     def test_csv_rows(self):
         rep = EmbeddingReport("fnn", "fftnet", 3, 1, 4, 5, 32, 55, 1.25e-15)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ftnetlab.errors import ContractViolationError, DegenerateInputError
-from ftnetlab.numerics import null_vector_against, numerical_rank
+from ftnetlab.numerics import RANK_TOLERANCE, null_vector_against, numerical_rank
 
 
 def _check_null_vector(rows, keep):
@@ -30,9 +30,24 @@ def test_null_vector_overlapping_pair():
     _check_null_vector([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], keep=1)
 
 
-def test_null_vector_dependent_inputs():
-    with pytest.raises(DegenerateInputError):
-        null_vector_against(np.array([[1.0, 0.0], [2.0, 0.0]]), keep=0)
+def test_null_vector_dependent_inputs(rng):
+    """Rejected exactly when numerical_rank finds the rows dependent."""
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    cases = [
+        (np.array([[1.0, 0.0], [2.0, 0.0]]), True),
+        (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)), True),  # 3 rows in C^2
+        (np.zeros((2, 3)), True),
+        # sigma_min just below, then just above, RANK_TOLERANCE * sigma_max
+        (np.diag([1.0, RANK_TOLERANCE * (1 - 1e-3)]) @ q[:2], True),
+        (np.diag([1.0, RANK_TOLERANCE * (1 + 1e-3)]) @ q[:2], False),
+    ]
+    for rows, dependent in cases:
+        assert (numerical_rank(rows.astype(np.complex128)) < len(rows)) == dependent
+        if dependent:
+            with pytest.raises(DegenerateInputError):
+                null_vector_against(rows, keep=0)
+        else:
+            _check_null_vector(rows, keep=0)
 
 
 def test_null_vector_random_instances(rng):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -343,6 +344,28 @@ class TestTape:
         evaluate(wide, tape.source[-1], tape=tape)  # another width
         # sequences are padded time-major: (T, B, H)
         assert len(calls) == 3 and tape.K.shape == (*shape[-2::-1], 5)
+
+    def test_bounded_fit_pads_its_inputs_once(self, rng, monkeypatch):
+        """A holsin fit to the squared loss bounds its candidates with the
+        padded inputs of its taped pass, so it pads them once in all."""
+        calls, bound_calls = [], []
+
+        def counted(*args):
+            calls.append(args)
+            return kappa_many(*args)
+
+        for name, mod in list(sys.modules.items()):  # every binding of kappa_many
+            if name.startswith("ftnetlab") and getattr(mod, "kappa_many", None) is kappa_many:
+                monkeypatch.setattr(mod, "kappa_many", counted)
+        monkeypatch.setattr(optimize, "squared_loss_lower_bound",
+                            lambda p, k, ys: bound_calls.append(k)
+                            or squared_loss_lower_bound(p, k, ys))
+        xs = np.linspace(-1.0, 1.0, 32)[:, None]
+        data = Dataset(xs, np.sin(3.0 * xs[:, 0]))
+        _, trace = train_fftnet(random_fftnet(1, 8, HOLSIN, 0.3, rng), data, squared_loss(),
+                                TrainConfig(step_size=3e-3, max_iters=40))
+        assert len(trace) > 1 and bound_calls
+        assert len(calls) == 1
 
 
 def _ball_search_oracle(p, data, spec, delta, tries=4000, seed=99):

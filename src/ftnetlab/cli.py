@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -196,6 +197,26 @@ def _fail(code: int, message) -> int:
     return code
 
 
+@contextmanager
+def _partial_files(*paths: Path):
+    """Text handles on ``<name>.partial`` for each of ``paths``.
+
+    A campaign writes each row as it is produced, so its memory stays flat.
+    The files take their names only when the block ends, and are removed if it
+    raises, so a rejected or failed run leaves no output file.
+    """
+    parts = [path.with_name(path.name + ".partial") for path in paths]
+    try:
+        with ExitStack() as stack:
+            yield [stack.enter_context(open(part, "w", encoding="utf-8")) for part in parts]
+        for part, path in zip(parts, paths):
+            part.replace(path)
+    except BaseException:
+        for part in parts:
+            part.unlink(missing_ok=True)
+        raise
+
+
 def cmd_convert(cfg: dict, out_dir: Path) -> int:
     try:
         model = load_model(cfg["in_model"])
@@ -213,7 +234,8 @@ def cmd_convert(cfg: dict, out_dir: Path) -> int:
     rep = fam.check(model, converted, np.random.default_rng(cfg["seed"]),
                     cfg["probes"], SEQUENCE_LENGTH)
     save_model(out_dir / cfg["out_model"], converted)
-    print(cons.reports_to_csv([rep]), end="")
+    print(cons.EMBEDDING_CSV_HEADER)
+    print(rep.csv_row())
     return EXIT_OK
 
 
@@ -224,26 +246,30 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
         # an empty campaign proves nothing, so it is not a pass
         raise ContractViolationError("nothing to verify: the selected pairs have 0 instances")
 
-    all_reports = []
-    failures = 0
-    for pair in cfg["pairs"]:
-        count = cfg[FAMILIES[pair].count_key]
-        reports, replays = run_embedding_sweep(pair, seed, count, probes, t_len)
-        for idx, rep in enumerate(reports):
-            all_reports.append(rep)
-            if rep.max_abs_output_gap is None or rep.max_abs_output_gap > tolerance:
-                failures += 1
-                replay_path = out_dir / f"replay_{pair}_{idx}.json"
-                with open(replay_path, "w", encoding="utf-8") as fh:
-                    json.dump({"pair": pair, "seed": seed, "instance": idx,
-                               "probes": probes, "sequence_length": t_len,
-                               "model": replays[idx]}, fh, sort_keys=True)
-                print(f"FAIL {pair}[{idx}]: gap {rep.max_abs_output_gap!r} "
-                      f"> {tolerance!r} (replay: {replay_path})", file=sys.stderr)
+    rows = failures = 0
+    worst = 0.0
+    with _partial_files(out_dir / cfg["csv_name"]) as (csv_fh,):
+        csv_fh.write(cons.EMBEDDING_CSV_HEADER + "\n")
+        for pair in cfg["pairs"]:
+            count = cfg[FAMILIES[pair].count_key]
+            reports, replays = run_embedding_sweep(pair, seed, count, probes, t_len)
+            for idx, rep in enumerate(reports):
+                csv_fh.write(rep.csv_row() + "\n")
+                gap = rep.max_abs_output_gap
+                worst = max(worst, gap or 0.0)
+                if gap is None or gap > tolerance:
+                    failures += 1
+                    replay_path = out_dir / f"replay_{pair}_{idx}.json"
+                    with open(replay_path, "w", encoding="utf-8") as fh:
+                        json.dump({"pair": pair, "seed": seed, "instance": idx,
+                                   "probes": probes, "sequence_length": t_len,
+                                   "model": replays[idx]}, fh, sort_keys=True)
+                    print(f"FAIL {pair}[{idx}]: gap {gap!r} "
+                          f"> {tolerance!r} (replay: {replay_path})", file=sys.stderr)
+            rows += len(reports)
+            del reports, replays  # the next family's sweep runs without them
 
-    (out_dir / cfg["csv_name"]).write_text(cons.reports_to_csv(all_reports), encoding="utf-8")
-    worst = max((r.max_abs_output_gap or 0.0) for r in all_reports)
-    print(f"verify: {len(all_reports)} instances, worst gap {worst:.3e}, "
+    print(f"verify: {rows} instances, worst gap {worst:.3e}, "
           f"tolerance {tolerance:.1e} -> {'OK' if failures == 0 else 'FAIL'}")
     return EXIT_OK if failures == 0 else EXIT_PROPERTY_FAILURE
 
@@ -310,49 +336,36 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
                                      "guaranteed for n <= I")
     spec = loss_spec_from_config(cfg["loss"])
 
-    # each row goes to disk as it is produced, under a name that only a finished
-    # campaign renames into place, so memory stays flat and a rejected run leaves no file
-    csv_path, jsonl_path = out_dir / "probe.csv", out_dir / "probe_results.jsonl"
-    csv_part, jsonl_part = (path.with_name(path.name + ".partial")
-                            for path in (csv_path, jsonl_path))
     rows = skipped = 0
     all_found = True
-    try:
-        with open(csv_part, "w", encoding="utf-8") as csv_fh, \
-                open(jsonl_part, "w", encoding="utf-8") as jsonl_fh:
-            csv_fh.write(PROBE_CSV_HEADER + "\n")
-            for idx in range(cfg["instances"]):
-                rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                                   spawn_key=(idx,)))
-                p = random_fftnet(i, h, act, cfg["init_scale"], rng)
-                if idx < cfg["case2_instances"]:
-                    p = replace(p, alpha=np.zeros(p.H))
-                data = Dataset(rng.standard_normal((n, i)), rng.standard_normal(n))
-                tape = Tape()  # the filter's forward pass, reused by the probe
-                if empirical_loss(p, data, spec, tape) <= 1e-12:
-                    skipped += 1
-                    print(f"note: instance {idx} has (near-)zero loss; filtered out "
-                          "(descent is only claimed for positive loss)")
-                    continue
-                result = descent_probe(p, data, spec, delta=cfg["delta"], seed=idx, tape=tape)
-                csv_fh.write(f"{idx},{result.case_tag},{result.old_loss!r},"
-                             f"{result.new_loss!r},{result.perturbation_norm!r},"
-                             f"{str(result.found).lower()}\n")
-                jsonl_fh.write(result.json_line(idx) + "\n")
-                rows += 1
-                if not result.found:
-                    all_found = False
-                    print(f"FAIL instance {idx}: probe exhausted (replay seed {seed}, "
-                          f"spawn {idx})", file=sys.stderr)
+    with _partial_files(out_dir / "probe.csv", out_dir / "probe_results.jsonl") as (
+            csv_fh, jsonl_fh):
+        csv_fh.write(PROBE_CSV_HEADER + "\n")
+        for idx in range(cfg["instances"]):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
+            p = random_fftnet(i, h, act, cfg["init_scale"], rng)
+            if idx < cfg["case2_instances"]:
+                p = replace(p, alpha=np.zeros(p.H))
+            data = Dataset(rng.standard_normal((n, i)), rng.standard_normal(n))
+            tape = Tape()  # the filter's forward pass, reused by the probe
+            if empirical_loss(p, data, spec, tape) <= 1e-12:
+                skipped += 1
+                print(f"note: instance {idx} has (near-)zero loss; filtered out "
+                      "(descent is only claimed for positive loss)")
+                continue
+            result = descent_probe(p, data, spec, delta=cfg["delta"], seed=idx, tape=tape)
+            csv_fh.write(f"{idx},{result.case_tag},{result.old_loss!r},"
+                         f"{result.new_loss!r},{result.perturbation_norm!r},"
+                         f"{str(result.found).lower()}\n")
+            jsonl_fh.write(result.json_line(idx) + "\n")
+            rows += 1
+            if not result.found:
+                all_found = False
+                print(f"FAIL instance {idx}: probe exhausted (replay seed {seed}, "
+                      f"spawn {idx})", file=sys.stderr)
         if rows == 0:  # an empty campaign proves nothing, so it is not a pass
             raise ContractViolationError(
                 f"nothing to probe: all {skipped} instances have (near-)zero loss")
-        csv_part.replace(csv_path)
-        jsonl_part.replace(jsonl_path)
-    except BaseException:
-        csv_part.unlink(missing_ok=True)
-        jsonl_part.unlink(missing_ok=True)
-        raise
     print(f"probe: {rows} instances ({skipped} filtered), "
           f"{'all found' if all_found else 'NOT all found'}")
     return EXIT_OK if all_found else EXIT_PROPERTY_FAILURE

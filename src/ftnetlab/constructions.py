@@ -7,7 +7,6 @@ tests check |gap| <= 1e-12 relative.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -75,14 +74,6 @@ class EmbeddingReport:
 
 
 EMBEDDING_CSV_HEADER = ",".join(f.name for f in fields(EmbeddingReport))
-
-
-def reports_to_csv(reports) -> str:
-    buf = io.StringIO()
-    buf.write(EMBEDDING_CSV_HEADER + "\n")
-    for r in reports:
-        buf.write(r.csv_row() + "\n")
-    return buf.getvalue()
 
 
 def _restriction_matches(fnn_activation: ActivationKind, target: ActivationKind,

@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ftnetlab.cli as cli
+import ftnetlab.constructions as cons
 import ftnetlab.losses as losses
 import ftnetlab.models as models
 from conftest import pinned_for_kernel, sample_models
@@ -222,8 +224,6 @@ class TestVerify:
         assert len(lines) == 1 + 6 * 4 + 3
 
     def test_corrupted_construction_fails_with_replay(self, tmp_path, monkeypatch):
-        import ftnetlab.constructions as cons
-
         original = cons.crnet_to_fftnet
 
         def corrupted(crn):
@@ -283,6 +283,46 @@ class TestVerify:
                 "verify.csv": "9d11bb8d7436952967df30ba510057aab3711d3a7fbea866b89a1caf9bbc2d92",
                 "report.md": "0152a7e0695237dc93ba21c532a014ae8380668ae5a6d65429c0da40914ed6c8"},
         })
+
+    def test_failed_family_leaves_no_csv(self, tmp_path, monkeypatch, capsys):
+        """Rows already written for the first family are removed with the
+        partial file when the second family's sweep raises."""
+        real = cli.run_embedding_sweep
+
+        def sweep(pair, *args):
+            if pair == "rnn_to_rftnet":
+                raise ContractViolationError("second family rejected")
+            return real(pair, *args)
+
+        monkeypatch.setattr(cli, "run_embedding_sweep", sweep)
+        out = tmp_path / "o"
+        cfg = _write_config(tmp_path, "v.json", {
+            "instances": 3, "probes": 5, "pairs": ["crnet_to_fftnet", "rnn_to_rftnet"]})
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: second family rejected\n"
+        assert list(out.iterdir()) == []
+
+    def test_one_family_held_at_a_time(self, tmp_path, monkeypatch):
+        """Each family's reports and replays are dropped before the next
+        family's sweep starts."""
+        class Tracked(list):
+            """A list that takes weak references."""
+
+        refs, alive = [], []
+
+        def sweep(pair, seed, count, probes, t_len):
+            alive.append([ref() is not None for ref in refs])
+            reports = Tracked(cons.EmbeddingReport("fnn", "fftnet", 1, 1, 1, 2, 4, 10, 0.0)
+                              for _ in range(count))
+            replays = Tracked({} for _ in range(count))
+            refs.extend((weakref.ref(reports), weakref.ref(replays)))
+            return reports, replays
+
+        monkeypatch.setattr(cli, "run_embedding_sweep", sweep)
+        cfg = _write_config(tmp_path, "v.json", {"instances": 2, "assemblies": 2})
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert alive == [[False] * 2 * n for n in range(len(cli.FAMILIES))]
+        assert len((tmp_path / "verify.csv").read_text().splitlines()) == 1 + 2 * 7
 
     def test_deterministic_csv(self, tmp_path):
         cfg = _write_config(tmp_path, "v.json", {

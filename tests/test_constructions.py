@@ -30,7 +30,6 @@ from ftnetlab.constructions import (
     dods_stage_trajectories,
     fnn_to_fftnet,
     pad_row_independent,
-    reports_to_csv,
     rnn_timepoint_to_fnn,
     rnn_to_rftnet,
 )
@@ -424,10 +423,8 @@ class TestEmbeddingReport:
 
     def test_csv_rows(self):
         rep = EmbeddingReport("fnn", "fftnet", 3, 1, 4, 5, 32, 55, 1.25e-15)
-        text = reports_to_csv([rep])
-        lines = text.strip().splitlines()
-        assert lines[0] == EMBEDDING_CSV_HEADER
-        assert lines[1] == "fnn,fftnet,3,1,4,5,32,55,1.25e-15"
+        assert rep.csv_row() == "fnn,fftnet,3,1,4,5,32,55,1.25e-15"
+        assert len(rep.csv_row().split(",")) == len(EMBEDDING_CSV_HEADER.split(","))
 
     def test_empty_gap_field(self):
         rep = EmbeddingReport("rnn", "rftnet", 2, 4, 3, 9, 14, 171, None)

@@ -277,10 +277,10 @@ class TestVerify:
                    for name in ("verify.csv", "report.md")}
         assert digests == pinned_for_kernel({
             "SkylakeX": {
-                "verify.csv": "17b119836b63fdd854dd6bdfaab965301884a93a5eb724e318240ede7e7d3f7b",
+                "verify.csv": "dedc910f83a1fc0ee6d2b5e88f50a235edf3a459a70b1d21c9d67786d6ffa2c2",
                 "report.md": "5ca06d1674b26f0707335903cea22b9e7637b6244ef359fdff89f842ff8ea70e"},
             "Haswell": {
-                "verify.csv": "9d11bb8d7436952967df30ba510057aab3711d3a7fbea866b89a1caf9bbc2d92",
+                "verify.csv": "c6585e5967ed5b538aa849c0f9a03f94efad915d0714da4d550b3099919333b9",
                 "report.md": "0152a7e0695237dc93ba21c532a014ae8380668ae5a6d65429c0da40914ed6c8"},
         })
 

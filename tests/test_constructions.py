@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ftnetlab.activations import HOLSIN, IDENTITY, RELU, ZRELU, apply_real, induced_imag
 from ftnetlab.embeddings import (
     FAMILIES,
+    _random_assembly,
     assembly_structural_gap,
     outputs_and_receptors,
     random_additive,
@@ -17,6 +18,7 @@ from ftnetlab.embeddings import (
     random_relu_fnn,
     random_relu_rnn,
     relative_gap,
+    run_embedding_sweep,
 )
 from ftnetlab.constructions import (
     EMBEDDING_CSV_HEADER,
@@ -330,6 +332,21 @@ class TestDodsAssembly:
             stages = (s1, s2, readout, ZRELU, 1.0, h0)
             gap = assembly_structural_gap(stages, assemble_dods_additive(*stages), xs)
             assert gap <= EXACT
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t_len=st.integers(1, 12))
+    def test_structural_claims_drawn(self, seed, t_len):
+        rng = np.random.default_rng(seed)
+        stages = _random_assembly(rng)
+        xs = rng.uniform(-1, 1, size=(t_len, stages[0].A.shape[1]))
+        assert assembly_structural_gap(stages, assemble_dods_additive(*stages), xs) <= EXACT
+
+    # (seed, instance) of verify sweeps whose q chain grows to ~5e4, where a
+    # few ulp of rounding exceed 1e-12 as an absolute error
+    @pytest.mark.parametrize("seed,instance", [(210, 35), (509, 49), (789, 13), (950, 36)])
+    def test_large_states_pass_the_sweep(self, seed, instance):
+        reports, _ = run_embedding_sweep("dods_assembly", seed, instance + 1)
+        assert reports[instance].max_abs_output_gap <= EXACT
 
     def test_zero_assembly_with_zero_height(self, rng):
         # with c = 0 both induced restrictions vanish at 0, so everything is 0

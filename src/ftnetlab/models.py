@@ -251,6 +251,9 @@ class Tape:
     without a shared form).  For the recurrent net, ``K`` and ``Z`` are
     stacked as (T, B, H), ``acts`` is a list of T arrays of shape (B, H)
     (step t > 0 read the receptor ``acts[t - 1].imag``), and ``D`` is None.
+
+    A new pass allocates its arrays before the tape drops the old ones:
+    freeing them first lets glibc trim the heap and fault the pages back in.
     """
 
     __slots__ = ("source", "out", "K", "Z", "acts", "D")

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -345,6 +346,22 @@ class TestTape:
         # sequences are padded time-major: (T, B, H)
         assert len(calls) == 3 and tape.K.shape == (*shape[-2::-1], 5)
 
+    @pytest.mark.parametrize("model, evaluate, shape", [
+        (random_fftnet, eval_fftnet_many, (6, 2)),
+        (random_rftnet, eval_rftnet_many, (3, 5, 2)),
+    ], ids=["feedforward", "recurrent"])
+    def test_a_tape_holds_one_pass(self, rng, model, evaluate, shape):
+        """Once a second pass is recorded, nothing keeps the first one alive."""
+        p, q = model(2, 4, HOLSIN, 0.2, rng), model(2, 4, HOLSIN, 0.2, rng)
+        xs = rng.standard_normal(shape)
+        tape = Tape()
+        evaluate(p, xs, tape=tape)
+        acts = tape.acts if isinstance(tape.acts, list) else [tape.acts]
+        refs = [weakref.ref(a) for a in (tape.Z, *acts)]
+        del acts
+        evaluate(q, xs, tape=tape)
+        assert tape.matches(q, xs) and all(r() is None for r in refs)
+
     def test_bounded_fit_pads_its_inputs_once(self, rng, monkeypatch):
         """A holsin fit to the squared loss bounds its candidates with the
         padded inputs of its taped pass, so it pads them once in all."""
@@ -425,6 +442,17 @@ class TestLossBound:
         p = FFTNetParams(1, 2, np.full((2, 2), w), np.full((2, 2), v), np.ones(2), HOLSIN)
         k = kappa_many(np.ones((1, 1)), 2)
         assert squared_loss_lower_bound(p, k, np.zeros(1)) == -math.inf
+
+    def test_empty_batch(self, rng):
+        """An empty batch has no bound to give, and a fit on it stops at once
+        with the loss 0, whether or not its activation has a bound."""
+        p = random_fftnet(1, 4, HOLSIN, 0.3, rng)
+        assert squared_loss_lower_bound(p, np.zeros((0, p.H)), np.zeros(0)) == -math.inf
+        data = Dataset(np.zeros((0, 1)), np.zeros(0))
+        for act in (HOLSIN, ZRELU):
+            _, trace = train_fftnet(random_fftnet(1, 4, act, 0.3, rng), data,
+                                    squared_loss(), TrainConfig(target_loss=-1.0))
+            assert trace == [0.0]
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("step_size", [1e308, 1e3])

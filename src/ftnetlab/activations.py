@@ -77,7 +77,6 @@ def _holsin_real_envelope(a, b):
     this takes about half the time of sin at 256 x 32 (x86-64 Xeon VM).
 
     Where t^2 overflows, sin a is below 1e-154 and the quotient gives 0.
-    s is computed inside the tan array.
     """
     if not (a.max(initial=0.0) <= _HOLSIN_ENVELOPE_MAX_ARG
             and a.min(initial=0.0) >= -_HOLSIN_ENVELOPE_MAX_ARG):  # NaN fails too

@@ -63,7 +63,7 @@ def grad_fftnet(p: FFTNetParams, data: Dataset, spec: LossSpec,
     lp = spec.deriv(tape.out - data.ys)
     j11, j12, _, _ = jacobian_parts(p.activation, tape.Z, tape.D)
     gs = lp[:, None] * p.alpha[None, :]
-    g = np.multiply(gs, j11)  # gs * J11, then gs * J12 in the same buffer
+    g = np.multiply(gs, j11)
     dW = g.T @ k
     dV = np.multiply(gs, j12, out=g).T @ k
     return GradientBundle(dW=dW, dV=dV, dAlpha=s.T @ lp)

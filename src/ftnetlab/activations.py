@@ -1,14 +1,15 @@
 """Complex activation functions, their Jacobians and induced real restrictions.
 
-``TABLE`` holds one record per tag; every function here looks its tag up
-there.  The gate activation passes z exactly when Re(z) * Im(z) >= 0, which
-is the closed phase set [0, pi/2] u [pi, 3pi/2]; the sign-product form is
-the implementation rule.  Every kind maps 0 to 0.
+``TABLE`` holds one record per tag, and that record is the kind a model
+holds: :func:`activation_from_tag` builds it.  The gate activation passes z
+exactly when Re(z) * Im(z) >= 0, which is the closed phase set
+[0, pi/2] u [pi, 3pi/2]; the sign-product form is the implementation rule.
+Every kind maps 0 to 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -41,10 +42,11 @@ class Activation:
     the derivative ``jacobian`` is built from.
     """
 
+    tag: str
     value: Callable
     jacobian: Callable
     holomorphic_nonpolynomial: bool = False
-    default_bias: float | None = None  # set for the kinds that read ``bias``
+    bias: float | None = None  # set for the kinds that read it
     real_envelope: Callable | None = None
     value_and_derivative: Callable | None = None
 
@@ -160,72 +162,56 @@ def _modrelu_jacobian(z, bias):
     return j11, j12, j12, j22
 
 
-TABLE = {
-    "zrelu": Activation(
-        lambda z, bias: np.where((z.real * z.imag) >= 0.0, z, 0.0 + 0.0j),
-        lambda z, bias: _diagonal(_step(z.real * z.imag))),
-    "modrelu": Activation(_modrelu, _modrelu_jacobian, default_bias=-0.5),
-    "crelu": Activation(
-        lambda z, bias: np.maximum(z.real, 0.0) + 1j * np.maximum(z.imag, 0.0),
-        lambda z, bias: _diagonal(_step(z.real), _step(z.imag))),
-    "holexpm1": Activation(
-        lambda z, bias: np.exp(z) - 1.0,
-        lambda z, bias: _cauchy_riemann(np.exp(z)),
-        holomorphic_nonpolynomial=True, value_and_derivative=_expm1_and_exp),
-    "holsin": Activation(
-        lambda z, bias: np.sin(z),
-        lambda z, bias: _cauchy_riemann(np.cos(z)),
-        holomorphic_nonpolynomial=True, real_envelope=_holsin_real_envelope,
-        value_and_derivative=_sin_and_cos),
-    # real kinds act on Re(z); the complex identity keeps z whole
-    "relu": Activation(
-        lambda z, bias: np.maximum(z.real, 0.0) + 0.0j,
-        lambda z, bias: _diagonal(_step(z.real), np.zeros(z.shape))),
-    "identity": Activation(
-        lambda z, bias: z,
-        lambda z, bias: _cauchy_riemann(np.ones_like(z))),
-}
+ZRELU = Activation(
+    "zrelu",
+    lambda z, bias: np.where((z.real * z.imag) >= 0.0, z, 0.0 + 0.0j),
+    lambda z, bias: _diagonal(_step(z.real * z.imag)))
+CRELU = Activation(
+    "crelu",
+    lambda z, bias: np.maximum(z.real, 0.0) + 1j * np.maximum(z.imag, 0.0),
+    lambda z, bias: _diagonal(_step(z.real), _step(z.imag)))
+HOLEXPM1 = Activation(
+    "holexpm1",
+    lambda z, bias: np.exp(z) - 1.0,
+    lambda z, bias: _cauchy_riemann(np.exp(z)),
+    holomorphic_nonpolynomial=True, value_and_derivative=_expm1_and_exp)
+HOLSIN = Activation(
+    "holsin",
+    lambda z, bias: np.sin(z),
+    lambda z, bias: _cauchy_riemann(np.cos(z)),
+    holomorphic_nonpolynomial=True, real_envelope=_holsin_real_envelope,
+    value_and_derivative=_sin_and_cos)
+# real kinds act on Re(z); the complex identity keeps z whole
+RELU = Activation(
+    "relu",
+    lambda z, bias: np.maximum(z.real, 0.0) + 0.0j,
+    lambda z, bias: _diagonal(_step(z.real), np.zeros(z.shape)))
+IDENTITY = Activation(
+    "identity",
+    lambda z, bias: z,
+    lambda z, bias: _cauchy_riemann(np.ones_like(z)))
+
+TABLE = {act.tag: act for act in (
+    ZRELU, Activation("modrelu", _modrelu, _modrelu_jacobian, bias=-0.5),
+    CRELU, HOLEXPM1, HOLSIN, RELU, IDENTITY)}
 
 
-@dataclass(frozen=True)
-class ActivationKind:
-    """Tagged activation; ``bias`` is read only by kinds with a ``default_bias``."""
-
-    tag: str
-    bias: float = 0.0
-
-    def __post_init__(self):
-        # a tag read from a model file may be any JSON value, lists included
-        if not isinstance(self.tag, str) or self.tag not in TABLE:
-            raise ContractViolationError(f"unknown activation tag {self.tag!r}")
-
-    @property
-    def is_holomorphic_nonpolynomial(self) -> bool:
-        return TABLE[self.tag].holomorphic_nonpolynomial
-
-
-ZRELU = ActivationKind("zrelu")
-CRELU = ActivationKind("crelu")
-HOLEXPM1 = ActivationKind("holexpm1")
-HOLSIN = ActivationKind("holsin")
-RELU = ActivationKind("relu")
-IDENTITY = ActivationKind("identity")
-
-
-def activation_from_tag(tag: str, bias: float | None = None) -> ActivationKind:
-    """The kind ``tag`` names; ``bias`` replaces the default of a kind that reads one."""
-    kind = ActivationKind(tag)  # rejects an unknown tag
-    default = TABLE[tag].default_bias
-    if default is None:
+def activation_from_tag(tag: str, bias: float | None = None) -> Activation:
+    """The record ``tag`` names; ``bias`` replaces the default of a kind that reads one."""
+    # a tag read from a model file may be any JSON value, lists included
+    if not isinstance(tag, str) or tag not in TABLE:
+        raise ContractViolationError(f"unknown activation tag {tag!r}")
+    kind = TABLE[tag]
+    if kind.bias is None or bias is None:
         return kind
-    return ActivationKind(tag, float(default if bias is None else bias))
+    return replace(kind, bias=float(bias))
 
 
-def modrelu(bias: float | None = None) -> ActivationKind:
+def modrelu(bias: float | None = None) -> Activation:
     return activation_from_tag("modrelu", bias)
 
 
-def apply(kind: ActivationKind, z, derivative: bool = False):
+def apply(kind: Activation, z, derivative: bool = False):
     """Evaluate the activation at complex z (scalar or ndarray).
 
     zrelu at z = 0 returns 0 (undefined phase).  With ``derivative``, return
@@ -234,17 +220,16 @@ def apply(kind: ActivationKind, z, derivative: bool = False):
     :func:`jacobian_parts` takes it.
     """
     z = np.asarray(z, dtype=np.complex128)
-    act = TABLE[kind.tag]
-    if derivative and act.value_and_derivative is not None:
-        out, d = act.value_and_derivative(z, kind.bias)
+    if derivative and kind.value_and_derivative is not None:
+        out, d = kind.value_and_derivative(z, kind.bias)
     else:
-        out, d = act.value(z, kind.bias), None
+        out, d = kind.value(z, kind.bias), None
     if out.ndim == 0:
         out = complex(out)
     return (out, d) if derivative else out
 
 
-def jacobian_parts(kind: ActivationKind, z, derivative=None):
+def jacobian_parts(kind: Activation, z, derivative=None):
     """(J11, J12, J21, J22) of (Re act, Im act) w.r.t. (Re z, Im z), elementwise.
 
     ``derivative``, when not None, is the d that ``apply(kind, z,
@@ -255,10 +240,10 @@ def jacobian_parts(kind: ActivationKind, z, derivative=None):
     """
     if derivative is not None:
         return _cauchy_riemann(derivative)
-    return TABLE[kind.tag].jacobian(np.asarray(z, dtype=np.complex128), kind.bias)
+    return kind.jacobian(np.asarray(z, dtype=np.complex128), kind.bias)
 
 
-def apply_real(kind: ActivationKind, x):
+def apply_real(kind: Activation, x):
     """The activation restricted to the real axis, Re[act(x + 0i)]."""
     x = np.asarray(x, dtype=np.float64)
     return np.asarray(apply(kind, x + 0.0j)).real
@@ -274,18 +259,18 @@ def _line(c: float, x, convention: str):
     raise ContractViolationError(f"unknown convention {convention!r}")
 
 
-def induced_complex(kind: ActivationKind, c: float, x, convention: str):
+def induced_complex(kind: Activation, c: float, x, convention: str):
     """The activation along a line through the complex plane, as a complex
     array: its real and imaginary parts are :func:`induced_real` and
     :func:`induced_imag`, from one evaluation."""
     return np.asarray(apply(kind, _line(c, x, convention)))
 
 
-def induced_real(kind: ActivationKind, c: float, x, convention: str):
+def induced_real(kind: Activation, c: float, x, convention: str):
     """Re of the activation along a line through the complex plane."""
     return induced_complex(kind, c, x, convention).real
 
 
-def induced_imag(kind: ActivationKind, c: float, x, convention: str):
+def induced_imag(kind: Activation, c: float, x, convention: str):
     """Im counterpart of :func:`induced_real`."""
     return induced_complex(kind, c, x, convention).imag

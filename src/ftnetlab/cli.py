@@ -44,6 +44,10 @@ EXIT_PROPERTY_FAILURE = 1
 EXIT_REJECTED = 2
 EXIT_IO_FAILURE = 3
 
+# the largest embedding gap that counts as exact: verify's default tolerance, and
+# the gap under which report labels a family verified
+EXACTNESS_GATE = 1e-12
+
 PROBE_CSV_HEADER = "instance_id,case_tag,old_loss,new_loss,perturbation_norm,found"
 
 # p0 draws a training run may take while its start's loss is not finite or takes no step
@@ -90,7 +94,7 @@ CONFIG_TABLES = {
         "assemblies": Key(int, 50, 0),
         "probes": Key(int, 100, 1),
         "sequence_length": Key(int, SEQUENCE_LENGTH, 1),
-        "tolerance": Key(float, 1e-12, 0),
+        "tolerance": Key(float, EXACTNESS_GATE, 0),
         "pairs": Key(list, list(FAMILIES), choices=tuple(FAMILIES)),
         "csv_name": Key(str, "verify.csv"),
     },
@@ -338,8 +342,9 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
 
     rows = skipped = 0
     all_found = True
-    with _partial_files(out_dir / "probe.csv", out_dir / "probe_results.jsonl") as (
-            csv_fh, jsonl_fh):
+    # as in training, an overflowing loss is refused by a finiteness check, not a warning
+    with np.errstate(over="ignore", invalid="ignore"), _partial_files(
+            out_dir / "probe.csv", out_dir / "probe_results.jsonl") as (csv_fh, jsonl_fh):
         csv_fh.write(PROBE_CSV_HEADER + "\n")
         for idx in range(cfg["instances"]):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
@@ -413,7 +418,9 @@ def cmd_report(cfg: dict, out_dir: Path) -> int:
             if not gaps:
                 continue
             measured = [g for g in gaps if g is not None]
-            status = (f"verified, {len(gaps)} instances, max gap {max(measured):.2e}"
+            worst = max(measured, default=0.0)
+            label = "verified" if worst <= EXACTNESS_GATE else "FAILED"
+            status = (f"{label}, {len(gaps)} instances, max gap {worst:.2e}"
                       if measured else f"{len(gaps)} instances, no gap measured")
             _, source_width, formula = fam.report
             lines.append(f"| any {fam.source} ({status}) | {source_width} "

@@ -15,7 +15,7 @@ from .activations import (
     REAL_ARG_IMAG_BIAS,
     RELU,
     ZRELU,
-    ActivationKind,
+    Activation,
     apply,
     apply_real,
     induced_real,
@@ -76,7 +76,7 @@ class EmbeddingReport:
 EMBEDDING_CSV_HEADER = ",".join(f.name for f in fields(EmbeddingReport))
 
 
-def _restriction_matches(fnn_activation: ActivationKind, target: ActivationKind,
+def _restriction_matches(fnn_activation: Activation, target: Activation,
                          c: float) -> bool:
     # functional precondition, checked on a probe grid
     xs = np.linspace(-4.0, 4.0, 81)
@@ -86,7 +86,7 @@ def _restriction_matches(fnn_activation: ActivationKind, target: ActivationKind,
 
 
 def fnn_to_fftnet(f: FNNParams, c: float = 1.0, mode: str = "zrelu",
-                  target_activation: ActivationKind | None = None) -> FFTNetParams:
+                  target_activation: Activation | None = None) -> FFTNetParams:
     """Embed a one-hidden-layer FNN into a feedforward complex net.
 
     ``zrelu`` mode requires a ReLU source and gates with a constant +1
@@ -306,7 +306,7 @@ def _solve_row_independent(C: np.ndarray, target: np.ndarray, name: str) -> np.n
 
 
 def assemble_dods_additive(stage1: StateStage, stage2: StateStage,
-                           readout: ReadoutStage, base_activation: ActivationKind,
+                           readout: ReadoutStage, base_activation: Activation,
                            c: float, h0) -> AdditiveFTNetParams:
     """Assemble the final additive network from the three sub-approximators.
 
@@ -341,7 +341,7 @@ def assemble_dods_additive(stage1: StateStage, stage2: StateStage,
 
 
 def dods_stage_trajectories(stage1: StateStage, stage2: StateStage,
-                            readout: ReadoutStage, base_activation: ActivationKind,
+                            readout: ReadoutStage, base_activation: Activation,
                             c: float, h0, xs) -> dict:
     """Simulate every intermediate recurrence of the assembly chain.
 

@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .activations import TABLE
 from .errors import ContractViolationError
 from .models import FFTNetParams, RFTNetParams, Tape, forward, preactivation_parts
 
@@ -77,8 +76,9 @@ def check_well_posed(spec: LossSpec) -> WellPosednessReport:
     if not abs(l0) <= 1e-12:
         violations.append(f"l(0) = {l0!r} is not 0")
     xs = np.arange(grid_step, grid_max + grid_step / 2, grid_step)
-    dpos = spec.deriv(xs)
-    dneg = spec.deriv(-xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN l' is a violation below
+        dpos = spec.deriv(xs)
+        dneg = spec.deriv(-xs)
     bad_pos = np.flatnonzero(~(dpos > 0.0))
     bad_neg = np.flatnonzero(~(dneg < 0.0))
     if bad_pos.size:
@@ -161,7 +161,7 @@ def squared_loss_lower_bound(p: FFTNetParams, k: np.ndarray, ys: np.ndarray) -> 
     2^-900 gives -inf, and above it they are below a relative 2^-170, inside
     kappa's slack.  Any non-finite value gives -inf too.
     """
-    envelope = TABLE[p.activation.tag].real_envelope
+    envelope = p.activation.real_envelope
     with np.errstate(over="ignore", invalid="ignore"):
         parts = envelope(*preactivation_parts(p, k))
         if parts is None:

@@ -19,8 +19,7 @@ import numpy as np
 
 from .activations import (
     IMAG_ARG_REAL_BIAS,
-    TABLE,
-    ActivationKind,
+    Activation,
     activation_from_tag,
     apply,
     apply_real,
@@ -103,7 +102,7 @@ class FFTNetParams(_Params):
     W: np.ndarray = _array("W", "H", "H")
     V: np.ndarray = _array("V", "H", "H")
     alpha: np.ndarray = _array("alpha", "H")
-    activation: ActivationKind
+    activation: Activation
 
     def __post_init__(self):
         if self.H < self.I + 1:
@@ -140,7 +139,7 @@ class AdditiveFTNetParams(_Params):
     zeta: np.ndarray = _array("zeta", "Hplus")
     alphaplus: np.ndarray = _array("alpha", "Hplus")
     q0: np.ndarray = _array("q0", "Hplus", state=True)
-    activation: ActivationKind
+    activation: Activation
     c: float = _array("c")
 
 
@@ -157,7 +156,7 @@ class FNNParams(_Params):
     WF: np.ndarray = _array("W", "HF", "I")
     bF: np.ndarray = _array("b", "HF")
     alphaF: np.ndarray = _array("alpha", "HF")
-    activation: ActivationKind
+    activation: Activation
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ class RNNParams(_Params):
     bR: np.ndarray = _array("b", "HR")
     alphaR: np.ndarray = _array("alpha", "HR")
     m0: np.ndarray = _array("m0", "HR", state=True)
-    activation: ActivationKind
+    activation: Activation
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,7 @@ class CRNetParams(_Params):
     WC: np.ndarray = _array("W", "HC", "I/2", dtype=np.complex128)
     bC: np.ndarray = _array("b", "HC", dtype=np.complex128)
     alphaC: np.ndarray = _array("alpha", "HC", dtype=np.complex128)
-    activation: ActivationKind
+    activation: Activation
 
     def __post_init__(self):
         if self.I % 2 != 0:
@@ -354,7 +353,7 @@ def forward(p: FFTNetParams | RFTNetParams, X: np.ndarray, tape: Tape | None = N
     return tape
 
 
-def additive_activation(base_activation: ActivationKind, c: float):
+def additive_activation(base_activation: Activation, c: float):
     """The complex map an additive network with this base iterates with: the base
     at c + u i, whose real part is sigma1(u) and imaginary part sigma2(u)."""
     return partial(induced_complex, base_activation, c, convention=IMAG_ARG_REAL_BIAS)
@@ -454,7 +453,7 @@ def model_to_dict(p) -> dict:
         else:
             d[key] = value.tolist() if shape else value
     d["activation"] = p.activation.tag
-    if TABLE[p.activation.tag].default_bias is not None:
+    if p.activation.bias is not None:
         d["activation_bias"] = p.activation.bias
     return d
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .activations import TABLE, ActivationKind, apply, jacobian_parts
+from .activations import Activation, apply, jacobian_parts
 from .errors import ContractViolationError, NonFiniteInitialLossError
 from .losses import Dataset, LossSpec, empirical_loss, squared_loss_lower_bound
 from .models import FFTNetParams, RFTNetParams, Tape, _padded, forward
@@ -130,14 +130,14 @@ def gradient_relative_error(g1: GradientBundle, g2: GradientBundle) -> float:
 # training
 # ---------------------------------------------------------------------------
 
-def random_fftnet(I: int, H: int, activation: ActivationKind, scale: float,
+def random_fftnet(I: int, H: int, activation: Activation, scale: float,
                   rng: np.random.Generator) -> FFTNetParams:
     return FFTNetParams(I, H, scale * rng.standard_normal((H, H)),
                         scale * rng.standard_normal((H, H)),
                         scale * rng.standard_normal(H), activation)
 
 
-def random_rftnet(I: int, H: int, activation: ActivationKind, scale: float,
+def random_rftnet(I: int, H: int, activation: Activation, scale: float,
                   rng: np.random.Generator) -> RFTNetParams:
     f = random_fftnet(I, H, activation, scale, rng)
     return RFTNetParams(I, H, f.W, f.V, f.alpha, activation, np.zeros(H))
@@ -216,7 +216,7 @@ def train_fftnet(p0: FFTNetParams, data: Dataset, spec: LossSpec,
     """
     tape = Tape()
     bound_of = None
-    if spec.kind == "squared" and TABLE[p0.activation.tag].real_envelope is not None:
+    if spec.kind == "squared" and p0.activation.real_envelope is not None:
         # the padded inputs of the pass loss_of has taped, so a fit pads them once
         def bound_of(p):
             return squared_loss_lower_bound(p, _padded(data.xs, p.H, tape), data.ys)
@@ -313,14 +313,15 @@ def descent_probe(p: FFTNetParams, data: Dataset, spec: LossSpec,
     until the readout's directional derivative is nonzero, then backtrack on
     the first readout weight.  Each case proposes only the perturbations its
     surrogate loss predicts will descend; the first whose exact loss is
-    below the current one is the result.
+    below the current one is the result.  A start whose loss is not finite
+    and positive is refused: the claim covers no other.
 
     A ``tape`` that recorded the forward pass of p on data.xs saves running
     it again (see :func:`empirical_loss`); otherwise it records that pass.
     """
     if delta <= 0:
         raise ContractViolationError("delta must be positive")
-    if not p.activation.is_holomorphic_nonpolynomial:
+    if not p.activation.holomorphic_nonpolynomial:
         raise ContractViolationError(
             "descent probe needs a holomorphic non-polynomial activation")
     wp = spec.well_posedness
@@ -331,6 +332,9 @@ def descent_probe(p: FFTNetParams, data: Dataset, spec: LossSpec,
     old_loss = empirical_loss(p, data, spec, tape)
     if numerical_rank(tape.K) < data.n:
         raise ContractViolationError("padded samples are not linearly independent")
+    if not math.isfinite(old_loss):
+        raise ContractViolationError(
+            f"descent is only claimed for finite loss; the loss is {old_loss!r}")
     if not old_loss > 0.0:
         raise ContractViolationError(
             "descent is only claimed for positive loss; nothing to improve")

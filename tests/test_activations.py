@@ -13,7 +13,6 @@ from ftnetlab.activations import (
     RELU,
     TABLE,
     ZRELU,
-    ActivationKind,
     activation_from_tag,
     apply,
     induced_imag,
@@ -259,17 +258,31 @@ class TestSharedDerivative:
 
 def test_tag_round_trip():
     for kind in ALL_KINDS:
-        again = activation_from_tag(kind.tag, kind.bias if kind.tag == "modrelu" else None)
-        assert again == kind
+        assert activation_from_tag(kind.tag, kind.bias) == kind
+
+
+@pytest.mark.parametrize("tag", list(TABLE))
+def test_tag_gives_the_table_record(tag):
+    kind = activation_from_tag(tag)
+    assert kind is TABLE[tag] and kind.tag == tag
+    # only a kind that reads a bias has one, so a bias given to any other is dropped
+    assert (activation_from_tag(tag, 0.25) is kind) == (kind.bias is None)
+
+
+def test_modrelu_default_bias():
+    assert activation_from_tag("modrelu") == modrelu()
+    assert modrelu().bias == -0.5 and modrelu(0.25).bias == 0.25
 
 
 def test_unknown_tag_rejected():
-    with pytest.raises(ContractViolationError):
-        ActivationKind("swish")
+    # a tag read from a model file may be any JSON value
+    for tag in ("swish", ["holsin"], None, 3):
+        with pytest.raises(ContractViolationError, match="unknown activation tag"):
+            activation_from_tag(tag)
 
 
 def test_holomorphy_flags():
-    assert HOLEXPM1.is_holomorphic_nonpolynomial
-    assert HOLSIN.is_holomorphic_nonpolynomial
+    assert HOLEXPM1.holomorphic_nonpolynomial
+    assert HOLSIN.holomorphic_nonpolynomial
     for kind in (ZRELU, CRELU, RELU, IDENTITY, modrelu()):
-        assert not kind.is_holomorphic_nonpolynomial
+        assert not kind.holomorphic_nonpolynomial

@@ -717,6 +717,21 @@ class TestReport:
         assert cli.main(["report", "--config", rcfg, "--out", str(tmp_path)]) == 0
         assert "any rnn (2 instances, no gap measured)" in (tmp_path / "report.md").read_text()
 
+    def test_gap_above_the_gate_is_not_verified(self, tmp_path, capsys):
+        rows = ["fnn,fftnet,2,1,3,3,16,21,0.5", "rnn,rftnet,3,10,2,8,14,136,inf",
+                "crnet,fftnet,2,1,3,3,16,21,1e-12", "crnet,rftnet,2,10,3,6,18,78,0.0"]
+        (tmp_path / "v.csv").write_text("\n".join([EMBEDDING_CSV_HEADER, *rows]) + "\n")
+        rcfg = _write_config(tmp_path, "r.json", {"verify_csv": str(tmp_path / "v.csv")})
+        # report checks no property, so a failing row is labelled, not an exit 1
+        assert cli.main(["report", "--config", rcfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        text = (tmp_path / "report.md").read_text()
+        assert "any fnn (FAILED, 1 instances, max gap 5.00e-01)" in text
+        assert "any rnn (FAILED, 1 instances, max gap inf)" in text
+        assert "any crnet (verified, 1 instances, max gap 1.00e-12)" in text
+        assert "any crnet (verified, 1 instances, max gap 0.00e+00)" in text
+        assert cli.CONFIG_TABLES["verify"]["tolerance"].default == cli.EXACTNESS_GATE
+
 
 _COMMAND_BASES = {
     "verify": {"instances": 1, "assemblies": 0, "probes": 2, "sequence_length": 2,

@@ -16,8 +16,10 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,7 +84,11 @@ def _configs(draw, command):
 
 
 def _run(command: str, cfg, seed=None, files=None):
-    """cli.main on ``cfg`` in a fresh directory; returns (exit code, stdout, stderr)."""
+    """cli.main on ``cfg`` in a fresh directory; returns (exit code, stdout, stderr).
+
+    Every warning raised is recorded and added to stderr: Python shows a warning
+    once per code location, so without this only the first example could see it.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, write in (files or {}).items():
@@ -96,9 +102,13 @@ def _run(command: str, cfg, seed=None, files=None):
         if seed is not None:
             argv += ["--seed", str(seed)]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = cli.main(argv)
-    return rc, out.getvalue(), err.getvalue()
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                    for w in caught)
+    return rc, out.getvalue(), err.getvalue() + shown
 
 
 def _reports_a_property(command: str, out: str, err: list[str]) -> bool:
@@ -150,6 +160,16 @@ def test_config_documents(cfg, command):
     rc, out, err = _run(command, cfg, files=_FILES)
     _check_contract(command, rc, out, err)
     assert rc != 1
+
+
+# an overflowing loss: ill posed (a + b overflows), and infinite at every start (1 / c)
+@pytest.mark.parametrize("loss", [{"loss": "param_cosh", "a": 1e308, "b": 1e308},
+                                  {"loss": "param_cosh", "c": 5e-324}],
+                         ids=["a_b_overflow", "c_tiny"])
+def test_overflowing_param_cosh_probe(loss):
+    rc, out, err = _run("probe", {"n": 2, "I": 2, "loss": loss})
+    _check_contract("probe", rc, out, err)
+    assert rc == 2
 
 
 # a target each kind converts to; fftnet and rftnet sources have none

@@ -29,7 +29,8 @@ from .embeddings import (
 )
 from .errors import ContractViolationError, DegenerateInputError, NonFiniteInitialLossError
 from .losses import Dataset, empirical_loss, loss_spec_from_config
-from .models import Tape, dods_linear, eval_dods, load_model, save_model
+from .models import (READ_ERRORS, Tape, dods_linear, eval_dods, model_from_dict, read_json,
+                     save_model)
 from .optimize import (
     TrainConfig,
     descent_probe,
@@ -223,9 +224,11 @@ def _partial_files(*paths: Path):
 
 def cmd_convert(cfg: dict, out_dir: Path) -> int:
     try:
-        model = load_model(cfg["in_model"])
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        model_dict = read_json(cfg["in_model"])
+    except READ_ERRORS as exc:
         return _fail(EXIT_IO_FAILURE, f"cannot read model: {exc}")
+    try:
+        model = model_from_dict(model_dict)
     except ContractViolationError as exc:
         # the file parsed but the model breaks a documented invariant
         return _fail(EXIT_REJECTED, f"bad model: {exc}")
@@ -450,9 +453,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        cfg = read_json(args.config)
+    except READ_ERRORS as exc:
         return _fail(EXIT_IO_FAILURE, f"cannot parse config: {exc}")
     out_dir = Path(args.out)
     try:
@@ -462,6 +464,10 @@ def main(argv=None) -> int:
     except (ContractViolationError, DegenerateInputError) as exc:
         return _fail(EXIT_REJECTED, exc)
     except MemoryError as exc:  # a size too large to allocate is a rejected config
+        return _fail(EXIT_REJECTED, f"out of memory: {exc}")
+    except ValueError as exc:  # so is one too large for numpy to represent
+        if not str(exc).startswith(("array is too big", "Maximum allowed dimension")):
+            raise  # any other ValueError is a fault of the program
         return _fail(EXIT_REJECTED, f"out of memory: {exc}")
     except OSError as exc:
         return _fail(EXIT_IO_FAILURE, f"cannot write output: {exc}")

@@ -145,17 +145,13 @@ def additive_to_rftnet(a: AdditiveFTNetParams) -> RFTNetParams:
     return RFTNetParams(i, h, w, v, alpha, a.activation, r0)
 
 
-def _require_zrelu(cr: CRNetParams) -> None:
-    # the gate identity Re[act(x+yi)] = Im[act(conj(x+yi) i)] is zrelu-specific
-    if cr.activation != ZRELU:
-        raise ContractViolationError("CRNet embeddings require the zrelu activation")
-
-
 def _crnet_host(cr: CRNetParams, h: int, row0: int):
     """W, V, alpha of an H-wide gate net with the unit pairs from row row0 on:
     HC rows for the units z, then HC rows for their partners conj(z) i, each
     reading the two input halves and the bias slot h - 1."""
-    _require_zrelu(cr)
+    # the gate identity Re[act(x+yi)] = Im[act(conj(x+yi) i)] is zrelu-specific
+    if cr.activation != ZRELU:
+        raise ContractViolationError("CRNet embeddings require the zrelu activation")
     wr, wi, br, bi = cr.WC.real, cr.WC.imag, cr.bC.real, cr.bC.imag
     half, i, hc = cr.I // 2, cr.I, cr.HC
     z, zc = slice(row0, row0 + hc), slice(row0 + hc, row0 + 2 * hc)

@@ -76,17 +76,13 @@ def check_well_posed(spec: LossSpec) -> WellPosednessReport:
     if not abs(l0) <= 1e-12:
         violations.append(f"l(0) = {l0!r} is not 0")
     xs = np.arange(grid_step, grid_max + grid_step / 2, grid_step)
-    with np.errstate(over="ignore", invalid="ignore"):  # a NaN l' is a violation below
-        dpos = spec.deriv(xs)
-        dneg = spec.deriv(-xs)
-    bad_pos = np.flatnonzero(~(dpos > 0.0))
-    bad_neg = np.flatnonzero(~(dneg < 0.0))
-    if bad_pos.size:
-        x = xs[bad_pos[0]]
-        violations.append(f"not strictly increasing at x = {x:.4g} (l' = {dpos[bad_pos[0]]:.4g})")
-    if bad_neg.size:
-        x = -xs[bad_neg[0]]
-        violations.append(f"not strictly decreasing at x = {x:.4g} (l' = {dneg[bad_neg[0]]:.4g})")
+    for side, trend in ((1.0, "increasing"), (-1.0, "decreasing")):
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN l' is a violation below
+            d = spec.deriv(side * xs)
+        bad = np.flatnonzero(~(side * d > 0.0))
+        if bad.size:
+            x = side * xs[bad[0]]
+            violations.append(f"not strictly {trend} at x = {x:.4g} (l' = {d[bad[0]]:.4g})")
     return WellPosednessReport(passed=not violations, violations=tuple(violations))
 
 

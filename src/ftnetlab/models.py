@@ -507,6 +507,16 @@ def save_model(path, p) -> None:
         fh.write("\n")
 
 
-def load_model(path):
+# what read_json raises: ValueError for a file that is not UTF-8 or not JSON, or
+# holds an integer past Python's digit limit; RecursionError for one nested too deep
+READ_ERRORS = (OSError, ValueError, RecursionError)
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``: the one reader of model and config files."""
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        return json.load(fh)
+
+
+def load_model(path):
+    return model_from_dict(read_json(path))

@@ -17,30 +17,25 @@ def null_vector_against(rows, keep: int) -> np.ndarray:
     """Unit vector v with v^T rows[keep] != 0 and v^T rows[j] = 0 otherwise.
 
     ``rows`` is a 2-d stack of vectors in C^n (a real stack is read as
-    complex).  The dot products are bilinear (no conjugation).  Raises
-    DegenerateInputError when the rows are numerically dependent at the
-    rank tolerance, in which case no such v is guaranteed to exist.
+    complex).  The dot products are bilinear (no conjugation).  Such a v
+    exists when the rows are linearly independent, which the caller decides
+    with :func:`numerical_rank`.  Raises DegenerateInputError when
+    rows[keep] lies in the span of the others.
     """
-    # cast before the SVDs: a real stack would take LAPACK's real path,
+    # cast before the SVD: a real stack would take LAPACK's real path,
     # whose singular vectors differ from the complex path's
     a = np.asarray(rows, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] == 0:
         raise ContractViolationError(f"expected a non-empty stack of rows, got shape {a.shape}")
-    count, n = a.shape
-    if not 0 <= keep < count:
-        raise ContractViolationError(f"keep index {keep} out of range [0, {count})")
-    if numerical_rank(a) < count:
-        raise DegenerateInputError("input vectors are numerically linearly dependent")
+    if not 0 <= keep < a.shape[0]:
+        raise ContractViolationError(f"keep index {keep} out of range [0, {a.shape[0]})")
 
+    # right-singular vectors spanning the nullspace of the other rows; with no
+    # other rows the SVD has no singular values and vh is the identity
     others = np.delete(a, keep, axis=0)
-    if others.shape[0] == 0:
-        basis = np.eye(n, dtype=np.complex128)
-    else:
-        # right-singular vectors spanning the nullspace of `others`
-        _, s, vh = np.linalg.svd(others)
-        tol = max(others.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-        rank = int(np.sum(s > tol))
-        basis = vh[rank:].conj().T
+    _, s, vh = np.linalg.svd(others)
+    tol = max(others.shape) * np.finfo(np.float64).eps * s.max(initial=0.0)
+    basis = vh[np.sum(s > tol):].conj().T
     # pick the nullspace combination with nonzero bilinear product against keep
     w = basis.T @ a[keep]
     if np.linalg.norm(w) == 0.0:
@@ -49,12 +44,8 @@ def null_vector_against(rows, keep: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def numerical_rank(rows: np.ndarray, tol: float = RANK_TOLERANCE) -> int:
-    """Rank of a real/complex matrix with singular values below tol*sigma_max dropped."""
-    rows = np.asarray(rows)
-    if rows.size == 0:
-        return 0
+def numerical_rank(rows: np.ndarray) -> int:
+    """Rank of a real/complex matrix with singular values at or below
+    RANK_TOLERANCE * sigma_max dropped; 0 for an empty or a zero matrix."""
     sv = np.linalg.svd(rows, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
+    return int(np.sum(sv > RANK_TOLERANCE * sv.max(initial=0.0)))

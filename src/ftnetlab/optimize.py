@@ -239,7 +239,7 @@ def train_rftnet(p0: RFTNetParams, data: Dataset, spec: LossSpec,
 # ---------------------------------------------------------------------------
 
 PROBE_RADIUS_LEVELS = 40
-PROBE_PHASES = 64
+PROBE_PHASES = np.exp(2j * np.pi * np.arange(64) / 64)  # the 64th roots of unity
 PROBE_C1_SAMPLES = 200
 PROBE_C1_FLOOR = 1e-10
 # keeps the reconstructed perturbation norm strictly inside the delta ball
@@ -330,6 +330,7 @@ def descent_probe(p: FFTNetParams, data: Dataset, spec: LossSpec,
     if tape is None:
         tape = Tape()
     old_loss = empirical_loss(p, data, spec, tape)
+    # the probe's one independence test: case 1's null_vector_against relies on it
     if numerical_rank(tape.K) < data.n:
         raise ContractViolationError("padded samples are not linearly independent")
     if not math.isfinite(old_loss):
@@ -367,12 +368,11 @@ def _alpha_nonzero_proposals(p, spec, delta, old_loss, k, res):
     beta = complex(v @ k[j0])
     w0 = complex((p.W[k0] + 1j * p.V[k0]) @ k[j0])
     base = p.alpha[k0] * complex(apply(p.activation, w0)).real
-    phases = np.exp(2j * np.pi * np.arange(PROBE_PHASES) / PROBE_PHASES)
     vnorm = float(np.linalg.norm(v))
 
     for level in range(PROBE_RADIUS_LEVELS):
         radius = PROBE_RADIUS_MARGIN * delta * 2.0**-level / vnorm
-        cs = radius * phases
+        cs = radius * PROBE_PHASES
         terms = p.alpha[k0] * np.asarray(apply(p.activation, w0 + cs * beta)).real
         new_res_j0 = res[j0] - base + terms
         new_losses = old_loss - float(spec.value(res[j0])) + spec.value(new_res_j0)
@@ -419,12 +419,11 @@ def holomorphic_bidirectional_search(g, z0, delta: float, max_levels: int = 20):
     base = complex(g(z0)).real
     directions = [np.eye(m, dtype=np.complex128)[j] for j in range(m)]
     directions.append(np.ones(m, dtype=np.complex128) / math.sqrt(m))
-    phases = np.exp(2j * np.pi * np.arange(PROBE_PHASES) / PROBE_PHASES)
     up = down = None
     for level in range(max_levels):
         r = PROBE_RADIUS_MARGIN * math.sqrt(delta) * 2.0**-level
         for d in directions:
-            for ph in phases:
+            for ph in PROBE_PHASES:
                 dz = r * ph * d
                 val = complex(g(z0 + dz)).real
                 if up is None and val > base:

@@ -856,10 +856,20 @@ class TestOutOfMemory:
         ("verify", {"probes": 1000000000000}),
         ("convert", {"in_model": "fnn.json", "target": "fftnet", "out_model": "out.json",
                      "probes": 1000000000}),
-    ], ids=["train", "verify", "convert"])
+        # sizes numpy cannot represent: it refuses them with a ValueError, allocating nothing
+        ("probe", {"n": 1, "I": 10**18}),
+        ("train", {"demo": "sin_fit", "H": 10**18, "iters": 1, "samples": 4}),
+        ("train", {"demo": "dods_linear", "sequences": 10**19, "iters": 1, "H": 4}),
+        ("verify", {"probes": 10**19, "instances": 1, "assemblies": 0,
+                    "pairs": ["fnn_to_fftnet_zrelu"]}),
+        ("convert", {"in_model": "fnn.json", "target": "fftnet", "out_model": "out.json",
+                     "probes": 10**300}),
+    ], ids=["train", "verify", "convert", "probe-I-unrepresentable",
+            "train-H-unrepresentable", "train-sequences-unrepresentable",
+            "verify-probes-unrepresentable", "convert-probes-unrepresentable"])
     def test_rejected_with_one_line(self, tmp_path, rng, command, cfg):
-        """A size too large to allocate exits 2 with one line, not 1 with a
-        traceback, and writes no file.
+        """A size too large to allocate, or too large for numpy to represent,
+        exits 2 with one line, not 1 with a traceback, and writes no file.
 
         The command runs in a child process under a 4 GiB address-space limit,
         so its huge array fails to allocate whatever the overcommit policy.  It
@@ -881,6 +891,43 @@ class TestOutOfMemory:
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: out of memory: "), proc.stderr
         assert list((tmp_path / "o").iterdir()) == []
+
+    def test_other_value_errors_surface(self, tmp_path, monkeypatch):
+        """Only numpy's size refusals read as out of memory; any other
+        ValueError is a fault of the program and keeps its traceback."""
+        def broken(cfg, out_dir):
+            raise ValueError("not a size refusal")
+
+        monkeypatch.setitem(cli._COMMANDS, "probe", broken)
+        cfg = _write_config(tmp_path, "p.json", {"n": 1, "I": 2})
+        with pytest.raises(ValueError, match="not a size refusal"):
+            cli.main(["probe", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+class TestUnreadableJson:
+    """The config and a convert model file go through one JSON reader: a file it
+    cannot decode exits 3 with one line, never a traceback."""
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,                      # deeper than the parser's stack
+        '{"n": ' + "1" * 5000 + "}",        # more digits than Python converts
+    ], ids=["nested", "long-integer"])
+    @pytest.mark.parametrize("slot", ["config", "model"])
+    def test_exits_3_with_one_line(self, tmp_path, capsys, text, slot):
+        (tmp_path / "bad.json").write_text(text)
+        if slot == "config":
+            argv = ["verify", "--config", str(tmp_path / "bad.json")]
+            prefix = "cannot parse config"
+        else:
+            cfg = _write_config(tmp_path, "c.json", {
+                "in_model": str(tmp_path / "bad.json"), "target": "fftnet",
+                "out_model": "out.json"})
+            argv = ["convert", "--config", cfg]
+            prefix = "cannot read model"
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {prefix}: "), err
+        assert not any((tmp_path / "o").glob("*"))  # nothing written
 
 
 _README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -36,6 +36,7 @@ from ftnetlab.models import (
     kappa_many,
 )
 import ftnetlab.models as models
+from ftnetlab.numerics import RANK_TOLERANCE, numerical_rank
 import ftnetlab.optimize as optimize
 from ftnetlab.optimize import (
     GradientBundle,
@@ -560,6 +561,22 @@ class TestDescentProbe:
         data = Dataset(np.vstack([x, x]), np.array([1.0, 2.0]))
         with pytest.raises(ContractViolationError):
             descent_probe(p, data, squared_loss(), delta=0.1, seed=0)
+
+    @pytest.mark.parametrize("scale,dependent", [(1 - 1e-3, True), (1 + 1e-3, False)])
+    def test_independence_decided_at_rank_tolerance(self, rng, scale, dependent):
+        """The probe refuses exactly when numerical_rank finds the padded samples
+        dependent, here with sigma_min just below or just above RANK_TOLERANCE *
+        sigma_max: the padded rows (0, 1) and (e, 1) have sigma_min / sigma_max
+        close to e / 2."""
+        p = random_fftnet(1, 2, HOLEXPM1, 0.4, rng)
+        data = Dataset(np.array([[0.0], [2.0 * RANK_TOLERANCE * scale]]), np.array([1.0, -1.0]))
+        assert (numerical_rank(kappa_many(data.xs, p.H)) < data.n) == dependent
+        if dependent:
+            with pytest.raises(ContractViolationError, match="not linearly independent"):
+                descent_probe(p, data, squared_loss(), delta=0.1, seed=0)
+        else:
+            res = descent_probe(p, data, squared_loss(), delta=0.1, seed=0)
+            assert res.case_tag == "alpha_nonzero"
 
     def test_ill_posed_loss_refused(self, rng):
         p, data = self._case1_instance(rng)

@@ -110,14 +110,14 @@ def fnn_to_fftnet(f: FNNParams, c: float = 1.0, mode: str = "zrelu",
     else:
         raise ContractViolationError(f"unknown mode {mode!r}")
 
-    h = max(f.HF, f.I + 1)
+    h = max(f.H, f.I + 1)
     w = np.zeros((h, h))
     v = np.zeros((h, h))
-    w[: f.HF, : f.I] = f.WF
-    w[: f.HF, h - 1] = f.bF
-    v[: f.HF, h - 1] = imag_bias
+    w[: f.H, : f.I] = f.W
+    w[: f.H, h - 1] = f.b
+    v[: f.H, h - 1] = imag_bias
     alpha = np.zeros(h)
-    alpha[: f.HF] = f.alphaF
+    alpha[: f.H] = f.alpha
     return FFTNetParams(f.I, h, w, v, alpha, target)
 
 
@@ -130,7 +130,7 @@ def additive_to_rftnet(a: AdditiveFTNetParams) -> RFTNetParams:
     """
     if abs(complex(apply(a.activation, 0.0 + 0.0j))) != 0.0:
         raise ContractViolationError("base activation must map 0 to 0")
-    i, hp = a.I, a.Hplus
+    i, hp = a.I, a.H
     h = i + hp + 1
     w = np.zeros((h, h))
     v = np.zeros((h, h))
@@ -141,19 +141,19 @@ def additive_to_rftnet(a: AdditiveFTNetParams) -> RFTNetParams:
     r0 = np.zeros(h)
     r0[i : i + hp] = a.q0
     alpha = np.zeros(h)
-    alpha[i : i + hp] = a.alphaplus
+    alpha[i : i + hp] = a.alpha
     return RFTNetParams(i, h, w, v, alpha, a.activation, r0)
 
 
 def _crnet_host(cr: CRNetParams, h: int, row0: int):
     """W, V, alpha of an H-wide gate net with the unit pairs from row row0 on:
-    HC rows for the units z, then HC rows for their partners conj(z) i, each
+    H_C rows for the units z, then H_C rows for their partners conj(z) i, each
     reading the two input halves and the bias slot h - 1."""
     # the gate identity Re[act(x+yi)] = Im[act(conj(x+yi) i)] is zrelu-specific
     if cr.activation != ZRELU:
         raise ContractViolationError("CRNet embeddings require the zrelu activation")
-    wr, wi, br, bi = cr.WC.real, cr.WC.imag, cr.bC.real, cr.bC.imag
-    half, i, hc = cr.I // 2, cr.I, cr.HC
+    wr, wi, br, bi = cr.W.real, cr.W.imag, cr.b.real, cr.b.imag
+    half, i, hc = cr.I // 2, cr.I, cr.H
     z, zc = slice(row0, row0 + hc), slice(row0 + hc, row0 + 2 * hc)
     w = np.zeros((h, h))
     v = np.zeros((h, h))
@@ -162,51 +162,51 @@ def _crnet_host(cr: CRNetParams, h: int, row0: int):
     v[z, :half], v[z, half:i], v[z, h - 1] = wi, wr, bi
     v[zc, :half], v[zc, half:i], v[zc, h - 1] = wr, -wi, br
     alpha = np.zeros(h)
-    alpha[z], alpha[zc] = cr.alphaC.real, -cr.alphaC.imag
+    alpha[z], alpha[zc] = cr.alpha.real, -cr.alpha.imag
     return w, v, alpha
 
 
 def crnet_to_fftnet(cr: CRNetParams) -> FFTNetParams:
     """Duplicate each complex unit into a (z, conj(z) i) pair of gate units."""
-    h = max(2 * cr.HC, cr.I + 1)
+    h = max(2 * cr.H, cr.I + 1)
     return FFTNetParams(cr.I, h, *_crnet_host(cr, h, 0), ZRELU)
 
 
 def crnet_to_rftnet(cr: CRNetParams) -> RFTNetParams:
     """Recurrent wrapper of crnet_to_fftnet; the receptor columns are zero,
     so the recurrence is inert and every step reproduces the CRNet."""
-    h = 2 * cr.HC + cr.I + 1
+    h = 2 * cr.H + cr.I + 1
     return RFTNetParams(cr.I, h, *_crnet_host(cr, h, cr.I), ZRELU, np.zeros(h))
 
 
 def rnn_to_rftnet(r: RNNParams) -> RFTNetParams:
     """Embed a ReLU RNN; receptor block 3 carries the memory m_t exactly.
 
-    Row/col blocks are I | HR | HR | 1.  Block 2 computes the memory update
+    Row/col blocks are I | H_R | H_R | 1.  Block 2 computes the memory update
     in its real part (imaginary bias 1 opens the gate exactly on the ReLU
     pass region); block 3 recomputes it in its imaginary part so the
     receptor feeds it back.
     """
     if r.activation != RELU:
         raise ContractViolationError("rnn_to_rftnet requires a ReLU source network")
-    i, hr = r.I, r.HR
+    i, hr = r.I, r.H
     h = 2 * hr + i + 1
     b2 = slice(i, i + hr)
     b3 = slice(i + hr, i + 2 * hr)
     w = np.zeros((h, h))
     v = np.zeros((h, h))
-    w[b2, :i] = r.WR
-    w[b2, h - 1] = r.bR
-    w[b3, b3] = r.VR
+    w[b2, :i] = r.W
+    w[b2, h - 1] = r.b
+    w[b3, b3] = r.V
     w[b3, h - 1] = 1.0
-    v[b2, b3] = -r.VR
+    v[b2, b3] = -r.V
     v[b2, h - 1] = 1.0
-    v[b3, :i] = r.WR
-    v[b3, h - 1] = r.bR
+    v[b3, :i] = r.W
+    v[b3, h - 1] = r.b
     r0 = np.zeros(h)
     r0[b3] = r.m0
     alpha = np.zeros(h)
-    alpha[b2] = r.alphaR
+    alpha[b2] = r.alpha
     return RFTNetParams(i, h, w, v, alpha, ZRELU, r0)
 
 
@@ -214,7 +214,7 @@ def rnn_timepoint_to_fnn(r: RNNParams, xs_prefix, t0: int) -> FNNParams:
     """Freeze an RNN's history before time t0 into a feedforward bias.
 
     The result maps any substituted input at time t0 to the output the RNN
-    would produce there; b_F = VR m_{t0-1} + bR.
+    would produce there; b_F = V m_{t0-1} + b.
     """
     xs_prefix = np.asarray(xs_prefix, dtype=np.float64)
     if xs_prefix.ndim != 2:
@@ -227,35 +227,19 @@ def rnn_timepoint_to_fnn(r: RNNParams, xs_prefix, t0: int) -> FNNParams:
     else:
         _, ms = eval_rnn_many(r, xs_prefix[None, : t0 - 1])
         m_prev = ms[0, -1]
-    return FNNParams(r.I, r.HR, r.WR, r.VR @ m_prev + r.bR, r.alphaR, r.activation)
+    return FNNParams(r.I, r.H, r.W, r.V @ m_prev + r.b, r.alpha, r.activation)
 
 
-@dataclass(frozen=True)
-class RowIndependentPadding:
-    """U = [U1 | I_O] plus the zero-row recipe for the hidden layer."""
+def pad_row_independent(U1) -> np.ndarray:
+    """[U1 | I]: a readout made row independent by appending an identity block.
 
-    U: np.ndarray
-    extra_rows: int
-
-    def pad_hidden(self, W: np.ndarray, b: np.ndarray):
-        """Append zero rows so padded units see zero pre-activation."""
-        o = self.extra_rows
-        return (np.vstack([W, np.zeros((o, W.shape[1]))]),
-                np.concatenate([b, np.zeros(o)]))
-
-
-def pad_row_independent(U1) -> RowIndependentPadding:
-    """Make a readout row independent by appending an identity block.
-
-    The padded hidden units get zero weights and zero bias; for activations
+    The O padded hidden units get zero weights and zero bias; for activations
     with act(0) = 0 they contribute nothing, so outputs are unchanged.
     """
     U1 = np.asarray(U1, dtype=np.float64)
     if U1.ndim != 2:
         raise ContractViolationError("U1 must be a matrix")
-    o = U1.shape[0]
-    u = np.hstack([U1, np.eye(o)])
-    return RowIndependentPadding(U=u, extra_rows=o)
+    return np.hstack([U1, np.eye(U1.shape[0])])
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def random_dods_stages(rng: np.random.Generator, i: int = 3, hd: int = 2,
         return cons.StateStage(
             scale * rng.standard_normal((h, i)),
             feedback * rng.standard_normal((h, hd)),
-            cons.pad_row_independent(readout_scale * rng.standard_normal((hd, h - hd))).U,
+            cons.pad_row_independent(readout_scale * rng.standard_normal((hd, h - hd))),
             scale * rng.standard_normal(h))
 
     s1 = stage(h1)
@@ -156,7 +156,7 @@ def _recurrent_gap(g, xs, src, mirrors=()) -> float:
 def _additive_gap(a, g, xs):
     src, _, qs = models.eval_additive_many(a, xs)
     # receptor mirrors (0; q_t; 0) at every step
-    return _recurrent_gap(g, xs, src, [(slice(a.I, a.I + a.Hplus), qs)])
+    return _recurrent_gap(g, xs, src, [(slice(a.I, a.I + a.H), qs)])
 
 
 def _crnet_rftnet_gap(crn, g, xs):
@@ -167,7 +167,7 @@ def _crnet_rftnet_gap(crn, g, xs):
 
 def _rnn_gap(r, g, xs):
     src, ms = models.eval_rnn_many(r, xs)
-    return _recurrent_gap(g, xs, src, [(slice(r.I + r.HR, r.I + 2 * r.HR), ms)])
+    return _recurrent_gap(g, xs, src, [(slice(r.I + r.H, r.I + 2 * r.H), ms)])
 
 
 def assembly_structural_gap(stages, addnet, xs) -> float:
@@ -219,10 +219,9 @@ class Family:
             xs = rng.uniform(-self.input_bound, self.input_bound, size=size)
             with np.errstate(over="ignore", invalid="ignore"):  # relative_gap maps these to inf
                 gap = self.gap(src, tgt, xs)
-        hs, ht = getattr(src, src.hidden), getattr(tgt, tgt.hidden)
-        return cons.EmbeddingReport(self.source, self.target, src.I, t_len, hs, ht,
-                                    models.param_count(self.source, hs, src.I),
-                                    models.param_count(self.target, ht, src.I), gap)
+        return cons.EmbeddingReport(self.source, self.target, src.I, t_len, src.H, tgt.H,
+                                    models.param_count(self.source, src.H, src.I),
+                                    models.param_count(self.target, tgt.H, src.I), gap)
 
     def sweep(self, rng, probes: int, t_len: int):
         """One random instance: (EmbeddingReport, replay dict of the source)."""
@@ -245,9 +244,9 @@ class Assembly(Family):
         xs = rng.uniform(-self.input_bound, self.input_bound, size=(t_len, i))
         net = self.convert(stages, 1.0)
         gap = self.gap(stages, net, xs)
-        params = models.param_count(self.target, net.Hplus, i)
+        params = models.param_count(self.target, net.H, i)
         rep = cons.EmbeddingReport(self.source, self.target, i, t_len,
-                                   sum(s.hidden for s in stages[:3]), net.Hplus,
+                                   sum(s.hidden for s in stages[:3]), net.H,
                                    params, params, gap)
         return rep, models.model_to_dict(net)
 

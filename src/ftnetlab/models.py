@@ -47,41 +47,40 @@ def _checked(x, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     return a
 
 
-def _array(key: str, *shape: str, dtype=np.float64, state: bool = False):
-    """Declare an array field: ``key`` names it in model files and in errors,
-    and ``shape`` lists the sizes that give its shape (see :func:`_sizes`).  A
+def _array(*shape: str, dtype=np.float64, state: bool = False):
+    """Declare an array field, named in model files and in errors by its field
+    name; ``shape`` lists the sizes that give its shape (see :func:`_sizes`).  A
     ``state`` array given as None is zeros; a field without a shape is a number."""
-    return field(metadata={"key": key, "shape": shape, "dtype": dtype, "state": state})
+    return field(metadata={"shape": shape, "dtype": dtype, "state": state})
 
 
-def _sizes(cls, i: int, h: int) -> dict:
-    """The sizes a shape may name: I, the hidden size field and half of I."""
-    return {"I": i, cls.hidden: h, "I/2": i // 2}
+def _sizes(i: int, h: int) -> dict:
+    """The sizes a shape may name: I, the hidden size H and half of I."""
+    return {"I": i, "H": h, "I/2": i // 2}
 
 
 @cache  # every descent candidate is checked through this list
 def _arrays(cls) -> tuple:
-    """(name, key, shape, dtype, state) of each declared array, in field order."""
-    return tuple((f.name, f.metadata["key"], f.metadata["shape"], f.metadata["dtype"],
-                  f.metadata["state"]) for f in fields(cls) if "key" in f.metadata)
+    """(name, shape, dtype, state) of each declared array, in field order."""
+    return tuple((f.name, f.metadata["shape"], f.metadata["dtype"], f.metadata["state"])
+                 for f in fields(cls) if "shape" in f.metadata)
 
 
 class _Params:
     """Checks every declared array of a parameter class when it is built.
 
-    A class names its ``hidden`` size field; one stored in model files also
-    names its ``kind`` and its parameter count ``params(hidden, I)``.
+    Every class has the input size ``I`` and the hidden size ``H``; one stored
+    in model files also names its ``kind`` and its parameter count ``params(H, I)``.
     """
 
     def __post_init__(self):
-        cls = type(self)
-        sizes = _sizes(cls, self.I, getattr(self, cls.hidden))
-        for name, key, names, dtype, state in _arrays(cls):
+        sizes = _sizes(self.I, self.H)
+        for name, names, dtype, state in _arrays(type(self)):
             shape = tuple(sizes[n] for n in names)
             value = getattr(self, name)
             if state and value is None:
                 value = np.zeros(shape)
-            a = _checked(value, key, shape, dtype)
+            a = _checked(value, name, shape, dtype)
             object.__setattr__(self, name, a if shape else float(a))
 
 
@@ -94,14 +93,13 @@ class FFTNetParams(_Params):
     """One-hidden-layer feedforward network with complex weight W + Vi."""
 
     kind = "fftnet"
-    hidden = "H"
     params = staticmethod(_ftnet_params)
 
     I: int
     H: int
-    W: np.ndarray = _array("W", "H", "H")
-    V: np.ndarray = _array("V", "H", "H")
-    alpha: np.ndarray = _array("alpha", "H")
+    W: np.ndarray = _array("H", "H")
+    V: np.ndarray = _array("H", "H")
+    alpha: np.ndarray = _array("H")
     activation: Activation
 
     def __post_init__(self):
@@ -116,64 +114,61 @@ class RFTNetParams(FFTNetParams):
 
     kind = "rftnet"
 
-    r0: np.ndarray = _array("r0", "H", state=True)
+    r0: np.ndarray = _array("H", state=True)
 
 
 @dataclass(frozen=True)
 class AdditiveFTNetParams(_Params):
     """Two-recurrence network with shared pre-activation.
 
-    p_t = sigma1(A x_t + B q_{t-1} - zeta), q_t = sigma2(same), y_t = alphaplus . p_t,
+    p_t = sigma1(A x_t + B q_{t-1} - zeta), q_t = sigma2(same), y_t = alpha . p_t,
     where sigma1/sigma2 are the real/imaginary restrictions of
     ``activation`` at the complex point (c + u i).
     """
 
     kind = "additive"
-    hidden = "Hplus"
     params = staticmethod(lambda h, i: h * (i + h + 3))  # A, B, zeta, alpha, q0
 
     I: int
-    Hplus: int
-    A: np.ndarray = _array("A", "Hplus", "I")
-    B: np.ndarray = _array("B", "Hplus", "Hplus")
-    zeta: np.ndarray = _array("zeta", "Hplus")
-    alphaplus: np.ndarray = _array("alpha", "Hplus")
-    q0: np.ndarray = _array("q0", "Hplus", state=True)
+    H: int
+    A: np.ndarray = _array("H", "I")
+    B: np.ndarray = _array("H", "H")
+    zeta: np.ndarray = _array("H")
+    alpha: np.ndarray = _array("H")
+    q0: np.ndarray = _array("H", state=True)
     activation: Activation
-    c: float = _array("c")
+    c: float = _array()
 
 
 @dataclass(frozen=True)
 class FNNParams(_Params):
-    """f(x) = alphaF . sigma(WF x + bF) with bias already added."""
+    """f(x) = alpha . sigma(W x + b) with bias already added."""
 
     kind = "fnn"
-    hidden = "HF"
     params = staticmethod(lambda h, i: 2 * h * (i + 1))
 
     I: int
-    HF: int
-    WF: np.ndarray = _array("W", "HF", "I")
-    bF: np.ndarray = _array("b", "HF")
-    alphaF: np.ndarray = _array("alpha", "HF")
+    H: int
+    W: np.ndarray = _array("H", "I")
+    b: np.ndarray = _array("H")
+    alpha: np.ndarray = _array("H")
     activation: Activation
 
 
 @dataclass(frozen=True)
 class RNNParams(_Params):
-    """m_t = sigma(WR x_t + VR m_{t-1} + bR), y_t = alphaR . m_t."""
+    """m_t = sigma(W x_t + V m_{t-1} + b), y_t = alpha . m_t."""
 
     kind = "rnn"
-    hidden = "HR"
     params = staticmethod(lambda h, i: h * (i + h + 2))
 
     I: int
-    HR: int
-    WR: np.ndarray = _array("W", "HR", "I")
-    VR: np.ndarray = _array("V", "HR", "HR")
-    bR: np.ndarray = _array("b", "HR")
-    alphaR: np.ndarray = _array("alpha", "HR")
-    m0: np.ndarray = _array("m0", "HR", state=True)
+    H: int
+    W: np.ndarray = _array("H", "I")
+    V: np.ndarray = _array("H", "H")
+    b: np.ndarray = _array("H")
+    alpha: np.ndarray = _array("H")
+    m0: np.ndarray = _array("H", state=True)
     activation: Activation
 
 
@@ -182,14 +177,13 @@ class CRNetParams(_Params):
     """Complex-reaction network; the input is folded into C^{I/2}."""
 
     kind = "crnet"
-    hidden = "HC"
     params = staticmethod(lambda h, i: 2 * h * (i + 2))
 
     I: int
-    HC: int
-    WC: np.ndarray = _array("W", "HC", "I/2", dtype=np.complex128)
-    bC: np.ndarray = _array("b", "HC", dtype=np.complex128)
-    alphaC: np.ndarray = _array("alpha", "HC", dtype=np.complex128)
+    H: int
+    W: np.ndarray = _array("H", "I/2", dtype=np.complex128)
+    b: np.ndarray = _array("H", dtype=np.complex128)
+    alpha: np.ndarray = _array("H", dtype=np.complex128)
     activation: Activation
 
     def __post_init__(self):
@@ -202,11 +196,9 @@ class CRNetParams(_Params):
 class DODSSpec(_Params):
     """Discrete-time open dynamical system h_t = phi(x_t, h_{t-1}), y_t = psi(h_t)."""
 
-    hidden = "HD"
-
     I: int
-    HD: int
-    h0: np.ndarray = _array("h0", "HD")
+    H: int
+    h0: np.ndarray = _array("H")
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
     psi: Callable[[np.ndarray], float]
 
@@ -361,19 +353,19 @@ def additive_activation(base_activation: Activation, c: float):
 
 def eval_additive_many(p: AdditiveFTNetParams, XS: np.ndarray):
     """Batch of sequences (B, T, I) -> outputs (B, T) and the (p_t, q_t)
-    stacks, each (B, T, Hplus)."""
+    stacks, each (B, T, H)."""
     XS = _batch(XS, 3, p.I)
     sigma = additive_activation(p.activation, p.c)
     b, t_len, _ = XS.shape
-    q = np.broadcast_to(p.q0, (b, p.Hplus)).copy()
+    q = np.broadcast_to(p.q0, (b, p.H)).copy()
     ys = np.zeros((b, t_len))
-    ps = np.zeros((b, t_len, p.Hplus))
-    qs = np.zeros((b, t_len, p.Hplus))
+    ps = np.zeros((b, t_len, p.H))
+    qs = np.zeros((b, t_len, p.H))
     for t in range(t_len):
         u = XS[:, t, :] @ p.A.T + q @ p.B.T - p.zeta
         z = sigma(u)
         pt, q = z.real, z.imag
-        ys[:, t] = pt @ p.alphaplus
+        ys[:, t] = pt @ p.alpha
         ps[:, t, :] = pt
         qs[:, t, :] = q
     return ys, ps, qs
@@ -381,19 +373,19 @@ def eval_additive_many(p: AdditiveFTNetParams, XS: np.ndarray):
 
 def eval_fnn_many(p: FNNParams, X: np.ndarray) -> np.ndarray:
     X = _batch(X, 2, p.I)
-    return apply_real(p.activation, X @ p.WF.T + p.bF) @ p.alphaF
+    return apply_real(p.activation, X @ p.W.T + p.b) @ p.alpha
 
 
 def eval_rnn_many(p: RNNParams, XS: np.ndarray):
-    """Batch of sequences (B, T, I) -> outputs (B, T) and memories (B, T, HR)."""
+    """Batch of sequences (B, T, I) -> outputs (B, T) and memories (B, T, H)."""
     XS = _batch(XS, 3, p.I)
     b, t_len, _ = XS.shape
-    m = np.broadcast_to(p.m0, (b, p.HR)).copy()
+    m = np.broadcast_to(p.m0, (b, p.H)).copy()
     ys = np.zeros((b, t_len))
-    ms = np.zeros((b, t_len, p.HR))
+    ms = np.zeros((b, t_len, p.H))
     for t in range(t_len):
-        m = apply_real(p.activation, XS[:, t, :] @ p.WR.T + m @ p.VR.T + p.bR)
-        ys[:, t] = m @ p.alphaR
+        m = apply_real(p.activation, XS[:, t, :] @ p.W.T + m @ p.V.T + p.b)
+        ys[:, t] = m @ p.alpha
         ms[:, t, :] = m
     return ys, ms
 
@@ -402,17 +394,17 @@ def eval_crnet_many(p: CRNetParams, X: np.ndarray) -> np.ndarray:
     X = _batch(X, 2, p.I)
     half = p.I // 2
     # tau folds (x1; x2) in R^I into x1 + x2 i in C^{I/2}; CRNetParams keeps I even
-    pre = (X[:, :half] + 1j * X[:, half:]) @ p.WC.T + p.bC
+    pre = (X[:, :half] + 1j * X[:, half:]) @ p.W.T + p.b
     act = np.asarray(apply(p.activation, pre))
-    return (act @ p.alphaC).real
+    return (act @ p.alpha).real
 
 
 def eval_dods(spec: DODSSpec, xs):
-    """One sequence (T, I) -> outputs (T,) and hidden states (T, HD)."""
+    """One sequence (T, I) -> outputs (T,) and hidden states (T, H)."""
     xs = _batch(xs, 2, spec.I)
     h = spec.h0
     ys = np.zeros(xs.shape[0])
-    hs = np.zeros((xs.shape[0], spec.HD))
+    hs = np.zeros((xs.shape[0], spec.H))
     for t in range(xs.shape[0]):
         h = np.asarray(spec.phi(xs[t], h), dtype=np.float64)
         ys[t] = spec.psi(h)
@@ -442,25 +434,25 @@ def param_count(model_kind: str, hidden: int, I: int = 0) -> int:
 
 
 def model_to_dict(p) -> dict:
-    """The model file of p: each declared array under its key, a complex one as
-    "<key>_re" and "<key>_im" lists."""
-    d = {"kind": p.kind, "I": p.I, "H": getattr(p, p.hidden)}
-    for name, key, shape, dtype, _ in _arrays(type(p)):
+    """The model file of p: each declared array under its name, a complex one as
+    "<name>_re" and "<name>_im" lists."""
+    d = {"kind": p.kind, "I": p.I, "H": p.H}
+    for name, shape, dtype, _ in _arrays(type(p)):
         value = getattr(p, name)
         if dtype is np.complex128:
-            d[f"{key}_re"] = value.real.tolist()
-            d[f"{key}_im"] = value.imag.tolist()
+            d[f"{name}_re"] = value.real.tolist()
+            d[f"{name}_im"] = value.imag.tolist()
         else:
-            d[key] = value.tolist() if shape else value
+            d[name] = value.tolist() if shape else value
     d["activation"] = p.activation.tag
     if p.activation.bias is not None:
         d["activation_bias"] = p.activation.bias
     return d
 
 
-def _complex_parts(d: dict, key: str, shape: tuple) -> np.ndarray:
-    """The complex array a model file stores as "<key>_re" and "<key>_im"."""
-    re, im = (_checked(d[k], k, shape) for k in (f"{key}_re", f"{key}_im"))
+def _complex_parts(d: dict, name: str, shape: tuple) -> np.ndarray:
+    """The complex array a model file stores as "<name>_re" and "<name>_im"."""
+    re, im = (_checked(d[k], k, shape) for k in (f"{name}_re", f"{name}_im"))
     # one part at a time: re + 1j*im would turn a -0.0 real part into 0.0
     z = np.empty(shape, dtype=np.complex128)
     z.real = re
@@ -490,15 +482,21 @@ def model_from_dict(d: dict):
     bias = d.get("activation_bias")
     if bias is not None:
         bias = float(_checked(bias, "activation_bias", ()))
-    kwargs = {"I": d["I"], cls.hidden: d["H"],
+    kwargs = {"I": d["I"], "H": d["H"],
               "activation": activation_from_tag(d["activation"], bias)}
-    sizes = _sizes(cls, d["I"], d["H"])
-    for name, key, names, dtype, state in _arrays(cls):
+    sizes = _sizes(d["I"], d["H"])
+    for name, names, dtype, state in _arrays(cls):
         if dtype is np.complex128:
-            kwargs[name] = _complex_parts(d, key, tuple(sizes[n] for n in names))
+            kwargs[name] = _complex_parts(d, name, tuple(sizes[n] for n in names))
         else:  # checked by the constructor, which makes a missing state zeros
-            kwargs[name] = d.get(key) if state else d[key]
-    return cls(**kwargs)
+            kwargs[name] = d.get(name) if state else d[name]
+    p = cls(**kwargs)
+    # a key model_to_dict would not write for this kind and activation, such as
+    # a misspelt state or bias, or a field of another kind, would be dropped silently
+    unexpected = sorted(d.keys() - model_to_dict(p).keys())
+    if unexpected:
+        raise ContractViolationError(f"{unexpected[0]}: unexpected field")
+    return p
 
 
 def save_model(path, p) -> None:

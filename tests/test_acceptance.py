@@ -92,7 +92,7 @@ def test_criterion_2_width_and_parameter_bookkeeping():
         assert fnn_to_fftnet(fnn, mode="zrelu").H == max(hf, i + 1)
 
         a = random_additive(rng)
-        assert additive_to_rftnet(a).H == a.I + a.Hplus + 1
+        assert additive_to_rftnet(a).H == a.I + a.H + 1
 
         ic = int(rng.choice([2, 4, 6, 8]))
         hc = int(rng.integers(1, 9))
@@ -106,7 +106,7 @@ def test_criterion_2_width_and_parameter_bookkeeping():
         assert crnet_to_rftnet(crn).H == 2 * hc + ic + 1
 
         r = random_relu_rnn(rng)
-        assert rnn_to_rftnet(r).H == 2 * r.HR + r.I + 1
+        assert rnn_to_rftnet(r).H == 2 * r.H + r.I + 1
         checked += 1
 
     assert param_count("ftnet", 2) == 10
@@ -140,7 +140,7 @@ def test_criterion_3_structural_trajectory_claims():
         _, _, qs = eval_additive_many(a, xs)
         _, rec = outputs_and_receptors(g, xs)
         worst_receptor = max(worst_receptor,
-                             float(np.max(np.abs(rec[:, :, a.I:a.I + a.Hplus] - qs))),
+                             float(np.max(np.abs(rec[:, :, a.I:a.I + a.H] - qs))),
                              float(np.max(np.abs(rec[:, :, :a.I]))),
                              float(np.max(np.abs(rec[:, :, -1]))))
     assert worst_receptor <= EXACT
@@ -152,7 +152,7 @@ def test_criterion_3_structural_trajectory_claims():
         xs = rng.uniform(-1, 1, size=(4, int(rng.integers(2, 11)), r.I))
         _, ms = eval_rnn_many(r, xs)
         _, rec = outputs_and_receptors(g, xs)
-        b3 = slice(r.I + r.HR, r.I + 2 * r.HR)
+        b3 = slice(r.I + r.H, r.I + 2 * r.H)
         worst_memory = max(worst_memory,
                            float(np.max(np.abs(rec[:, :, b3] - ms))),
                            float(np.max(np.abs(rec[:, :, :r.I]))),
@@ -268,7 +268,7 @@ def test_criterion_7_dods_demo():
     mse = trace[-1] / (n_seq * t_len)
     assert mse <= 1e-2
     print(f"\nACCEPTANCE 7 PASS: recurrent net (H={h}) tracked the linear "
-          f"system (HD=2, T=8) to per-step MSE {mse:.2e} <= 1e-2 in "
+          f"system (state size 2, T=8) to per-step MSE {mse:.2e} <= 1e-2 in "
           f"{len(trace) - 1} iterations")
 
 

@@ -73,7 +73,7 @@ class TestConvert:
         rc = cli.main(["convert", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 0
         converted = json.loads((tmp_path / "out.json").read_text())
-        assert converted["H"] == 2 * r.HR + r.I + 1
+        assert converted["H"] == 2 * r.H + r.I + 1
 
     def test_rnn_probes_report_gap(self, tmp_path, rng, capsys):
         save_model(tmp_path / "rnn.json", _sample_rnn(rng))
@@ -177,6 +177,24 @@ class TestConvert:
         assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: bad model: ")
+
+    @pytest.mark.parametrize("kind,edit,key", [
+        ("rftnet", {"kind": "fftnet"}, "r0"),  # relabelled: the receptor would be dropped
+        ("rnn", {"m_0": [1.0] * 3}, "m_0"),  # a misspelt state would be zeros
+        ("fnn", {"activation": "modrelu", "activation_bais": 0.25}, "activation_bais"),
+        ("fnn", {"activation_bias": 0.25}, "activation_bias"),  # relu reads no bias
+    ], ids=["relabelled", "misspelt_state", "misspelt_bias", "bias_of_relu"])
+    def test_field_the_kind_cannot_hold_rejected(self, tmp_path, capsys, kind, edit, key):
+        model = sample_models()[kind]
+        model.pop("m0", None)  # the rnn's state is optional: the misspelt case leaves it out
+        (tmp_path / "bad.json").write_text(json.dumps({**model, **edit}))
+        cfg = _write_config(tmp_path, "c.json", {
+            "in_model": str(tmp_path / "bad.json"), "target": "rftnet",
+            "out_model": "out.json"})
+        assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: bad model: {key}: unexpected field"]
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("bad,message", [
         ([0.0], "W: expected shape (3, 2), got (1,)"),

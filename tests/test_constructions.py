@@ -69,7 +69,7 @@ class TestFnnEmbedding:
         for _ in range(20):
             f = random_relu_fnn(rng)
             g = fnn_to_fftnet(f, mode="zrelu")
-            assert g.H == max(f.HF, f.I + 1)
+            assert g.H == max(f.H, f.I + 1)
 
     @pytest.mark.parametrize("mode", ["zrelu", "induced"])
     def test_randomized_exactness(self, mode, rng):
@@ -118,12 +118,12 @@ class TestAdditiveEmbedding:
         for _ in range(25):
             a = random_additive(rng)
             g = additive_to_rftnet(a)
-            assert g.H == a.I + a.Hplus + 1
+            assert g.H == a.I + a.H + 1
             xs = rng.uniform(-1, 1, size=(10, 5, a.I))
             src, _, qs = eval_additive_many(a, xs)
             tgt, rec = outputs_and_receptors(g, xs)
             worst = max(worst, relative_gap(tgt, src),
-                        float(np.max(np.abs(rec[:, :, a.I:a.I + a.Hplus] - qs))),
+                        float(np.max(np.abs(rec[:, :, a.I:a.I + a.H] - qs))),
                         float(np.max(np.abs(rec[:, :, :a.I]))),
                         float(np.max(np.abs(rec[:, :, -1]))))
         assert worst <= EXACT
@@ -167,7 +167,7 @@ class TestCrnetEmbeddings:
         for _ in range(25):
             crn = random_crnet(rng)
             g = crnet_to_fftnet(crn)
-            assert g.H == max(2 * crn.HC, crn.I + 1)
+            assert g.H == max(2 * crn.H, crn.I + 1)
             x = rng.uniform(-2, 2, size=(100, crn.I))
             worst = max(worst, relative_gap(eval_fftnet_many(g, x),
                                             eval_crnet_many(crn, x)))
@@ -177,7 +177,7 @@ class TestCrnetEmbeddings:
         crn = random_crnet(rng)
         gf = crnet_to_fftnet(crn)
         gr = crnet_to_rftnet(crn)
-        assert gr.H == 2 * crn.HC + crn.I + 1
+        assert gr.H == 2 * crn.H + crn.I + 1
         x = rng.uniform(-2, 2, size=(20, crn.I))
         np.testing.assert_allclose(eval_rftnet_many(gr, x[:, None, :])[:, 0],
                                    eval_fftnet_many(gf, x), rtol=1e-12, atol=1e-12)
@@ -197,7 +197,7 @@ class TestCrnetEmbeddings:
 
     def test_non_gate_activation_rejected(self, rng):
         crn = random_crnet(rng)
-        bad = type(crn)(crn.I, crn.HC, crn.WC, crn.bC, crn.alphaC, HOLSIN)
+        bad = type(crn)(crn.I, crn.H, crn.W, crn.b, crn.alpha, HOLSIN)
         with pytest.raises(ContractViolationError):
             crnet_to_fftnet(bad)
         with pytest.raises(ContractViolationError):
@@ -213,7 +213,7 @@ class TestRnnEmbedding:
         xs = np.ones((1, 4, 2))
         ys, rec = outputs_and_receptors(g, xs)
         np.testing.assert_array_equal(ys, np.zeros((1, 4)))
-        b3 = slice(r.I + r.HR, r.I + 2 * r.HR)
+        b3 = slice(r.I + r.H, r.I + 2 * r.H)
         np.testing.assert_array_equal(rec[:, :, b3], np.zeros((1, 4, 3)))
 
     def test_randomized_exactness_and_memory(self, rng):
@@ -221,11 +221,11 @@ class TestRnnEmbedding:
         for _ in range(25):
             r = random_relu_rnn(rng)
             g = rnn_to_rftnet(r)
-            assert g.H == 2 * r.HR + r.I + 1
+            assert g.H == 2 * r.H + r.I + 1
             xs = rng.uniform(-1, 1, size=(8, 10, r.I))
             src, ms = eval_rnn_many(r, xs)
             tgt, rec = outputs_and_receptors(g, xs)
-            b3 = slice(r.I + r.HR, r.I + 2 * r.HR)
+            b3 = slice(r.I + r.H, r.I + 2 * r.H)
             worst = max(worst, relative_gap(tgt, src),
                         float(np.max(np.abs(rec[:, :, b3] - ms))),
                         float(np.max(np.abs(rec[:, :, :r.I]))),
@@ -239,7 +239,7 @@ class TestRnnEmbedding:
                       rng.standard_normal(1), rng.standard_normal(1),
                       np.zeros(1), RELU)
         g = rnn_to_rftnet(r)
-        f = FNNParams(2, 1, r.WR, r.bR, r.alphaR, RELU)
+        f = FNNParams(2, 1, r.W, r.b, r.alpha, RELU)
         gf = fnn_to_fftnet(f, mode="zrelu")
         xs = rng.uniform(-1, 1, size=(5, 2))
         ys = eval_rftnet_many(g, xs[None])[0]
@@ -248,7 +248,7 @@ class TestRnnEmbedding:
 
     def test_non_relu_rejected(self, rng):
         r = random_relu_rnn(rng)
-        bad = RNNParams(r.I, r.HR, r.WR, r.VR, r.bR, r.alphaR, r.m0, IDENTITY)
+        bad = RNNParams(r.I, r.H, r.W, r.V, r.b, r.alpha, r.m0, IDENTITY)
         with pytest.raises(ContractViolationError):
             rnn_to_rftnet(bad)
 
@@ -257,13 +257,13 @@ class TestRnnTimepoint:
     def test_empty_history(self, rng):
         r = random_relu_rnn(rng)
         f = rnn_timepoint_to_fnn(r, np.zeros((0, r.I)), t0=1)
-        np.testing.assert_allclose(f.bF, r.VR @ r.m0 + r.bR)
+        np.testing.assert_allclose(f.b, r.V @ r.m0 + r.b)
 
     def test_zero_initial_memory_bias(self, rng):
         r = random_relu_rnn(rng)
-        r = RNNParams(r.I, r.HR, r.WR, r.VR, r.bR, r.alphaR, np.zeros(r.HR), RELU)
+        r = RNNParams(r.I, r.H, r.W, r.V, r.b, r.alpha, np.zeros(r.H), RELU)
         f = rnn_timepoint_to_fnn(r, np.zeros((0, r.I)), t0=1)
-        np.testing.assert_array_equal(f.bF, r.bR)
+        np.testing.assert_array_equal(f.b, r.b)
 
     def test_substitution_oracle(self, rng):
         r = random_relu_rnn(rng)
@@ -282,11 +282,11 @@ class TestRnnTimepoint:
 
     def test_memoryless_ignores_prefix(self, rng):
         r = random_relu_rnn(rng)
-        r = RNNParams(r.I, r.HR, r.WR, np.zeros((r.HR, r.HR)), r.bR, r.alphaR,
+        r = RNNParams(r.I, r.H, r.W, np.zeros((r.H, r.H)), r.b, r.alpha,
                       r.m0, RELU)
         fa = rnn_timepoint_to_fnn(r, rng.standard_normal((5, r.I)), t0=5)
         fb = rnn_timepoint_to_fnn(r, rng.standard_normal((5, r.I)), t0=3)
-        np.testing.assert_array_equal(fa.bF, fb.bF)
+        np.testing.assert_array_equal(fa.b, fb.b)
 
     def test_index_bounds(self, rng):
         r = random_relu_rnn(rng)
@@ -298,28 +298,29 @@ class TestRnnTimepoint:
 
 class TestRowIndependentPadding:
     def test_zero_block(self):
-        pad = pad_row_independent(np.zeros((2, 3)))
-        assert pad.U.shape == (2, 5)
-        np.testing.assert_array_equal(pad.U[:, 3:], np.eye(2))
-        assert numerical_rank(pad.U) == 2
+        u = pad_row_independent(np.zeros((2, 3)))
+        assert u.shape == (2, 5)
+        np.testing.assert_array_equal(u[:, 3:], np.eye(2))
+        assert numerical_rank(u) == 2
 
     def test_single_row(self):
-        pad = pad_row_independent(np.array([[0.37]]))
-        np.testing.assert_array_equal(pad.U, [[0.37, 1.0]])
-        assert numerical_rank(pad.U) == 1
+        u = pad_row_independent(np.array([[0.37]]))
+        np.testing.assert_array_equal(u, [[0.37, 1.0]])
+        assert numerical_rank(u) == 1
 
     def test_padded_network_outputs_unchanged(self, rng):
+        """The padded units, given zero weights and zero bias, add nothing."""
         u1 = rng.standard_normal((3, 5))
         w = rng.standard_normal((5, 4))
         b = rng.standard_normal(5)
-        pad = pad_row_independent(u1)
-        assert numerical_rank(pad.U) == 3
-        w2, b2 = pad.pad_hidden(w, b)
+        u = pad_row_independent(u1)
+        assert numerical_rank(u) == 3
+        w2, b2 = np.vstack([w, np.zeros((3, 4))]), np.concatenate([b, np.zeros(3)])
         for activation in (RELU, HOLSIN):
             for _ in range(50):
                 x = rng.standard_normal(4)
                 original = u1 @ apply_real(activation, w @ x + b)
-                padded = pad.U @ apply_real(activation, w2 @ x + b2)
+                padded = u @ apply_real(activation, w2 @ x + b2)
                 np.testing.assert_allclose(padded, original, rtol=1e-12, atol=1e-14)
 
 
@@ -352,10 +353,8 @@ class TestDodsAssembly:
         # with c = 0 both induced restrictions vanish at 0, so everything is 0
         i, hd = 2, 2
         zeros = lambda *shape: np.zeros(shape)
-        s1 = StateStage(zeros(3, i), zeros(3, hd), pad_row_independent(zeros(hd, 1)).U,
-                        zeros(3))
-        s2 = StateStage(zeros(3, i), zeros(3, hd), pad_row_independent(zeros(hd, 1)).U,
-                        zeros(3))
+        s1 = StateStage(zeros(3, i), zeros(3, hd), pad_row_independent(zeros(hd, 1)), zeros(3))
+        s2 = StateStage(zeros(3, i), zeros(3, hd), pad_row_independent(zeros(hd, 1)), zeros(3))
         readout = ReadoutStage(zeros(2, i), zeros(2, 3), zeros(2), zeros(2))
         addnet = assemble_dods_additive(s1, s2, readout, ZRELU, 0.0, np.zeros(hd))
         xs = rng.uniform(-1, 1, size=(1, 4, i))
@@ -369,10 +368,8 @@ class TestDodsAssembly:
         # the q side and the readout stay exactly zero
         i, hd = 2, 1
         zeros = lambda *shape: np.zeros(shape)
-        s1 = StateStage(zeros(2, i), zeros(2, hd), pad_row_independent(zeros(hd, 1)).U,
-                        zeros(2))
-        s2 = StateStage(zeros(2, i), zeros(2, hd), pad_row_independent(zeros(hd, 1)).U,
-                        zeros(2))
+        s1 = StateStage(zeros(2, i), zeros(2, hd), pad_row_independent(zeros(hd, 1)), zeros(2))
+        s2 = StateStage(zeros(2, i), zeros(2, hd), pad_row_independent(zeros(hd, 1)), zeros(2))
         readout = ReadoutStage(zeros(2, i), zeros(2, 2), zeros(2), zeros(2))
         addnet = assemble_dods_additive(s1, s2, readout, ZRELU, 1.0, np.zeros(hd))
         xs = rng.uniform(-1, 1, size=(1, 4, i))
@@ -390,7 +387,7 @@ class TestDodsAssembly:
             A=np.vstack([P, -P]), B=np.vstack([Q, -Q]),
             C=np.hstack([np.eye(hd), -np.eye(hd)]), b=np.zeros(2 * hd))
         other = StateStage(rng.standard_normal((3, i)), 0.2 * rng.standard_normal((3, hd)),
-                           pad_row_independent(rng.standard_normal((hd, 1))).U,
+                           pad_row_independent(rng.standard_normal((hd, 1))),
                            rng.standard_normal(3))
         readout = ReadoutStage(rng.standard_normal((2, i)),
                                0.2 * rng.standard_normal((2, 2 * hd)),

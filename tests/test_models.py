@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ftnetlab.activations import (
 )
 from ftnetlab.errors import ContractViolationError
 from ftnetlab.models import (
+    _KINDS,
     AdditiveFTNetParams,
     CRNetParams,
     FFTNetParams,
@@ -198,8 +200,7 @@ def _additive_oracle(p: AdditiveFTNetParams, xs: np.ndarray) -> np.ndarray:
     ys = []
     for t in range(xs.shape[0]):
         u = p.A @ xs[t] + p.B @ q - p.zeta
-        ys.append(float(p.alphaplus @ induced_real(p.activation, p.c, u,
-                                                   IMAG_ARG_REAL_BIAS)))
+        ys.append(float(p.alpha @ induced_real(p.activation, p.c, u, IMAG_ARG_REAL_BIAS)))
         q = induced_imag(p.activation, p.c, u, IMAG_ARG_REAL_BIAS)
     return np.array(ys)
 
@@ -249,9 +250,9 @@ class TestBaselines:
         ys, ms = eval_rnn_many(p, xs[None])
         m = p.m0
         for t in range(4):
-            m = np.maximum(p.WR @ xs[t] + p.VR @ m + p.bR, 0.0)
+            m = np.maximum(p.W @ xs[t] + p.V @ m + p.b, 0.0)
             np.testing.assert_allclose(ms[0, t], m, rtol=1e-14)
-            assert ys[0, t] == pytest.approx(p.alphaR @ m)
+            assert ys[0, t] == pytest.approx(p.alpha @ m)
 
     def test_crnet_hand_example(self):
         p = CRNetParams(2, 1, [[1.0 + 0.0j]], [0.0j], [1.0 + 0.0j], ZRELU)
@@ -418,7 +419,7 @@ class TestSerialization:
         z.real, z.imag = -0.0, 2.0  # re + 1j*im would give a real part of +0.0
         model = CRNetParams(2, 1, z, z[0], z[0].conj(), ZRELU)
         again = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
-        for attr in ("WC", "bC", "alphaC"):
+        for attr in ("W", "b", "alpha"):
             got, want = getattr(again, attr), getattr(model, attr)
             np.testing.assert_array_equal(np.signbit(got.real), np.signbit(want.real))
             np.testing.assert_array_equal(got.imag, want.imag)
@@ -461,6 +462,29 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractViolationError):
             model_from_dict({"kind": "mlp", "activation": "relu"})
+
+    def test_written_fields_are_the_declared_fields(self, rng):
+        """A model file holds kind, I, H, the activation and each declared array
+        under its field name: nothing is renamed on the way to the file."""
+        written = {}
+        for model in _sample_models(rng):
+            cls = type(model)
+            declared = set()
+            for f in fields(cls):
+                if f.name in ("I", "H", "activation"):
+                    continue
+                complex_ = np.iscomplexobj(getattr(model, f.name))
+                declared |= {f"{f.name}_re", f"{f.name}_im"} if complex_ else {f.name}
+            bias = {"activation_bias"} if model.activation.tag == "modrelu" else set()
+            assert (set(model_to_dict(model))
+                    == {"kind", "I", "H", "activation"} | bias | declared), cls.kind
+            written[cls.kind] = cls
+        assert written == _KINDS
+
+    def test_unexpected_field_rejected_for_every_kind(self):
+        for d in sample_models().values():
+            with pytest.raises(ContractViolationError, match="^extra: unexpected field$"):
+                model_from_dict({**d, "extra": 1.0})
 
     def test_activation_tags(self, rng):
         kinds = {model_to_dict(m)["activation"] for m in _sample_models(rng)}

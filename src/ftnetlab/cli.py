@@ -24,10 +24,11 @@ from .embeddings import (
     FAMILIES,
     SEQUENCE_LENGTH,
     conversion,
+    instance_rng,
     relative_gap,  # noqa: F401  (the per-layer benchmark traces cli.relative_gap)
     run_embedding_sweep,
 )
-from .errors import ContractViolationError, DegenerateInputError, NonFiniteInitialLossError
+from .errors import ContractViolationError, NonFiniteInitialLossError
 from .losses import Dataset, empirical_loss, loss_spec_from_config
 from .models import (READ_ERRORS, Tape, dods_linear, eval_dods, model_from_dict, read_json,
                      save_model)
@@ -73,6 +74,7 @@ class Key:
     minimum: float | None = None
     maximum: float | None = None
     choices: tuple | None = None  # for a str, or for each entry of a list
+    file_name: bool = False       # a str naming a file the command writes in --out
 
 
 DEMOS = ("sin_fit", "dods_linear")
@@ -83,7 +85,7 @@ CONFIG_TABLES = {
     "convert": {
         "in_model": Key(str),  # open() would read an int as a file descriptor
         "target": Key(str),
-        "out_model": Key(str),
+        "out_model": Key(str, file_name=True),
         "mode": Key(str, "zrelu"),
         "c": Key(float, 1.0),
         "probes": Key(int, 0, 0),
@@ -97,7 +99,7 @@ CONFIG_TABLES = {
         "sequence_length": Key(int, SEQUENCE_LENGTH, 1),
         "tolerance": Key(float, EXACTNESS_GATE, 0),
         "pairs": Key(list, list(FAMILIES), choices=tuple(FAMILIES)),
-        "csv_name": Key(str, "verify.csv"),
+        "csv_name": Key(str, "verify.csv", file_name=True),
     },
     "train": {  # demo comes first: the other defaults depend on it
         "demo": Key(str, choices=DEMOS),
@@ -130,7 +132,7 @@ CONFIG_TABLES = {
     },
     "report": {
         "verify_csv": Key(str),
-        "out_name": Key(str, "report.md"),
+        "out_name": Key(str, "report.md", file_name=True),
     },
 }
 
@@ -158,6 +160,13 @@ def _checked(key: str, spec: Key, value):
         if spec.choices is not None and entry not in spec.choices:
             raise ContractViolationError(
                 f"{key}: expected one of {', '.join(spec.choices)}, got {entry!r}")
+    # "", "." and ".." name --out or its parent, and a separator leads out of --out
+    if spec.file_name and (value in ("", ".", "..") or Path(value).name != value):
+        raise ContractViolationError(
+            f"{key}: expected a plain file name inside --out, got {value!r}")
+    if spec.kind is list and len(set(value)) < len(value):
+        twice = next(entry for i, entry in enumerate(value) if entry in value[:i])
+        raise ContractViolationError(f"{key}: {twice!r} appears more than once")
     return float(value) if spec.kind is float else value
 
 
@@ -166,7 +175,8 @@ def resolve_config(command: str, cfg, seed: int | None = None) -> dict:
 
     Raises ContractViolationError naming the key of the first problem, checking
     required keys, unknown keys, keys the chosen demo does not take, then each
-    value's kind, range and choices.
+    value's kind, range and choices, that an output name is a plain file name,
+    and that a list names no entry twice.
     """
     table = CONFIG_TABLES[command]
     if not isinstance(cfg, dict):
@@ -350,7 +360,7 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
             out_dir / "probe.csv", out_dir / "probe_results.jsonl") as (csv_fh, jsonl_fh):
         csv_fh.write(PROBE_CSV_HEADER + "\n")
         for idx in range(cfg["instances"]):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
+            rng = instance_rng(seed, idx)
             p = random_fftnet(i, h, act, cfg["init_scale"], rng)
             if idx < cfg["case2_instances"]:
                 p = replace(p, alpha=np.zeros(p.H))
@@ -461,7 +471,7 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         cfg = resolve_config(args.command, cfg, args.seed)
         return _COMMANDS[args.command](cfg, out_dir)
-    except (ContractViolationError, DegenerateInputError) as exc:
+    except ContractViolationError as exc:
         return _fail(EXIT_REJECTED, exc)
     except MemoryError as exc:  # a size too large to allocate is a rejected config
         return _fail(EXIT_REJECTED, f"out of memory: {exc}")

@@ -20,7 +20,7 @@ from .activations import (
     apply_real,
     induced_real,
 )
-from .errors import ContractViolationError, DegenerateInputError
+from .errors import ContractViolationError
 from .models import (
     AdditiveFTNetParams,
     CRNetParams,
@@ -280,7 +280,7 @@ class ReadoutStage:
 
 def _solve_row_independent(C: np.ndarray, target: np.ndarray, name: str) -> np.ndarray:
     if numerical_rank(C) < C.shape[0]:
-        raise DegenerateInputError(f"{name} is not row independent")
+        raise ContractViolationError(f"{name} is not row independent")
     sol, residual, _, _ = np.linalg.lstsq(C, target, rcond=None)
     return sol
 
@@ -304,7 +304,7 @@ def assemble_dods_additive(stage1: StateStage, stage2: StateStage,
     if readout.B.shape[1] != h2:
         raise ContractViolationError("readout stage must consume the q-side state")
     if numerical_rank(stage1.C) < hd:
-        raise DegenerateInputError("stage1 readout is not row independent")
+        raise ContractViolationError("stage1 readout is not row independent")
     q0_2 = _solve_row_independent(stage2.C, h0, "stage2 readout")
 
     h3 = h1 + h2

@@ -31,6 +31,12 @@ _FNN, _RNN, _CRNET, _ADDITIVE, _FFTNET, _RFTNET = (
 # random instances (shared by the sweeps, the demos and the test suite)
 # ---------------------------------------------------------------------------
 
+def instance_rng(seed: int, idx: int) -> np.random.Generator:
+    """The generator of instance ``idx`` of a campaign run with ``seed``: each
+    instance has its own stream, so (seed, idx) alone replays it."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
+
+
 def random_relu_fnn(rng: np.random.Generator, imax: int = 8, hmax: int = 16) -> FNNParams:
     i = int(rng.integers(1, imax + 1))
     h = int(rng.integers(1, hmax + 1))
@@ -293,10 +299,5 @@ def run_embedding_sweep(pair: str, seed: int, instances: int, probes: int = 100,
     fam = FAMILIES.get(pair)
     if fam is None:
         raise ContractViolationError(f"unknown sweep pair {pair!r}")
-
-    def one(idx):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-        return fam.sweep(rng, probes, t_len)
-
-    results = [one(idx) for idx in range(instances)]
+    results = [fam.sweep(instance_rng(seed, idx), probes, t_len) for idx in range(instances)]
     return [r[0] for r in results], [r[1] for r in results]

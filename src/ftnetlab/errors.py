@@ -2,11 +2,8 @@
 
 
 class ContractViolationError(ValueError):
-    """A caller broke a documented precondition (shape, kind, or range)."""
-
-
-class DegenerateInputError(ValueError):
-    """Numerically rank-deficient or otherwise degenerate input."""
+    """A caller broke a documented precondition: a shape, kind or range, or
+    the independence of rows that a construction or the probe needs."""
 
 
 class NonFiniteInitialLossError(RuntimeError):

@@ -112,7 +112,7 @@ class Dataset:
 def empirical_loss(p: FFTNetParams | RFTNetParams, data: Dataset, spec: LossSpec,
                    tape: Tape | None = None) -> float:
     """The summed loss of either FTNet.  ``tape`` records the forward pass for a
-    gradient, or supplies it when it already recorded these very arrays."""
+    gradient, or supplies it when it already recorded this very p on data.xs."""
     return float(np.sum(spec.value(forward(p, data.xs, tape).out - data.ys)))
 
 

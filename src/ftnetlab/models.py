@@ -243,33 +243,31 @@ class Tape:
     stacked as (T, B, H), ``acts`` is a list of T arrays of shape (B, H)
     (step t > 0 read the receptor ``acts[t - 1].imag``), and ``D`` is None.
 
+    A pass is keyed by the params object ``p`` and the input array ``X`` it
+    ran on, compared with ``is``: a params object is frozen, so the same
+    object still holds the arrays its pass read.
     A new pass allocates its arrays before the tape drops the old ones:
     freeing them first lets glibc trim the heap and fault the pages back in.
     """
 
-    __slots__ = ("source", "out", "K", "Z", "acts", "D")
+    __slots__ = ("p", "X", "out", "K", "Z", "acts", "D")
 
     def __init__(self):
-        self.source = ()
-
-    @staticmethod
-    def _source(p, X) -> tuple:
-        return (p.W, p.V, p.alpha, getattr(p, "r0", None), p.activation, X)
+        self.p = self.X = None
 
     def record(self, p, X, out, K, Z, acts, D=None) -> None:
-        self.source = self._source(p, X)
+        self.p, self.X = p, X
         self.out, self.K, self.Z, self.acts, self.D = out, K, Z, acts, D
 
     def matches(self, p, X) -> bool:
-        """True when the recorded pass ran on these very parameter and input arrays."""
-        return bool(self.source) and all(
-            a is b for a, b in zip(self.source, self._source(p, X)))
+        """True when the recorded pass ran on this very params object and input array."""
+        return self.p is p and self.X is X
 
 
 def _padded(X: np.ndarray, H: int, tape: Tape | None) -> np.ndarray:
     """``kappa_many(X, H)``, time-major (T, B, H) for sequences X (B, T, I), or
     the ``K`` of a tape that last read this very X array at width H."""
-    if tape is not None and tape.source and tape.source[-1] is X and tape.K.shape[-1] == H:
+    if tape is not None and tape.X is X and tape.K.shape[-1] == H:
         return tape.K
     return kappa_many(X if X.ndim == 2 else X.transpose(1, 0, 2), H)
 
@@ -334,7 +332,7 @@ def eval_rftnet_many(p: RFTNetParams, XS: np.ndarray, tape: Tape | None = None):
 
 
 def forward(p: FFTNetParams | RFTNetParams, X: np.ndarray, tape: Tape | None = None) -> Tape:
-    """``tape`` when it recorded the pass of either FTNet p on X (``Tape.matches``);
+    """``tape`` when it recorded the pass of this very FTNet p on X (``Tape.matches``);
     otherwise that pass, recorded into ``tape`` or into a new Tape."""
     if tape is not None and tape.matches(p, X):
         return tape

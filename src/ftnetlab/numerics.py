@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolationError, DegenerateInputError
+from .errors import ContractViolationError
 
 RANK_TOLERANCE = 1e-8  # rank-revealing threshold, relative to sigma_max
 
@@ -19,7 +19,7 @@ def null_vector_against(rows, keep: int) -> np.ndarray:
     ``rows`` is a 2-d stack of vectors in C^n (a real stack is read as
     complex).  The dot products are bilinear (no conjugation).  Such a v
     exists when the rows are linearly independent, which the caller decides
-    with :func:`numerical_rank`.  Raises DegenerateInputError when
+    with :func:`numerical_rank`.  Raises ContractViolationError when
     rows[keep] lies in the span of the others.
     """
     # cast before the SVD: a real stack would take LAPACK's real path,
@@ -39,7 +39,7 @@ def null_vector_against(rows, keep: int) -> np.ndarray:
     # pick the nullspace combination with nonzero bilinear product against keep
     w = basis.T @ a[keep]
     if np.linalg.norm(w) == 0.0:
-        raise DegenerateInputError("kept vector lies in the span of the others")
+        raise ContractViolationError("kept vector lies in the span of the others")
     v = basis @ np.conj(w)
     return v / np.linalg.norm(v)
 

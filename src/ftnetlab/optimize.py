@@ -57,7 +57,7 @@ def grad_fftnet(p: FFTNetParams, data: Dataset, spec: LossSpec,
                 tape: Tape | None = None) -> GradientBundle:
     """d/d(W, V, alpha) of the summed loss, real and imaginary parts as
     independent real coordinates.  Reuses ``tape`` when it recorded the
-    forward pass of these very arrays, and runs that pass otherwise."""
+    forward pass of this very p on data.xs, and runs that pass otherwise."""
     tape = forward(p, data.xs, tape)
     k, s = tape.K, tape.acts.real
     lp = spec.deriv(tape.out - data.ys)

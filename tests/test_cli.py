@@ -18,7 +18,7 @@ from conftest import pinned_for_kernel, sample_models
 from ftnetlab.activations import HOLSIN, RELU
 from ftnetlab.constructions import EMBEDDING_CSV_HEADER
 from ftnetlab.embeddings import random_crnet
-from ftnetlab.errors import ContractViolationError, DegenerateInputError
+from ftnetlab.errors import ContractViolationError
 from ftnetlab.models import FNNParams, RNNParams, load_model, model_to_dict, save_model
 from ftnetlab.optimize import ProbeResult, random_fftnet
 
@@ -615,7 +615,7 @@ class TestProbe:
         def probe(p, data, spec, delta, seed, tape):
             if seed == 3:
                 if outcome == "rejected":
-                    raise DegenerateInputError("padded samples are not independent")
+                    raise ContractViolationError("padded samples are not independent")
                 return ProbeResult(False, np.zeros((p.H, p.H), dtype=np.complex128),
                                    np.zeros(p.H), 1.0, 1.0, "alpha_nonzero", 0.0)
             return real(p, data, spec, delta=delta, seed=seed, tape=tape)
@@ -866,6 +866,54 @@ class TestConfigValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
         assert not any((tmp_path / "o").iterdir())
+
+
+# an output key of each command, with a config that runs once the key is good
+_OUTPUT_NAMES = {"verify": "csv_name", "convert": "out_model", "report": "out_name"}
+_GOOD_CSV = "\n".join([EMBEDDING_CSV_HEADER, "fnn,fftnet,2,1,3,3,16,21,0.0"]) + "\n"
+
+
+class TestOutputNames:
+    """An output name is a plain file name, so a command writes only inside --out."""
+
+    @pytest.mark.parametrize("name", ["../escaped.csv", "ABSOLUTE", "", ".", "..",
+                                      "sub/x.csv", "x/"])
+    @pytest.mark.parametrize("command", sorted(_OUTPUT_NAMES))
+    def test_rejected_before_any_work(self, tmp_path, rng, capsys, command, name):
+        key = _OUTPUT_NAMES[command]
+        work = tmp_path / "work"
+        out = work / "o"
+        out.mkdir(parents=True)
+        (work / "v.csv").write_text(_GOOD_CSV)
+        save_model(work / "fnn.json", _sample_fnn(rng))
+        if name == "ABSOLUTE":
+            name = str(tmp_path / "abs_escape.csv")
+        cfg = {"verify": {**_COMMAND_BASES["verify"], key: name},
+               "convert": {**_COMMAND_BASES["convert"], "in_model": str(work / "fnn.json"),
+                           key: name},
+               "report": {"verify_csv": str(work / "v.csv"), key: name}}[command]
+        path = _write_config(tmp_path, "cfg.json", cfg)
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {key}: expected a plain file name inside --out, got {name!r}"]
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written, in --out or beside it
+
+    def test_names_with_dots_inside_are_kept(self, tmp_path):
+        cfg = _write_config(tmp_path, "v.json", {**_COMMAND_BASES["verify"],
+                                                 "csv_name": "..v.1.csv"})
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert [f.name for f in (tmp_path / "o").iterdir()] == ["..v.1.csv"]
+
+
+def test_verify_refuses_a_family_named_twice(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "v.json", {
+        "instances": 1, "assemblies": 0,
+        "pairs": ["rnn_to_rftnet", "fnn_to_fftnet_zrelu", "fnn_to_fftnet_zrelu"]})
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: pairs: 'fnn_to_fftnet_zrelu' appears more than once"]
+    assert not any((tmp_path / "o").iterdir())
 
 
 class TestOutOfMemory:

@@ -35,7 +35,7 @@ from ftnetlab.constructions import (
     rnn_timepoint_to_fnn,
     rnn_to_rftnet,
 )
-from ftnetlab.errors import ContractViolationError, DegenerateInputError
+from ftnetlab.errors import ContractViolationError
 from ftnetlab.models import (
     AdditiveFTNetParams,
     FNNParams,
@@ -409,9 +409,9 @@ class TestDodsAssembly:
         s1, s2, readout = random_dods_stages(rng)
         broken1 = StateStage(s1.A, s1.B, np.zeros_like(s1.C), s1.b)
         broken2 = StateStage(s2.A, s2.B, np.zeros_like(s2.C), s2.b)
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(ContractViolationError, match="stage1 readout is not row independent"):
             assemble_dods_additive(broken1, s2, readout, ZRELU, 1.0, np.zeros(2))
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(ContractViolationError, match="stage2 readout is not row independent"):
             assemble_dods_additive(s1, broken2, readout, ZRELU, 1.0, np.zeros(2))
 
 

@@ -5,7 +5,8 @@ Whatever a config, a model file or a verify CSV holds, a command exits 0, 1,
 ``error:`` line; no exit prints a traceback or a RuntimeWarning; and exit 1
 only reports a property: a gap above tolerance, a probe that found no
 descent step, or a fit that missed its target, whose loss was not finite, or
-whose every start admitted no descent step.
+whose every start admitted no descent step.  No command writes outside
+``--out``.
 
 The config values are drawn from ``cli.CONFIG_TABLES``, so a new key is
 fuzzed as soon as it is declared.  Sizes stay tiny so the module runs in a
@@ -38,6 +39,11 @@ _NUMBER = (st.integers(-3, 6) | st.integers(min_value=2**1024, max_value=2**1100
 _LEAF = st.none() | st.booleans() | _NUMBER | _TEXT
 _JSON = st.recursive(_LEAF, lambda inner: st.lists(inner, max_size=3)
                      | st.dictionaries(_TEXT, inner, max_size=3), max_leaves=6)
+# output names: separators, dot names and absolute paths; "{tmp}" stands for the
+# run's directory, so an absolute name points beside --out, where a write is seen
+_OUT_NAMES = (st.sampled_from(["", ".", "..", "../x.csv", "sub/x.csv", "x/", "/",
+                               "{tmp}/abs.csv", "{tmp}/out/x.csv"])
+              | st.text(alphabet="./ab", max_size=6))
 _LOSS_LIKE = st.fixed_dictionaries(
     {"loss": st.sampled_from(["squared", "param_cosh", "hinge"])},
     optional={k: _NUMBER for k in "abc"})
@@ -47,13 +53,18 @@ def _values(spec: cli.Key):
     """Values of every JSON kind, weighted toward the edges of the key's range."""
     edges = [v for v in (spec.minimum, spec.maximum) if v is not None]
     near = st.sampled_from([e + d for e in edges for d in (-1, 0, 1)]) if edges else st.nothing()
+    entries = st.sampled_from(spec.choices or _WORDS) | _TEXT
     by_kind = {
         int: st.integers(-3, 6) | st.integers(min_value=2**1024, max_value=2**1100),
         float: st.floats(allow_nan=True, allow_infinity=True) | st.integers(-3, 6),
         str: st.sampled_from(spec.choices) if spec.choices else _TEXT,
-        list: st.lists(st.sampled_from(spec.choices or _WORDS) | _TEXT, max_size=3),
+        # a list that names its first entry again
+        list: st.lists(entries, max_size=3)
+        | st.lists(entries, min_size=1, max_size=2).map(lambda v: v + v[:1]),
         dict: _LOSS_LIKE,
     }[spec.kind]
+    if spec.file_name:
+        by_kind |= _OUT_NAMES
     return by_kind | near | _JSON
 
 
@@ -85,6 +96,7 @@ def _configs(draw, command):
 
 def _run(command: str, cfg, seed=None, files=None):
     """cli.main on ``cfg`` in a fresh directory; returns (exit code, stdout, stderr).
+    Asserts that the command wrote nothing in that directory outside ``--out``.
 
     Every warning raised is recorded and added to stderr: Python shows a warning
     once per code location, so without this only the first example could see it.
@@ -96,16 +108,20 @@ def _run(command: str, cfg, seed=None, files=None):
         if isinstance(cfg, dict):
             defaults = {"in_model": str(tmp / "model.json"), "verify_csv": str(tmp / "v.csv")}
             cfg = {**{k: defaults[k] for k in defaults
-                      if k in cli.CONFIG_TABLES[command] and k not in cfg}, **cfg}
+                      if k in cli.CONFIG_TABLES[command] and k not in cfg},
+                   **{k: v.replace("{tmp}", str(tmp)) if isinstance(v, str) else v
+                      for k, v in cfg.items()}}
         (tmp / "cfg.json").write_text(json.dumps(cfg))
         argv = [command, "--config", str(tmp / "cfg.json"), "--out", str(tmp / "out")]
         if seed is not None:
             argv += ["--seed", str(seed)]
+        before = sorted(tmp.rglob("*"))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = cli.main(argv)
+        assert sorted(f for f in tmp.rglob("*") if not f.is_relative_to(tmp / "out")) == before
     shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
                     for w in caught)
     return rc, out.getvalue(), err.getvalue() + shown
@@ -160,6 +176,28 @@ def test_config_documents(cfg, command):
     rc, out, err = _run(command, cfg, files=_FILES)
     _check_contract(command, rc, out, err)
     assert rc != 1
+
+
+_OUTPUT_KEYS = {command: key for command, table in cli.CONFIG_TABLES.items()
+                for key, spec in table.items() if spec.file_name}
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(sorted(_OUTPUT_KEYS)), name=_OUT_NAMES)
+def test_output_names(command, name):
+    rc, out, err = _run(command, {**_BASES[command], _OUTPUT_KEYS[command]: name},
+                        files=_FILES)
+    _check_contract(command, rc, out, err)
+    assert rc in (0, 2)  # a bad name is a rejected config, not an I/O failure
+
+
+@settings(max_examples=30, deadline=None)
+@given(pairs=st.lists(st.sampled_from(sorted(FAMILIES)), min_size=1, max_size=3))
+def test_verify_pairs(pairs):
+    rc, out, err = _run("verify", {**_BASES["verify"], "pairs": pairs})
+    _check_contract("verify", rc, out, err)
+    if len(set(pairs)) < len(pairs):
+        assert rc == 2 and "appears more than once" in err
 
 
 # an overflowing loss: ill posed (a + b overflows), and infinite at every start (1 / c)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ftnetlab.errors import ContractViolationError, DegenerateInputError
+from ftnetlab.errors import ContractViolationError
 from ftnetlab.numerics import null_vector_against, numerical_rank
 
 
@@ -40,7 +40,7 @@ def test_null_vector_dependent_inputs(rng):
         np.zeros((2, 3)),
     ]
     for rows in cases:
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(ContractViolationError, match="kept vector lies in the span"):
             null_vector_against(rows, keep=0)
 
 

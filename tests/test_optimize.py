@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -343,7 +344,7 @@ class TestTape:
         evaluate(q, xs.copy(), tape=tape)  # equal values, another array
         assert len(calls) == 2
         wide = model(2, 5, HOLSIN, 0.2, rng)
-        evaluate(wide, tape.source[-1], tape=tape)  # another width
+        evaluate(wide, tape.X, tape=tape)  # another width
         # sequences are padded time-major: (T, B, H)
         assert len(calls) == 3 and tape.K.shape == (*shape[-2::-1], 5)
 
@@ -362,6 +363,21 @@ class TestTape:
         del acts
         evaluate(q, xs, tape=tape)
         assert tape.matches(q, xs) and all(r() is None for r in refs)
+
+    @pytest.mark.parametrize("model, evaluate, shape", [
+        (random_fftnet, eval_fftnet_many, (6, 2)),
+        (random_rftnet, eval_rftnet_many, (3, 5, 2)),
+    ], ids=["feedforward", "recurrent"])
+    def test_a_tape_is_keyed_by_the_params_object(self, rng, model, evaluate, shape):
+        """A tape matches the params object its pass ran on, not another object
+        that holds the very same arrays."""
+        p = model(2, 4, HOLSIN, 0.2, rng)
+        xs = rng.standard_normal(shape)
+        tape = Tape()
+        evaluate(p, xs, tape=tape)
+        same_arrays = replace(p, W=p.W)
+        assert all(getattr(same_arrays, f) is getattr(p, f) for f in ("W", "V", "alpha"))
+        assert tape.matches(p, xs) and not tape.matches(same_arrays, xs)
 
     def test_bounded_fit_pads_its_inputs_once(self, rng, monkeypatch):
         """A holsin fit to the squared loss bounds its candidates with the

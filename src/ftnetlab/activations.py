@@ -1,4 +1,4 @@
-"""Complex activation functions, their Jacobians and induced real restrictions.
+"""Complex activation functions and their Jacobians.
 
 ``TABLE`` holds one record per tag, and that record is the kind a model
 holds: :func:`activation_from_tag` builds it.  The gate activation passes z
@@ -15,13 +15,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError
-
-# Induced-restriction conventions.  The two placements of the scalar offset c
-# are not interchangeable; recurrent constructions need the offset in the
-# real part, feedforward ones in the imaginary part.
-REAL_ARG_IMAG_BIAS = "real_arg_imag_bias"  # sigma(x) = Re/Im of act(x + c i)
-IMAG_ARG_REAL_BIAS = "imag_arg_real_bias"  # sigma(x) = Re/Im of act(c + x i)
-
 
 @dataclass(frozen=True)
 class Activation:
@@ -207,10 +200,6 @@ def activation_from_tag(tag: str, bias: float | None = None) -> Activation:
     return replace(kind, bias=float(bias))
 
 
-def modrelu(bias: float | None = None) -> Activation:
-    return activation_from_tag("modrelu", bias)
-
-
 def apply(kind: Activation, z, derivative: bool = False):
     """Evaluate the activation at complex z (scalar or ndarray).
 
@@ -246,31 +235,4 @@ def jacobian_parts(kind: Activation, z, derivative=None):
 def apply_real(kind: Activation, x):
     """The activation restricted to the real axis, Re[act(x + 0i)]."""
     x = np.asarray(x, dtype=np.float64)
-    return np.asarray(apply(kind, x + 0.0j)).real
-
-
-def _line(c: float, x, convention: str):
-    """The complex points an induced restriction reads: x + c i or c + x i."""
-    x = np.asarray(x, dtype=np.float64)
-    if convention == REAL_ARG_IMAG_BIAS:
-        return x + 1j * c
-    if convention == IMAG_ARG_REAL_BIAS:
-        return c + 1j * x
-    raise ContractViolationError(f"unknown convention {convention!r}")
-
-
-def induced_complex(kind: Activation, c: float, x, convention: str):
-    """The activation along a line through the complex plane, as a complex
-    array: its real and imaginary parts are :func:`induced_real` and
-    :func:`induced_imag`, from one evaluation."""
-    return np.asarray(apply(kind, _line(c, x, convention)))
-
-
-def induced_real(kind: Activation, c: float, x, convention: str):
-    """Re of the activation along a line through the complex plane."""
-    return induced_complex(kind, c, x, convention).real
-
-
-def induced_imag(kind: Activation, c: float, x, convention: str):
-    """Im counterpart of :func:`induced_real`."""
-    return induced_complex(kind, c, x, convention).imag
+    return apply(kind, x + 0.0j).real

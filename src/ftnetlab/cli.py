@@ -86,7 +86,8 @@ CONFIG_TABLES = {
         "in_model": Key(str),  # open() would read an int as a file descriptor
         "target": Key(str),
         "out_model": Key(str, file_name=True),
-        "mode": Key(str, "zrelu"),
+        "mode": Key(str, "zrelu", choices=tuple(
+            dict.fromkeys(fam.mode for fam in FAMILIES.values() if fam.mode))),
         "c": Key(float, 1.0),
         "probes": Key(int, 0, 0),
         "seed": Key(int, 0, 0),

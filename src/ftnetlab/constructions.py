@@ -11,15 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .activations import (
-    REAL_ARG_IMAG_BIAS,
-    RELU,
-    ZRELU,
-    Activation,
-    apply,
-    apply_real,
-    induced_real,
-)
+from .activations import RELU, ZRELU, Activation, apply, apply_real
 from .errors import ContractViolationError
 from .models import (
     AdditiveFTNetParams,
@@ -78,10 +70,14 @@ EMBEDDING_CSV_HEADER = ",".join(f.name for f in fields(EmbeddingReport))
 
 def _restriction_matches(fnn_activation: Activation, target: Activation,
                          c: float) -> bool:
-    # functional precondition, checked on a probe grid
+    # functional precondition, checked on a probe grid.  A feedforward construction
+    # needs the offset c in the imaginary part, on the line x + ci; the recurrent
+    # additive net puts it in the real part (models.additive_activation)
     xs = np.linspace(-4.0, 4.0, 81)
     lhs = apply_real(fnn_activation, xs)
-    rhs = induced_real(target, c, xs, REAL_ARG_IMAG_BIAS)
+    # zrelu's gate product Re * Im overflows at a huge c, but its sign still decides
+    with np.errstate(over="ignore"):
+        rhs = apply(target, xs + 1j * c).real
     return bool(np.max(np.abs(lhs - rhs)) <= 1e-12)
 
 

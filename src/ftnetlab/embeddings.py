@@ -226,8 +226,7 @@ class Family:
             with np.errstate(over="ignore", invalid="ignore"):  # relative_gap maps these to inf
                 gap = self.gap(src, tgt, xs)
         return cons.EmbeddingReport(self.source, self.target, src.I, t_len, src.H, tgt.H,
-                                    models.param_count(self.source, src.H, src.I),
-                                    models.param_count(self.target, tgt.H, src.I), gap)
+                                    src.params(src.H, src.I), tgt.params(tgt.H, tgt.I), gap)
 
     def sweep(self, rng, probes: int, t_len: int):
         """One random instance: (EmbeddingReport, replay dict of the source)."""
@@ -250,7 +249,7 @@ class Assembly(Family):
         xs = rng.uniform(-self.input_bound, self.input_bound, size=(t_len, i))
         net = self.convert(stages, 1.0)
         gap = self.gap(stages, net, xs)
-        params = models.param_count(self.target, net.H, i)
+        params = net.params(net.H, net.I)
         rep = cons.EmbeddingReport(self.source, self.target, i, t_len,
                                    sum(s.hidden for s in stages[:3]), net.H,
                                    params, params, gap)

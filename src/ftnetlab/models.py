@@ -12,19 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from functools import cache, partial
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .activations import (
-    IMAG_ARG_REAL_BIAS,
-    Activation,
-    activation_from_tag,
-    apply,
-    apply_real,
-    induced_complex,
-)
+from .activations import Activation, activation_from_tag, apply, apply_real
 from .errors import ContractViolationError
 
 
@@ -70,7 +63,8 @@ class _Params:
     """Checks every declared array of a parameter class when it is built.
 
     Every class has the input size ``I`` and the hidden size ``H``; one stored
-    in model files also names its ``kind`` and its parameter count ``params(H, I)``.
+    in model files also names its ``kind`` and the paper's parameter-count
+    formula ``params(H, I)``, which ``verify`` and ``convert`` report.
     """
 
     def __post_init__(self):
@@ -84,16 +78,12 @@ class _Params:
             object.__setattr__(self, name, a if shape else float(a))
 
 
-def _ftnet_params(h: int, i: int) -> int:
-    return 2 * h * h + h
-
-
 @dataclass(frozen=True)
 class FFTNetParams(_Params):
     """One-hidden-layer feedforward network with complex weight W + Vi."""
 
     kind = "fftnet"
-    params = staticmethod(_ftnet_params)
+    params = staticmethod(lambda h, i: 2 * h * h + h)  # W, V, alpha
 
     I: int
     H: int
@@ -322,7 +312,7 @@ def eval_rftnet_many(p: RFTNetParams, XS: np.ndarray, tape: Tape | None = None):
         pre = zs[t]
         pre.real = ks[t] @ p.W.T - r @ p.V.T
         pre.imag = ks[t] @ p.V.T + r @ p.W.T
-        act = np.asarray(apply(p.activation, pre))
+        act = apply(p.activation, pre)
         acts.append(act)
         s, r = act.real, act.imag
         ys[:, t] = s @ p.alpha
@@ -346,7 +336,9 @@ def forward(p: FFTNetParams | RFTNetParams, X: np.ndarray, tape: Tape | None = N
 def additive_activation(base_activation: Activation, c: float):
     """The complex map an additive network with this base iterates with: the base
     at c + u i, whose real part is sigma1(u) and imaginary part sigma2(u)."""
-    return partial(induced_complex, base_activation, c, convention=IMAG_ARG_REAL_BIAS)
+    # the recurrent construction needs the offset c in the real part; a feedforward
+    # one puts it in the imaginary part (constructions._restriction_matches)
+    return lambda u: apply(base_activation, c + 1j * u)
 
 
 def eval_additive_many(p: AdditiveFTNetParams, XS: np.ndarray):
@@ -393,7 +385,7 @@ def eval_crnet_many(p: CRNetParams, X: np.ndarray) -> np.ndarray:
     half = p.I // 2
     # tau folds (x1; x2) in R^I into x1 + x2 i in C^{I/2}; CRNetParams keeps I even
     pre = (X[:, :half] + 1j * X[:, half:]) @ p.W.T + p.b
-    act = np.asarray(apply(p.activation, pre))
+    act = apply(p.activation, pre)
     return (act @ p.alpha).real
 
 
@@ -411,24 +403,11 @@ def eval_dods(spec: DODSSpec, xs):
 
 
 # ---------------------------------------------------------------------------
-# model kinds: parameter counts and JSON model files
+# model kinds and JSON model files
 # ---------------------------------------------------------------------------
 
 _KINDS = {cls.kind: cls for cls in (FFTNetParams, RFTNetParams, AdditiveFTNetParams,
                                      FNNParams, RNNParams, CRNetParams)}
-
-# "ftnet" counts either FTNet variant, as the width bounds do
-_PARAM_COUNTS = {"ftnet": _ftnet_params, **{cls.kind: cls.params for cls in _KINDS.values()}}
-
-
-def param_count(model_kind: str, hidden: int, I: int = 0) -> int:
-    """Parameter totals as reported alongside the width bounds."""
-    if hidden < 1:
-        raise ContractViolationError("hidden size must be >= 1")
-    try:
-        return int(_PARAM_COUNTS[model_kind](hidden, I))
-    except KeyError:
-        raise ContractViolationError(f"unknown model kind {model_kind!r}") from None
 
 
 def model_to_dict(p) -> dict:
@@ -512,7 +491,3 @@ def read_json(path):
     """The JSON value in the file at ``path``: the one reader of model and config files."""
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def load_model(path):
-    return model_from_dict(read_json(path))

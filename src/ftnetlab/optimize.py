@@ -373,7 +373,7 @@ def _alpha_nonzero_proposals(p, spec, delta, old_loss, k, res):
     for level in range(PROBE_RADIUS_LEVELS):
         radius = PROBE_RADIUS_MARGIN * delta * 2.0**-level / vnorm
         cs = radius * PROBE_PHASES
-        terms = p.alpha[k0] * np.asarray(apply(p.activation, w0 + cs * beta)).real
+        terms = p.alpha[k0] * apply(p.activation, w0 + cs * beta).real
         new_res_j0 = res[j0] - base + terms
         new_losses = old_loss - float(spec.value(res[j0])) + spec.value(new_res_j0)
         best = int(np.argmin(new_losses))
@@ -391,7 +391,7 @@ def _alpha_zero_proposals(p, data, spec, delta, seed, old_loss, k):
         direction = rng.standard_normal(p.H) + 1j * rng.standard_normal(p.H)
         direction /= np.linalg.norm(direction)
         dz = (delta / 2.0) * rng.uniform(0.2, 1.0) * direction
-        vals = np.asarray(apply(p.activation, k @ (z1 + dz))).real
+        vals = apply(p.activation, k @ (z1 + dz)).real
         c1 = float(lp @ vals)
         if abs(c1) > PROBE_C1_FLOOR:
             break

@@ -40,11 +40,11 @@ from ftnetlab.models import (
     CRNetParams,
     FFTNetParams,
     FNNParams,
+    RNNParams,
     dods_linear,
     eval_additive_many,
     eval_dods,
     eval_rnn_many,
-    param_count,
     save_model,
 )
 from ftnetlab.optimize import (
@@ -109,12 +109,12 @@ def test_criterion_2_width_and_parameter_bookkeeping():
         assert rnn_to_rftnet(r).H == 2 * r.H + r.I + 1
         checked += 1
 
-    assert param_count("ftnet", 2) == 10
-    assert param_count("crnet", 3, 4) == 36
-    assert param_count("fnn", 2, 3) == 16
-    assert param_count("rnn", 2, 3) == 14
+    assert FFTNetParams.params(2, 0) == 10
+    assert CRNetParams.params(3, 4) == 36
+    assert FNNParams.params(2, 3) == 16
+    assert RNNParams.params(2, 3) == 14
     for h in range(1, 257):
-        assert param_count("ftnet", h) <= 3 * h * h
+        assert FFTNetParams.params(h, 0) <= 3 * h * h
     print(f"\nACCEPTANCE 2 PASS: width formulas max{{H_F,I+1}}, I+H+1, "
           f"max{{2H_C,I+1}}, 2H_C+I+1, 2H_R+I+1 asserted on {checked} conversions "
           f"per family; parameter formulas 2H^2+H, 2H_C(I+2), 2H_F(I+1), "

@@ -8,17 +8,12 @@ from ftnetlab.activations import (
     HOLEXPM1,
     HOLSIN,
     IDENTITY,
-    IMAG_ARG_REAL_BIAS,
-    REAL_ARG_IMAG_BIAS,
     RELU,
     TABLE,
     ZRELU,
     activation_from_tag,
     apply,
-    induced_imag,
-    induced_real,
     jacobian_parts,
-    modrelu,
 )
 from ftnetlab.errors import ContractViolationError
 
@@ -95,7 +90,7 @@ def test_holsin_value():
 
 
 def test_modrelu_shrinks_magnitude():
-    k = modrelu(-0.5)
+    k = activation_from_tag("modrelu", -0.5)
     z = 2.0 + 0j
     assert apply(k, z) == pytest.approx(1.5 + 0j)
     assert apply(k, 0.25 + 0j) == 0  # |z| + b < 0
@@ -115,38 +110,35 @@ def test_vectorized_apply(rng):
 
 
 class TestInducedRestrictions:
+    """The activation read along the line x + ci, where a feedforward construction
+    puts the offset c, or along c + xi, where the recurrent additive net puts it."""
+
     def test_gate_real_arg_positive(self):
-        assert induced_real(ZRELU, 1.0, 0.5, REAL_ARG_IMAG_BIAS) == pytest.approx(0.5)
+        assert apply(ZRELU, 0.5 + 1.0j).real == pytest.approx(0.5)
 
     def test_gate_real_arg_negative(self):
-        assert induced_real(ZRELU, 1.0, -0.5, REAL_ARG_IMAG_BIAS) == 0
+        assert apply(ZRELU, -0.5 + 1.0j).real == 0
 
     def test_gate_imag_arg(self):
         # Re of (1 + 0.5i), which passes the gate
-        assert induced_real(ZRELU, 1.0, 0.5, IMAG_ARG_REAL_BIAS) == pytest.approx(1.0)
+        assert apply(ZRELU, 1.0 + 0.5j).real == pytest.approx(1.0)
 
     def test_imag_counterparts(self):
-        assert induced_imag(ZRELU, 1.0, 0.5, REAL_ARG_IMAG_BIAS) == pytest.approx(1.0)
-        assert induced_imag(ZRELU, 1.0, 0.5, IMAG_ARG_REAL_BIAS) == pytest.approx(0.5)
+        assert apply(ZRELU, 0.5 + 1.0j).imag == pytest.approx(1.0)
+        assert apply(ZRELU, 1.0 + 0.5j).imag == pytest.approx(0.5)
 
     def test_relu_recovered_from_gate(self):
         xs = np.linspace(-3, 3, 41)
-        np.testing.assert_allclose(induced_real(ZRELU, 1.0, xs, REAL_ARG_IMAG_BIAS),
-                                   np.maximum(xs, 0.0))
-        np.testing.assert_allclose(induced_imag(ZRELU, 1.0, xs, IMAG_ARG_REAL_BIAS),
-                                   np.maximum(xs, 0.0))
+        np.testing.assert_allclose(apply(ZRELU, xs + 1j * 1.0).real, np.maximum(xs, 0.0))
+        np.testing.assert_allclose(apply(ZRELU, 1.0 + 1j * xs).imag, np.maximum(xs, 0.0))
 
     def test_holsin_restrictions(self):
         xs = np.linspace(-2, 2, 21)
         c = 0.7
-        np.testing.assert_allclose(induced_real(HOLSIN, c, xs, IMAG_ARG_REAL_BIAS),
+        np.testing.assert_allclose(apply(HOLSIN, c + 1j * xs).real,
                                    np.sin(c) * np.cosh(xs), rtol=1e-12)
-        np.testing.assert_allclose(induced_imag(HOLSIN, c, xs, IMAG_ARG_REAL_BIAS),
+        np.testing.assert_allclose(apply(HOLSIN, c + 1j * xs).imag,
                                    np.cos(c) * np.sinh(xs), rtol=1e-12)
-
-    def test_unknown_convention(self):
-        with pytest.raises(ContractViolationError):
-            induced_real(ZRELU, 1.0, 0.5, "sideways")
 
 
 class TestSubgradient:
@@ -270,8 +262,9 @@ def test_tag_gives_the_table_record(tag):
 
 
 def test_modrelu_default_bias():
-    assert activation_from_tag("modrelu") == modrelu()
-    assert modrelu().bias == -0.5 and modrelu(0.25).bias == 0.25
+    assert activation_from_tag("modrelu") == activation_from_tag("modrelu", None)
+    assert (activation_from_tag("modrelu").bias == -0.5
+            and activation_from_tag("modrelu", 0.25).bias == 0.25)
 
 
 def test_unknown_tag_rejected():
@@ -284,5 +277,5 @@ def test_unknown_tag_rejected():
 def test_holomorphy_flags():
     assert HOLEXPM1.holomorphic_nonpolynomial
     assert HOLSIN.holomorphic_nonpolynomial
-    for kind in (ZRELU, CRELU, RELU, IDENTITY, modrelu()):
+    for kind in (ZRELU, CRELU, RELU, IDENTITY, activation_from_tag("modrelu")):
         assert not kind.holomorphic_nonpolynomial

@@ -19,7 +19,8 @@ from ftnetlab.activations import HOLSIN, RELU
 from ftnetlab.constructions import EMBEDDING_CSV_HEADER
 from ftnetlab.embeddings import random_crnet
 from ftnetlab.errors import ContractViolationError
-from ftnetlab.models import FNNParams, RNNParams, load_model, model_to_dict, save_model
+from ftnetlab.models import (FNNParams, RNNParams, model_from_dict, model_to_dict, read_json,
+                             save_model)
 from ftnetlab.optimize import ProbeResult, random_fftnet
 
 
@@ -60,7 +61,7 @@ class TestConvert:
         assert rc == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == EMBEDDING_CSV_HEADER
-        converted = load_model(tmp_path / "out.json")
+        converted = model_from_dict(read_json(tmp_path / "out.json"))
         assert model_to_dict(converted)["kind"] == "fftnet"
         assert converted.H == max(3, 2 + 1)
 
@@ -96,6 +97,27 @@ class TestConvert:
         out, err = capsys.readouterr()
         assert out.strip().splitlines()[1].split(",")[-1] == "inf"
         assert err == ""
+
+    def test_induced_mode_at_a_huge_offset_warns_nothing(self, tmp_path, rng, capsys):
+        """zrelu's gate product Re * Im overflows in the restriction check at
+        c = 1e308, but its sign still decides, so the check stays silent."""
+        save_model(tmp_path / "fnn.json", _sample_fnn(rng))
+        cfg = _write_config(tmp_path, "c.json", {
+            "in_model": str(tmp_path / "fnn.json"), "target": "fftnet",
+            "out_model": "out.json", "mode": "induced", "c": 1e308, "probes": 5})
+        assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("source,mode", [("crnet", "banana"), ("fnn", "zrlu")])
+    def test_unknown_mode_rejected_by_name(self, tmp_path, capsys, source, mode):
+        (tmp_path / "m.json").write_text(json.dumps(sample_models()[source]))
+        cfg = _write_config(tmp_path, "c.json", {
+            "in_model": str(tmp_path / "m.json"), "target": "fftnet",
+            "out_model": "out.json", "mode": mode})
+        assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: mode: expected one of zrelu, induced, got {mode!r}\n")
+        assert not (tmp_path / "out.json").exists()
 
     def test_contract_breaking_model_rejected(self, tmp_path):
         # crnet with odd input dimension: parses, but violates the contract

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftnetlab.activations import HOLSIN, IDENTITY, RELU, ZRELU, apply_real, induced_imag
+from ftnetlab.activations import HOLSIN, IDENTITY, RELU, ZRELU, apply, apply_real
 from ftnetlab.embeddings import (
     FAMILIES,
     _random_assembly,
@@ -140,7 +140,7 @@ class TestAdditiveEmbedding:
         np.testing.assert_allclose(tgt, src, rtol=1e-12)
         for t in range(3):
             u = a.A @ xs[0, t] - a.zeta
-            expected = induced_imag(a.activation, a.c, u, "imag_arg_real_bias")
+            expected = apply(a.activation, a.c + 1j * u).imag
             np.testing.assert_allclose(rec[0, t, i:i + h], expected, atol=1e-13)
 
 

@@ -11,13 +11,10 @@ from conftest import sample_models
 from ftnetlab.activations import (
     HOLEXPM1,
     HOLSIN,
-    IMAG_ARG_REAL_BIAS,
     RELU,
     ZRELU,
+    activation_from_tag,
     apply,
-    induced_imag,
-    induced_real,
-    modrelu,
 )
 from ftnetlab.errors import ContractViolationError
 from ftnetlab.models import (
@@ -39,10 +36,9 @@ from ftnetlab.models import (
     eval_rftnet_many,
     eval_rnn_many,
     kappa_many,
-    load_model,
     model_from_dict,
     model_to_dict,
-    param_count,
+    read_json,
     save_model,
 )
 
@@ -200,8 +196,9 @@ def _additive_oracle(p: AdditiveFTNetParams, xs: np.ndarray) -> np.ndarray:
     ys = []
     for t in range(xs.shape[0]):
         u = p.A @ xs[t] + p.B @ q - p.zeta
-        ys.append(float(p.alpha @ induced_real(p.activation, p.c, u, IMAG_ARG_REAL_BIAS)))
-        q = induced_imag(p.activation, p.c, u, IMAG_ARG_REAL_BIAS)
+        z = apply(p.activation, p.c + 1j * u)
+        ys.append(float(p.alpha @ z.real))
+        q = z.imag
     return np.array(ys)
 
 
@@ -292,29 +289,21 @@ class TestBaselines:
 
 class TestParamCount:
     def test_ftnet(self):
-        assert param_count("ftnet", 2) == 10
+        assert FFTNetParams.params(2, 0) == 10
 
     def test_crnet(self):
-        assert param_count("crnet", 3, 4) == 36
+        assert CRNetParams.params(3, 4) == 36
 
     def test_rnn(self):
-        assert param_count("rnn", 2, 3) == 14
+        assert RNNParams.params(2, 3) == 14
 
     def test_fnn(self):
-        assert param_count("fnn", 2, 3) == 16
+        assert FNNParams.params(2, 3) == 16
 
     def test_dominance(self):
         # 2H^2 + H <= 3H^2 for every admissible width
         for h in range(1, 65):
-            assert param_count("ftnet", h) <= 3 * h * h
-
-    def test_unknown_kind(self):
-        with pytest.raises(ContractViolationError):
-            param_count("transformer", 2, 3)
-
-    def test_zero_hidden(self):
-        with pytest.raises(ContractViolationError):
-            param_count("ftnet", 0)
+            assert FFTNetParams.params(h, 0) <= 3 * h * h
 
 
 def _sample_models(rng):
@@ -331,7 +320,7 @@ def _sample_models(rng):
                     rng.standard_normal(h), RELU)
     yield RNNParams(2, h, rng.standard_normal((h, 2)), rng.standard_normal((h, h)),
                     rng.standard_normal(h), rng.standard_normal(h),
-                    rng.standard_normal(h), modrelu(-0.25))
+                    rng.standard_normal(h), activation_from_tag("modrelu", -0.25))
     yield CRNetParams(2, h, rng.standard_normal((h, 1)) + 1j * rng.standard_normal((h, 1)),
                       rng.standard_normal(h) + 1j * rng.standard_normal(h),
                       rng.standard_normal(h) + 1j * rng.standard_normal(h),
@@ -346,7 +335,8 @@ def _any_model(draw):
     """A random instance of one of the six parameter classes."""
     i = draw(st.integers(1, 3))
     h = draw(st.integers(1, 4))
-    act = draw(st.sampled_from([ZRELU, HOLSIN, HOLEXPM1, RELU, modrelu(-0.25)]))
+    act = draw(st.sampled_from([ZRELU, HOLSIN, HOLEXPM1, RELU,
+                                activation_from_tag("modrelu", -0.25)]))
 
     def arr(*shape):
         return draw(hnp.arrays(np.float64, shape, elements=_FINITE))
@@ -381,7 +371,7 @@ class TestSerialization:
         for idx, model in enumerate(_sample_models(rng)):
             path = tmp_path / f"m{idx}.json"
             save_model(path, model)
-            again = load_model(path)
+            again = model_from_dict(read_json(path))
             for key, val in model_to_dict(model).items():
                 assert model_to_dict(again)[key] == val
             # a second save is byte-identical
@@ -396,7 +386,8 @@ class TestSerialization:
         raw = json.loads(path.read_text())
         assert raw["activation"] == "modrelu"
         assert raw["activation_bias"] == -0.25
-        assert load_model(path).activation == modrelu(-0.25)
+        assert (model_from_dict(read_json(path)).activation
+                == activation_from_tag("modrelu", -0.25))
 
     @pytest.mark.parametrize("key,value", [("I", "2"), ("H", "3"), ("I", True), ("H", 3.0)])
     def test_non_integer_sizes_rejected(self, rng, key, value):

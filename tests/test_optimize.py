@@ -18,7 +18,6 @@ from ftnetlab.activations import (
     activation_from_tag,
     apply,
     jacobian_parts,
-    modrelu,
 )
 from ftnetlab.errors import ContractViolationError
 from ftnetlab.losses import (
@@ -198,7 +197,8 @@ class TestTape:
     """The trainers share one taped forward pass between loss and gradient;
     the steps they take must be those of an untaped loss and gradient."""
 
-    @pytest.mark.parametrize("act", [HOLSIN, HOLEXPM1, ZRELU, modrelu(-0.1)])
+    @pytest.mark.parametrize("act", [HOLSIN, HOLEXPM1, ZRELU,
+                                     activation_from_tag("modrelu", -0.1)])
     def test_train_fftnet_matches_untaped_descent(self, rng, act):
         p0 = random_fftnet(2, 5, act, 0.5, rng)
         data = Dataset(rng.standard_normal((12, 2)), rng.standard_normal(12))

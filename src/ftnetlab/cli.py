@@ -22,6 +22,7 @@ from . import constructions as cons
 from .activations import TABLE, activation_from_tag
 from .embeddings import (
     FAMILIES,
+    Assembly,
     SEQUENCE_LENGTH,
     conversion,
     instance_rng,
@@ -29,7 +30,7 @@ from .embeddings import (
     run_embedding_sweep,
 )
 from .errors import ContractViolationError, NonFiniteInitialLossError
-from .losses import Dataset, empirical_loss, loss_spec_from_config
+from .losses import LOSSES, Dataset, empirical_loss, loss_spec_from_config
 from .models import (READ_ERRORS, Tape, dods_linear, eval_dods, model_from_dict, read_json,
                      save_model)
 from .optimize import (
@@ -61,8 +62,8 @@ TRAIN_INIT_DRAWS = 5
 # ---------------------------------------------------------------------------
 
 
-class PerDemo(dict):
-    """A ``train`` default for each demo; a demo it lacks does not take the key."""
+class PerChoice(dict):
+    """A value for each choice of a table's first key; a choice it lacks does not take it."""
 
 
 @dataclass(frozen=True)
@@ -70,21 +71,25 @@ class Key:
     """One config key: its JSON kind, default, inclusive range and allowed strings."""
 
     kind: type                    # int, float, str, list (of str) or dict
-    default: object = None        # None if required, a value, a PerDemo or f(resolved keys)
-    minimum: float | None = None
-    maximum: float | None = None
+    default: object = None        # None if required, a value, a PerChoice or f(resolved keys)
+    minimum: object = None        # None if unbounded, else as default
+    maximum: object = None
     choices: tuple | None = None  # for a str, or for each entry of a list
     file_name: bool = False       # a str naming a file the command writes in --out
+    table: dict | None = None     # a dict's own keys, resolved as a config of its own
 
 
-DEMOS = ("sin_fit", "dods_linear")
 POSITIVE = 5e-324  # the least positive double: this minimum means "> 0"
+
+LOSS_TABLE = {"loss": Key(str, choices=tuple(LOSSES)),  # first: a, b and c are param_cosh's
+              **{k: Key(float, PerChoice(param_cosh=1.0), POSITIVE) for k in "abc"}}
 
 # delta and init_scale stop at 1: past it, overflow or rounding, not a claim, exits 1
 CONFIG_TABLES = {
     "convert": {
         "in_model": Key(str),  # open() would read an int as a file descriptor
-        "target": Key(str),
+        "target": Key(str, choices=tuple(dict.fromkeys(  # an Assembly's source is no model
+            fam.target for fam in FAMILIES.values() if not isinstance(fam, Assembly)))),
         "out_model": Key(str, file_name=True),
         "mode": Key(str, "zrelu", choices=tuple(
             dict.fromkeys(fam.mode for fam in FAMILIES.values() if fam.mode))),
@@ -103,28 +108,28 @@ CONFIG_TABLES = {
         "csv_name": Key(str, "verify.csv", file_name=True),
     },
     "train": {  # demo comes first: the other defaults depend on it
-        "demo": Key(str, choices=DEMOS),
+        "demo": Key(str, choices=("sin_fit", "dods_linear")),
         "seed": Key(int, 0, 0),
         "activation": Key(str, "holsin", choices=tuple(TABLE)),
-        "loss": Key(dict, {"loss": "squared"}),
-        "H": Key(int, PerDemo(sin_fit=32, dods_linear=16), 1),
-        "iters": Key(int, PerDemo(sin_fit=50000, dods_linear=20000), 1),
-        "step_size": Key(float, PerDemo(sin_fit=3e-3, dods_linear=1e-3), POSITIVE),
+        "loss": Key(dict, {"loss": "squared"}, table=LOSS_TABLE),
+        "H": Key(int, PerChoice(sin_fit=32, dods_linear=16), 1),
+        "iters": Key(int, PerChoice(sin_fit=50000, dods_linear=20000), 1),
+        "step_size": Key(float, PerChoice(sin_fit=3e-3, dods_linear=1e-3), POSITIVE),
         # at 0 every draw of p0 is the zero net, a stationary point of the loss
-        "init_scale": Key(float, PerDemo(sin_fit=0.3, dods_linear=0.2), POSITIVE, 1.0),
-        "target_mse": Key(float, PerDemo(sin_fit=1e-3, dods_linear=1e-2), 0),
-        "samples": Key(int, PerDemo(sin_fit=256), 1),
-        "sequences": Key(int, PerDemo(dods_linear=48), 1),
-        "T": Key(int, PerDemo(dods_linear=8), 1),
+        "init_scale": Key(float, PerChoice(sin_fit=0.3, dods_linear=0.2), POSITIVE, 1.0),
+        "target_mse": Key(float, PerChoice(sin_fit=1e-3, dods_linear=1e-2), 0),
+        "samples": Key(int, PerChoice(sin_fit=256), 1),
+        "sequences": Key(int, PerChoice(dods_linear=48), 1),
+        "T": Key(int, PerChoice(dods_linear=8), 1),
     },
     "probe": {
-        "n": Key(int, minimum=1),
         "I": Key(int, minimum=1),
+        "n": Key(int, minimum=1, maximum=lambda cfg: cfg["I"]),  # independence needs n <= I
         "seed": Key(int, 0, 0),
         # the descent probe's claim needs a holomorphic non-polynomial activation
         "activation": Key(str, "holexpm1", choices=tuple(
             tag for tag, act in TABLE.items() if act.holomorphic_nonpolynomial)),
-        "loss": Key(dict, {"loss": "squared"}),
+        "loss": Key(dict, {"loss": "squared"}, table=LOSS_TABLE),
         "H": Key(int, lambda cfg: cfg["I"] + 1, 1),
         "delta": Key(float, 0.1, POSITIVE, 1.0),
         "instances": Key(int, 100, 1),
@@ -141,7 +146,14 @@ _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
                list: "a list of strings", dict: "a JSON object"}
 
 
-def _checked(key: str, spec: Key, value):
+def _at(value, resolved: dict):
+    """A Key's default or bound, given the keys resolved before it."""
+    if isinstance(value, PerChoice):
+        return value[next(iter(resolved.values()))]  # the first key's value picks
+    return value(resolved) if callable(value) else value
+
+
+def _checked(key: str, spec: Key, value, resolved: dict):
     if spec.kind in (int, float):
         # NaN, the infinities and ints past the largest double all fail the bound
         ok = isinstance(value, (int, spec.kind)) and abs(value) <= sys.float_info.max
@@ -153,10 +165,11 @@ def _checked(key: str, spec: Key, value):
         ok = isinstance(value, spec.kind)
     if not ok or isinstance(value, bool):  # an int subclass, but never a number here
         raise ContractViolationError(f"{key}: expected {_KIND_NAMES[spec.kind]}, got {value!r}")
-    if spec.minimum is not None and value < spec.minimum:
-        raise ContractViolationError(f"{key}: expected a value >= {spec.minimum}, got {value!r}")
-    if spec.maximum is not None and value > spec.maximum:
-        raise ContractViolationError(f"{key}: expected a value <= {spec.maximum}, got {value!r}")
+    minimum, maximum = _at(spec.minimum, resolved), _at(spec.maximum, resolved)
+    if minimum is not None and value < minimum:
+        raise ContractViolationError(f"{key}: expected a value >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ContractViolationError(f"{key}: expected a value <= {maximum}, got {value!r}")
     for entry in value if spec.kind is list else [value]:
         if spec.choices is not None and entry not in spec.choices:
             raise ContractViolationError(
@@ -168,43 +181,45 @@ def _checked(key: str, spec: Key, value):
     if spec.kind is list and len(set(value)) < len(value):
         twice = next(entry for i, entry in enumerate(value) if entry in value[:i])
         raise ContractViolationError(f"{key}: {twice!r} appears more than once")
+    if spec.table is not None:
+        try:
+            return _resolved(spec.table, value, key)
+        except ContractViolationError as exc:
+            raise ContractViolationError(f"{key}: {exc}") from None
     return float(value) if spec.kind is float else value
+
+
+def _resolved(table: dict, cfg: dict, name: str) -> dict:
+    """``cfg`` checked against ``table`` key by key, with every default filled in."""
+    for key in cfg:
+        if key not in table:
+            raise ContractViolationError(f"{key}: unknown config key for {name}")
+    first, resolved = next(iter(table)), {}
+    for key, spec in table.items():
+        if isinstance(spec.default, PerChoice) and resolved[first] not in spec.default:
+            if key in cfg:
+                raise ContractViolationError(f"{key}: does not apply to {first} {resolved[first]}")
+            continue
+        if spec.default is None and key not in cfg:
+            raise ContractViolationError(f"{key}: missing required config key")
+        resolved[key] = _checked(key, spec, cfg.get(key, _at(spec.default, resolved)), resolved)
+    return resolved
 
 
 def resolve_config(command: str, cfg, seed: int | None = None) -> dict:
     """``cfg`` with every default filled in; ``seed`` (``--seed``) overrides its own.
 
-    Raises ContractViolationError naming the key of the first problem, checking
-    required keys, unknown keys, keys the chosen demo does not take, then each
-    value's kind, range and choices, that an output name is a plain file name,
-    and that a list names no entry twice.
+    Raises ContractViolationError naming the key of the first problem: an unknown
+    key, then key by key in table order, one the first key's value does not take,
+    a missing one, a value's kind, range or choices, an output name that is not a
+    plain file name, or a list entry named twice.  A nested table's errors read
+    ``<key>: <inner key>: ...``.
     """
-    table = CONFIG_TABLES[command]
     if not isinstance(cfg, dict):
         raise ContractViolationError(f"config must be a JSON object, got {type(cfg).__name__}")
-    if seed is not None and "seed" in table:
+    if seed is not None and "seed" in CONFIG_TABLES[command]:
         cfg = {**cfg, "seed": seed}
-    for key, spec in table.items():
-        if spec.default is None and key not in cfg:
-            raise ContractViolationError(f"{key}: missing required config key")
-    for key in cfg:
-        if key not in table:
-            raise ContractViolationError(f"{key}: unknown config key for {command}")
-    for key in cfg:
-        default = table[key].default
-        if isinstance(default, PerDemo) and cfg["demo"] in DEMOS and cfg["demo"] not in default:
-            raise ContractViolationError(f"{key}: does not apply to demo {cfg['demo']}")
-    resolved = {}
-    for key, spec in table.items():
-        default = spec.default
-        if isinstance(default, PerDemo):
-            if resolved["demo"] not in default:
-                continue
-            default = default[resolved["demo"]]
-        if callable(default):
-            default = default(resolved)
-        resolved[key] = _checked(key, spec, cfg.get(key, default))
-    return resolved
+    return _resolved(CONFIG_TABLES[command], cfg, command)
 
 
 def _fail(code: int, message) -> int:
@@ -349,9 +364,6 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
 def cmd_probe(cfg: dict, out_dir: Path) -> int:
     act = activation_from_tag(cfg["activation"])
     n, i, h, seed = cfg["n"], cfg["I"], cfg["H"], cfg["seed"]
-    if n > i:
-        raise ContractViolationError(f"n={n} exceeds I={i}; sample independence is only "
-                                     "guaranteed for n <= I")
     spec = loss_spec_from_config(cfg["loss"])
 
     rows = skipped = 0

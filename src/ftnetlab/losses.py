@@ -174,22 +174,10 @@ def squared_loss_lower_bound(p: FFTNetParams, k: np.ndarray, ys: np.ndarray) -> 
     return (1.0 - 4.0 * (len(ys) + 2) * _U) * total
 
 
-# the keys each loss takes beside "loss"; a, b and c default to 1
-_LOSS_KEYS = {"squared": (), "param_cosh": ("a", "b", "c")}
+LOSSES = {"squared": squared_loss, "param_cosh": param_cosh_loss}
 
 
 def loss_spec_from_config(cfg: dict) -> LossSpec:
-    """{"loss": "squared"} or {"loss": "param_cosh", "a":..., "b":..., "c":...};
-    any other key is rejected, and every error names the ``loss`` config key."""
-    kind = cfg.get("loss")
-    if not isinstance(kind, str) or kind not in _LOSS_KEYS:
-        raise ContractViolationError(f"loss: unknown loss {kind!r}")
-    extra = sorted(set(cfg) - {"loss", *_LOSS_KEYS[kind]})
-    if extra:
-        raise ContractViolationError(f"loss: {kind} takes no key {extra[0]!r}")
-    if kind == "squared":
-        return squared_loss()
-    abc = [cfg.get(key, 1.0) for key in "abc"]
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in abc):
-        raise ContractViolationError(f"loss: param_cosh a, b and c must be numbers, got {abc}")
-    return param_cosh_loss(*abc)
+    """The loss a resolved ``loss`` config object names, built from its other keys."""
+    params = dict(cfg)
+    return LOSSES[params.pop("loss")](**params)

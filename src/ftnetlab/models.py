@@ -94,7 +94,7 @@ class FFTNetParams(_Params):
 
     def __post_init__(self):
         if self.H < self.I + 1:
-            raise ContractViolationError(f"H={self.H} must be >= I+1={self.I + 1}")
+            raise ContractViolationError(f"H: expected a value >= I+1 = {self.I+1}, got {self.H}")
         super().__post_init__()
 
 
@@ -178,7 +178,7 @@ class CRNetParams(_Params):
 
     def __post_init__(self):
         if self.I % 2 != 0:
-            raise ContractViolationError(f"CRNet input dimension must be even, got {self.I}")
+            raise ContractViolationError(f"I: expected an even number, got {self.I}")
         super().__post_init__()
 
 

@@ -326,7 +326,7 @@ def descent_probe(p: FFTNetParams, data: Dataset, spec: LossSpec,
             "descent probe needs a holomorphic non-polynomial activation")
     wp = spec.well_posedness
     if not wp.passed:
-        raise ContractViolationError(f"loss is not well posed: {wp.violations}")
+        raise ContractViolationError(f"loss: not well posed: {'; '.join(wp.violations)}")
     if tape is None:
         tape = Tape()
     old_loss = empirical_loss(p, data, spec, tape)

@@ -119,7 +119,7 @@ class TestConvert:
             f"error: mode: expected one of zrelu, induced, got {mode!r}\n")
         assert not (tmp_path / "out.json").exists()
 
-    def test_contract_breaking_model_rejected(self, tmp_path):
+    def test_contract_breaking_model_rejected(self, tmp_path, capsys):
         # crnet with odd input dimension: parses, but violates the contract
         bad = {"kind": "crnet", "I": 3, "H": 1, "activation": "zrelu",
                "W_re": [[1.0]], "W_im": [[0.0]], "b_re": [0.0], "b_im": [0.0],
@@ -129,13 +129,19 @@ class TestConvert:
             "in_model": str(tmp_path / "bad.json"), "target": "fftnet",
             "out_model": "out.json"})
         assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad model: I: expected an even number, got 3"]
 
-    def test_unsupported_pair(self, tmp_path, rng):
+    def test_unsupported_pair(self, tmp_path, rng, capsys):
+        """A target of the family table that no family reaches from the model
+        file's kind fails on the model file, not as a config key."""
         save_model(tmp_path / "fnn.json", _sample_fnn(rng))
         cfg = _write_config(tmp_path, "c.json", {
             "in_model": str(tmp_path / "fnn.json"), "target": "rftnet",
             "out_model": "out.json"})
         assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unsupported conversion fnn -> rftnet"]
 
     def test_unparseable_model(self, tmp_path):
         (tmp_path / "junk.json").write_text("{not json")
@@ -525,9 +531,11 @@ class TestTrain:
                                       {"loss": "param_cosh", "b": float("inf")},
                                       {"loss": "param_cosh", "c": -float("inf")},
                                       {"loss": "squared", "a": "x"},
-                                      {"loss": "param_cosh", "zz": 1}],
+                                      {"loss": "param_cosh", "zz": 1},
+                                      {"loss": "hinge"}, {},
+                                      {"loss": "param_cosh", "a": 0}],
                              ids=["squared", "loss1", "nan", "inf", "-inf", "squared_a",
-                                  "unknown_key"])
+                                  "unknown_key", "hinge", "empty", "zero_a"])
     def test_malformed_loss_rejected(self, tmp_path, capsys, loss):
         cfg = _write_config(tmp_path, "t.json", {"demo": "sin_fit", "loss": loss})
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -562,9 +570,19 @@ class TestProbe:
         first = json.loads(jsonl[0])
         assert first["found"] and "deltaZ_re" in first
 
-    def test_oversized_sample_count_rejected(self, tmp_path):
+    def test_oversized_sample_count_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, "p.json", {"n": 9, "I": 4})
         assert cli.main(["probe", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: n: expected a value <= 4, got 9"]
+
+    def test_ill_posed_loss_refused_in_one_line(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, "p.json", {
+            "n": 2, "I": 4, "loss": {"loss": "param_cosh", "a": 2}})
+        out_dir = tmp_path / "out"
+        assert cli.main(["probe", "--config", cfg, "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: loss: not well posed: not strictly decreasing at x = -0.01 (l' = 0.4775)"]
+        assert list(out_dir.iterdir()) == []
 
     def test_campaign_that_probes_nothing_rejected(self, tmp_path, capsys):
         """Every instance filtered as (near-)zero loss leaves nothing probed: exit 2."""
@@ -881,6 +899,11 @@ class TestConfigValidation:
         ("probe", {"activation": "zrelu"}, "activation: expected one of holexpm1, holsin, "),
         # every draw would be the zero net, a stationary point no step leaves
         ("train", {"init_scale": 0.0}, "init_scale: expected a value >= 5e-324, got 0.0"),
+        ("convert", {"target": "banana"}, "target: expected one of fftnet, rftnet, got 'banana'"),
+        # a net's width rule: the demo's input size is known only when the net is drawn
+        ("train", {"H": 1}, "H: expected a value >= I+1 = 2, got 1"),
+        ("train_rec", {"H": 2}, "H: expected a value >= I+1 = 3, got 2"),
+        ("probe", {"n": 2, "I": 4, "H": 3}, "H: expected a value >= I+1 = 5, got 3"),
     ])
     def test_rejected_before_any_work(self, tmp_path, rng, capsys, command, extra, message):
         cfg = {**_COMMAND_BASES[command], **extra}
@@ -1030,10 +1053,15 @@ def _readme_table(command: str) -> dict:
     return {row[0].strip("`"): row[1:] for row in rows}
 
 
+# each command's table, and each object key's own table (the loss), by README heading
+_TABLES = {**cli.CONFIG_TABLES, **{key: spec.table for table in cli.CONFIG_TABLES.values()
+                                   for key, spec in table.items() if spec.table}}
+
+
 class TestReadme:
-    @pytest.mark.parametrize("command", sorted(cli.CONFIG_TABLES))
+    @pytest.mark.parametrize("command", sorted(_TABLES))
     def test_every_key_documented(self, command):
-        table, documented = cli.CONFIG_TABLES[command], _readme_table(command)
+        table, documented = _TABLES[command], _readme_table(command)
         assert set(documented) == set(table)
         for key, spec in table.items():
             assert documented[key][0] == _README_KINDS[spec.kind], key

@@ -32,7 +32,7 @@ from ftnetlab.embeddings import FAMILIES
 # names the program knows, so that drawn strings sometimes mean something
 _WORDS = sorted({"zrelu", "modrelu", "crelu", "holexpm1", "holsin", "relu", "identity",
                  "induced", "squared", "param_cosh", "fnn", "rnn", "crnet", "additive",
-                 "fftnet", "rftnet", *cli.DEMOS, *FAMILIES})
+                 "fftnet", "rftnet", *cli.CONFIG_TABLES["train"]["demo"].choices, *FAMILIES})
 _TEXT = st.sampled_from(_WORDS) | st.text(max_size=6)
 _NUMBER = (st.integers(-3, 6) | st.integers(min_value=2**1024, max_value=2**1100)
            | st.floats(allow_nan=True, allow_infinity=True))
@@ -44,14 +44,13 @@ _JSON = st.recursive(_LEAF, lambda inner: st.lists(inner, max_size=3)
 _OUT_NAMES = (st.sampled_from(["", ".", "..", "../x.csv", "sub/x.csv", "x/", "/",
                                "{tmp}/abs.csv", "{tmp}/out/x.csv"])
               | st.text(alphabet="./ab", max_size=6))
-_LOSS_LIKE = st.fixed_dictionaries(
-    {"loss": st.sampled_from(["squared", "param_cosh", "hinge"])},
-    optional={k: _NUMBER for k in "abc"})
 
 
-def _values(spec: cli.Key):
-    """Values of every JSON kind, weighted toward the edges of the key's range."""
-    edges = [v for v in (spec.minimum, spec.maximum) if v is not None]
+def _values(spec: cli.Key, base: dict):
+    """Values of every JSON kind, weighted toward the edges of the key's range.  A
+    range that depends on earlier keys takes its edges from ``base``, and an object
+    with a table of its own draws its values from that table's keys."""
+    edges = [cli._at(v, base) for v in (spec.minimum, spec.maximum) if v is not None]
     near = st.sampled_from([e + d for e in edges for d in (-1, 0, 1)]) if edges else st.nothing()
     entries = st.sampled_from(spec.choices or _WORDS) | _TEXT
     by_kind = {
@@ -61,7 +60,8 @@ def _values(spec: cli.Key):
         # a list that names its first entry again
         list: st.lists(entries, max_size=3)
         | st.lists(entries, min_size=1, max_size=2).map(lambda v: v + v[:1]),
-        dict: _LOSS_LIKE,
+        dict: st.fixed_dictionaries({}, optional={
+            key: _values(inner, {}) for key, inner in (spec.table or {}).items()}),
     }[spec.kind]
     if spec.file_name:
         by_kind |= _OUT_NAMES
@@ -88,7 +88,7 @@ def _configs(draw, command):
         if draw(st.integers(0, 9)) == 0:
             cfg.pop(key, None)
         else:
-            cfg[key] = draw(_values(table[key]))
+            cfg[key] = draw(_values(table[key], _BASES[command]))
     if draw(st.integers(0, 9)) == 0:
         cfg[draw(_TEXT)] = draw(_JSON)
     return cfg

@@ -81,40 +81,28 @@ def _restriction_matches(fnn_activation: Activation, target: Activation,
     return bool(np.max(np.abs(lhs - rhs)) <= 1e-12)
 
 
-def fnn_to_fftnet(f: FNNParams, c: float = 1.0, mode: str = "zrelu",
-                  target_activation: Activation | None = None) -> FFTNetParams:
+def fnn_to_fftnet(f: FNNParams, c: float = 1.0,
+                  target_activation: Activation = ZRELU) -> FFTNetParams:
     """Embed a one-hidden-layer FNN into a feedforward complex net.
 
-    ``zrelu`` mode requires a ReLU source and gates with a constant +1
-    imaginary bias; ``induced`` mode requires the source activation to be
-    the real restriction of ``target_activation`` at height c.
+    The source activation must be the real restriction of
+    ``target_activation`` at height c, which the target writes as a constant
+    imaginary bias.
     """
-    if mode == "zrelu":
-        if f.activation != RELU:
-            raise ContractViolationError("zrelu mode needs a ReLU source network")
-        target = ZRELU
-        imag_bias = 1.0
-    elif mode == "induced":
-        if target_activation is None:
-            raise ContractViolationError("induced mode needs a target activation")
-        target = target_activation
-        imag_bias = c
-        if not _restriction_matches(f.activation, target, c):
-            raise ContractViolationError(
-                f"{f.activation.tag} is not the real restriction of "
-                f"{target.tag} at c={c}")
-    else:
-        raise ContractViolationError(f"unknown mode {mode!r}")
+    if not _restriction_matches(f.activation, target_activation, c):
+        raise ContractViolationError(
+            f"{f.activation.tag} is not the real restriction of "
+            f"{target_activation.tag} at c={c}")
 
     h = max(f.H, f.I + 1)
     w = np.zeros((h, h))
     v = np.zeros((h, h))
     w[: f.H, : f.I] = f.W
     w[: f.H, h - 1] = f.b
-    v[: f.H, h - 1] = imag_bias
+    v[: f.H, h - 1] = c
     alpha = np.zeros(h)
     alpha[: f.H] = f.alpha
-    return FFTNetParams(f.I, h, w, v, alpha, target)
+    return FFTNetParams(f.I, h, w, v, alpha, target_activation)
 
 
 def additive_to_rftnet(a: AdditiveFTNetParams) -> RFTNetParams:

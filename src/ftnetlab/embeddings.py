@@ -258,13 +258,12 @@ class Assembly(Family):
 
 FAMILIES = {fam.name: fam for fam in (
     Family("fnn_to_fftnet_zrelu", _FNN, _FFTNET, random_relu_fnn,
-           lambda f, c: cons.fnn_to_fftnet(f, mode="zrelu"),
+           lambda f, c: cons.fnn_to_fftnet(f),
            _fnn_gap, 2.0, mode="zrelu", c_range=(0.25, 2.0),
            # the induced family shares this (fnn, fftnet) row
            report=(0, "H_F", "max{H_F, I+1}")),
     Family("fnn_to_fftnet_induced", _FNN, _FFTNET, random_relu_fnn,
-           lambda f, c: cons.fnn_to_fftnet(f, c=c, mode="induced",
-                                           target_activation=ZRELU),
+           lambda f, c: cons.fnn_to_fftnet(f, c),
            _fnn_gap, 2.0, mode="induced", c_range=(0.25, 2.0)),
     Family("additive_to_rftnet", _ADDITIVE, _RFTNET, random_additive,
            lambda a, c: cons.additive_to_rftnet(a),

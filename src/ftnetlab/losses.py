@@ -37,7 +37,7 @@ def squared_loss() -> LossSpec:
                     deriv=lambda x: 2.0 * np.asarray(x, dtype=np.float64))
 
 
-def param_cosh_loss(a: float = 1.0, b: float = 1.0, c: float = 1.0) -> LossSpec:
+def param_cosh_loss(a: float, b: float, c: float) -> LossSpec:
     """l(x) = (1/c) [ln(e^{ax} + e^{-bx}) - ln 2], via log-sum-exp.
 
     Well posed only for a == b; asymmetric choices shift the minimum to

@@ -89,7 +89,7 @@ def test_criterion_2_width_and_parameter_bookkeeping():
         hf = int(rng.integers(1, 17))
         fnn = FNNParams(i, hf, rng.standard_normal((hf, i)),
                         rng.standard_normal(hf), rng.standard_normal(hf), RELU)
-        assert fnn_to_fftnet(fnn, mode="zrelu").H == max(hf, i + 1)
+        assert fnn_to_fftnet(fnn).H == max(hf, i + 1)
 
         a = random_additive(rng)
         assert additive_to_rftnet(a).H == a.I + a.H + 1

@@ -15,7 +15,7 @@ import ftnetlab.constructions as cons
 import ftnetlab.losses as losses
 import ftnetlab.models as models
 from conftest import pinned_for_kernel, sample_models
-from ftnetlab.activations import HOLSIN, RELU
+from ftnetlab.activations import CRELU, HOLSIN, IDENTITY, RELU
 from ftnetlab.constructions import EMBEDDING_CSV_HEADER
 from ftnetlab.embeddings import random_crnet
 from ftnetlab.errors import ContractViolationError
@@ -64,6 +64,31 @@ class TestConvert:
         converted = model_from_dict(read_json(tmp_path / "out.json"))
         assert model_to_dict(converted)["kind"] == "fftnet"
         assert converted.H == max(3, 2 + 1)
+
+    def test_zrelu_mode_is_the_induced_construction_at_c_1(self, tmp_path, rng, capsys):
+        """zrelu mode takes any source whose real restriction is ReLU, crelu's
+        too, and writes what induced mode writes at c = 1."""
+        f = _sample_fnn(rng)
+        save_model(tmp_path / "fnn.json", FNNParams(f.I, f.H, f.W, f.b, f.alpha, CRELU))
+        runs = []
+        for mode in ("zrelu", "induced"):
+            cfg = _write_config(tmp_path, "c.json", {
+                "in_model": str(tmp_path / "fnn.json"), "target": "fftnet",
+                "mode": mode, "c": 1.0, "out_model": f"{mode}.json", "probes": 20})
+            assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 0
+            runs.append((capsys.readouterr().out, (tmp_path / f"{mode}.json").read_bytes()))
+        assert runs[0] == runs[1]
+
+    def test_zrelu_mode_refuses_a_source_off_the_restriction(self, tmp_path, rng, capsys):
+        f = _sample_fnn(rng)
+        save_model(tmp_path / "fnn.json", FNNParams(f.I, f.H, f.W, f.b, f.alpha, IDENTITY))
+        cfg = _write_config(tmp_path, "c.json", {
+            "in_model": str(tmp_path / "fnn.json"), "target": "fftnet",
+            "mode": "zrelu", "out_model": "out.json"})
+        assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: identity is not the real restriction of zrelu at c=1.0\n")
+        assert not (tmp_path / "out.json").exists()
 
     def test_rnn_header_width(self, tmp_path, rng, capsys):
         r = _sample_rnn(rng)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -55,53 +55,56 @@ EXACT = 1e-12
 class TestFnnEmbedding:
     def test_identity_fnn_pass_region(self):
         f = FNNParams(1, 1, [[1.0]], [0.0], [1.0], RELU)
-        g = fnn_to_fftnet(f, mode="zrelu")
+        g = fnn_to_fftnet(f)
         assert eval_fftnet_many(g, [[0.5]])[0] == pytest.approx(0.5)
         assert eval_fnn_many(f, [[0.5]])[0] == pytest.approx(0.5)
 
     def test_identity_fnn_gated_region(self):
         f = FNNParams(1, 1, [[1.0]], [0.0], [1.0], RELU)
-        g = fnn_to_fftnet(f, mode="zrelu")
+        g = fnn_to_fftnet(f)
         assert eval_fftnet_many(g, [[-0.5]])[0] == 0.0
         assert eval_fnn_many(f, [[-0.5]])[0] == 0.0
 
     def test_width_formula(self, rng):
         for _ in range(20):
             f = random_relu_fnn(rng)
-            g = fnn_to_fftnet(f, mode="zrelu")
+            g = fnn_to_fftnet(f)
             assert g.H == max(f.H, f.I + 1)
 
-    @pytest.mark.parametrize("mode", ["zrelu", "induced"])
-    def test_randomized_exactness(self, mode, rng):
+    @pytest.mark.parametrize("drawn_c", [False, True], ids=["c_default", "c_drawn"])
+    def test_randomized_exactness(self, drawn_c, rng):
         worst = 0.0
         for _ in range(25):
             f = random_relu_fnn(rng)
             c = float(rng.uniform(0.25, 2.0))
-            g = fnn_to_fftnet(f, c=c, mode=mode,
-                              target_activation=ZRELU if mode == "induced" else None)
+            g = fnn_to_fftnet(f, c) if drawn_c else fnn_to_fftnet(f)
             x = rng.uniform(-2, 2, size=(100, f.I))
             worst = max(worst, relative_gap(eval_fftnet_many(g, x), eval_fnn_many(f, x)))
         assert worst <= EXACT
 
     def test_activation_mismatch_rejected(self):
         f = FNNParams(1, 1, [[1.0]], [0.0], [1.0], IDENTITY)
-        with pytest.raises(ContractViolationError):
-            fnn_to_fftnet(f, mode="zrelu")
-        with pytest.raises(ContractViolationError):
-            fnn_to_fftnet(f, c=1.0, mode="induced", target_activation=ZRELU)
+        with pytest.raises(ContractViolationError,
+                           match=r"^identity is not the real restriction of zrelu at c=1\.0$"):
+            fnn_to_fftnet(f)
+
+    def test_near_miss_activation_rejected(self):
+        # ReLU + 1e-10 misses the restriction by 1e-10 everywhere; no pair of the
+        # activation table comes this close, so this pins the check's tolerance
+        near = replace(RELU, tag="relu_near",
+                       value=lambda z, bias: np.maximum(z.real, 0.0) + (1e-10 + 0.0j))
+        f = FNNParams(1, 1, [[1.0]], [0.0], [1.0], near)
+        with pytest.raises(ContractViolationError,
+                           match=r"^relu_near is not the real restriction of zrelu at c=1\.0$"):
+            fnn_to_fftnet(f)
 
     def test_induced_identity_target(self):
         # a linear network embeds against the complex identity at any height
         f = FNNParams(2, 3, [[1.0, 0.5], [0.0, 2.0], [1.0, 1.0]],
                       [0.1, -0.2, 0.0], [1.0, -1.0, 0.5], IDENTITY)
-        g = fnn_to_fftnet(f, c=0.7, mode="induced", target_activation=IDENTITY)
+        g = fnn_to_fftnet(f, c=0.7, target_activation=IDENTITY)
         x = np.array([[0.3, -0.4], [1.5, 2.0]])
         np.testing.assert_allclose(eval_fftnet_many(g, x), eval_fnn_many(f, x), rtol=1e-13)
-
-    def test_unknown_mode(self):
-        f = FNNParams(1, 1, [[1.0]], [0.0], [1.0], RELU)
-        with pytest.raises(ContractViolationError):
-            fnn_to_fftnet(f, mode="exotic")
 
 
 class TestAdditiveEmbedding:
@@ -240,7 +243,7 @@ class TestRnnEmbedding:
                       np.zeros(1), RELU)
         g = rnn_to_rftnet(r)
         f = FNNParams(2, 1, r.W, r.b, r.alpha, RELU)
-        gf = fnn_to_fftnet(f, mode="zrelu")
+        gf = fnn_to_fftnet(f)
         xs = rng.uniform(-1, 1, size=(5, 2))
         ys = eval_rftnet_many(g, xs[None])[0]
         per_step = eval_fftnet_many(gf, xs)

@@ -90,6 +90,24 @@ class TestWellPosedness:
         report = check_well_posed(shifted)
         assert not report.passed
 
+    def test_flat_near_zero_is_rejected(self):
+        # max(|x| - 0.5, 0)^2 vanishes at 0 but is flat on |x| <= 0.5, so it is
+        # only weakly monotone there: l' = 0 is not a strict increase
+        def dead(x):
+            return np.maximum(np.asarray(x, float) - 0.5, 0.0)
+
+        flat = LossSpec("flat", value=lambda x: dead(x) ** 2 + dead(-x) ** 2,
+                        deriv=lambda x: 2.0 * (dead(x) - dead(-x)))
+        assert check_well_posed(flat).violations == (
+            "not strictly increasing at x = 0.01 (l' = 0)",
+            "not strictly decreasing at x = -0.01 (l' = 0)")
+
+    def test_tiny_offset_fails_origin_check(self):
+        # l(0) must be 0 to 1e-12, so an offset of 1e-11 is already rejected
+        offset = LossSpec("offset", value=lambda x: np.asarray(x, float) ** 2 + 1e-11,
+                          deriv=lambda x: 2.0 * np.asarray(x, float))
+        assert check_well_posed(offset).violations == ("l(0) = 1e-11 is not 0",)
+
     def test_nan_loss_fails_every_check(self):
         nan = LossSpec("nan", value=lambda x: np.full(np.shape(x), np.nan),
                        deriv=lambda x: np.full(np.shape(x), np.nan))

@@ -91,8 +91,6 @@ CONFIG_TABLES = {
         "target": Key(str, choices=tuple(dict.fromkeys(  # an Assembly's source is no model
             fam.target for fam in FAMILIES.values() if not isinstance(fam, Assembly)))),
         "out_model": Key(str, file_name=True),
-        "mode": Key(str, "zrelu", choices=tuple(
-            dict.fromkeys(fam.mode for fam in FAMILIES.values() if fam.mode))),
         "c": Key(float, 1.0),
         "probes": Key(int, 0, 0),
         "seed": Key(int, 0, 0),
@@ -259,7 +257,7 @@ def cmd_convert(cfg: dict, out_dir: Path) -> int:
         # the file parsed but the model breaks a documented invariant
         return _fail(EXIT_REJECTED, f"bad model: {exc}")
     src_kind = model.kind
-    fam = conversion(src_kind, cfg["target"], cfg["mode"])
+    fam = conversion(src_kind, cfg["target"])
     if fam is None:
         raise ContractViolationError(f"unsupported conversion {src_kind} -> {cfg['target']}")
     converted = fam.convert(model, cfg["c"])

@@ -68,8 +68,7 @@ class EmbeddingReport:
 EMBEDDING_CSV_HEADER = ",".join(f.name for f in fields(EmbeddingReport))
 
 
-def _restriction_matches(fnn_activation: Activation, target: Activation,
-                         c: float) -> bool:
+def _restriction_matches(fnn_activation: Activation, c: float) -> bool:
     # functional precondition, checked on a probe grid.  A feedforward construction
     # needs the offset c in the imaginary part, on the line x + ci; the recurrent
     # additive net puts it in the real part (models.additive_activation)
@@ -77,22 +76,19 @@ def _restriction_matches(fnn_activation: Activation, target: Activation,
     lhs = apply_real(fnn_activation, xs)
     # zrelu's gate product Re * Im overflows at a huge c, but its sign still decides
     with np.errstate(over="ignore"):
-        rhs = apply(target, xs + 1j * c).real
+        rhs = apply(ZRELU, xs + 1j * c).real
     return bool(np.max(np.abs(lhs - rhs)) <= 1e-12)
 
 
-def fnn_to_fftnet(f: FNNParams, c: float = 1.0,
-                  target_activation: Activation = ZRELU) -> FFTNetParams:
-    """Embed a one-hidden-layer FNN into a feedforward complex net.
+def fnn_to_fftnet(f: FNNParams, c: float = 1.0) -> FFTNetParams:
+    """Embed a one-hidden-layer FNN into a feedforward zrelu net.
 
-    The source activation must be the real restriction of
-    ``target_activation`` at height c, which the target writes as a constant
-    imaginary bias.
+    The source activation must be the real restriction of zrelu at height c,
+    which the target writes as a constant imaginary bias.
     """
-    if not _restriction_matches(f.activation, target_activation, c):
+    if not _restriction_matches(f.activation, c):
         raise ContractViolationError(
-            f"{f.activation.tag} is not the real restriction of "
-            f"{target_activation.tag} at c={c}")
+            f"{f.activation.tag} is not the real restriction of zrelu at c={c}")
 
     h = max(f.H, f.I + 1)
     w = np.zeros((h, h))
@@ -102,7 +98,7 @@ def fnn_to_fftnet(f: FNNParams, c: float = 1.0,
     v[: f.H, h - 1] = c
     alpha = np.zeros(h)
     alpha[: f.H] = f.alpha
-    return FFTNetParams(f.I, h, w, v, alpha, target_activation)
+    return FFTNetParams(f.I, h, w, v, alpha, ZRELU)
 
 
 def additive_to_rftnet(a: AdditiveFTNetParams) -> RFTNetParams:

@@ -204,11 +204,12 @@ class Family:
     source: str                   # model kinds, as in the CSV and model files
     target: str
     random: Callable              # rng -> random source instance
-    convert: Callable             # (source, c) -> target; c is the induced FNN offset
+    convert: Callable             # (source, c) -> target; c is the FNN offset
     gap: Callable                 # (source, target, inputs) -> worst gap or mirror error
     input_bound: float            # probe inputs are uniform on [-bound, bound]
-    mode: str | None = None       # the ``convert`` mode that selects this family
-    c_range: tuple | None = None  # the FNN sweeps draw c, even where it is unused
+    # the FNN sweeps draw c from this range; zrelu's (1, 1) gives exactly 1 and still
+    # takes one draw, so both FNN families read the same draws from an instance's stream
+    c_range: tuple | None = None
     report: tuple | None = None   # (row order, source width, target width formula)
     count_key: str = "instances"  # the verify key giving the instance count
 
@@ -258,13 +259,13 @@ class Assembly(Family):
 
 FAMILIES = {fam.name: fam for fam in (
     Family("fnn_to_fftnet_zrelu", _FNN, _FFTNET, random_relu_fnn,
-           lambda f, c: cons.fnn_to_fftnet(f),
-           _fnn_gap, 2.0, mode="zrelu", c_range=(0.25, 2.0),
+           lambda f, c: cons.fnn_to_fftnet(f, c),
+           _fnn_gap, 2.0, c_range=(1.0, 1.0),
            # the induced family shares this (fnn, fftnet) row
            report=(0, "H_F", "max{H_F, I+1}")),
     Family("fnn_to_fftnet_induced", _FNN, _FFTNET, random_relu_fnn,
            lambda f, c: cons.fnn_to_fftnet(f, c),
-           _fnn_gap, 2.0, mode="induced", c_range=(0.25, 2.0)),
+           _fnn_gap, 2.0, c_range=(0.25, 2.0)),
     Family("additive_to_rftnet", _ADDITIVE, _RFTNET, random_additive,
            lambda a, c: cons.additive_to_rftnet(a),
            _additive_gap, 1.0, report=(4, "-", "I + H_plus + 1")),
@@ -283,10 +284,10 @@ FAMILIES = {fam.name: fam for fam in (
 )}
 
 
-def conversion(source: str, target: str, mode: str) -> Family | None:
-    """The family that converts ``source`` models into ``target`` ones."""
+def conversion(source: str, target: str) -> Family | None:
+    """The first family that converts ``source`` models into ``target`` ones."""
     for fam in FAMILIES.values():
-        if (fam.source, fam.target) == (source, target) and fam.mode in (None, mode):
+        if (fam.source, fam.target) == (source, target):
             return fam
     return None
 

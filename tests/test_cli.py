@@ -52,11 +52,11 @@ _REQUIRED_FIELDS = [(kind, key) for kind, d in sample_models().items() for key i
 
 
 class TestConvert:
-    def test_fnn_to_fftnet(self, tmp_path, rng, capsys):
+    def test_fnn_converts_to_an_fftnet_of_width_max_h_i_plus_1(self, tmp_path, rng, capsys):
         save_model(tmp_path / "fnn.json", _sample_fnn(rng))
         cfg = _write_config(tmp_path, "c.json", {
             "in_model": str(tmp_path / "fnn.json"), "target": "fftnet",
-            "mode": "zrelu", "out_model": "out.json", "probes": 20})
+            "out_model": "out.json", "probes": 20})
         rc = cli.main(["convert", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out.strip().splitlines()
@@ -65,26 +65,27 @@ class TestConvert:
         assert model_to_dict(converted)["kind"] == "fftnet"
         assert converted.H == max(3, 2 + 1)
 
-    def test_zrelu_mode_is_the_induced_construction_at_c_1(self, tmp_path, rng, capsys):
-        """zrelu mode takes any source whose real restriction is ReLU, crelu's
-        too, and writes what induced mode writes at c = 1."""
+    def test_c_is_the_offset_written_as_the_imaginary_bias(self, tmp_path, rng, capsys):
+        """c, default 1, is V's bias column, and any source whose real restriction
+        at c is ReLU converts, crelu's too."""
         f = _sample_fnn(rng)
-        save_model(tmp_path / "fnn.json", FNNParams(f.I, f.H, f.W, f.b, f.alpha, CRELU))
-        runs = []
-        for mode in ("zrelu", "induced"):
+        for activation, extra, c in [(RELU, {"c": 0.5}, 0.5), (RELU, {}, 1.0), (CRELU, {}, 1.0)]:
+            save_model(tmp_path / "fnn.json", FNNParams(f.I, f.H, f.W, f.b, f.alpha, activation))
             cfg = _write_config(tmp_path, "c.json", {
                 "in_model": str(tmp_path / "fnn.json"), "target": "fftnet",
-                "mode": mode, "c": 1.0, "out_model": f"{mode}.json", "probes": 20})
+                "out_model": "out.json", "probes": 20, **extra})
             assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 0
-            runs.append((capsys.readouterr().out, (tmp_path / f"{mode}.json").read_bytes()))
-        assert runs[0] == runs[1]
+            v = np.array(read_json(tmp_path / "out.json")["V"])
+            assert v[: f.H, -1].tolist() == [c] * f.H, (activation.tag, extra)
+            row = capsys.readouterr().out.splitlines()[1]
+            assert float(row.split(",")[-1]) <= 1e-12
 
-    def test_zrelu_mode_refuses_a_source_off_the_restriction(self, tmp_path, rng, capsys):
+    def test_fnn_off_the_restriction_is_refused(self, tmp_path, rng, capsys):
         f = _sample_fnn(rng)
         save_model(tmp_path / "fnn.json", FNNParams(f.I, f.H, f.W, f.b, f.alpha, IDENTITY))
         cfg = _write_config(tmp_path, "c.json", {
             "in_model": str(tmp_path / "fnn.json"), "target": "fftnet",
-            "mode": "zrelu", "out_model": "out.json"})
+            "out_model": "out.json"})
         assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
             "error: identity is not the real restriction of zrelu at c=1.0\n")
@@ -123,25 +124,24 @@ class TestConvert:
         assert out.strip().splitlines()[1].split(",")[-1] == "inf"
         assert err == ""
 
-    def test_induced_mode_at_a_huge_offset_warns_nothing(self, tmp_path, rng, capsys):
+    def test_a_huge_offset_warns_nothing(self, tmp_path, rng, capsys):
         """zrelu's gate product Re * Im overflows in the restriction check at
         c = 1e308, but its sign still decides, so the check stays silent."""
         save_model(tmp_path / "fnn.json", _sample_fnn(rng))
         cfg = _write_config(tmp_path, "c.json", {
             "in_model": str(tmp_path / "fnn.json"), "target": "fftnet",
-            "out_model": "out.json", "mode": "induced", "c": 1e308, "probes": 5})
+            "out_model": "out.json", "c": 1e308, "probes": 5})
         assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("source,mode", [("crnet", "banana"), ("fnn", "zrlu")])
-    def test_unknown_mode_rejected_by_name(self, tmp_path, capsys, source, mode):
-        (tmp_path / "m.json").write_text(json.dumps(sample_models()[source]))
+    def test_mode_is_an_unknown_key(self, tmp_path, capsys):
+        """The FNN offset is c alone; the old mode key is refused, not ignored."""
+        (tmp_path / "m.json").write_text(json.dumps(sample_models()["fnn"]))
         cfg = _write_config(tmp_path, "c.json", {
             "in_model": str(tmp_path / "m.json"), "target": "fftnet",
-            "out_model": "out.json", "mode": mode})
+            "out_model": "out.json", "mode": "zrelu"})
         assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: mode: expected one of zrelu, induced, got {mode!r}\n")
+        assert capsys.readouterr().err == "error: mode: unknown config key for convert\n"
         assert not (tmp_path / "out.json").exists()
 
     def test_contract_breaking_model_rejected(self, tmp_path, capsys):
@@ -874,13 +874,8 @@ class TestNumericConfig:
         assert capsys.readouterr().err.startswith("error: seed: expected a value >= 0")
 
 
-_STRING_KEYS = {
-    "convert": ("in_model", "out_model", "target", "mode"),
-    "verify": ("csv_name",),
-    "train": ("demo", "activation"),
-    "probe": ("activation",),
-    "report": ("verify_csv", "out_name"),
-}
+_STRING_KEYS = {cmd: [key for key, spec in table.items() if spec.kind is str]
+                for cmd, table in cli.CONFIG_TABLES.items()}
 _STRING_BASES = {**_COMMAND_BASES, "report": {"verify_csv": "verify.csv"}}
 
 

@@ -98,13 +98,27 @@ class TestFnnEmbedding:
                            match=r"^relu_near is not the real restriction of zrelu at c=1\.0$"):
             fnn_to_fftnet(f)
 
-    def test_induced_identity_target(self):
-        # a linear network embeds against the complex identity at any height
-        f = FNNParams(2, 3, [[1.0, 0.5], [0.0, 2.0], [1.0, 1.0]],
-                      [0.1, -0.2, 0.0], [1.0, -1.0, 0.5], IDENTITY)
-        g = fnn_to_fftnet(f, c=0.7, target_activation=IDENTITY)
-        x = np.array([[0.3, -0.4], [1.5, 2.0]])
-        np.testing.assert_allclose(eval_fftnet_many(g, x), eval_fnn_many(f, x), rtol=1e-13)
+    def test_identity_fnn_embeds_at_c_0(self, rng):
+        # on the real line (c = 0) zrelu's gate product is 0, so every value passes
+        worst = 0.0
+        for _ in range(50):
+            f = replace(random_relu_fnn(rng), activation=IDENTITY)
+            x = rng.uniform(-2, 2, size=(100, f.I))
+            g = fnn_to_fftnet(f, 0.0)
+            worst = max(worst, relative_gap(eval_fftnet_many(g, x), eval_fnn_many(f, x)))
+        assert worst <= EXACT
+        with pytest.raises(ContractViolationError, match=r"^identity is not .* at c=1\.0$"):
+            fnn_to_fftnet(f, 1.0)
+
+    def test_outputs_do_not_depend_on_a_positive_c(self, rng):
+        # the readout takes Re of each unit, and c > 0 only decides zrelu's gate as
+        # c = 1 does: so the zrelu and induced families write the same rows
+        for _ in range(20):
+            f = random_relu_fnn(rng)
+            x = rng.uniform(-2, 2, size=(100, f.I))
+            outs = {eval_fftnet_many(fnn_to_fftnet(f, c), x).tobytes()
+                    for c in (0.25, 1.0, 2.0, 1e300)}
+            assert len(outs) == 1
 
 
 class TestAdditiveEmbedding:

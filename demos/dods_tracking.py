@@ -8,33 +8,27 @@ to reproduce its outputs by backpropagation through the unrolled recurrence.
 
 import numpy as np
 
-from ftnetlab.activations import HOLSIN
-from ftnetlab.losses import Dataset, squared_loss
-from ftnetlab.models import dods_linear, eval_dods, eval_rftnet_many
-from ftnetlab.optimize import TrainConfig, random_rftnet, train_rftnet
+from ftnetlab.cli import resolve_config
+from ftnetlab.models import eval_rftnet_many
+from ftnetlab.optimize import training_fit
 
 print(__doc__)
 
-dods = dods_linear(P=[[0.8, 0.0], [0.2, 0.5]], Q=[[0.3, -0.2], [0.1, 0.4]],
-                   readout=[1.0, -0.7], h0=[0.0, 0.0])
-t_len, n_seq, width = 8, 48, 16
+cfg = resolve_config("train", {"demo": "dods_linear"})
+fit = training_fit(cfg)
+n_seq, t_len, i = fit.data.xs.shape
+target_mse = np.format_float_scientific(cfg["target_mse"], trim="-", exp_digits=1)
 
-rng = np.random.default_rng(0)
-xs = rng.uniform(-1, 1, size=(n_seq, t_len, dods.I))
-ys = np.stack([eval_dods(dods, xs[b])[0] for b in range(n_seq)])
-
-p0 = random_rftnet(dods.I, width, HOLSIN, 0.2, rng)
-cfg = TrainConfig(step_size=1e-3, max_iters=20_000, target_loss=1e-2 * n_seq * t_len)
-print(f"training: H={width}, {n_seq} sequences of length {t_len}, "
-      f"target per-step MSE 1e-2")
-trained, trace = train_rftnet(p0, Dataset(xs, ys), squared_loss(), cfg)
-print(f"reached per-step MSE {trace[-1] / (n_seq * t_len):.2e} after "
+print(f"training: H={cfg['H']}, {n_seq} sequences of length {t_len}, "
+      f"target per-step MSE {target_mse}")
+trained, trace = fit.train(fit.draw_p0())
+print(f"reached per-step MSE {trace[-1] / fit.data.ys.size:.2e} after "
       f"{len(trace) - 1} accepted steps")
 
 print("\none held-out sequence, step by step:")
-x_new = np.random.default_rng(99).uniform(-1, 1, size=(t_len, dods.I))
-truth = eval_dods(dods, x_new)[0]
-pred = eval_rftnet_many(trained, x_new[None])[0]
+x_new = np.random.default_rng(99).uniform(-1, 1, size=(1, t_len, i))
+truth = fit.target(x_new)[0]
+pred = eval_rftnet_many(trained, x_new)[0]
 for t in range(t_len):
     print(f"  t={t + 1}: target {truth[t]:+.4f}   model {pred[t]:+.4f}   "
           f"|err| {abs(truth[t] - pred[t]):.4f}")

@@ -9,32 +9,27 @@ local search actually finds one.
 
 import numpy as np
 
-from ftnetlab.activations import HOLSIN
-from ftnetlab.losses import Dataset, squared_loss
+from ftnetlab.cli import resolve_config
 from ftnetlab.models import eval_fftnet_many
-from ftnetlab.optimize import TrainConfig, random_fftnet, train_fftnet
+from ftnetlab.optimize import training_fit
 
 print(__doc__)
 
-n, width = 256, 32
-xs = np.linspace(-1.0, 1.0, n)[:, None]
-data = Dataset(xs, np.sin(3.0 * xs[:, 0]))
+cfg = resolve_config("train", {"demo": "sin_fit"})
+fit = training_fit(cfg)
+n = fit.data.ys.size
+target_mse = np.format_float_scientific(cfg["target_mse"], trim="-", exp_digits=1)
 
-rng = np.random.default_rng(0)
-p0 = random_fftnet(1, width, HOLSIN, 0.3, rng)
-cfg = TrainConfig(step_size=3e-3, max_iters=50_000, target_loss=1e-3 * n)
-
-print(f"training: H={width}, {n} samples, squared loss, target MSE 1e-3")
-trained, trace = train_fftnet(p0, data, squared_loss(), cfg)
+print(f"training: H={cfg['H']}, {n} samples, {cfg['loss']['loss']} loss, "
+      f"target MSE {target_mse}")
+trained, trace = fit.train(fit.draw_p0())
 
 milestones = sorted({0, 1, 10, 100, len(trace) - 1} & set(range(len(trace))))
 for it in milestones:
     print(f"  iter {it:5d}: loss {trace[it]:.6f} (MSE {trace[it] / n:.2e})")
-print(f"converged after {len(trace) - 1} accepted steps, "
-      f"final MSE {trace[-1] / n:.2e}")
+print(f"converged after {len(trace) - 1} accepted steps, final MSE {trace[-1] / n:.2e}")
 
 print("\nsample predictions:")
 points = np.array([[-1.0], [-0.5], [0.0], [0.5], [1.0]])
-for x, y in zip(points[:, 0], eval_fftnet_many(trained, points)):
-    print(f"  f({x:+.1f}) = {y:+.4f}   "
-          f"sin(3x) = {np.sin(3 * x):+.4f}")
+for x, y, truth in zip(points[:, 0], eval_fftnet_many(trained, points), fit.target(points)):
+    print(f"  f({x:+.1f}) = {y:+.4f}   sin(3x) = {truth:+.4f}")

@@ -13,7 +13,6 @@ import json
 import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,16 +30,8 @@ from .embeddings import (
 )
 from .errors import ContractViolationError, NonFiniteInitialLossError
 from .losses import LOSSES, Dataset, empirical_loss, loss_spec_from_config
-from .models import (READ_ERRORS, Tape, dods_linear, eval_dods, model_from_dict, read_json,
-                     save_model)
-from .optimize import (
-    TrainConfig,
-    descent_probe,
-    random_fftnet,
-    random_rftnet,
-    train_fftnet,
-    train_rftnet,
-)
+from .models import READ_ERRORS, Tape, model_from_dict, read_json, save_model
+from .optimize import PROBE_CSV_HEADER, descent_probe, random_fftnet, training_fit
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -50,8 +41,6 @@ EXIT_IO_FAILURE = 3
 # the largest embedding gap that counts as exact: verify's default tolerance, and
 # the gap under which report labels a family verified
 EXACTNESS_GATE = 1e-12
-
-PROBE_CSV_HEADER = "instance_id,case_tag,old_loss,new_loss,perturbation_norm,found"
 
 # p0 draws a training run may take while its start's loss is not finite or takes no step
 TRAIN_INIT_DRAWS = 5
@@ -306,37 +295,16 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_train(cfg: dict, out_dir: Path) -> int:
-    demo, h, init_scale, target_mse = cfg["demo"], cfg["H"], cfg["init_scale"], cfg["target_mse"]
-    act = activation_from_tag(cfg["activation"])
-    spec = loss_spec_from_config(cfg["loss"])
-    rng = np.random.default_rng(cfg["seed"])
-    if demo == "dods_linear":
-        t_len, n_seq = cfg["T"], cfg["sequences"]
-        spec_dods = dods_linear(P=[[0.8, 0.0], [0.2, 0.5]],
-                                Q=[[0.3, -0.2], [0.1, 0.4]],
-                                readout=[1.0, -0.7], h0=[0.0, 0.0])
-        xs = rng.uniform(-1.0, 1.0, size=(n_seq, t_len, spec_dods.I))
-        ys = np.stack([eval_dods(spec_dods, xs[b])[0] for b in range(n_seq)])
-        draw_p0 = partial(random_rftnet, spec_dods.I, h, act, init_scale, rng)
-        train, samples, target_loss = train_rftnet, n_seq * t_len, target_mse * n_seq * t_len
-        model_file, trace_file = "dods_model.json", "dods_trace.jsonl"
-    else:
-        n = cfg["samples"]
-        xs = np.linspace(-1.0, 1.0, n)[:, None]
-        ys = np.sin(3.0 * xs[:, 0])
-        draw_p0 = partial(random_fftnet, 1, h, act, init_scale, rng)
-        train, samples, target_loss = train_fftnet, n, target_mse * n
-        model_file, trace_file = "sin_fit_model.json", "sin_fit_trace.jsonl"
-    data = Dataset(xs, ys)
-    tc = TrainConfig(step_size=cfg["step_size"], max_iters=cfg["iters"], target_loss=target_loss)
-    # p0 is the last draw from rng, so redrawing it changes no run whose first draw steps
+    demo, target_mse = cfg["demo"], cfg["target_mse"]
+    fit = training_fit(cfg)
+    # p0 is the fit's last draw, so redrawing it changes no run whose first draw steps
     for draws in range(1, TRAIN_INIT_DRAWS + 1):
         try:
-            trained, trace = train(draw_p0(), data, spec, tc)
+            trained, trace = fit.train(fit.draw_p0())
         except NonFiniteInitialLossError as exc:
             reason, start_failure = "initial loss not finite", str(exc)
             continue
-        if len(trace) > 1 or trace[0] <= target_loss:  # stepped, or started on target
+        if len(trace) > 1 or trace[0] <= fit.target_loss:  # stepped, or started on target
             break
         reason = "no step lowered the initial loss"
         start_failure = f"{reason} {trace[0]!r}"
@@ -345,9 +313,10 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
                                             f"({TRAIN_INIT_DRAWS} draws of p0)")
     if draws > 1:
         print(f"note: {reason}; drew p0 {draws} times")
-    final_mse = trace[-1] / samples
-    save_model(out_dir / model_file, trained)
-    with open(out_dir / trace_file, "w", encoding="utf-8") as fh:
+    final_mse = trace[-1] / fit.data.ys.size
+    stem = "dods" if demo == "dods_linear" else demo  # of the model and trace files
+    save_model(out_dir / f"{stem}_model.json", trained)
+    with open(out_dir / f"{stem}_trace.jsonl", "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps({"iter": it, "loss": loss}) + "\n"
                       for it, loss in enumerate(trace))
     summary = {"demo": demo, "iters": len(trace) - 1, "final_mse": final_mse,
@@ -383,9 +352,7 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
                       "(descent is only claimed for positive loss)")
                 continue
             result = descent_probe(p, data, spec, delta=cfg["delta"], seed=idx, tape=tape)
-            csv_fh.write(f"{idx},{result.case_tag},{result.old_loss!r},"
-                         f"{result.new_loss!r},{result.perturbation_norm!r},"
-                         f"{str(result.found).lower()}\n")
+            csv_fh.write(result.csv_row(idx) + "\n")
             jsonl_fh.write(result.json_line(idx) + "\n")
             rows += 1
             if not result.found:

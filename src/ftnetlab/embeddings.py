@@ -37,16 +37,16 @@ def instance_rng(seed: int, idx: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
 
 
-def random_relu_fnn(rng: np.random.Generator, imax: int = 8, hmax: int = 16) -> FNNParams:
-    i = int(rng.integers(1, imax + 1))
-    h = int(rng.integers(1, hmax + 1))
+def random_relu_fnn(rng: np.random.Generator) -> FNNParams:
+    i = int(rng.integers(1, 9))  # 1..8
+    h = int(rng.integers(1, 17))  # 1..16
     return FNNParams(i, h, rng.standard_normal((h, i)), rng.standard_normal(h),
                      rng.standard_normal(h), RELU)
 
 
-def random_relu_rnn(rng: np.random.Generator, imax: int = 6, hmax: int = 12) -> RNNParams:
-    i = int(rng.integers(1, imax + 1))
-    h = int(rng.integers(1, hmax + 1))
+def random_relu_rnn(rng: np.random.Generator) -> RNNParams:
+    i = int(rng.integers(1, 7))  # 1..6
+    h = int(rng.integers(1, 13))  # 1..12
     return RNNParams(i, h, rng.standard_normal((h, i)),
                      0.4 / np.sqrt(h) * rng.standard_normal((h, h)),
                      rng.standard_normal(h), rng.standard_normal(h),
@@ -66,10 +66,9 @@ def random_crnet(rng: np.random.Generator, i_choices=(2, 4, 6, 8),
         ZRELU)
 
 
-def random_additive(rng: np.random.Generator, imax: int = 6,
-                    hmax: int = 10) -> AdditiveFTNetParams:
-    i = int(rng.integers(1, imax + 1))
-    h = int(rng.integers(1, hmax + 1))
+def random_additive(rng: np.random.Generator) -> AdditiveFTNetParams:
+    i = int(rng.integers(1, 7))  # 1..6
+    h = int(rng.integers(1, 11))  # 1..10
     base = ZRELU if rng.random() < 0.5 else HOLSIN
     # the sinh feedback of the holsin q-side explodes unless kept small
     s = 1.0 if base == ZRELU else 0.3

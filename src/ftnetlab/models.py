@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from functools import cache
-from typing import Callable
 
 import numpy as np
 
@@ -182,28 +181,6 @@ class CRNetParams(_Params):
         super().__post_init__()
 
 
-@dataclass(frozen=True)
-class DODSSpec(_Params):
-    """Discrete-time open dynamical system h_t = phi(x_t, h_{t-1}), y_t = psi(h_t)."""
-
-    I: int
-    H: int
-    h0: np.ndarray = _array("H")
-    phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    psi: Callable[[np.ndarray], float]
-
-
-def dods_linear(P, Q, readout, h0) -> DODSSpec:
-    """h_t = P x_t + Q h_{t-1}, y_t = readout . h_t."""
-    P = np.asarray(P, dtype=np.float64)
-    Q = np.asarray(Q, dtype=np.float64)
-    readout = np.asarray(readout, dtype=np.float64)
-    hd, i = P.shape
-    return DODSSpec(i, hd, np.asarray(h0, dtype=np.float64),
-                    phi=lambda x, h: P @ x + Q @ h,
-                    psi=lambda h: float(readout @ h))
-
-
 # ---------------------------------------------------------------------------
 # kappa and evaluators
 # ---------------------------------------------------------------------------
@@ -238,6 +215,11 @@ class Tape:
     object still holds the arrays its pass read.
     A new pass allocates its arrays before the tape drops the old ones:
     freeing them first lets glibc trim the heap and fault the pages back in.
+
+    The pinned bytes rest on the readout ``act.real @ alpha`` and the gradients'
+    ``s.T @ lp`` and ``s.T @ gy``: numpy multiplies a strided view of a complex
+    array by a vector with its own loop, not BLAS gemv, and a contiguous copy of
+    the view gives other bytes, so real activation arrays move every pinned digest.
     """
 
     __slots__ = ("p", "X", "out", "K", "Z", "acts", "D")
@@ -264,7 +246,7 @@ def _padded(X: np.ndarray, H: int, tape: Tape | None) -> np.ndarray:
 
 def _batch(X, ndim: int, I: int) -> np.ndarray:
     """X as a float64 array of ``ndim`` axes whose last has length I: inputs
-    (N, I), sequences (B, T, I) or one sequence (T, I)."""
+    (N, I) or sequences (B, T, I)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != ndim or X.shape[-1] != I:
         raise ContractViolationError(
@@ -389,17 +371,18 @@ def eval_crnet_many(p: CRNetParams, X: np.ndarray) -> np.ndarray:
     return (act @ p.alpha).real
 
 
-def eval_dods(spec: DODSSpec, xs):
-    """One sequence (T, I) -> outputs (T,) and hidden states (T, H)."""
-    xs = _batch(xs, 2, spec.I)
-    h = spec.h0
-    ys = np.zeros(xs.shape[0])
-    hs = np.zeros((xs.shape[0], spec.H))
-    for t in range(xs.shape[0]):
-        h = np.asarray(spec.phi(xs[t], h), dtype=np.float64)
-        ys[t] = spec.psi(h)
-        hs[t] = h
-    return ys, hs
+def eval_linear_dods(xs, P, Q, readout, h0) -> np.ndarray:
+    """Outputs (B, T) on sequences xs (B, T, I) of h_t = P x_t + Q h_{t-1} from h0,
+    y_t = readout . h_t; each step is a matrix-vector product on one sequence."""
+    P, Q, readout, h0 = (np.asarray(a, dtype=np.float64) for a in (P, Q, readout, h0))
+    xs = _batch(xs, 3, P.shape[1])
+    ys = np.zeros(xs.shape[:2])
+    for b, seq in enumerate(xs):
+        h = h0
+        for t, x in enumerate(seq):
+            h = P @ x + Q @ h
+            ys[b, t] = float(readout @ h)
+    return ys
 
 
 # ---------------------------------------------------------------------------

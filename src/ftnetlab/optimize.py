@@ -1,6 +1,6 @@
 """Gradients over the real parameters (W, V, alpha), plain gradient-descent
-training with backtracking, and the two-case descent probe for positive
-losses on holomorphic networks.
+training with backtracking, the two fits of ``train``, and the two-case
+descent probe for positive losses on holomorphic networks.
 """
 
 from __future__ import annotations
@@ -8,14 +8,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
-from .activations import Activation, apply, jacobian_parts
+from .activations import Activation, activation_from_tag, apply, jacobian_parts
 from .errors import ContractViolationError, NonFiniteInitialLossError
-from .losses import Dataset, LossSpec, empirical_loss, squared_loss_lower_bound
-from .models import FFTNetParams, RFTNetParams, Tape, _padded, forward
+from .losses import (Dataset, LossSpec, empirical_loss, loss_spec_from_config,
+                     squared_loss_lower_bound)
+from .models import FFTNetParams, RFTNetParams, Tape, _padded, eval_linear_dods, forward
 from .numerics import null_vector_against, numerical_rank
 
 
@@ -45,8 +47,11 @@ class TrainConfig:
     target_loss: float = 0.0
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ContractViolationError("step_size must be positive")
+        # negated, so that NaN, for which every comparison is False, fails too
+        if not 0 < self.step_size < math.inf:
+            raise ContractViolationError("step_size must be positive and finite")
+        if not self.max_iters >= 0:
+            raise ContractViolationError("max_iters must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +240,56 @@ def train_rftnet(p0: RFTNetParams, data: Dataset, spec: LossSpec,
 
 
 # ---------------------------------------------------------------------------
+# the fits of `train`
+# ---------------------------------------------------------------------------
+
+# the system dods_linear learns: h_t = P x_t + Q h_{t-1} from h0, y_t = readout . h_t
+DODS_LINEAR = {"P": [[0.8, 0.0], [0.2, 0.5]], "Q": [[0.3, -0.2], [0.1, 0.4]],
+               "readout": [1.0, -0.7], "h0": [0.0, 0.0]}
+
+
+@dataclass(frozen=True)
+class Fit:
+    """One fit of ``train``: ``train(draw_p0())`` descends from the seeded generator's
+    next start, drawn after the data, to (trained params, loss trace)."""
+
+    target: Callable[[np.ndarray], np.ndarray]  # inputs -> the outputs to learn
+    data: Dataset                               # inputs and the target's outputs
+    draw_p0: Callable[[], FFTNetParams]
+    train: Callable                             # p0 -> (trained params, loss trace)
+    target_loss: float                          # the summed loss at which descent stops
+
+
+def _sin_3x(xs: np.ndarray) -> np.ndarray:
+    return np.sin(3.0 * xs[:, 0])
+
+
+def training_fit(cfg: dict) -> Fit:
+    """The fit of a config from ``resolve_config("train", ...)``: sin(3x) on ``samples``
+    evenly spaced points of [-1, 1] for ``sin_fit``, and DODS_LINEAR on ``sequences``
+    sequences of ``T`` inputs from U(-1, 1) for the recurrent ``dods_linear``."""
+    rng = np.random.default_rng(cfg["seed"])
+    # looked up per call, not kept in a table, so a patched trainer is the one that runs
+    if cfg["demo"] == "dods_linear":
+        i = len(DODS_LINEAR["P"][0])
+        xs = rng.uniform(-1.0, 1.0, size=(cfg["sequences"], cfg["T"], i))
+        target = partial(eval_linear_dods, **DODS_LINEAR)
+        random_net, trainer = random_rftnet, train_rftnet
+    else:
+        xs = np.linspace(-1.0, 1.0, cfg["samples"])[:, None]
+        target, random_net, trainer = _sin_3x, random_fftnet, train_fftnet
+    data = Dataset(xs, target(xs))
+    # the summed loss at a per-sample loss of target_mse, multiplied one size of ys at a time
+    target_loss = math.prod(data.ys.shape, start=cfg["target_mse"])
+    tc = TrainConfig(step_size=cfg["step_size"], max_iters=cfg["iters"], target_loss=target_loss)
+    return Fit(target, data,
+               partial(random_net, xs.shape[-1], cfg["H"], activation_from_tag(cfg["activation"]),
+                       cfg["init_scale"], rng),
+               partial(trainer, data=data, spec=loss_spec_from_config(cfg["loss"]), cfg=tc),
+               target_loss)
+
+
+# ---------------------------------------------------------------------------
 # descent probe
 # ---------------------------------------------------------------------------
 
@@ -245,6 +300,7 @@ PROBE_C1_FLOOR = 1e-10
 # keeps the reconstructed perturbation norm strictly inside the delta ball
 # after rounding of |c| * ||v||
 PROBE_RADIUS_MARGIN = 1.0 - 1e-9
+PROBE_CSV_HEADER = "instance_id,case_tag,old_loss,new_loss,perturbation_norm,found"
 
 
 @dataclass(frozen=True)
@@ -261,6 +317,11 @@ class ProbeResult:
         if self.found:
             if not self.new_loss < self.old_loss:
                 raise ContractViolationError("found probe must strictly decrease loss")
+
+    def csv_row(self, instance_id: int) -> str:
+        """The result as one row under :data:`PROBE_CSV_HEADER`."""
+        return (f"{instance_id},{self.case_tag},{self.old_loss!r},{self.new_loss!r},"
+                f"{self.perturbation_norm!r},{str(self.found).lower()}")
 
     def json_line(self, instance_id: int) -> str:
         """The result as one JSON object with sorted keys: the bytes of

@@ -30,8 +30,8 @@ def tame_rftnet(p: RFTNetParams, xs: np.ndarray, bound: float = 50.0) -> RFTNetP
 def sample_models(seed: int = 3) -> dict:
     """One small model of each of the six kinds, as a model-file dict."""
     rng = np.random.default_rng(seed)
-    models = [random_relu_fnn(rng, 3, 3), random_relu_rnn(rng, 3, 3), random_crnet(rng),
-              random_additive(rng, 3, 3), random_fftnet(2, 3, HOLSIN, 0.3, rng),
+    models = [random_relu_fnn(rng), random_relu_rnn(rng), random_crnet(rng),
+              random_additive(rng), random_fftnet(2, 3, HOLSIN, 0.3, rng),
               random_rftnet(2, 3, HOLSIN, 0.3, rng)]
     return {m.kind: model_to_dict(m) for m in models}
 

@@ -41,9 +41,8 @@ from ftnetlab.models import (
     FFTNetParams,
     FNNParams,
     RNNParams,
-    dods_linear,
     eval_additive_many,
-    eval_dods,
+    eval_linear_dods,
     eval_rnn_many,
     save_model,
 )
@@ -254,15 +253,14 @@ def test_criterion_6_sin_fit(tmp_path):
 
 
 def test_criterion_7_dods_demo():
-    dods = dods_linear(P=[[0.8, 0.0], [0.2, 0.5]], Q=[[0.3, -0.2], [0.1, 0.4]],
-                       readout=[1.0, -0.7], h0=[0.0, 0.0])
-    t_len, n_seq, h = 8, 48, 16
+    t_len, n_seq, h, i = 8, 48, 16, 2
     assert h <= 48
     rng = np.random.default_rng(0)
-    xs = rng.uniform(-1, 1, size=(n_seq, t_len, dods.I))
-    ys = np.stack([eval_dods(dods, xs[b])[0] for b in range(n_seq)])
+    xs = rng.uniform(-1, 1, size=(n_seq, t_len, i))
+    ys = eval_linear_dods(xs, P=[[0.8, 0.0], [0.2, 0.5]], Q=[[0.3, -0.2], [0.1, 0.4]],
+                          readout=[1.0, -0.7], h0=[0.0, 0.0])
     data = Dataset(xs, ys)
-    p0 = random_rftnet(dods.I, h, HOLSIN, 0.2, rng)
+    p0 = random_rftnet(i, h, HOLSIN, 0.2, rng)
     cfg = TrainConfig(step_size=1e-3, max_iters=20_000, target_loss=1e-2 * n_seq * t_len)
     trained, trace = train_rftnet(p0, data, squared_loss(), cfg)
     mse = trace[-1] / (n_seq * t_len)

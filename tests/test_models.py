@@ -25,14 +25,12 @@ from ftnetlab.models import (
     FNNParams,
     RFTNetParams,
     RNNParams,
-    DODSSpec,
     Tape,
-    dods_linear,
     eval_additive_many,
     eval_crnet_many,
-    eval_dods,
     eval_fftnet_many,
     eval_fnn_many,
+    eval_linear_dods,
     eval_rftnet_many,
     eval_rnn_many,
     kappa_many,
@@ -260,31 +258,17 @@ class TestBaselines:
         with pytest.raises(ContractViolationError):
             CRNetParams(3, 1, [[1.0 + 0.0j]], [0.0j], [1.0 + 0.0j], ZRELU)
 
-    def test_dods_input_passthrough(self, rng):
-        # h_t = x_t, y_t = f(x_t): a memoryless system
-        f = lambda x: float(np.sum(x**2))
-        spec = DODSSpec(3, 3, np.zeros(3), phi=lambda x, h: x, psi=f)
-        xs = rng.standard_normal((5, 3))
-        ys = eval_dods(spec, xs)[0]
-        np.testing.assert_allclose(ys, [f(x) for x in xs])
-
     def test_dods_linear(self, rng):
-        spec = dods_linear([[0.5, 0.1], [0.0, 0.3]], [[0.2, 0.0], [0.1, 0.1]],
-                           [1.0, -1.0], [0.1, -0.2])
-        xs = rng.standard_normal((4, 2))
-        ys, hs = eval_dods(spec, xs)
-        h = np.array([0.1, -0.2])
-        for t in range(4):
-            h = spec.phi(xs[t], h)
-            np.testing.assert_allclose(hs[t], h)
-            assert ys[t] == pytest.approx(spec.psi(h))
-
-    def test_dods_tanh_bounded(self, rng):
-        P, Q = rng.standard_normal((2, 3)), rng.standard_normal((2, 2))
-        spec = DODSSpec(3, 2, np.zeros(2), phi=lambda x, h: np.tanh(P @ x + Q @ h),
-                        psi=lambda h: float(np.sum(h)))
-        _, hs = eval_dods(spec, 5 * rng.standard_normal((6, 3)))
-        assert np.max(np.abs(hs)) <= 1.0
+        xs = rng.standard_normal((3, 4, 2))
+        ys = eval_linear_dods(xs, P=[[0.5, 0.1], [0.0, 0.3]], Q=[[0.2, 0.0], [0.1, 0.1]],
+                              readout=[1.0, -1.0], h0=[0.1, -0.2])
+        assert ys.shape == (3, 4)
+        for b in range(3):
+            h1, h2 = 0.1, -0.2
+            for t in range(4):
+                x1, x2 = xs[b, t]
+                h1, h2 = 0.5 * x1 + 0.1 * x2 + 0.2 * h1, 0.3 * x2 + 0.1 * h1 + 0.1 * h2
+                assert ys[b, t] == pytest.approx(h1 - h2)
 
 
 class TestParamCount:

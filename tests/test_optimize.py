@@ -182,8 +182,16 @@ class TestTraining:
         assert trace[-1] <= 1e-10
 
     def test_step_size_contract(self):
-        with pytest.raises(ContractViolationError):
-            TrainConfig(step_size=0.0)
+        # NaN passes a "<= 0" test, and _descend would halve a NaN or infinite step 31
+        # times and return the start as if it were stationary
+        for step_size in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ContractViolationError, match="step_size"):
+                TrainConfig(step_size=step_size)
+
+    def test_negative_max_iters_is_refused(self):
+        with pytest.raises(ContractViolationError, match="max_iters"):
+            TrainConfig(max_iters=-1)
+        assert TrainConfig(max_iters=0).max_iters == 0
 
 
 def _assert_same_descent(got, ref):

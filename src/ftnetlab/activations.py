@@ -1,15 +1,14 @@
 """Complex activation functions and their Jacobians.
 
 ``TABLE`` holds one record per tag, and that record is the kind a model
-holds: :func:`activation_from_tag` builds it.  The gate activation passes z
-exactly when Re(z) * Im(z) >= 0, which is the closed phase set
-[0, pi/2] u [pi, 3pi/2]; the sign-product form is the implementation rule.
-Every kind maps 0 to 0.
+holds: :func:`activation_from_tag` looks it up.  Every kind is a function of z
+alone and maps 0 to 0.  The gate activation passes z exactly when Re(z) Im(z)
+>= 0 in exact arithmetic, the closed phase set [0, pi/2] u [pi, 3pi/2].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,7 +19,7 @@ from .errors import ContractViolationError
 class Activation:
     """One tag's record: its value at complex z and the real Jacobian there.
 
-    Both take ``(z, bias)`` with z a complex128 array; ``jacobian`` returns
+    Both take z, a complex128 array; ``jacobian`` returns
     (J11, J12, J21, J22) of (Re act, Im act) w.r.t. (Re z, Im z), elementwise.
 
     ``real_envelope``, where set, takes the real and imaginary parts (a, b)
@@ -30,16 +29,15 @@ class Activation:
     cannot vouch for these arrays.  ``losses.squared_loss_lower_bound`` reads it.
 
     ``value_and_derivative``, set for a holomorphic kind that gets its
-    complex derivative almost free alongside its value, takes ``(z, bias)``
-    and returns (act(z), act'(z)), each the same bytes as ``value`` and as
-    the derivative ``jacobian`` is built from.
+    complex derivative almost free alongside its value, takes z and returns
+    (act(z), act'(z)), each the same bytes as ``value`` and as the derivative
+    ``jacobian`` is built from.
     """
 
     tag: str
     value: Callable
     jacobian: Callable
     holomorphic_nonpolynomial: bool = False
-    bias: float | None = None  # set for the kinds that read it
     real_envelope: Callable | None = None
     value_and_derivative: Callable | None = None
 
@@ -87,7 +85,7 @@ def _holsin_real_envelope(a, b):
     return t, c
 
 
-def _expm1_and_exp(z, bias):
+def _expm1_and_exp(z):
     e = np.exp(z)
     return e - 1.0, e
 
@@ -99,7 +97,7 @@ _DBL_MIN = 2.0**-1022
 _SPLIT_MAX_IMAG = 700.0
 
 
-def _sin_and_cos(z, bias):
+def _sin_and_cos(z):
     """(sin z, cos z) with the bytes of np.sin(z) and np.cos(z).  It takes
     0.65 to 0.86 of their summed time at 256 x 32, and about 0.9 at 48 x 16
     (x86-64 Xeon VM, 2 vCPUs).
@@ -136,68 +134,77 @@ def _sin_and_cos(z, bias):
     return s, c
 
 
-def _modrelu(z, bias):
+# modrelu keeps the phase of z and adds this to |z|
+_MODRELU_BIAS = -0.5
+
+
+def _modrelu_pass(z):
+    """|z|, where modrelu passes, and |z| with its zeros made 1 (a safe divisor)."""
     m = np.abs(z)
-    scale = np.where((m > 0.0) & (m + bias >= 0.0),
-                     (m + bias) / np.where(m > 0.0, m, 1.0), 0.0)
-    return scale * z
+    return m, (m > 0.0) & (m + _MODRELU_BIAS >= 0.0), np.where(m > 0.0, m, 1.0)
 
 
-def _modrelu_jacobian(z, bias):
+def _modrelu(z):
+    m, on, safe = _modrelu_pass(z)
+    return np.where(on, (m + _MODRELU_BIAS) / safe, 0.0) * z
+
+
+def _modrelu_jacobian(z):
     a, b = z.real, z.imag
-    m = np.abs(z)
-    on = (m > 0.0) & (m + bias >= 0.0)
-    safe = np.where(m > 0.0, m, 1.0)
-    k = bias / safe**3
+    _, on, safe = _modrelu_pass(z)
+    k = _MODRELU_BIAS / safe**3
     j11 = np.where(on, 1.0 + k * b * b, 0.0)
     j12 = np.where(on, -k * a * b, 0.0)
     j22 = np.where(on, 1.0 + k * a * a, 0.0)
     return j11, j12, j12, j22
 
 
+def _zrelu_pass(z):
+    """Where zrelu passes: sign(Re z) Im z >= 0 is exact and cannot overflow, where
+    the rounded Re z Im z is -0.0 at 1e-200 - 1e-200i.  NaN closes the gate."""
+    return np.sign(z.real) * z.imag >= 0.0
+
+
 ZRELU = Activation(
     "zrelu",
-    lambda z, bias: np.where((z.real * z.imag) >= 0.0, z, 0.0 + 0.0j),
-    lambda z, bias: _diagonal(_step(z.real * z.imag)))
+    lambda z: np.where(_zrelu_pass(z), z, 0.0 + 0.0j),
+    lambda z: _diagonal(_zrelu_pass(z).astype(np.float64)))
 CRELU = Activation(
     "crelu",
-    lambda z, bias: np.maximum(z.real, 0.0) + 1j * np.maximum(z.imag, 0.0),
-    lambda z, bias: _diagonal(_step(z.real), _step(z.imag)))
+    lambda z: np.maximum(z.real, 0.0) + 1j * np.maximum(z.imag, 0.0),
+    lambda z: _diagonal(_step(z.real), _step(z.imag)))
 HOLEXPM1 = Activation(
     "holexpm1",
-    lambda z, bias: np.exp(z) - 1.0,
-    lambda z, bias: _cauchy_riemann(np.exp(z)),
+    lambda z: np.exp(z) - 1.0,
+    lambda z: _cauchy_riemann(np.exp(z)),
     holomorphic_nonpolynomial=True, value_and_derivative=_expm1_and_exp)
 HOLSIN = Activation(
     "holsin",
-    lambda z, bias: np.sin(z),
-    lambda z, bias: _cauchy_riemann(np.cos(z)),
+    lambda z: np.sin(z),
+    lambda z: _cauchy_riemann(np.cos(z)),
     holomorphic_nonpolynomial=True, real_envelope=_holsin_real_envelope,
     value_and_derivative=_sin_and_cos)
 # real kinds act on Re(z); the complex identity keeps z whole
 RELU = Activation(
     "relu",
-    lambda z, bias: np.maximum(z.real, 0.0) + 0.0j,
-    lambda z, bias: _diagonal(_step(z.real), np.zeros(z.shape)))
+    lambda z: np.maximum(z.real, 0.0) + 0.0j,
+    lambda z: _diagonal(_step(z.real), np.zeros(z.shape)))
 IDENTITY = Activation(
     "identity",
-    lambda z, bias: z,
-    lambda z, bias: _cauchy_riemann(np.ones_like(z)))
+    lambda z: z,
+    lambda z: _cauchy_riemann(np.ones_like(z)))
 
 TABLE = {act.tag: act for act in (
-    ZRELU, Activation("modrelu", _modrelu, _modrelu_jacobian, bias=-0.5),
+    ZRELU, Activation("modrelu", _modrelu, _modrelu_jacobian),
     CRELU, HOLEXPM1, HOLSIN, RELU, IDENTITY)}
 
 
-def activation_from_tag(tag: str, bias: float | None = None) -> Activation:
-    """The record ``tag`` names; ``bias`` replaces the default of a kind that reads one."""
+def activation_from_tag(tag: str) -> Activation:
+    """The record ``tag`` names."""
     # a tag read from a model file may be any JSON value, lists included
     if not isinstance(tag, str) or tag not in TABLE:
         raise ContractViolationError(f"unknown activation tag {tag!r}")
-    kind = TABLE[tag]
-    if kind.bias is None or bias is None:
-        return kind
-    return replace(kind, bias=float(bias))
+    return TABLE[tag]
 
 
 def apply(kind: Activation, z, derivative: bool = False):
@@ -210,9 +217,9 @@ def apply(kind: Activation, z, derivative: bool = False):
     """
     z = np.asarray(z, dtype=np.complex128)
     if derivative and kind.value_and_derivative is not None:
-        out, d = kind.value_and_derivative(z, kind.bias)
+        out, d = kind.value_and_derivative(z)
     else:
-        out, d = kind.value(z, kind.bias), None
+        out, d = kind.value(z), None
     if out.ndim == 0:
         out = complex(out)
     return (out, d) if derivative else out
@@ -229,7 +236,7 @@ def jacobian_parts(kind: Activation, z, derivative=None):
     """
     if derivative is not None:
         return _cauchy_riemann(derivative)
-    return kind.jacobian(np.asarray(z, dtype=np.complex128), kind.bias)
+    return kind.jacobian(np.asarray(z, dtype=np.complex128))
 
 
 def apply_real(kind: Activation, x):

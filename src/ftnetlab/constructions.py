@@ -74,9 +74,7 @@ def _restriction_matches(fnn_activation: Activation, c: float) -> bool:
     # additive net puts it in the real part (models.additive_activation)
     xs = np.linspace(-4.0, 4.0, 81)
     lhs = apply_real(fnn_activation, xs)
-    # zrelu's gate product Re * Im overflows at a huge c, but its sign still decides
-    with np.errstate(over="ignore"):
-        rhs = apply(ZRELU, xs + 1j * c).real
+    rhs = apply(ZRELU, xs + 1j * c).real
     return bool(np.max(np.abs(lhs - rhs)) <= 1e-12)
 
 

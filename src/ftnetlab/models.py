@@ -405,8 +405,6 @@ def model_to_dict(p) -> dict:
         else:
             d[name] = value.tolist() if shape else value
     d["activation"] = p.activation.tag
-    if p.activation.bias is not None:
-        d["activation_bias"] = p.activation.bias
     return d
 
 
@@ -439,11 +437,7 @@ def model_from_dict(d: dict):
         # bool is an int subclass, and "5" or 5.0 would pass the shape checks
         if not isinstance(d[key], int) or isinstance(d[key], bool):
             raise ContractViolationError(f"{key}: expected an integer, got {d[key]!r}")
-    bias = d.get("activation_bias")
-    if bias is not None:
-        bias = float(_checked(bias, "activation_bias", ()))
-    kwargs = {"I": d["I"], "H": d["H"],
-              "activation": activation_from_tag(d["activation"], bias)}
+    kwargs = {"I": d["I"], "H": d["H"], "activation": activation_from_tag(d["activation"])}
     sizes = _sizes(d["I"], d["H"])
     for name, names, dtype, state in _arrays(cls):
         if dtype is np.complex128:
@@ -451,8 +445,8 @@ def model_from_dict(d: dict):
         else:  # checked by the constructor, which makes a missing state zeros
             kwargs[name] = d.get(name) if state else d[name]
     p = cls(**kwargs)
-    # a key model_to_dict would not write for this kind and activation, such as
-    # a misspelt state or bias, or a field of another kind, would be dropped silently
+    # a key model_to_dict would not write for this kind, such as a misspelt state,
+    # an activation parameter or a field of another kind, would be dropped silently
     unexpected = sorted(d.keys() - model_to_dict(p).keys())
     if unexpected:
         raise ContractViolationError(f"{unexpected[0]}: unexpected field")

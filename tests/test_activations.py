@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftnetlab.activations import (
@@ -20,7 +20,7 @@ from ftnetlab.errors import ContractViolationError
 ALL_KINDS = tuple(activation_from_tag(tag) for tag in TABLE)
 
 # distance of z from where a piecewise kind has no derivative (modrelu at its
-# default bias -0.5); one entry per tag, so a new tag must say where it kinks
+# bias -0.5); one entry per tag, so a new tag must say where it kinks
 KINK_DISTANCE = {
     "zrelu": lambda z: np.minimum(np.abs(z.real), np.abs(z.imag)),
     "modrelu": lambda z: np.minimum(np.abs(z), np.abs(np.abs(z) - 0.5)),
@@ -57,13 +57,24 @@ class TestGateActivation:
 
     @settings(max_examples=200, deadline=None)
     @given(st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e6))
+    @example(1e-200 - 1e-200j)
+    @example(complex(-3.37670404469886e-293, 5.32997645458269e-169))
     def test_pass_iff_product_nonnegative(self, z):
-        out = apply(ZRELU, z)
-        assert out in (z, 0)
-        if z.real * z.imag >= 0:
-            assert out == z
-        else:
-            assert out == 0
+        """The exact product, not the rounded one, which underflows to -0.0 at
+        the two examples; the Jacobian's J11 reads the same gate."""
+        passes = not ((z.real < 0 < z.imag) or (z.imag < 0 < z.real))
+        assert apply(ZRELU, z) == (z if passes else 0)
+        assert _jacobian(ZRELU, z)[0, 0] == float(passes)
+
+    @pytest.mark.parametrize("z,passes", [(complex(np.inf, 0.0), True),
+                                          (complex(-np.inf, 0.0), True),
+                                          (complex(np.nan, 1.0), False),
+                                          (complex(1.0, np.nan), False)])
+    def test_non_finite_parts(self, z, passes):
+        # the phase of inf + 0i is 0, where the rounded product inf * 0 is NaN;
+        # NaN closes the gate
+        assert apply(ZRELU, z) == (z if passes else 0)
+        np.testing.assert_array_equal(_jacobian(ZRELU, z), np.eye(2) * passes)
 
     @settings(max_examples=100, deadline=None)
     @given(st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e6))
@@ -90,7 +101,7 @@ def test_holsin_value():
 
 
 def test_modrelu_shrinks_magnitude():
-    k = activation_from_tag("modrelu", -0.5)
+    k = activation_from_tag("modrelu")
     z = 2.0 + 0j
     assert apply(k, z) == pytest.approx(1.5 + 0j)
     assert apply(k, 0.25 + 0j) == 0  # |z| + b < 0
@@ -250,21 +261,20 @@ class TestSharedDerivative:
 
 def test_tag_round_trip():
     for kind in ALL_KINDS:
-        assert activation_from_tag(kind.tag, kind.bias) == kind
+        assert activation_from_tag(kind.tag) == kind
 
 
 @pytest.mark.parametrize("tag", list(TABLE))
 def test_tag_gives_the_table_record(tag):
     kind = activation_from_tag(tag)
     assert kind is TABLE[tag] and kind.tag == tag
-    # only a kind that reads a bias has one, so a bias given to any other is dropped
-    assert (activation_from_tag(tag, 0.25) is kind) == (kind.bias is None)
 
 
 def test_modrelu_default_bias():
-    assert activation_from_tag("modrelu") == activation_from_tag("modrelu", None)
-    assert (activation_from_tag("modrelu").bias == -0.5
-            and activation_from_tag("modrelu", 0.25).bias == 0.25)
+    """modrelu's bias is the constant -0.5: |z| = 0.5 is its kink."""
+    k = activation_from_tag("modrelu")
+    z = np.array([0.5, np.nextafter(0.5, 0.0), 0.3j, 4.0j, -2.0])
+    np.testing.assert_array_equal(apply(k, z), [0.0, 0.0, 0.0, 3.5j, -1.5])
 
 
 def test_unknown_tag_rejected():

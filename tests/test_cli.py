@@ -45,10 +45,9 @@ def _sample_rnn(rng):
                      rng.standard_normal(2), np.zeros(2), RELU)
 
 
-# (kind, field) for every field a model file must hold; the state and the
-# modrelu bias have defaults
+# (kind, field) for every field a model file must hold; the state has a default
 _REQUIRED_FIELDS = [(kind, key) for kind, d in sample_models().items() for key in d
-                    if key not in ("r0", "m0", "q0", "activation_bias")]
+                    if key not in ("r0", "m0", "q0")]
 
 
 class TestConvert:
@@ -125,14 +124,25 @@ class TestConvert:
         assert err == ""
 
     def test_a_huge_offset_warns_nothing(self, tmp_path, rng, capsys):
-        """zrelu's gate product Re * Im overflows in the restriction check at
-        c = 1e308, but its sign still decides, so the check stays silent."""
+        """zrelu's gate reads sign(Re z) Im z, so the restriction check at
+        c = 1e308 forms no overflowing product and stays silent."""
         save_model(tmp_path / "fnn.json", _sample_fnn(rng))
         cfg = _write_config(tmp_path, "c.json", {
             "in_model": str(tmp_path / "fnn.json"), "target": "fftnet",
             "out_model": "out.json", "c": 1e308, "probes": 5})
         assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_a_subnormal_offset_converts_exactly(self, tmp_path, rng, capsys):
+        """At c = 5e-324 the gate product x c rounds to -0.0 for -0.5 <= x < 0,
+        yet the exact gate still closes there, so ReLU is the restriction."""
+        save_model(tmp_path / "fnn.json", _sample_fnn(rng))
+        cfg = _write_config(tmp_path, "c.json", {
+            "in_model": str(tmp_path / "fnn.json"), "target": "fftnet",
+            "out_model": "out.json", "c": 5e-324, "probes": 20})
+        assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.strip().splitlines()[1].split(",")[-1] == "0.0" and err == ""
 
     def test_mode_is_an_unknown_key(self, tmp_path, capsys):
         """The FNN offset is c alone; the old mode key is refused, not ignored."""
@@ -236,7 +246,10 @@ class TestConvert:
         ("rnn", {"m_0": [1.0] * 3}, "m_0"),  # a misspelt state would be zeros
         ("fnn", {"activation": "modrelu", "activation_bais": 0.25}, "activation_bais"),
         ("fnn", {"activation_bias": 0.25}, "activation_bias"),  # relu reads no bias
-    ], ids=["relabelled", "misspelt_state", "misspelt_bias", "bias_of_relu"])
+        # modrelu's bias is a constant, so a file that still names one is refused
+        ("fnn", {"activation": "modrelu", "activation_bias": -0.5}, "activation_bias"),
+    ], ids=["relabelled", "misspelt_state", "misspelt_bias", "bias_of_relu",
+            "bias_of_modrelu"])
     def test_field_the_kind_cannot_hold_rejected(self, tmp_path, capsys, kind, edit, key):
         model = sample_models()[kind]
         model.pop("m0", None)  # the rnn's state is optional: the misspelt case leaves it out

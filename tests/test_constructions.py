@@ -92,7 +92,7 @@ class TestFnnEmbedding:
         # ReLU + 1e-10 misses the restriction by 1e-10 everywhere; no pair of the
         # activation table comes this close, so this pins the check's tolerance
         near = replace(RELU, tag="relu_near",
-                       value=lambda z, bias: np.maximum(z.real, 0.0) + (1e-10 + 0.0j))
+                       value=lambda z: np.maximum(z.real, 0.0) + (1e-10 + 0.0j))
         f = FNNParams(1, 1, [[1.0]], [0.0], [1.0], near)
         with pytest.raises(ContractViolationError,
                            match=r"^relu_near is not the real restriction of zrelu at c=1\.0$"):

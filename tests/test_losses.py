@@ -102,6 +102,18 @@ class TestWellPosedness:
             "not strictly increasing at x = 0.01 (l' = 0)",
             "not strictly decreasing at x = -0.01 (l' = 0)")
 
+    def test_grid_reaches_ten(self):
+        # l' has the wrong sign only where |x| > 9.995, so only the grid's last
+        # points, x = +-10, can see it
+        def deriv(x):
+            x = np.asarray(x, float)
+            return np.where(np.abs(x) > 9.995, -2.0 * x, 2.0 * x)
+
+        late = LossSpec("late", value=lambda x: np.asarray(x, float) ** 2, deriv=deriv)
+        assert check_well_posed(late).violations == (
+            "not strictly increasing at x = 10 (l' = -20)",
+            "not strictly decreasing at x = -10 (l' = 20)")
+
     def test_tiny_offset_fails_origin_check(self):
         # l(0) must be 0 to 1e-12, so an offset of 1e-11 is already rejected
         offset = LossSpec("offset", value=lambda x: np.asarray(x, float) ** 2 + 1e-11,

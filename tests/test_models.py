@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -26,6 +28,8 @@ from ftnetlab.models import (
     RFTNetParams,
     RNNParams,
     Tape,
+    _arrays,
+    _sizes,
     eval_additive_many,
     eval_crnet_many,
     eval_fftnet_many,
@@ -289,6 +293,22 @@ class TestParamCount:
         for h in range(1, 65):
             assert FFTNetParams.params(h, 0) <= 3 * h * h
 
+    @pytest.mark.parametrize("kind", list(_KINDS))
+    def test_formula_against_stored_count(self, kind):
+        """params(H, I) minus the real coordinates a model stores, a complex
+        entry counted twice and the state arrays and the scalar c counted too:
+        the formulas leave out rftnet's r0, rnn's m0 and additive's c, and
+        fnn's and crnet's count H*I more than the model holds."""
+        excess = {"fftnet": lambda h, i: 0, "rftnet": lambda h, i: -h,
+                  "rnn": lambda h, i: -h, "additive": lambda h, i: -1,
+                  "fnn": lambda h, i: h * i, "crnet": lambda h, i: h * i}[kind]
+        cls = _KINDS[kind]
+        for i, h in itertools.product((2, 4, 10), (1, 9, 16)):
+            sizes = _sizes(i, h)
+            stored = sum(math.prod(sizes[n] for n in shape) * (1 + (dtype is np.complex128))
+                         for _, shape, dtype, _ in _arrays(cls))
+            assert cls.params(h, i) - stored == excess(h, i), (i, h)
+
 
 def _sample_models(rng):
     h = 3
@@ -304,7 +324,7 @@ def _sample_models(rng):
                     rng.standard_normal(h), RELU)
     yield RNNParams(2, h, rng.standard_normal((h, 2)), rng.standard_normal((h, h)),
                     rng.standard_normal(h), rng.standard_normal(h),
-                    rng.standard_normal(h), activation_from_tag("modrelu", -0.25))
+                    rng.standard_normal(h), activation_from_tag("modrelu"))
     yield CRNetParams(2, h, rng.standard_normal((h, 1)) + 1j * rng.standard_normal((h, 1)),
                       rng.standard_normal(h) + 1j * rng.standard_normal(h),
                       rng.standard_normal(h) + 1j * rng.standard_normal(h),
@@ -320,7 +340,7 @@ def _any_model(draw):
     i = draw(st.integers(1, 3))
     h = draw(st.integers(1, 4))
     act = draw(st.sampled_from([ZRELU, HOLSIN, HOLEXPM1, RELU,
-                                activation_from_tag("modrelu", -0.25)]))
+                                activation_from_tag("modrelu")]))
 
     def arr(*shape):
         return draw(hnp.arrays(np.float64, shape, elements=_FINITE))
@@ -362,16 +382,6 @@ class TestSerialization:
             path2 = tmp_path / f"m{idx}_again.json"
             save_model(path2, again)
             assert path.read_bytes() == path2.read_bytes()
-
-    def test_modrelu_bias_round_trips(self, tmp_path, rng):
-        models = [m for m in _sample_models(rng) if isinstance(m, RNNParams)]
-        path = tmp_path / "rnn.json"
-        save_model(path, models[0])
-        raw = json.loads(path.read_text())
-        assert raw["activation"] == "modrelu"
-        assert raw["activation_bias"] == -0.25
-        assert (model_from_dict(read_json(path)).activation
-                == activation_from_tag("modrelu", -0.25))
 
     @pytest.mark.parametrize("key,value", [("I", "2"), ("H", "3"), ("I", True), ("H", 3.0)])
     def test_non_integer_sizes_rejected(self, rng, key, value):
@@ -450,9 +460,8 @@ class TestSerialization:
                     continue
                 complex_ = np.iscomplexobj(getattr(model, f.name))
                 declared |= {f"{f.name}_re", f"{f.name}_im"} if complex_ else {f.name}
-            bias = {"activation_bias"} if model.activation.tag == "modrelu" else set()
             assert (set(model_to_dict(model))
-                    == {"kind", "I", "H", "activation"} | bias | declared), cls.kind
+                    == {"kind", "I", "H", "activation"} | declared), cls.kind
             written[cls.kind] = cls
         assert written == _KINDS
 

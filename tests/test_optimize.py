@@ -206,7 +206,7 @@ class TestTape:
     the steps they take must be those of an untaped loss and gradient."""
 
     @pytest.mark.parametrize("act", [HOLSIN, HOLEXPM1, ZRELU,
-                                     activation_from_tag("modrelu", -0.1)])
+                                     activation_from_tag("modrelu")])
     def test_train_fftnet_matches_untaped_descent(self, rng, act):
         p0 = random_fftnet(2, 5, act, 0.5, rng)
         data = Dataset(rng.standard_normal((12, 2)), rng.standard_normal(12))

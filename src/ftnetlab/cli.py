@@ -216,22 +216,32 @@ def _fail(code: int, message) -> int:
 
 
 @contextmanager
-def _partial_files(*paths: Path):
-    """Text handles on ``<name>.partial`` for each of ``paths``.
+def _partial_files():
+    """Yields ``open_partial``: ``open_partial(path)`` opens a text handle on
+    ``<name>.partial``, closed when the block ends at the latest.
 
     A campaign writes each row as it is produced, so its memory stays flat.
     The files take their names only when the block ends, and are removed if it
     raises, so a rejected or failed run leaves no output file.
     """
-    parts = [path.with_name(path.name + ".partial") for path in paths]
+    names, renamed = [], []  # (partial, final) paths as opened; finals as renamed
+
+    def open_partial(path: Path):
+        part = path.with_name(path.name + ".partial")
+        names.append((part, path))
+        return stack.enter_context(open(part, "w", encoding="utf-8"))
+
     try:
         with ExitStack() as stack:
-            yield [stack.enter_context(open(part, "w", encoding="utf-8")) for part in parts]
-        for part, path in zip(parts, paths):
+            yield open_partial
+        for part, path in names:
             part.replace(path)
+            renamed.append(path)
     except BaseException:
-        for part in parts:
+        for part, path in names:
             part.unlink(missing_ok=True)
+        for path in renamed:  # a later rename failed: the run leaves none of its files
+            path.unlink()
         raise
 
 
@@ -268,7 +278,8 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
 
     rows = failures = 0
     worst = 0.0
-    with _partial_files(out_dir / cfg["csv_name"]) as (csv_fh,):
+    with _partial_files() as open_partial:
+        csv_fh = open_partial(out_dir / cfg["csv_name"])
         csv_fh.write(cons.EMBEDDING_CSV_HEADER + "\n")
         for pair in cfg["pairs"]:
             count = cfg[FAMILIES[pair].count_key]
@@ -280,7 +291,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
                 if gap is None or gap > tolerance:
                     failures += 1
                     replay_path = out_dir / f"replay_{pair}_{idx}.json"
-                    with open(replay_path, "w", encoding="utf-8") as fh:
+                    with open_partial(replay_path) as fh:
                         json.dump({"pair": pair, "seed": seed, "instance": idx,
                                    "probes": probes, "sequence_length": t_len,
                                    "model": replays[idx]}, fh, sort_keys=True)
@@ -336,8 +347,9 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
     rows = skipped = 0
     all_found = True
     # as in training, an overflowing loss is refused by a finiteness check, not a warning
-    with np.errstate(over="ignore", invalid="ignore"), _partial_files(
-            out_dir / "probe.csv", out_dir / "probe_results.jsonl") as (csv_fh, jsonl_fh):
+    with np.errstate(over="ignore", invalid="ignore"), _partial_files() as open_partial:
+        csv_fh, jsonl_fh = map(open_partial, (out_dir / "probe.csv",
+                                              out_dir / "probe_results.jsonl"))
         csv_fh.write(PROBE_CSV_HEADER + "\n")
         for idx in range(cfg["instances"]):
             rng = instance_rng(seed, idx)
@@ -446,8 +458,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_IO_FAILURE, f"cannot parse config: {exc}")
     out_dir = Path(args.out)
     try:
+        cfg = resolve_config(args.command, cfg, args.seed)  # a rejected config makes no --out
         out_dir.mkdir(parents=True, exist_ok=True)
-        cfg = resolve_config(args.command, cfg, args.seed)
         return _COMMANDS[args.command](cfg, out_dir)
     except ContractViolationError as exc:
         return _fail(EXIT_REJECTED, exc)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .activations import RELU, ZRELU, Activation, apply, apply_real
+from .activations import ZRELU, Activation, apply, apply_real
 from .errors import ContractViolationError
 from .models import (
     AdditiveFTNetParams,
@@ -68,14 +68,19 @@ class EmbeddingReport:
 EMBEDDING_CSV_HEADER = ",".join(f.name for f in fields(EmbeddingReport))
 
 
-def _restriction_matches(fnn_activation: Activation, c: float) -> bool:
-    # functional precondition, checked on a probe grid.  A feedforward construction
-    # needs the offset c in the imaginary part, on the line x + ci; the recurrent
-    # additive net puts it in the real part (models.additive_activation)
+def _require_restriction(source_activation: Activation, c: float) -> None:
+    """Refuse a source activation that is not zrelu's real restriction at offset c.
+
+    A functional precondition, checked on a probe grid.  The FNN and RNN
+    embeddings need the offset c in the imaginary part, on the line x + ci;
+    the additive net puts it in the real part (models.additive_activation).
+    """
     xs = np.linspace(-4.0, 4.0, 81)
-    lhs = apply_real(fnn_activation, xs)
+    lhs = apply_real(source_activation, xs)
     rhs = apply(ZRELU, xs + 1j * c).real
-    return bool(np.max(np.abs(lhs - rhs)) <= 1e-12)
+    if not np.max(np.abs(lhs - rhs)) <= 1e-12:
+        raise ContractViolationError(
+            f"{source_activation.tag} is not the real restriction of zrelu at c={c}")
 
 
 def fnn_to_fftnet(f: FNNParams, c: float = 1.0) -> FFTNetParams:
@@ -84,9 +89,7 @@ def fnn_to_fftnet(f: FNNParams, c: float = 1.0) -> FFTNetParams:
     The source activation must be the real restriction of zrelu at height c,
     which the target writes as a constant imaginary bias.
     """
-    if not _restriction_matches(f.activation, c):
-        raise ContractViolationError(
-            f"{f.activation.tag} is not the real restriction of zrelu at c={c}")
+    _require_restriction(f.activation, c)
 
     h = max(f.H, f.I + 1)
     w = np.zeros((h, h))
@@ -158,15 +161,15 @@ def crnet_to_rftnet(cr: CRNetParams) -> RFTNetParams:
 
 
 def rnn_to_rftnet(r: RNNParams) -> RFTNetParams:
-    """Embed a ReLU RNN; receptor block 3 carries the memory m_t exactly.
+    """Embed an RNN whose activation is zrelu's real restriction at 1 (ReLU);
+    receptor block 3 carries the memory m_t exactly.
 
     Row/col blocks are I | H_R | H_R | 1.  Block 2 computes the memory update
-    in its real part (imaginary bias 1 opens the gate exactly on the ReLU
-    pass region); block 3 recomputes it in its imaginary part so the
-    receptor feeds it back.
+    in its real part, reading zrelu at x + i; block 3 recomputes it in its
+    imaginary part, reading zrelu at 1 + xi, so the receptor feeds it back.
+    Both readings are ReLU, the source's activation on the reals.
     """
-    if r.activation != RELU:
-        raise ContractViolationError("rnn_to_rftnet requires a ReLU source network")
+    _require_restriction(r.activation, 1.0)
     i, hr = r.I, r.H
     h = 2 * hr + i + 1
     b2 = slice(i, i + hr)
@@ -225,11 +228,12 @@ def pad_row_independent(U1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StateStage:
-    """One state-transition approximator: next_h ~ C sigma(A x + B h + b).
+class Stage:
+    """One stage of the chain: its units sigma(A x + B h + b), read out by C.
 
-    C must be row independent (use pad_row_independent when it is not).
-    Bias is stored in added form.
+    A state stage's C maps its units to the hd-dimensional state and must be
+    row independent (use pad_row_independent when it is not); the readout
+    stage's C is one row, its readout weights.  Bias is stored in added form.
     """
 
     A: np.ndarray
@@ -242,30 +246,15 @@ class StateStage:
         return self.A.shape[0]
 
 
-@dataclass(frozen=True)
-class ReadoutStage:
-    """Collapsed output chain: y ~ readout . sigma(A x + B q + b)."""
-
-    A: np.ndarray
-    B: np.ndarray
-    readout: np.ndarray
-    b: np.ndarray
-
-    @property
-    def hidden(self) -> int:
-        return self.A.shape[0]
-
-
 def _solve_row_independent(C: np.ndarray, target: np.ndarray, name: str) -> np.ndarray:
+    """The least-squares solution of C x = target, for a row-independent C only."""
     if numerical_rank(C) < C.shape[0]:
         raise ContractViolationError(f"{name} is not row independent")
-    sol, residual, _, _ = np.linalg.lstsq(C, target, rcond=None)
-    return sol
+    return np.linalg.lstsq(C, target, rcond=None)[0]
 
 
-def assemble_dods_additive(stage1: StateStage, stage2: StateStage,
-                           readout: ReadoutStage, base_activation: Activation,
-                           c: float, h0) -> AdditiveFTNetParams:
+def assemble_dods_additive(stage1: Stage, stage2: Stage, readout: Stage,
+                           base_activation: Activation, c: float, h0) -> AdditiveFTNetParams:
     """Assemble the final additive network from the three sub-approximators.
 
     Structurally (independent of approximation quality): the first state
@@ -281,8 +270,7 @@ def assemble_dods_additive(stage1: StateStage, stage2: StateStage,
         raise ContractViolationError("stage dimensions are inconsistent")
     if readout.B.shape[1] != h2:
         raise ContractViolationError("readout stage must consume the q-side state")
-    if numerical_rank(stage1.C) < hd:
-        raise ContractViolationError("stage1 readout is not row independent")
+    _solve_row_independent(stage1.C, h0, "stage1 readout")  # the check only: p starts at 0
     q0_2 = _solve_row_independent(stage2.C, h0, "stage2 readout")
 
     h3 = h1 + h2
@@ -293,14 +281,13 @@ def assemble_dods_additive(stage1: StateStage, stage2: StateStage,
     b[h1:h3, h1:h3] = stage2.B @ stage2.C
     b[h3:hp, h1:h3] = readout.B
     zeta = -np.concatenate([stage1.b, stage2.b, readout.b])
-    alpha = np.concatenate([np.zeros(h3), readout.readout])
+    alpha = np.concatenate([np.zeros(h3), readout.C.ravel()])
     q0 = np.concatenate([np.zeros(h1), q0_2, np.zeros(h5)])
     return AdditiveFTNetParams(i, hp, a, b, zeta, alpha, q0, base_activation, c)
 
 
-def dods_stage_trajectories(stage1: StateStage, stage2: StateStage,
-                            readout: ReadoutStage, base_activation: Activation,
-                            c: float, h0, xs) -> dict:
+def dods_stage_trajectories(stage1: Stage, stage2: Stage, readout: Stage,
+                            base_activation: Activation, c: float, h0, xs) -> dict:
     """Simulate every intermediate recurrence of the assembly chain.
 
     Returns arrays keyed p1, q1, p2, q2, p3, q3, p5, q5 with time along

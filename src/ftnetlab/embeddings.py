@@ -80,26 +80,9 @@ def random_additive(rng: np.random.Generator) -> AdditiveFTNetParams:
         0.2 * rng.standard_normal(h), base, float(rng.uniform(0.5, 1.5)))
 
 
-def random_dods_stages(rng: np.random.Generator, i: int = 3, hd: int = 2,
-                       h1: int = 4, h2: int = 5, h5: int = 6,
-                       scale: float = 1.0, feedback: float = 0.4,
-                       readout_scale: float = 1.0):
-    def stage(h):
-        return cons.StateStage(
-            scale * rng.standard_normal((h, i)),
-            feedback * rng.standard_normal((h, hd)),
-            cons.pad_row_independent(readout_scale * rng.standard_normal((hd, h - hd))),
-            scale * rng.standard_normal(h))
-
-    s1 = stage(h1)
-    s2 = stage(h2)
-    readout = cons.ReadoutStage(scale * rng.standard_normal((h5, i)),
-                                feedback * rng.standard_normal((h5, h2)),
-                                rng.standard_normal(h5), scale * rng.standard_normal(h5))
-    return s1, s2, readout
-
-
 def _random_assembly(rng):
+    """A random DODS chain (stage1, stage2, readout, base, c, h0); each stage
+    draws A, B, C and b, in that order."""
     i = int(rng.integers(1, 5))
     hd = int(rng.integers(1, 4))
     h1 = hd + int(rng.integers(1, 4))
@@ -109,9 +92,15 @@ def _random_assembly(rng):
     # the stage-1 self-recurrence goes through cosh (>= 1 even at 0), so
     # holsin instances must be strongly contractive to stay in range
     scale, feedback, ro = (1.0, 0.25, 1.0) if base == ZRELU else (0.2, 0.02, 0.5)
-    s1, s2, readout = random_dods_stages(rng, i=i, hd=hd, h1=h1, h2=h2, h5=h5,
-                                         scale=scale, feedback=feedback,
-                                         readout_scale=ro)
+
+    def units(h, width):  # A and B of h units reading x and a state of this width
+        return scale * rng.standard_normal((h, i)), feedback * rng.standard_normal((h, width))
+
+    s1, s2 = (cons.Stage(*units(h, hd),
+                         cons.pad_row_independent(ro * rng.standard_normal((hd, h - hd))),
+                         scale * rng.standard_normal(h)) for h in (h1, h2))
+    readout = cons.Stage(*units(h5, h2), rng.standard_normal((1, h5)),
+                         scale * rng.standard_normal(h5))
     c = float(rng.uniform(0.5, 1.5))
     h0 = 0.1 * rng.standard_normal(hd)
     return s1, s2, readout, base, c, h0

@@ -318,8 +318,8 @@ def forward(p: FFTNetParams | RFTNetParams, X: np.ndarray, tape: Tape | None = N
 def additive_activation(base_activation: Activation, c: float):
     """The complex map an additive network with this base iterates with: the base
     at c + u i, whose real part is sigma1(u) and imaginary part sigma2(u)."""
-    # the recurrent construction needs the offset c in the real part; a feedforward
-    # one puts it in the imaginary part (constructions._restriction_matches)
+    # the additive net needs the offset c in the real part; the FNN and RNN
+    # embeddings check theirs in the imaginary part (constructions._require_restriction)
     return lambda u: apply(base_activation, c + 1j * u)
 
 

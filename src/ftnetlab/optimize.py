@@ -380,8 +380,8 @@ def descent_probe(p: FFTNetParams, data: Dataset, spec: LossSpec,
     A ``tape`` that recorded the forward pass of p on data.xs saves running
     it again (see :func:`empirical_loss`); otherwise it records that pass.
     """
-    if delta <= 0:
-        raise ContractViolationError("delta must be positive")
+    if not 0 < delta < math.inf:  # NaN fails too
+        raise ContractViolationError("delta must be positive and finite")
     if not p.activation.holomorphic_nonpolynomial:
         raise ContractViolationError(
             "descent probe needs a holomorphic non-polynomial activation")

@@ -90,6 +90,33 @@ class TestConvert:
             "error: identity is not the real restriction of zrelu at c=1.0\n")
         assert not (tmp_path / "out.json").exists()
 
+    def test_rnn_source_is_checked_by_its_restriction(self, tmp_path, rng, capsys):
+        """The RNN embedding reads zrelu at offset 1, so a crelu RNN, whose real
+        restriction is ReLU, converts to the bytes of the same RNN labelled relu."""
+        r = _sample_rnn(rng)
+        outputs = []
+        for activation in (RELU, CRELU):
+            save_model(tmp_path / "rnn.json", RNNParams(r.I, r.H, r.W, r.V, r.b, r.alpha, r.m0,
+                                                        activation))
+            cfg = _write_config(tmp_path, "c.json", {
+                "in_model": str(tmp_path / "rnn.json"), "target": "rftnet",
+                "out_model": "out.json", "probes": 20})
+            assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 0
+            outputs.append(((tmp_path / "out.json").read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+    def test_rnn_off_the_restriction_is_refused(self, tmp_path, rng, capsys):
+        r = _sample_rnn(rng)
+        save_model(tmp_path / "rnn.json", RNNParams(r.I, r.H, r.W, r.V, r.b, r.alpha, r.m0,
+                                                    IDENTITY))
+        cfg = _write_config(tmp_path, "c.json", {
+            "in_model": str(tmp_path / "rnn.json"), "target": "rftnet",
+            "out_model": "out.json"})
+        assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: identity is not the real restriction of zrelu at c=1.0\n")
+        assert not (tmp_path / "out.json").exists()
+
     def test_rnn_header_width(self, tmp_path, rng, capsys):
         r = _sample_rnn(rng)
         save_model(tmp_path / "rnn.json", r)
@@ -386,6 +413,40 @@ class TestVerify:
         assert capsys.readouterr().err == "error: second family rejected\n"
         assert list(out.iterdir()) == []
 
+    def test_failed_family_leaves_no_replay(self, tmp_path, monkeypatch, capsys):
+        """Replay files follow the CSV: the first family's failures were written,
+        and are removed with the CSV when the second family's sweep raises."""
+        real, calls = cli.run_embedding_sweep, []
+
+        def sweep(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("disk gone")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "run_embedding_sweep", sweep)
+        out = tmp_path / "o"
+        cfg = _write_config(tmp_path, "v.json", {
+            "seed": 5, "instances": 3, "probes": 10, "tolerance": 0.0,
+            "pairs": ["crnet_to_fftnet", "rnn_to_rftnet"]})
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: cannot write output: disk gone"
+        assert any(line.startswith("FAIL crnet_to_fftnet[") for line in err)  # replays were made
+        assert list(out.iterdir()) == []
+
+    def test_failed_rename_leaves_no_csv(self, tmp_path, capsys):
+        """A replay whose name a directory holds cannot take it when the campaign
+        ends; the CSV, renamed before it, is removed again."""
+        out = tmp_path / "o"
+        (out / "replay_crnet_to_fftnet_0.json").mkdir(parents=True)
+        cfg = _write_config(tmp_path, "v.json", {
+            "seed": 5, "instances": 3, "probes": 10, "tolerance": 0.0,
+            "pairs": ["crnet_to_fftnet"]})
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: cannot write output: ")
+        assert [f.name for f in out.iterdir()] == ["replay_crnet_to_fftnet_0.json"]
+
     def test_one_family_held_at_a_time(self, tmp_path, monkeypatch):
         """Each family's reports and replays are dropped before the next
         family's sweep starts."""
@@ -579,7 +640,7 @@ class TestTrain:
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: loss: ")
-        assert not any((tmp_path / "o").iterdir())
+        assert not (tmp_path / "o").exists()  # a rejected config makes no --out
 
     def test_unwritable_output_is_an_io_failure(self, tmp_path, capsys):
         (tmp_path / "sin_fit_model.json").mkdir()  # the model file cannot be opened
@@ -902,7 +963,7 @@ class TestStringConfig:
         assert cli.main(_numeric_argv(tmp_path, rng, command, cfg)) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key}: expected a string, ")
-        assert not any((tmp_path / "o").iterdir())
+        assert not (tmp_path / "o").exists()
 
 
 class TestConfigValidation:
@@ -943,12 +1004,30 @@ class TestConfigValidation:
         assert cli.main(_numeric_argv(tmp_path, rng, command, cfg)) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
-        assert not any((tmp_path / "o").iterdir())
+        # a config its table rejects makes no --out; the width rule is checked when the
+        # net is drawn, and leaves --out empty
+        out = tmp_path / "o"
+        assert not any(out.iterdir()) if message.startswith("H: ") else not out.exists()
 
 
 # an output key of each command, with a config that runs once the key is good
 _OUTPUT_NAMES = {"verify": "csv_name", "convert": "out_model", "report": "out_name"}
 _GOOD_CSV = "\n".join([EMBEDDING_CSV_HEADER, "fnn,fftnet,2,1,3,3,16,21,0.0"]) + "\n"
+
+
+def test_rejected_config_makes_no_out_dir(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "v.json", {"bogus": 1})
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "new/a/b")]) == 2
+    assert capsys.readouterr().err == "error: bogus: unknown config key for verify\n"
+    assert not (tmp_path / "new").exists()
+
+
+def test_out_dir_that_cannot_be_made_exits_3(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    cfg = _write_config(tmp_path, "v.json", {"instances": 1, "assemblies": 0})
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "file/o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
 
 
 class TestOutputNames:
@@ -991,7 +1070,7 @@ def test_verify_refuses_a_family_named_twice(tmp_path, capsys):
     assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: pairs: 'fnn_to_fftnet_zrelu' appears more than once"]
-    assert not any((tmp_path / "o").iterdir())
+    assert not (tmp_path / "o").exists()
 
 
 class TestOutOfMemory:

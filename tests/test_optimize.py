@@ -454,6 +454,38 @@ class TestLossBound:
         bound = squared_loss_lower_bound(p, kappa_many(xs, h), ys)
         assert not math.isfinite(bound) or bound <= loss
 
+    @settings(max_examples=200, deadline=None)
+    @given(h=st.integers(2, 40), n=st.integers(1, 60), init_scale=st.floats(0.05, 3.0),
+           ulps=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_sound_at_the_edge_of_its_premise(self, h, n, init_scale, ulps, seed):
+        """The premise lets both the exact pass's Re act and real_envelope's s~ lie
+        2^-32 env from the true value.  Here each lies that far from numpy's value
+        (itself about 3e-16 env from the true one), on opposite sides: the exact
+        output o^ moves toward its target and o~ away from it.  Each target is a
+        few ulp from o^, so the bound's slack is all that keeps it at or below
+        the exact loss."""
+        rng = np.random.default_rng(seed)
+        p = random_fftnet(min(4, h - 1), h, HOLSIN, init_scale, rng)
+        xs = rng.standard_normal((n, p.I))
+        ulp_offsets = rng.integers(-ulps, ulps + 1, n)
+        # +1 where o^ moves up (its target lies above it), per sample and unit
+        up = np.where(ulp_offsets < 0, -1.0, 1.0)[:, None] * np.sign(p.alpha)
+
+        def value(z):
+            return np.sin(z) + 2.0**-32 * np.cosh(z.imag) * up
+
+        def real_envelope(a, b):
+            s, env = HOLSIN.real_envelope(a, b)
+            return s - 2.0**-32 * env * up, env
+
+        # with no value_and_derivative, the exact loss's taped pass runs this value too
+        p = replace(p, activation=replace(HOLSIN, value=value, value_and_derivative=None,
+                                          real_envelope=real_envelope))
+        out = eval_fftnet_many(p, xs)
+        ys = out + ulp_offsets * np.spacing(out)
+        loss = empirical_loss(p, Dataset(xs, ys), squared_loss())
+        assert squared_loss_lower_bound(p, kappa_many(xs, h), ys) <= loss
+
     def test_tight_on_a_sin_fit_start(self):
         p = random_fftnet(1, 32, HOLSIN, 0.3, np.random.default_rng(0))
         xs = np.linspace(-1.0, 1.0, 256)[:, None]
@@ -601,6 +633,17 @@ class TestDescentProbe:
         else:
             res = descent_probe(p, data, squared_loss(), delta=0.1, seed=0)
             assert res.case_tag == "alpha_nonzero"
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_refused(self, delta):
+        """Over a NaN or infinite radius the probe would report found=False, a false
+        counterexample to claim iii, so it refuses both, as TrainConfig refuses
+        such a step size."""
+        rng = np.random.default_rng(4)
+        p = random_fftnet(4, 5, HOLEXPM1, 0.4, rng)
+        data = Dataset(rng.standard_normal((3, 4)), rng.standard_normal(3))
+        with pytest.raises(ContractViolationError, match="delta must be positive and finite"):
+            descent_probe(p, data, squared_loss(), delta=delta, seed=0)
 
     def test_ill_posed_loss_refused(self, rng):
         p, data = self._case1_instance(rng)

@@ -13,6 +13,7 @@ import json
 import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -216,36 +217,39 @@ def _fail(code: int, message) -> int:
 
 
 @contextmanager
-def _partial_files():
-    """Yields ``open_partial``: ``open_partial(path)`` opens a text handle on
-    ``<name>.partial``, closed when the block ends at the latest.
+def _partial_files(out_dir: Path):
+    """Yields ``open_partial``, the one writer of a run: ``open_partial(name)`` opens a
+    text handle on ``<name>.partial`` in ``out_dir``, closed when the block ends at the
+    latest.  A campaign writes each row as it is produced, so its memory stays flat.
 
-    A campaign writes each row as it is produced, so its memory stays flat.
-    The files take their names only when the block ends, and are removed if it
-    raises, so a rejected or failed run leaves no output file.
+    The files take their names when the block ends.  If it raises, every file opened and
+    every directory made is removed, so a rejected or failed run leaves nothing.
     """
-    names, renamed = [], []  # (partial, final) paths as opened; finals as renamed
+    names = []
+    with ExitStack() as undo:  # what removes each file and directory made, newest first
 
-    def open_partial(path: Path):
-        part = path.with_name(path.name + ".partial")
-        names.append((part, path))
-        return stack.enter_context(open(part, "w", encoding="utf-8"))
+        def open_partial(name: str):
+            if name in names:  # its second handle would clobber the first
+                raise ContractViolationError(f"{name}: the run would write this file twice")
+            for d in reversed(list(takewhile(lambda p: not p.exists(),
+                                             (out_dir, *out_dir.parents)))):
+                d.mkdir()  # the first file opened makes out_dir and its missing parents
+                undo.callback(d.rmdir)
+            part = out_dir / f"{name}.partial"
+            fh = files.enter_context(open(part, "w", encoding="utf-8"))
+            undo.callback(part.unlink, missing_ok=True)
+            names.append(name)
+            return fh
 
-    try:
-        with ExitStack() as stack:
+        with ExitStack() as files:
             yield open_partial
-        for part, path in names:
-            part.replace(path)
-            renamed.append(path)
-    except BaseException:
-        for part, path in names:
-            part.unlink(missing_ok=True)
-        for path in renamed:  # a later rename failed: the run leaves none of its files
-            path.unlink()
-        raise
+        for name in names:
+            (out_dir / f"{name}.partial").replace(out_dir / name)
+            undo.callback((out_dir / name).unlink)  # a later rename may fail
+        undo.pop_all()  # the run ended: it keeps its files
 
 
-def cmd_convert(cfg: dict, out_dir: Path) -> int:
+def cmd_convert(cfg: dict, open_partial) -> int:
     try:
         model_dict = read_json(cfg["in_model"])
     except READ_ERRORS as exc:
@@ -260,16 +264,15 @@ def cmd_convert(cfg: dict, out_dir: Path) -> int:
     if fam is None:
         raise ContractViolationError(f"unsupported conversion {src_kind} -> {cfg['target']}")
     converted = fam.convert(model, cfg["c"])
-    # checked before it is saved, so a convert rejected by its check leaves no model file
     rep = fam.check(model, converted, np.random.default_rng(cfg["seed"]),
                     cfg["probes"], SEQUENCE_LENGTH)
-    save_model(out_dir / cfg["out_model"], converted)
+    save_model(open_partial(cfg["out_model"]), converted)
     print(cons.EMBEDDING_CSV_HEADER)
     print(rep.csv_row())
     return EXIT_OK
 
 
-def cmd_verify(cfg: dict, out_dir: Path) -> int:
+def cmd_verify(cfg: dict, open_partial) -> int:
     seed, probes, t_len, tolerance = (cfg["seed"], cfg["probes"], cfg["sequence_length"],
                                       cfg["tolerance"])
     if sum(cfg[FAMILIES[p].count_key] for p in cfg["pairs"]) == 0:
@@ -278,34 +281,32 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
 
     rows = failures = 0
     worst = 0.0
-    with _partial_files() as open_partial:
-        csv_fh = open_partial(out_dir / cfg["csv_name"])
-        csv_fh.write(cons.EMBEDDING_CSV_HEADER + "\n")
-        for pair in cfg["pairs"]:
-            count = cfg[FAMILIES[pair].count_key]
-            reports, replays = run_embedding_sweep(pair, seed, count, probes, t_len)
-            for idx, rep in enumerate(reports):
-                csv_fh.write(rep.csv_row() + "\n")
-                gap = rep.max_abs_output_gap
-                worst = max(worst, gap or 0.0)
-                if gap is None or gap > tolerance:
-                    failures += 1
-                    replay_path = out_dir / f"replay_{pair}_{idx}.json"
-                    with open_partial(replay_path) as fh:
-                        json.dump({"pair": pair, "seed": seed, "instance": idx,
-                                   "probes": probes, "sequence_length": t_len,
-                                   "model": replays[idx]}, fh, sort_keys=True)
-                    print(f"FAIL {pair}[{idx}]: gap {gap!r} "
-                          f"> {tolerance!r} (replay: {replay_path})", file=sys.stderr)
-            rows += len(reports)
-            del reports, replays  # the next family's sweep runs without them
+    csv_fh = open_partial(cfg["csv_name"])
+    csv_fh.write(cons.EMBEDDING_CSV_HEADER + "\n")
+    for pair in cfg["pairs"]:
+        count = cfg[FAMILIES[pair].count_key]
+        reports, replays = run_embedding_sweep(pair, seed, count, probes, t_len)
+        for idx, rep in enumerate(reports):
+            csv_fh.write(rep.csv_row() + "\n")
+            gap = rep.max_abs_output_gap
+            worst = max(worst, gap or 0.0)
+            if gap is None or gap > tolerance:
+                failures += 1
+                with open_partial(f"replay_{pair}_{idx}.json") as fh:
+                    json.dump({"pair": pair, "seed": seed, "instance": idx,
+                               "probes": probes, "sequence_length": t_len,
+                               "model": replays[idx]}, fh, sort_keys=True)
+                print(f"FAIL {pair}[{idx}]: gap {gap!r} > {tolerance!r} "
+                      f"(replay: {fh.name.removesuffix('.partial')})", file=sys.stderr)
+        rows += len(reports)
+        del reports, replays  # the next family's sweep runs without them
 
     print(f"verify: {rows} instances, worst gap {worst:.3e}, "
           f"tolerance {tolerance:.1e} -> {'OK' if failures == 0 else 'FAIL'}")
     return EXIT_OK if failures == 0 else EXIT_PROPERTY_FAILURE
 
 
-def cmd_train(cfg: dict, out_dir: Path) -> int:
+def cmd_train(cfg: dict, open_partial) -> int:
     demo, target_mse = cfg["demo"], cfg["target_mse"]
     fit = training_fit(cfg)
     # p0 is the fit's last draw, so redrawing it changes no run whose first draw steps
@@ -326,20 +327,18 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
         print(f"note: {reason}; drew p0 {draws} times")
     final_mse = trace[-1] / fit.data.ys.size
     stem = "dods" if demo == "dods_linear" else demo  # of the model and trace files
-    save_model(out_dir / f"{stem}_model.json", trained)
-    with open(out_dir / f"{stem}_trace.jsonl", "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps({"iter": it, "loss": loss}) + "\n"
-                      for it, loss in enumerate(trace))
+    save_model(open_partial(f"{stem}_model.json"), trained)
+    open_partial(f"{stem}_trace.jsonl").writelines(
+        json.dumps({"iter": it, "loss": loss}) + "\n" for it, loss in enumerate(trace))
     summary = {"demo": demo, "iters": len(trace) - 1, "final_mse": final_mse,
                "target_mse": target_mse, "reached": final_mse <= target_mse}
-    with open(out_dir / f"{demo}_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
+    json.dump(summary, open_partial(f"{demo}_summary.json"), sort_keys=True, indent=1)
     print(f"train {demo}: final per-sample loss {summary['final_mse']:.3e} "
           f"(target {summary['target_mse']:.1e}) after {summary['iters']} steps")
     return EXIT_OK if summary["reached"] else EXIT_PROPERTY_FAILURE
 
 
-def cmd_probe(cfg: dict, out_dir: Path) -> int:
+def cmd_probe(cfg: dict, open_partial) -> int:
     act = activation_from_tag(cfg["activation"])
     n, i, h, seed = cfg["n"], cfg["I"], cfg["H"], cfg["seed"]
     spec = loss_spec_from_config(cfg["loss"])
@@ -347,9 +346,8 @@ def cmd_probe(cfg: dict, out_dir: Path) -> int:
     rows = skipped = 0
     all_found = True
     # as in training, an overflowing loss is refused by a finiteness check, not a warning
-    with np.errstate(over="ignore", invalid="ignore"), _partial_files() as open_partial:
-        csv_fh, jsonl_fh = map(open_partial, (out_dir / "probe.csv",
-                                              out_dir / "probe_results.jsonl"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        csv_fh, jsonl_fh = map(open_partial, ("probe.csv", "probe_results.jsonl"))
         csv_fh.write(PROBE_CSV_HEADER + "\n")
         for idx in range(cfg["instances"]):
             rng = instance_rng(seed, idx)
@@ -384,7 +382,7 @@ _REPORT_SECTIONS = ((False, "FNN", "Omega(e^(eps1*I)/I)"),
                     (True, "RNN", "Omega(e^(eps2*I))"))
 
 
-def cmd_report(cfg: dict, out_dir: Path) -> int:
+def cmd_report(cfg: dict, open_partial) -> int:
     csv_path = Path(cfg["verify_csv"])
     try:
         rows = csv_path.read_text(encoding="utf-8").strip().splitlines()
@@ -430,9 +428,9 @@ def cmd_report(cfg: dict, out_dir: Path) -> int:
                          f"| H -> {formula} |")
     lines += ["", "Parameter formulas: FTNet 2H^2+H (<= 3H^2); CRNet 2H(I+2); "
               "FNN 2H(I+1); RNN H(I+H+2).", ""]
-    out_path = out_dir / cfg["out_name"]
-    out_path.write_text("\n".join(lines), encoding="utf-8")
-    print(f"report written to {out_path}")
+    fh = open_partial(cfg["out_name"])
+    fh.write("\n".join(lines))
+    print(f"report written to {fh.name.removesuffix('.partial')}")
     return EXIT_OK
 
 
@@ -456,11 +454,10 @@ def main(argv=None) -> int:
         cfg = read_json(args.config)
     except READ_ERRORS as exc:
         return _fail(EXIT_IO_FAILURE, f"cannot parse config: {exc}")
-    out_dir = Path(args.out)
     try:
-        cfg = resolve_config(args.command, cfg, args.seed)  # a rejected config makes no --out
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir)
+        cfg = resolve_config(args.command, cfg, args.seed)
+        with _partial_files(Path(args.out)) as open_partial:
+            return _COMMANDS[args.command](cfg, open_partial)
     except ContractViolationError as exc:
         return _fail(EXIT_REJECTED, exc)
     except MemoryError as exc:  # a size too large to allocate is a rejected config

@@ -453,10 +453,10 @@ def model_from_dict(d: dict):
     return p
 
 
-def save_model(path, p) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(p), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def save_model(fh, p) -> None:
+    """Writes ``p`` as a model file to the open text handle ``fh``."""
+    json.dump(model_to_dict(p), fh, sort_keys=True, indent=1)
+    fh.write("\n")
 
 
 # what read_json raises: ValueError for a file that is not UTF-8 or not JSON, or

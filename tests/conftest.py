@@ -7,7 +7,7 @@ import pytest
 
 from ftnetlab.activations import HOLSIN
 from ftnetlab.embeddings import random_additive, random_crnet, random_relu_fnn, random_relu_rnn
-from ftnetlab.models import RFTNetParams, eval_rftnet_many, model_to_dict
+from ftnetlab.models import RFTNetParams, eval_rftnet_many, model_to_dict, save_model
 from ftnetlab.optimize import random_fftnet, random_rftnet
 
 
@@ -34,6 +34,12 @@ def sample_models(seed: int = 3) -> dict:
               random_additive(rng), random_fftnet(2, 3, HOLSIN, 0.3, rng),
               random_rftnet(2, 3, HOLSIN, 0.3, rng)]
     return {m.kind: model_to_dict(m) for m in models}
+
+
+def write_model(path, p) -> None:
+    """Saves ``p`` as a model file at ``path``, through ``models.save_model``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        save_model(fh, p)
 
 
 def openblas_kernel() -> str:

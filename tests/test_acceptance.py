@@ -44,7 +44,6 @@ from ftnetlab.models import (
     eval_additive_many,
     eval_linear_dods,
     eval_rnn_many,
-    save_model,
 )
 from ftnetlab.optimize import (
     TrainConfig,
@@ -58,7 +57,7 @@ from ftnetlab.optimize import (
     train_fftnet,
     train_rftnet,
 )
-from conftest import tame_rftnet
+from conftest import tame_rftnet, write_model
 
 EXACT = 1e-12
 EMBEDDING_PAIRS = tuple(name for name, fam in FAMILIES.items()
@@ -245,7 +244,7 @@ def test_criterion_6_sin_fit(tmp_path):
     assert iters <= 50_000
     assert mse <= 1e-3
     # the bytes of `train` sin_fit at seed 0, the same under both pinned kernels
-    save_model(tmp_path / "sin_fit_model.json", trained)
+    write_model(tmp_path / "sin_fit_model.json", trained)
     assert hashlib.sha256((tmp_path / "sin_fit_model.json").read_bytes()).hexdigest() == (
         "e6334674802d9a42af26e9e2d49f407fe7033ce89c83f866b9095e3c9955fdc0")
     print(f"\nACCEPTANCE 6 PASS: H=32 network fit sin(3x) on 256 points to "

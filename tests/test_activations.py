@@ -165,6 +165,14 @@ class TestSubgradient:
     def test_holexpm1_at_zero(self):
         np.testing.assert_allclose(_jacobian(HOLEXPM1, 0j), np.eye(2))
 
+    def test_step_boundary_uses_pass_value(self):
+        assert _jacobian(RELU, 0j)[0, 0] == 1.0
+        np.testing.assert_array_equal(np.diag(_jacobian(CRELU, 0j)), [1.0, 1.0])
+
+    def test_modrelu_boundary_uses_pass_value(self):
+        # |z| = 0.5 is where |z| + bias reaches 0, the pass region's closed edge
+        assert _jacobian(TABLE["modrelu"], 0.5 + 0j)[0, 0] == 1.0
+
     def test_cauchy_riemann_structure(self, rng):
         for kind in (HOLEXPM1, HOLSIN):
             z = complex(rng.standard_normal() + 1j * rng.standard_normal())
@@ -237,6 +245,14 @@ class TestSharedDerivative:
             s, c = apply(HOLSIN, w, derivative=True)
             assert _same_bytes(s, np.sin(w)) and _same_bytes(c, np.cos(w))
 
+    def test_holsin_split_stops_before_csin_changes_branch(self):
+        """Above |Im z| = 709 glibc's csin no longer forms cosh b sin a + i sinh b cos a,
+        so the split must fall back there."""
+        z = np.array([0.3, 1.0, 2.5, -2.0]) + 709.5j
+        for w in (z, z.conj()):
+            s, c = apply(HOLSIN, w, derivative=True)
+            assert _same_bytes(s, np.sin(w)) and _same_bytes(c, np.cos(w))
+
     def test_holexpm1_shares_one_exp(self, rng):
         z = 3.0 * (rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5)))
         value, d = apply(HOLEXPM1, z, derivative=True)
@@ -257,6 +273,13 @@ class TestSharedDerivative:
         value, d = apply(HOLSIN, 0.5 + 0.25j, derivative=True)
         assert value == apply(HOLSIN, 0.5 + 0.25j) and isinstance(value, complex)
         assert complex(d) == complex(np.cos(0.5 + 0.25j))
+
+
+def test_holsin_envelope_vouches_up_to_its_bound():
+    zero = np.zeros(1)
+    for edge in (2.0**20, -(2.0**20)):
+        assert HOLSIN.real_envelope(np.array([edge]), zero) is not None
+        assert HOLSIN.real_envelope(np.array([np.nextafter(edge, 2 * edge)]), zero) is None
 
 
 def test_tag_round_trip():

@@ -14,13 +14,12 @@ import ftnetlab.cli as cli
 import ftnetlab.constructions as cons
 import ftnetlab.losses as losses
 import ftnetlab.models as models
-from conftest import pinned_for_kernel, sample_models
+from conftest import pinned_for_kernel, sample_models, write_model
 from ftnetlab.activations import CRELU, HOLSIN, IDENTITY, RELU
 from ftnetlab.constructions import EMBEDDING_CSV_HEADER
 from ftnetlab.embeddings import random_crnet
 from ftnetlab.errors import ContractViolationError
-from ftnetlab.models import (FNNParams, RNNParams, model_from_dict, model_to_dict, read_json,
-                             save_model)
+from ftnetlab.models import FNNParams, RNNParams, model_from_dict, model_to_dict, read_json
 from ftnetlab.optimize import ProbeResult, random_fftnet
 
 
@@ -52,7 +51,7 @@ _REQUIRED_FIELDS = [(kind, key) for kind, d in sample_models().items() for key i
 
 class TestConvert:
     def test_fnn_converts_to_an_fftnet_of_width_max_h_i_plus_1(self, tmp_path, rng, capsys):
-        save_model(tmp_path / "fnn.json", _sample_fnn(rng))
+        write_model(tmp_path / "fnn.json", _sample_fnn(rng))
         cfg = _write_config(tmp_path, "c.json", {
             "in_model": str(tmp_path / "fnn.json"), "target": "fftnet",
             "out_model": "out.json", "probes": 20})
@@ -69,7 +68,7 @@ class TestConvert:
         at c is ReLU converts, crelu's too."""
         f = _sample_fnn(rng)
         for activation, extra, c in [(RELU, {"c": 0.5}, 0.5), (RELU, {}, 1.0), (CRELU, {}, 1.0)]:
-            save_model(tmp_path / "fnn.json", FNNParams(f.I, f.H, f.W, f.b, f.alpha, activation))
+            write_model(tmp_path / "fnn.json", FNNParams(f.I, f.H, f.W, f.b, f.alpha, activation))
             cfg = _write_config(tmp_path, "c.json", {
                 "in_model": str(tmp_path / "fnn.json"), "target": "fftnet",
                 "out_model": "out.json", "probes": 20, **extra})
@@ -81,7 +80,7 @@ class TestConvert:
 
     def test_fnn_off_the_restriction_is_refused(self, tmp_path, rng, capsys):
         f = _sample_fnn(rng)
-        save_model(tmp_path / "fnn.json", FNNParams(f.I, f.H, f.W, f.b, f.alpha, IDENTITY))
+        write_model(tmp_path / "fnn.json", FNNParams(f.I, f.H, f.W, f.b, f.alpha, IDENTITY))
         cfg = _write_config(tmp_path, "c.json", {
             "in_model": str(tmp_path / "fnn.json"), "target": "fftnet",
             "out_model": "out.json"})
@@ -96,8 +95,8 @@ class TestConvert:
         r = _sample_rnn(rng)
         outputs = []
         for activation in (RELU, CRELU):
-            save_model(tmp_path / "rnn.json", RNNParams(r.I, r.H, r.W, r.V, r.b, r.alpha, r.m0,
-                                                        activation))
+            write_model(tmp_path / "rnn.json", RNNParams(r.I, r.H, r.W, r.V, r.b, r.alpha, r.m0,
+                                                         activation))
             cfg = _write_config(tmp_path, "c.json", {
                 "in_model": str(tmp_path / "rnn.json"), "target": "rftnet",
                 "out_model": "out.json", "probes": 20})
@@ -107,8 +106,8 @@ class TestConvert:
 
     def test_rnn_off_the_restriction_is_refused(self, tmp_path, rng, capsys):
         r = _sample_rnn(rng)
-        save_model(tmp_path / "rnn.json", RNNParams(r.I, r.H, r.W, r.V, r.b, r.alpha, r.m0,
-                                                    IDENTITY))
+        write_model(tmp_path / "rnn.json", RNNParams(r.I, r.H, r.W, r.V, r.b, r.alpha, r.m0,
+                                                     IDENTITY))
         cfg = _write_config(tmp_path, "c.json", {
             "in_model": str(tmp_path / "rnn.json"), "target": "rftnet",
             "out_model": "out.json"})
@@ -119,7 +118,7 @@ class TestConvert:
 
     def test_rnn_header_width(self, tmp_path, rng, capsys):
         r = _sample_rnn(rng)
-        save_model(tmp_path / "rnn.json", r)
+        write_model(tmp_path / "rnn.json", r)
         cfg = _write_config(tmp_path, "c.json", {
             "in_model": str(tmp_path / "rnn.json"), "target": "rftnet",
             "out_model": "out.json"})
@@ -129,7 +128,7 @@ class TestConvert:
         assert converted["H"] == 2 * r.H + r.I + 1
 
     def test_rnn_probes_report_gap(self, tmp_path, rng, capsys):
-        save_model(tmp_path / "rnn.json", _sample_rnn(rng))
+        write_model(tmp_path / "rnn.json", _sample_rnn(rng))
         cfg = _write_config(tmp_path, "c.json", {
             "in_model": str(tmp_path / "rnn.json"), "target": "rftnet",
             "out_model": "out.json", "probes": 20})
@@ -141,7 +140,7 @@ class TestConvert:
 
     def test_overflowing_outputs_give_an_inf_gap(self, tmp_path, capsys):
         """Outputs that overflow are an inf gap, without a RuntimeWarning."""
-        save_model(tmp_path / "fnn.json", FNNParams(1, 1, [[1e308]], [1e308], [1e308], RELU))
+        write_model(tmp_path / "fnn.json", FNNParams(1, 1, [[1e308]], [1e308], [1e308], RELU))
         cfg = _write_config(tmp_path, "c.json", {
             "in_model": str(tmp_path / "fnn.json"), "target": "fftnet",
             "out_model": "out.json", "probes": 3})
@@ -153,7 +152,7 @@ class TestConvert:
     def test_a_huge_offset_warns_nothing(self, tmp_path, rng, capsys):
         """zrelu's gate reads sign(Re z) Im z, so the restriction check at
         c = 1e308 forms no overflowing product and stays silent."""
-        save_model(tmp_path / "fnn.json", _sample_fnn(rng))
+        write_model(tmp_path / "fnn.json", _sample_fnn(rng))
         cfg = _write_config(tmp_path, "c.json", {
             "in_model": str(tmp_path / "fnn.json"), "target": "fftnet",
             "out_model": "out.json", "c": 1e308, "probes": 5})
@@ -163,7 +162,7 @@ class TestConvert:
     def test_a_subnormal_offset_converts_exactly(self, tmp_path, rng, capsys):
         """At c = 5e-324 the gate product x c rounds to -0.0 for -0.5 <= x < 0,
         yet the exact gate still closes there, so ReLU is the restriction."""
-        save_model(tmp_path / "fnn.json", _sample_fnn(rng))
+        write_model(tmp_path / "fnn.json", _sample_fnn(rng))
         cfg = _write_config(tmp_path, "c.json", {
             "in_model": str(tmp_path / "fnn.json"), "target": "fftnet",
             "out_model": "out.json", "c": 5e-324, "probes": 20})
@@ -194,10 +193,20 @@ class TestConvert:
         assert capsys.readouterr().err.splitlines() == [
             "error: bad model: I: expected an even number, got 3"]
 
+    def test_rejected_model_makes_no_out_dir(self, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text('{"kind": "fnn"}')
+        cfg = _write_config(tmp_path, "c.json", {
+            "in_model": str(tmp_path / "bad.json"), "target": "fftnet",
+            "out_model": "out.json"})
+        assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path / "new/o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad model: I: missing required field"]
+        assert not (tmp_path / "new").exists()
+
     def test_unsupported_pair(self, tmp_path, rng, capsys):
         """A target of the family table that no family reaches from the model
         file's kind fails on the model file, not as a config key."""
-        save_model(tmp_path / "fnn.json", _sample_fnn(rng))
+        write_model(tmp_path / "fnn.json", _sample_fnn(rng))
         cfg = _write_config(tmp_path, "c.json", {
             "in_model": str(tmp_path / "fnn.json"), "target": "rftnet",
             "out_model": "out.json"})
@@ -311,7 +320,7 @@ class TestConvert:
     ])
     def test_golden_outputs(self, tmp_path, capsys, target, model_sha, row_sha):
         """Pins the bytes of a saved random CRNet, its conversion and the gap row."""
-        save_model(tmp_path / "crnet.json", random_crnet(np.random.default_rng(3)))
+        write_model(tmp_path / "crnet.json", random_crnet(np.random.default_rng(3)))
         assert _sha256((tmp_path / "crnet.json").read_bytes()) == (
             "8e2e3a92798340af8024bc9563045cb0186b55d31ba62fab7810ac6bf9581672")
         cfg = _write_config(tmp_path, "c.json", {
@@ -321,6 +330,15 @@ class TestConvert:
         row = capsys.readouterr().out.splitlines()[1]
         assert _sha256((tmp_path / "out.json").read_bytes()) == model_sha
         assert _sha256(row.encode()) == row_sha
+
+
+@pytest.fixture(scope="module")
+def default_verify_csv(tmp_path_factory) -> bytes:
+    """The bytes of the CSV of one default verify sweep, shared by the tests that pin it."""
+    out = tmp_path_factory.mktemp("default_verify")
+    cfg = _write_config(out, "v.json", {})
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    return (out / "verify.csv").read_bytes()
 
 
 class TestVerify:
@@ -375,8 +393,9 @@ class TestVerify:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "verify.csv").exists()
 
-    def test_golden_outputs(self, tmp_path):
-        """Pins the bytes of verify.csv and report.md for one small config."""
+    def test_golden_outputs(self, tmp_path, default_verify_csv):
+        """Pins the bytes of verify.csv and report.md for one small config, and of the
+        default sweep's verify.csv."""
         vcfg = _write_config(tmp_path, "v.json", {
             "seed": 5, "instances": 3, "probes": 5, "sequence_length": 3,
             "assemblies": 2})
@@ -386,14 +405,28 @@ class TestVerify:
         assert cli.main(["report", "--config", rcfg, "--out", str(tmp_path)]) == 0
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in ("verify.csv", "report.md")}
+        digests["default verify.csv"] = _sha256(default_verify_csv)
         assert digests == pinned_for_kernel({
             "SkylakeX": {
                 "verify.csv": "dedc910f83a1fc0ee6d2b5e88f50a235edf3a459a70b1d21c9d67786d6ffa2c2",
-                "report.md": "5ca06d1674b26f0707335903cea22b9e7637b6244ef359fdff89f842ff8ea70e"},
+                "report.md": "5ca06d1674b26f0707335903cea22b9e7637b6244ef359fdff89f842ff8ea70e",
+                "default verify.csv":
+                    "d61ee47eff29fdb2ae63da9a522f1e5a17a6de381deb06d785df342ed723ca46"},
             "Haswell": {
                 "verify.csv": "c6585e5967ed5b538aa849c0f9a03f94efad915d0714da4d550b3099919333b9",
-                "report.md": "0152a7e0695237dc93ba21c532a014ae8380668ae5a6d65429c0da40914ed6c8"},
+                "report.md": "0152a7e0695237dc93ba21c532a014ae8380668ae5a6d65429c0da40914ed6c8",
+                "default verify.csv":
+                    "dd59d6bc4bcc8c642ea262b6e6f368cf8662f43a3f7b851ca760edb4ea14bfea"},
         })
+
+    def test_default_sweep_columns_are_kernel_independent(self, default_verify_csv):
+        """Only the gap column depends on the OpenBLAS kernel: columns 1-8 of the
+        default sweep have these bytes under the SkylakeX, Haswell, Sandybridge, Nehalem
+        and Katmai kernels alike, so this pin reads no kernel."""
+        columns = b"".join(b",".join(row.split(b",")[:8]) + b"\n"
+                           for row in default_verify_csv.splitlines())
+        assert _sha256(columns) == (
+            "c6ccb4cccefd06800f5781da955010fd27dc2ca6d5b93700904e70f2c1e650b5")
 
     def test_failed_family_leaves_no_csv(self, tmp_path, monkeypatch, capsys):
         """Rows already written for the first family are removed with the
@@ -411,7 +444,7 @@ class TestVerify:
             "instances": 3, "probes": 5, "pairs": ["crnet_to_fftnet", "rnn_to_rftnet"]})
         assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: second family rejected\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_failed_family_leaves_no_replay(self, tmp_path, monkeypatch, capsys):
         """Replay files follow the CSV: the first family's failures were written,
@@ -433,7 +466,7 @@ class TestVerify:
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == "error: cannot write output: disk gone"
         assert any(line.startswith("FAIL crnet_to_fftnet[") for line in err)  # replays were made
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_failed_rename_leaves_no_csv(self, tmp_path, capsys):
         """A replay whose name a directory holds cannot take it when the campaign
@@ -650,6 +683,17 @@ class TestTrain:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
 
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys):
+        """The trace cannot take its name, a directory's; the model, renamed before
+        it, is removed again, so the run leaves only that directory."""
+        out = tmp_path / "o"
+        (out / "dods_trace.jsonl").mkdir(parents=True)
+        cfg = _write_config(tmp_path, "t.json", _COMMAND_BASES["train_rec"])
+        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
+        assert list(out.rglob("*")) == [out / "dods_trace.jsonl"]
+
 
 class TestProbe:
     def test_small_campaign(self, tmp_path):
@@ -681,7 +725,7 @@ class TestProbe:
         assert cli.main(["probe", "--config", cfg, "--out", str(out_dir)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: loss: not well posed: not strictly decreasing at x = -0.01 (l' = 0.4775)"]
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_campaign_that_probes_nothing_rejected(self, tmp_path, capsys):
         """Every instance filtered as (near-)zero loss leaves nothing probed: exit 2."""
@@ -691,7 +735,7 @@ class TestProbe:
         assert cli.main(["probe", "--config", cfg, "--out", str(out_dir)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: nothing to probe: ")
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_zero_loss_instances_filtered_with_note(self, tmp_path, monkeypatch, capsys):
         calls = {"count": 0}
@@ -747,7 +791,7 @@ class TestProbe:
 
     @pytest.mark.parametrize("outcome", ["rejected", "not_found"])
     def test_files_appear_when_the_campaign_ends(self, tmp_path, monkeypatch, outcome):
-        """A campaign rejected at instance 3 exits 2 and leaves --out empty; one whose
+        """A campaign rejected at instance 3 exits 2 and leaves no --out; one whose
         instance 3 finds no step exits 1 and still writes every row of both files."""
         real = cli.descent_probe
 
@@ -764,7 +808,7 @@ class TestProbe:
         cfg = _write_config(tmp_path, "p.json", {"n": 2, "I": 3, "instances": 6, "seed": 0})
         rc = cli.main(["probe", "--config", cfg, "--out", str(out)])
         if outcome == "rejected":
-            assert rc == 2 and not any(out.iterdir())
+            assert rc == 2 and not out.exists()
         else:
             assert rc == 1
             assert sorted(f.name for f in out.iterdir()) == ["probe.csv",
@@ -919,7 +963,7 @@ _BAD_NUMBERS = ([(cmd, key, bad) for cmd, keys in _INT_KEYS.items() for key in k
 
 def _numeric_argv(tmp_path, rng, command, cfg):
     if command == "convert":
-        save_model(tmp_path / "fnn.json", _sample_fnn(rng))
+        write_model(tmp_path / "fnn.json", _sample_fnn(rng))
         cfg = {"in_model": str(tmp_path / "fnn.json"), **cfg}
     path = _write_config(tmp_path, "cfg.json", cfg)
     return [command.removesuffix("_rec"), "--config", path, "--out", str(tmp_path / "o")]
@@ -1004,10 +1048,7 @@ class TestConfigValidation:
         assert cli.main(_numeric_argv(tmp_path, rng, command, cfg)) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
-        # a config its table rejects makes no --out; the width rule is checked when the
-        # net is drawn, and leaves --out empty
-        out = tmp_path / "o"
-        assert not any(out.iterdir()) if message.startswith("H: ") else not out.exists()
+        assert not (tmp_path / "o").exists()
 
 
 # an output key of each command, with a config that runs once the key is good
@@ -1042,7 +1083,7 @@ class TestOutputNames:
         out = work / "o"
         out.mkdir(parents=True)
         (work / "v.csv").write_text(_GOOD_CSV)
-        save_model(work / "fnn.json", _sample_fnn(rng))
+        write_model(work / "fnn.json", _sample_fnn(rng))
         if name == "ABSOLUTE":
             name = str(tmp_path / "abs_escape.csv")
         cfg = {"verify": {**_COMMAND_BASES["verify"], key: name},
@@ -1061,6 +1102,18 @@ class TestOutputNames:
                                                  "csv_name": "..v.1.csv"})
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert [f.name for f in (tmp_path / "o").iterdir()] == ["..v.1.csv"]
+
+
+def test_a_file_written_twice_is_refused(tmp_path, capsys):
+    """The CSV takes the name of instance 0's replay: the replay is refused before
+    it opens, and the run leaves nothing."""
+    cfg = _write_config(tmp_path, "v.json", {
+        "tolerance": 0, "instances": 3, "pairs": ["crnet_to_fftnet"],
+        "csv_name": "replay_crnet_to_fftnet_0.json"})
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: replay_crnet_to_fftnet_0.json: the run would write this file twice"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_verify_refuses_a_family_named_twice(tmp_path, capsys):
@@ -1097,7 +1150,7 @@ class TestOutOfMemory:
         The command runs in a child process under a 4 GiB address-space limit,
         so its huge array fails to allocate whatever the overcommit policy.  It
         runs in tmp_path, which holds the model that convert reads."""
-        save_model(tmp_path / "fnn.json", _sample_fnn(rng))
+        write_model(tmp_path / "fnn.json", _sample_fnn(rng))
         script = ("import resource, sys\n"
                   "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
                   "cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)\n"
@@ -1113,12 +1166,12 @@ class TestOutOfMemory:
         assert proc.returncode == 2, proc.stderr
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: out of memory: "), proc.stderr
-        assert list((tmp_path / "o").iterdir()) == []
+        assert not (tmp_path / "o").exists()
 
     def test_other_value_errors_surface(self, tmp_path, monkeypatch):
         """Only numpy's size refusals read as out of memory; any other
         ValueError is a fault of the program and keeps its traceback."""
-        def broken(cfg, out_dir):
+        def broken(cfg, open_partial):
             raise ValueError("not a size refusal")
 
         monkeypatch.setitem(cli._COMMANDS, "probe", broken)

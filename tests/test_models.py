@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import sample_models
+from conftest import sample_models, write_model
 from ftnetlab.activations import (
     HOLEXPM1,
     HOLSIN,
@@ -41,7 +41,6 @@ from ftnetlab.models import (
     model_from_dict,
     model_to_dict,
     read_json,
-    save_model,
 )
 
 
@@ -374,13 +373,13 @@ class TestSerialization:
     def test_file_round_trip_bit_stable(self, tmp_path, rng):
         for idx, model in enumerate(_sample_models(rng)):
             path = tmp_path / f"m{idx}.json"
-            save_model(path, model)
+            write_model(path, model)
             again = model_from_dict(read_json(path))
             for key, val in model_to_dict(model).items():
                 assert model_to_dict(again)[key] == val
             # a second save is byte-identical
             path2 = tmp_path / f"m{idx}_again.json"
-            save_model(path2, again)
+            write_model(path2, again)
             assert path.read_bytes() == path2.read_bytes()
 
     @pytest.mark.parametrize("key,value", [("I", "2"), ("H", "3"), ("I", True), ("H", 3.0)])

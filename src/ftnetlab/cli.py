@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from itertools import takewhile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,10 +212,13 @@ def resolve_config(command: str, cfg, seed: int | None = None) -> dict:
     return _resolved(CONFIG_TABLES[command], cfg, command)
 
 
-def _fail(code: int, message) -> int:
-    """Print ``message`` as one ``error:`` line, whatever line breaks it holds."""
-    print("error: " + " ".join(str(message).splitlines()), file=sys.stderr)
-    return code
+class Outcome(NamedTuple):
+    """How a run ended: ``main`` prints it once every file of the run has its name."""
+
+    code: int                  # the exit code
+    out: Sequence[str] = ()    # the stdout lines
+    fails: Sequence[str] = ()  # the ``FAIL`` lines, printed to stderr first
+    reason: str | None = None  # the ``error:`` line of a run that failed without raising
 
 
 @contextmanager
@@ -249,16 +254,16 @@ def _partial_files(out_dir: Path):
         undo.pop_all()  # the run ended: it keeps its files
 
 
-def cmd_convert(cfg: dict, open_partial) -> int:
+def cmd_convert(cfg: dict, open_partial) -> Outcome:
     try:
         model_dict = read_json(cfg["in_model"])
     except READ_ERRORS as exc:
-        return _fail(EXIT_IO_FAILURE, f"cannot read model: {exc}")
+        return Outcome(EXIT_IO_FAILURE, reason=f"cannot read model: {exc}")
     try:
         model = model_from_dict(model_dict)
     except ContractViolationError as exc:
         # the file parsed but the model breaks a documented invariant
-        return _fail(EXIT_REJECTED, f"bad model: {exc}")
+        raise ContractViolationError(f"bad model: {exc}") from None
     src_kind = model.kind
     fam = conversion(src_kind, cfg["target"])
     if fam is None:
@@ -267,20 +272,17 @@ def cmd_convert(cfg: dict, open_partial) -> int:
     rep = fam.check(model, converted, np.random.default_rng(cfg["seed"]),
                     cfg["probes"], SEQUENCE_LENGTH)
     save_model(open_partial(cfg["out_model"]), converted)
-    print(cons.EMBEDDING_CSV_HEADER)
-    print(rep.csv_row())
-    return EXIT_OK
+    return Outcome(EXIT_OK, [cons.EMBEDDING_CSV_HEADER, rep.csv_row()])
 
 
-def cmd_verify(cfg: dict, open_partial) -> int:
+def cmd_verify(cfg: dict, open_partial) -> Outcome:
     seed, probes, t_len, tolerance = (cfg["seed"], cfg["probes"], cfg["sequence_length"],
                                       cfg["tolerance"])
     if sum(cfg[FAMILIES[p].count_key] for p in cfg["pairs"]) == 0:
         # an empty campaign proves nothing, so it is not a pass
         raise ContractViolationError("nothing to verify: the selected pairs have 0 instances")
 
-    rows = failures = 0
-    worst = 0.0
+    rows, worst, fails = 0, 0.0, []
     csv_fh = open_partial(cfg["csv_name"])
     csv_fh.write(cons.EMBEDDING_CSV_HEADER + "\n")
     for pair in cfg["pairs"]:
@@ -291,22 +293,21 @@ def cmd_verify(cfg: dict, open_partial) -> int:
             gap = rep.max_abs_output_gap
             worst = max(worst, gap or 0.0)
             if gap is None or gap > tolerance:
-                failures += 1
                 with open_partial(f"replay_{pair}_{idx}.json") as fh:
                     json.dump({"pair": pair, "seed": seed, "instance": idx,
                                "probes": probes, "sequence_length": t_len,
                                "model": replays[idx]}, fh, sort_keys=True)
-                print(f"FAIL {pair}[{idx}]: gap {gap!r} > {tolerance!r} "
-                      f"(replay: {fh.name.removesuffix('.partial')})", file=sys.stderr)
+                fails.append(f"FAIL {pair}[{idx}]: gap {gap!r} > {tolerance!r} "
+                             f"(replay: {fh.name.removesuffix('.partial')})")
         rows += len(reports)
         del reports, replays  # the next family's sweep runs without them
 
-    print(f"verify: {rows} instances, worst gap {worst:.3e}, "
-          f"tolerance {tolerance:.1e} -> {'OK' if failures == 0 else 'FAIL'}")
-    return EXIT_OK if failures == 0 else EXIT_PROPERTY_FAILURE
+    summary = (f"verify: {rows} instances, worst gap {worst:.3e}, "
+               f"tolerance {tolerance:.1e} -> {'FAIL' if fails else 'OK'}")
+    return Outcome(EXIT_PROPERTY_FAILURE if fails else EXIT_OK, [summary], fails)
 
 
-def cmd_train(cfg: dict, open_partial) -> int:
+def cmd_train(cfg: dict, open_partial) -> Outcome:
     demo, target_mse = cfg["demo"], cfg["target_mse"]
     fit = training_fit(cfg)
     # p0 is the fit's last draw, so redrawing it changes no run whose first draw steps
@@ -321,10 +322,9 @@ def cmd_train(cfg: dict, open_partial) -> int:
         reason = "no step lowered the initial loss"
         start_failure = f"{reason} {trace[0]!r}"
     else:
-        return _fail(EXIT_PROPERTY_FAILURE, f"train {demo} failed: {start_failure} "
-                                            f"({TRAIN_INIT_DRAWS} draws of p0)")
-    if draws > 1:
-        print(f"note: {reason}; drew p0 {draws} times")
+        return Outcome(EXIT_PROPERTY_FAILURE, reason=f"train {demo} failed: {start_failure} "
+                                                     f"({TRAIN_INIT_DRAWS} draws of p0)")
+    out = [f"note: {reason}; drew p0 {draws} times"] if draws > 1 else []
     final_mse = trace[-1] / fit.data.ys.size
     stem = "dods" if demo == "dods_linear" else demo  # of the model and trace files
     save_model(open_partial(f"{stem}_model.json"), trained)
@@ -333,18 +333,18 @@ def cmd_train(cfg: dict, open_partial) -> int:
     summary = {"demo": demo, "iters": len(trace) - 1, "final_mse": final_mse,
                "target_mse": target_mse, "reached": final_mse <= target_mse}
     json.dump(summary, open_partial(f"{demo}_summary.json"), sort_keys=True, indent=1)
-    print(f"train {demo}: final per-sample loss {summary['final_mse']:.3e} "
-          f"(target {summary['target_mse']:.1e}) after {summary['iters']} steps")
-    return EXIT_OK if summary["reached"] else EXIT_PROPERTY_FAILURE
+    out.append(f"train {demo}: final per-sample loss {summary['final_mse']:.3e} "
+               f"(target {summary['target_mse']:.1e}) after {summary['iters']} steps")
+    return Outcome(EXIT_OK if summary["reached"] else EXIT_PROPERTY_FAILURE, out)
 
 
-def cmd_probe(cfg: dict, open_partial) -> int:
+def cmd_probe(cfg: dict, open_partial) -> Outcome:
     act = activation_from_tag(cfg["activation"])
     n, i, h, seed = cfg["n"], cfg["I"], cfg["H"], cfg["seed"]
     spec = loss_spec_from_config(cfg["loss"])
 
     rows = skipped = 0
-    all_found = True
+    out, fails = [], []
     # as in training, an overflowing loss is refused by a finiteness check, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         csv_fh, jsonl_fh = map(open_partial, ("probe.csv", "probe_results.jsonl"))
@@ -358,23 +358,22 @@ def cmd_probe(cfg: dict, open_partial) -> int:
             tape = Tape()  # the filter's forward pass, reused by the probe
             if empirical_loss(p, data, spec, tape) <= 1e-12:
                 skipped += 1
-                print(f"note: instance {idx} has (near-)zero loss; filtered out "
-                      "(descent is only claimed for positive loss)")
+                out.append(f"note: instance {idx} has (near-)zero loss; filtered out "
+                           "(descent is only claimed for positive loss)")
                 continue
             result = descent_probe(p, data, spec, delta=cfg["delta"], seed=idx, tape=tape)
             csv_fh.write(result.csv_row(idx) + "\n")
             jsonl_fh.write(result.json_line(idx) + "\n")
             rows += 1
             if not result.found:
-                all_found = False
-                print(f"FAIL instance {idx}: probe exhausted (replay seed {seed}, "
-                      f"spawn {idx})", file=sys.stderr)
+                fails.append(f"FAIL instance {idx}: probe exhausted (replay seed {seed}, "
+                             f"spawn {idx})")
         if rows == 0:  # an empty campaign proves nothing, so it is not a pass
             raise ContractViolationError(
                 f"nothing to probe: all {skipped} instances have (near-)zero loss")
-    print(f"probe: {rows} instances ({skipped} filtered), "
-          f"{'all found' if all_found else 'NOT all found'}")
-    return EXIT_OK if all_found else EXIT_PROPERTY_FAILURE
+    out.append(f"probe: {rows} instances ({skipped} filtered), "
+               f"{'NOT all found' if fails else 'all found'}")
+    return Outcome(EXIT_PROPERTY_FAILURE if fails else EXIT_OK, out, fails)
 
 
 # (recurrent target?, baseline family, its separation lower bound) per section
@@ -382,12 +381,12 @@ _REPORT_SECTIONS = ((False, "FNN", "Omega(e^(eps1*I)/I)"),
                     (True, "RNN", "Omega(e^(eps2*I))"))
 
 
-def cmd_report(cfg: dict, open_partial) -> int:
+def cmd_report(cfg: dict, open_partial) -> Outcome:
     csv_path = Path(cfg["verify_csv"])
     try:
         rows = csv_path.read_text(encoding="utf-8").strip().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        return _fail(EXIT_IO_FAILURE, f"cannot read verify CSV: {exc}")
+        return Outcome(EXIT_IO_FAILURE, reason=f"cannot read verify CSV: {exc}")
     # the file was read, so a bad header or no rows is a rejected contract
     if rows[:1] != [cons.EMBEDDING_CSV_HEADER]:
         raise ContractViolationError(f"{csv_path} line 1: expected the verify CSV header")
@@ -430,8 +429,7 @@ def cmd_report(cfg: dict, open_partial) -> int:
               "FNN 2H(I+1); RNN H(I+H+2).", ""]
     fh = open_partial(cfg["out_name"])
     fh.write("\n".join(lines))
-    print(f"report written to {fh.name.removesuffix('.partial')}")
-    return EXIT_OK
+    return Outcome(EXIT_OK, [f"report written to {fh.name.removesuffix('.partial')}"])
 
 
 # ---------------------------------------------------------------------------
@@ -453,21 +451,30 @@ def main(argv=None) -> int:
     try:
         cfg = read_json(args.config)
     except READ_ERRORS as exc:
-        return _fail(EXIT_IO_FAILURE, f"cannot parse config: {exc}")
-    try:
-        cfg = resolve_config(args.command, cfg, args.seed)
-        with _partial_files(Path(args.out)) as open_partial:
-            return _COMMANDS[args.command](cfg, open_partial)
-    except ContractViolationError as exc:
-        return _fail(EXIT_REJECTED, exc)
-    except MemoryError as exc:  # a size too large to allocate is a rejected config
-        return _fail(EXIT_REJECTED, f"out of memory: {exc}")
-    except ValueError as exc:  # so is one too large for numpy to represent
-        if not str(exc).startswith(("array is too big", "Maximum allowed dimension")):
-            raise  # any other ValueError is a fault of the program
-        return _fail(EXIT_REJECTED, f"out of memory: {exc}")
-    except OSError as exc:
-        return _fail(EXIT_IO_FAILURE, f"cannot write output: {exc}")
+        outcome = Outcome(EXIT_IO_FAILURE, reason=f"cannot parse config: {exc}")
+    else:
+        try:
+            cfg = resolve_config(args.command, cfg, args.seed)
+            with _partial_files(Path(args.out)) as open_partial:
+                outcome = _COMMANDS[args.command](cfg, open_partial)
+        except ContractViolationError as exc:
+            outcome = Outcome(EXIT_REJECTED, reason=str(exc))
+        except MemoryError as exc:  # a size too large to allocate is a rejected config
+            outcome = Outcome(EXIT_REJECTED, reason=f"out of memory: {exc}")
+        except ValueError as exc:  # so is one too large for numpy to represent
+            if not str(exc).startswith(("array is too big", "Maximum allowed dimension")):
+                raise  # any other ValueError is a fault of the program
+            outcome = Outcome(EXIT_REJECTED, reason=f"out of memory: {exc}")
+        except OSError as exc:
+            outcome = Outcome(EXIT_IO_FAILURE, reason=f"cannot write output: {exc}")
+    # the writer has closed: each file a line names has its name, or the run exits 2 or 3
+    for line in outcome.fails:
+        print(line, file=sys.stderr)
+    for line in outcome.out:
+        print(line)
+    if outcome.reason is not None:  # one line, whatever line breaks the reason holds
+        print("error: " + " ".join(outcome.reason.splitlines()), file=sys.stderr)
+    return outcome.code
 
 
 if __name__ == "__main__":

@@ -32,10 +32,6 @@ class GradientBundle:
             if not np.all(np.isfinite(a)):
                 raise ContractViolationError("gradient has non-finite entries")
 
-    def max_abs(self) -> float:
-        return max(np.max(np.abs(self.dW)), np.max(np.abs(self.dV)),
-                   np.max(np.abs(self.dAlpha)))
-
     def sq_norm(self) -> float:
         return float(np.sum(self.dW**2) + np.sum(self.dV**2) + np.sum(self.dAlpha**2))
 
@@ -98,37 +94,6 @@ def grad_rftnet(p: RFTNetParams, data: Dataset, spec: LossSpec,
         dv += gb.T @ kt - ga.T @ r_prev
         gr = gb @ p.W - ga @ p.V
     return GradientBundle(dW=dw, dV=dv, dAlpha=da)
-
-
-def finite_diff_grad(p: FFTNetParams | RFTNetParams, data: Dataset, spec: LossSpec,
-                     step: float = 1e-5) -> GradientBundle:
-    """Central differences per real coordinate of either FTNet; the oracle for
-    grad_fftnet and grad_rftnet."""
-    if not 1e-7 <= step <= 1e-3:
-        raise ContractViolationError("step must lie in [1e-7, 1e-3]")
-    w, v, a = p.W.copy(), p.V.copy(), p.alpha.copy()
-
-    def diff_array(arr):
-        g = np.zeros_like(arr)
-        flat = arr.ravel()
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            hi = empirical_loss(replace(p, W=w, V=v, alpha=a), data, spec)
-            flat[idx] = orig - step
-            lo = empirical_loss(replace(p, W=w, V=v, alpha=a), data, spec)
-            flat[idx] = orig
-            g.ravel()[idx] = (hi - lo) / (2 * step)
-        return g
-
-    return GradientBundle(dW=diff_array(w), dV=diff_array(v), dAlpha=diff_array(a))
-
-
-def gradient_relative_error(g1: GradientBundle, g2: GradientBundle) -> float:
-    num = max(np.max(np.abs(g1.dW - g2.dW)), np.max(np.abs(g1.dV - g2.dV)),
-              np.max(np.abs(g1.dAlpha - g2.dAlpha)))
-    den = max(g1.max_abs(), g2.max_abs(), 1e-12)
-    return float(num / den)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,42 @@ import pytest
 
 from ftnetlab.activations import HOLSIN
 from ftnetlab.embeddings import random_additive, random_crnet, random_relu_fnn, random_relu_rnn
-from ftnetlab.models import RFTNetParams, eval_rftnet_many, model_to_dict, save_model
-from ftnetlab.optimize import random_fftnet, random_rftnet
+from ftnetlab.errors import ContractViolationError
+from ftnetlab.losses import Dataset, LossSpec, empirical_loss
+from ftnetlab.models import (FFTNetParams, RFTNetParams, eval_rftnet_many, model_to_dict,
+                             save_model)
+from ftnetlab.optimize import GradientBundle, random_fftnet, random_rftnet
+
+
+def finite_diff_grad(p: FFTNetParams | RFTNetParams, data: Dataset, spec: LossSpec,
+                     step: float = 1e-5) -> GradientBundle:
+    """Central differences per real coordinate of either FTNet; the oracle for
+    grad_fftnet and grad_rftnet."""
+    if not 1e-7 <= step <= 1e-3:
+        raise ContractViolationError("step must lie in [1e-7, 1e-3]")
+    w, v, a = p.W.copy(), p.V.copy(), p.alpha.copy()
+
+    def diff_array(arr):
+        g = np.zeros_like(arr)
+        flat = arr.ravel()
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + step
+            hi = empirical_loss(replace(p, W=w, V=v, alpha=a), data, spec)
+            flat[idx] = orig - step
+            lo = empirical_loss(replace(p, W=w, V=v, alpha=a), data, spec)
+            flat[idx] = orig
+            g.ravel()[idx] = (hi - lo) / (2 * step)
+        return g
+
+    return GradientBundle(dW=diff_array(w), dV=diff_array(v), dAlpha=diff_array(a))
+
+
+def gradient_relative_error(g1: GradientBundle, g2: GradientBundle) -> float:
+    num = max(np.max(np.abs(g1.dW - g2.dW)), np.max(np.abs(g1.dV - g2.dV)),
+              np.max(np.abs(g1.dAlpha - g2.dAlpha)))
+    den = max(*(np.max(np.abs(a)) for g in (g1, g2) for a in (g.dW, g.dV, g.dAlpha)), 1e-12)
+    return float(num / den)
 
 
 def tame_rftnet(p: RFTNetParams, xs: np.ndarray, bound: float = 50.0) -> RFTNetParams:
@@ -53,8 +87,8 @@ def openblas_kernel() -> str:
     return corename().decode()
 
 
-def pinned_for_kernel(by_kernel: dict) -> dict:
-    """The digests pinned for the loaded OpenBLAS kernel.
+def pinned_for_kernel(by_kernel: dict):
+    """The digest, or the digests, pinned for the loaded OpenBLAS kernel.
 
     Some outputs differ in their low bits between kernels, so each kernel has
     its own pins and a digest taken under one is never accepted under another.

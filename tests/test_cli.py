@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -312,14 +313,24 @@ class TestConvert:
         assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: bad model: {message}"]
 
-    @pytest.mark.parametrize("target,model_sha,row_sha", [
-        ("fftnet", "a2204fde77075bfa9873d53cd354cd98c22cd29455890bf8deec44a3c94a3f3e",
-         "c164d9ff1ca4f9d970a273a5cebc66c5104b0ab14f5892cde87505526528cc53"),
-        ("rftnet", "09d25d51d00d65a6313e54051f30de470b127f70cb16771ab50799d569c206d1",
-         "bd002b972ca8bbe1d81e17f8c391c1645e99a7804f3ff8b373de8261d24f5557"),
-    ])
-    def test_golden_outputs(self, tmp_path, capsys, target, model_sha, row_sha):
-        """Pins the bytes of a saved random CRNet, its conversion and the gap row."""
+    @pytest.mark.parametrize("target,model_sha,row_by_kernel", [
+        ("fftnet", "a2204fde77075bfa9873d53cd354cd98c22cd29455890bf8deec44a3c94a3f3e", {
+            "SkylakeX": "c164d9ff1ca4f9d970a273a5cebc66c5104b0ab14f5892cde87505526528cc53",
+            "Haswell": "c164d9ff1ca4f9d970a273a5cebc66c5104b0ab14f5892cde87505526528cc53",
+            "Sandybridge": "060172dd88eb51e5479367c3fee08a21cdc300de61e3e9208b042a7a4f9ad490",
+            "Nehalem": "060172dd88eb51e5479367c3fee08a21cdc300de61e3e9208b042a7a4f9ad490",
+            "Katmai": "3ffde6ea1068b54506d17f49e8c9bcb30074b0bd9e503a921d1538a448b21cfb"}),
+        ("rftnet", "09d25d51d00d65a6313e54051f30de470b127f70cb16771ab50799d569c206d1", {
+            "SkylakeX": "bd002b972ca8bbe1d81e17f8c391c1645e99a7804f3ff8b373de8261d24f5557",
+            "Haswell": "bd002b972ca8bbe1d81e17f8c391c1645e99a7804f3ff8b373de8261d24f5557",
+            "Sandybridge": "0a0f80633913e91cf77d8f8dae53728d755fcd560f5290d0c7bd6cfa089dedc0",
+            "Nehalem": "0a0f80633913e91cf77d8f8dae53728d755fcd560f5290d0c7bd6cfa089dedc0",
+            "Katmai": "a60ff5a9f936fbfb5c695b369b9e911c3b707b1bd55d864fc6c447d2937c13b7"}),
+    ], ids=["fftnet", "rftnet"])
+    def test_golden_outputs(self, tmp_path, capsys, target, model_sha, row_by_kernel):
+        """Pins the bytes of a saved random CRNet, its conversion and the gap row.
+        Only the row's gap depends on the OpenBLAS kernel."""
+        row_sha = pinned_for_kernel(row_by_kernel)
         write_model(tmp_path / "crnet.json", random_crnet(np.random.default_rng(3)))
         assert _sha256((tmp_path / "crnet.json").read_bytes()) == (
             "8e2e3a92798340af8024bc9563045cb0186b55d31ba62fab7810ac6bf9581672")
@@ -417,6 +428,21 @@ class TestVerify:
                 "report.md": "0152a7e0695237dc93ba21c532a014ae8380668ae5a6d65429c0da40914ed6c8",
                 "default verify.csv":
                     "dd59d6bc4bcc8c642ea262b6e6f368cf8662f43a3f7b851ca760edb4ea14bfea"},
+            "Sandybridge": {
+                "verify.csv": "0b10c214ba970065a7902e7d8e8c97e9dcf9815b2eaab5d5928444360316edc0",
+                "report.md": "41ce3a7ebd367f1cf332b96dbcec3a82f7be8e616913d5bb0638dfd5264edc29",
+                "default verify.csv":
+                    "5da77a4e14a15aa42587d207880363be0433a73539ef8b73083e995bbc48002d"},
+            "Nehalem": {
+                "verify.csv": "ea40e47c8e29a193dcc8c8e8f91b106746695bc2f92ac6cb9396c301ae4d9585",
+                "report.md": "88d6e51e453860eefdd52d44097bfb3a41fecb682c90a5f20ebdb25f2230a461",
+                "default verify.csv":
+                    "8651d812d90c5808400ef9bdc92dcf52bab6012ff31a4fbf0ffdf7aa19e4fdc9"},
+            "Katmai": {
+                "verify.csv": "65704d762495b8ffaac91d733c1ef4119c10b4db06f66d467f9f21bc029c7812",
+                "report.md": "d6e82295cc7ddee4a7192b1a12eebe108bcfa102bdaf71dfa5f8c07e94eccbec",
+                "default verify.csv":
+                    "b0500dc25810ab3a91fa8905853e478bbffc67014f0eea676fe310e7f5bd36cb"},
         })
 
     def test_default_sweep_columns_are_kernel_independent(self, default_verify_csv):
@@ -450,6 +476,15 @@ class TestVerify:
         """Replay files follow the CSV: the first family's failures were written,
         and are removed with the CSV when the second family's sweep raises."""
         real, calls = cli.run_embedding_sweep, []
+        real_files, opened = cli._partial_files, []
+
+        @contextmanager
+        def recording_files(out_dir):
+            with real_files(out_dir) as open_partial:
+                def recording(name):
+                    opened.append(name)
+                    return open_partial(name)
+                yield recording
 
         def sweep(*args):
             calls.append(args)
@@ -458,26 +493,31 @@ class TestVerify:
             return real(*args)
 
         monkeypatch.setattr(cli, "run_embedding_sweep", sweep)
+        monkeypatch.setattr(cli, "_partial_files", recording_files)
         out = tmp_path / "o"
         cfg = _write_config(tmp_path, "v.json", {
             "seed": 5, "instances": 3, "probes": 10, "tolerance": 0.0,
             "pairs": ["crnet_to_fftnet", "rnn_to_rftnet"]})
         assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 3
-        err = capsys.readouterr().err.splitlines()
-        assert err[-1] == "error: cannot write output: disk gone"
-        assert any(line.startswith("FAIL crnet_to_fftnet[") for line in err)  # replays were made
+        # the FAIL lines named replays the run then removed, so only the error line is printed
+        assert capsys.readouterr().err == "error: cannot write output: disk gone\n"
+        assert any(name.startswith("replay_crnet_to_fftnet_") for name in opened)  # replays made
         assert not out.exists()
 
     def test_failed_rename_leaves_no_csv(self, tmp_path, capsys):
         """A replay whose name a directory holds cannot take it when the campaign
-        ends; the CSV, renamed before it, is removed again."""
+        ends; the CSV, renamed before it, is removed again, and no FAIL line names
+        a replay that is gone."""
         out = tmp_path / "o"
         (out / "replay_crnet_to_fftnet_0.json").mkdir(parents=True)
         cfg = _write_config(tmp_path, "v.json", {
             "seed": 5, "instances": 3, "probes": 10, "tolerance": 0.0,
             "pairs": ["crnet_to_fftnet"]})
         assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 3
-        assert capsys.readouterr().err.splitlines()[-1].startswith("error: cannot write output: ")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write output: "), err
         assert [f.name for f in out.iterdir()] == ["replay_crnet_to_fftnet_0.json"]
 
     def test_one_family_held_at_a_time(self, tmp_path, monkeypatch):
@@ -564,11 +604,28 @@ class TestTrain:
         "sin_fit_trace.jsonl": "3f35ae1c95288444964b116893ec544940ff1b9c1fa8bea54781a001ac4904a7",
         "sin_fit_summary.json":
             "6130ab90c4b57505f959cb69dcc6cfaa1cd72a749fc7889fd72f30d1fdc73032"}
+    _SIN_FIT_FILES_OLDER = {
+        "sin_fit_model.json": "7c74f33e9cf4f9dff36aef66a35b6e9e869f1fa6e0d0d8e6f0b95545520c6ef8",
+        "sin_fit_trace.jsonl": "eec79fe3baddb34948fb67d9a6deda051573ea3ec0dd76642ba0f5dade566626",
+        "sin_fit_summary.json":
+            "087d800617bd5859a0f80ef59f8548322ef6720ace38bdb8130b2c62f907074e"}
+    _DODS_FULL_FILES_OLDER = {
+        "dods_model.json": "f49b657b70e9753de4b647a36654babd25d9ec593cd775ff05b8ba53ce67ff18",
+        "dods_trace.jsonl": "08d5d6e61edf6398399d6ab66bb3679e0d32ee68d020305ba8e903e0c753f8b9",
+        "dods_linear_summary.json":
+            "df481fe5460af75816c2be436d327aea2005b6bb000731a3c2af1a039ba21a80"}
+    _DODS_FILES_SANDYBRIDGE = {
+        "dods_model.json": "dabf39c6b5674de30837f3d6f0efdda9f787239a5ca7869a681e4cafe9f10cc5",
+        "dods_trace.jsonl": "d95a600d81ff80e753cfb38636272721663eb6e95608b6b0d855c40686fcdaa4",
+        "dods_linear_summary.json":
+            "1831ddd3ed1b568bef1b064b1f89478e594b625f8c3eeae268d8be0789725236"}
 
     @pytest.mark.parametrize("demo,by_kernel", [
-        # the same bytes under both kernels
+        # the same bytes under SkylakeX and Haswell, and under the three older kernels
         ({"demo": "sin_fit", "H": 8, "samples": 32, "target_mse": 0.02},
-         {"SkylakeX": _SIN_FIT_FILES, "Haswell": _SIN_FIT_FILES}),
+         {"SkylakeX": _SIN_FIT_FILES, "Haswell": _SIN_FIT_FILES,
+          "Sandybridge": _SIN_FIT_FILES_OLDER, "Nehalem": _SIN_FIT_FILES_OLDER,
+          "Katmai": _SIN_FIT_FILES_OLDER}),
         ({"demo": "dods_linear", "H": 6, "sequences": 4, "T": 3, "target_mse": 0.01}, {
             "SkylakeX": {
                 "dods_model.json":
@@ -583,7 +640,17 @@ class TestTrain:
                 "dods_trace.jsonl":
                     "f19e136c90b7b612f77777582fd1cd3679201dad1f673e505cd2945247ce8b26",
                 "dods_linear_summary.json":
-                    "4c9a455c868499cc41e394b547e4d8b2a664c2f4163c9ce3ac27f4552f1c2765"}}),
+                    "4c9a455c868499cc41e394b547e4d8b2a664c2f4163c9ce3ac27f4552f1c2765"},
+            # Katmai gives Sandybridge's bytes
+            "Sandybridge": _DODS_FILES_SANDYBRIDGE,
+            "Nehalem": {
+                "dods_model.json":
+                    "4b17de78f1b7c8a5f37b4aa86ef91897f6a725b6e9e363a279b805b17b48c80a",
+                "dods_trace.jsonl":
+                    "58aec22811cb842415e07fe014ac0ad65801e4275ba7c11cc25397cf7929bb8b",
+                "dods_linear_summary.json":
+                    "a3b342cea2490cda29a32aa4e5b6c4cb86040ea603a767da86c6a9b06c68b910"},
+            "Katmai": _DODS_FILES_SANDYBRIDGE}),
         # the train_rec benchmark workload: 1,407 steps at full size
         ({"demo": "dods_linear", "target_mse": 3e-5}, {
             "SkylakeX": {
@@ -599,7 +666,10 @@ class TestTrain:
                 "dods_trace.jsonl":
                     "d7900e9097d462c379f4af575495d9c344281d6e82cea43c7be50aaf3c2e9756",
                 "dods_linear_summary.json":
-                    "7e9b6c0ede70c74bf28a8c1af0f3f3d5f2ae567bb3193b29cab94fef28f18f2a"}}),
+                    "7e9b6c0ede70c74bf28a8c1af0f3f3d5f2ae567bb3193b29cab94fef28f18f2a"},
+            # the same bytes under the three older kernels
+            "Sandybridge": _DODS_FULL_FILES_OLDER, "Nehalem": _DODS_FULL_FILES_OLDER,
+            "Katmai": _DODS_FULL_FILES_OLDER}),
     ], ids=["sin_fit", "dods_linear", "dods_linear_full"])
     def test_golden_outputs(self, tmp_path, demo, by_kernel):
         """Pins the bytes of a small training run: model, loss trace, summary."""
@@ -759,17 +829,31 @@ class TestProbe:
         cfg = _write_config(tmp_path, "p.json", {"n": 2, "I": 4, "gpu": True})
         assert cli.main(["probe", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    _SMALL_FILES = {
+        "probe.csv": "a47a71976f9803d4466ebc6c3881f2c4aecf07576c1f0ce20b4de658d35aee4d",
+        "probe_results.jsonl":
+            "197cdeb417379d89908dbb2cb293dea74a3050167ed709bdbbec154c08d94a06"}
+    _SMALL_FILES_SANDYBRIDGE = {
+        "probe.csv": "cb2c56ec6ccac92dcd442c4a23266bfa0ca3b0f55151b44ef4b638775fb64438",
+        "probe_results.jsonl":
+            "cb7e7fd2b6c3a97059a398404e1c93e9f1c0db0a2e60330ab6fe220c191e0fe2"}
+
     def test_golden_outputs(self, tmp_path):
         """Pins the bytes of a campaign that runs both probe cases."""
         cfg = _write_config(tmp_path, "p.json", {"n": 2, "I": 3, "instances": 4, "seed": 0})
         assert cli.main(["probe", "--config", cfg, "--out", str(tmp_path)]) == 0
         digests = {name: _sha256((tmp_path / name).read_bytes())
                    for name in ("probe.csv", "probe_results.jsonl")}
-        assert digests == {
-            "probe.csv": "a47a71976f9803d4466ebc6c3881f2c4aecf07576c1f0ce20b4de658d35aee4d",
-            "probe_results.jsonl":
-                "197cdeb417379d89908dbb2cb293dea74a3050167ed709bdbbec154c08d94a06",
-        }
+        # the same bytes under SkylakeX and Haswell, and under Sandybridge and Katmai
+        assert digests == pinned_for_kernel({
+            "SkylakeX": self._SMALL_FILES, "Haswell": self._SMALL_FILES,
+            "Sandybridge": self._SMALL_FILES_SANDYBRIDGE,
+            "Nehalem": {
+                "probe.csv": "c53eebca8defd8fe11f23c4a4f43b8a5360b6049317355f6f16eac4af35f9422",
+                "probe_results.jsonl":
+                    "324780e72312acb6afb685a556b753701b4119cc89cd251c7ac6c0ef3abd828d"},
+            "Katmai": self._SMALL_FILES_SANDYBRIDGE,
+        })
 
     def test_golden_outputs_at_benchmark_shape(self, tmp_path):
         """Pins both probe cases at the benchmark's n and I (H 33), where all but
@@ -787,6 +871,18 @@ class TestProbe:
                 "probe.csv": "168515677f8f56fc3a4c3cb815c46bdeb2f08aceacdbf74ff90c9edbabdee4c6",
                 "probe_results.jsonl":
                     "c644d08437a28e79825cecc9890ee3cb3edb8456241859332837a4e7ae31897e"},
+            "Sandybridge": {
+                "probe.csv": "02fbd87fc8e5c90c5c533f834b994ef0bfe550cebdb01a6e0653a7e079b2015c",
+                "probe_results.jsonl":
+                    "636820a19287f670158c8d6fb39601b295c5e200f0d508be45b1997f151078f6"},
+            "Nehalem": {
+                "probe.csv": "56be12b61a62536fa8f0eda7e5861138a45b457aeae9ce697361f2256f8bc398",
+                "probe_results.jsonl":
+                    "e74834b15b3227530fe3fcf92073d193b1da4a92adc890de708d0905641cef23"},
+            "Katmai": {
+                "probe.csv": "0f768de5df9be656991060a9340d15cbda14fbbf6fdee9c16d2507f36c347c81",
+                "probe_results.jsonl":
+                    "cd70799881cd01c612cf3fe0345834a9c7e07e7eeee6bc429f532deaf70fbd97"},
         })
 
     @pytest.mark.parametrize("outcome", ["rejected", "not_found"])
@@ -1069,6 +1165,35 @@ def test_out_dir_that_cannot_be_made_exits_3(tmp_path, capsys):
     assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "file/o")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
+
+
+# a config of each command, and an output name it writes only once its run is done
+_LAST_RENAMES = {
+    "report": ({"verify_csv": "v.csv"}, "report.md"),
+    "convert": ({**_COMMAND_BASES["convert"], "in_model": "fnn.json"}, "out.json"),
+    "train": (_COMMAND_BASES["train_rec"], "dods_linear_summary.json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LAST_RENAMES))
+def test_a_failed_rename_prints_only_its_error_line(tmp_path, rng, capsys, monkeypatch,
+                                                    command):
+    """A directory holds an output's name, so the file cannot take it when the run
+    ends: the run exits 3, leaves nothing it made, and prints only its error line,
+    not the stdout lines of a run whose files are gone."""
+    cfg, name = _LAST_RENAMES[command]
+    monkeypatch.chdir(tmp_path)  # where the config's relative input files are
+    (tmp_path / "v.csv").write_text(_GOOD_CSV)
+    write_model(tmp_path / "fnn.json", _sample_fnn(rng))
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    path = _write_config(tmp_path, "cfg.json", cfg)
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output: "), err
+    assert list(out.rglob("*")) == [out / name]
 
 
 class TestOutputNames:

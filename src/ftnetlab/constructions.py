@@ -20,6 +20,7 @@ from .models import (
     FNNParams,
     RFTNetParams,
     RNNParams,
+    _batch,
     additive_activation,
     eval_rnn_many,
 )
@@ -197,9 +198,7 @@ def rnn_timepoint_to_fnn(r: RNNParams, xs_prefix, t0: int) -> FNNParams:
     The result maps any substituted input at time t0 to the output the RNN
     would produce there; b_F = V m_{t0-1} + b.
     """
-    xs_prefix = np.asarray(xs_prefix, dtype=np.float64)
-    if xs_prefix.ndim != 2:
-        xs_prefix = xs_prefix.reshape(-1, r.I) if xs_prefix.size else np.zeros((0, r.I))
+    xs_prefix = _batch(xs_prefix, 2, r.I)
     if not 1 <= t0 <= xs_prefix.shape[0] + 1:
         raise ContractViolationError(
             f"t0={t0} out of range for a prefix of length {xs_prefix.shape[0]}")

@@ -143,7 +143,7 @@ def _recurrent_gap(g, xs, src, mirrors=()) -> float:
     tgt, rec = outputs_and_receptors(g, xs)
     return _worst(relative_gap(tgt, src),
                   *(np.max(np.abs(rec[:, :, block] - states)) for block, states in mirrors),
-                  np.max(np.abs(rec[:, :, : g.I])),
+                  np.max(np.abs(rec[:, :, : g.I]), initial=0.0),  # no input, no error
                   np.max(np.abs(rec[:, :, -1])))
 
 

@@ -433,29 +433,3 @@ def _alpha_zero_proposals(p, data, spec, delta, seed, old_loss, k):
             yield 0, dz, dalpha
         eta /= 2.0
 
-
-def holomorphic_bidirectional_search(g, z0, delta: float, max_levels: int = 20):
-    """Perturbations raising and lowering Re[g] with squared norm <= delta.
-
-    Returns (dz_up, dz_down); either entry is None when the search budget is
-    exhausted (e.g. g locally constant).
-    """
-    z0 = np.asarray(z0, dtype=np.complex128)
-    m = z0.shape[0]
-    base = complex(g(z0)).real
-    directions = [np.eye(m, dtype=np.complex128)[j] for j in range(m)]
-    directions.append(np.ones(m, dtype=np.complex128) / math.sqrt(m))
-    up = down = None
-    for level in range(max_levels):
-        r = PROBE_RADIUS_MARGIN * math.sqrt(delta) * 2.0**-level
-        for d in directions:
-            for ph in PROBE_PHASES:
-                dz = r * ph * d
-                val = complex(g(z0 + dz)).real
-                if up is None and val > base:
-                    up = dz
-                if down is None and val < base:
-                    down = dz
-                if up is not None and down is not None:
-                    return up, down
-    return up, down

@@ -16,7 +16,7 @@ import ftnetlab.constructions as cons
 import ftnetlab.losses as losses
 import ftnetlab.models as models
 from conftest import pinned_for_kernel, sample_models, write_model
-from ftnetlab.activations import CRELU, HOLSIN, IDENTITY, RELU
+from ftnetlab.activations import CRELU, HOLSIN, IDENTITY, RELU, ZRELU
 from ftnetlab.constructions import EMBEDDING_CSV_HEADER
 from ftnetlab.embeddings import random_crnet
 from ftnetlab.errors import ContractViolationError
@@ -116,6 +116,27 @@ class TestConvert:
         assert capsys.readouterr().err == (
             "error: identity is not the real restriction of zrelu at c=1.0\n")
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("kind", ["rnn", "additive", "crnet"])
+    def test_a_recurrent_source_without_inputs_converts(self, tmp_path, kind, capsys):
+        """With I = 0 the receptor's input block is empty, and holds no error."""
+        h, w = 2, np.zeros((2, 0))
+        source = {
+            "rnn": RNNParams(0, h, w, 0.1 * np.eye(h), np.array([0.1, -0.2]), np.ones(h),
+                             np.zeros(h), RELU),
+            "additive": models.AdditiveFTNetParams(0, h, w, 0.1 * np.eye(h), np.zeros(h),
+                                                   np.ones(h), np.zeros(h), HOLSIN, 1.0),
+            "crnet": models.CRNetParams(0, h, w.astype(complex), np.array([0.1, -0.2j]),
+                                        np.ones(h, dtype=complex), ZRELU),
+        }[kind]
+        write_model(tmp_path / "src.json", source)
+        cfg = _write_config(tmp_path, "c.json", {
+            "in_model": str(tmp_path / "src.json"), "target": "rftnet",
+            "out_model": "out.json", "probes": 3})
+        assert cli.main(["convert", "--config", cfg, "--out", str(tmp_path)]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == EMBEDDING_CSV_HEADER and len(rows) == 1
+        assert float(rows[0].split(",")[-1]) <= 1e-12
 
     def test_rnn_header_width(self, tmp_path, rng, capsys):
         r = _sample_rnn(rng)

@@ -310,6 +310,15 @@ class TestRnnTimepoint:
         with pytest.raises(ContractViolationError):
             rnn_timepoint_to_fnn(r, np.zeros((2, r.I)), t0=0)
 
+    @pytest.mark.parametrize("shape, t0", [((13,), 1), ((2, 7), 1), ((3, 1, 6), 2)],
+                             ids=["flat", "wider_than_I", "three_axes"])
+    def test_a_prefix_not_of_shape_t_by_i_is_refused(self, shape, t0):
+        """The prefix is (t, I) or refused, whatever t0 reads of it."""
+        r = RNNParams(6, 2, np.zeros((2, 6)), np.zeros((2, 2)), np.zeros(2), np.ones(2),
+                      np.zeros(2), RELU)
+        with pytest.raises(ContractViolationError, match="expected a 2-d array"):
+            rnn_timepoint_to_fnn(r, np.zeros(shape), t0=t0)
+
 
 class TestRowIndependentPadding:
     def test_zero_block(self):

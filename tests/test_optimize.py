@@ -4,6 +4,7 @@ import sys
 import weakref
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -45,7 +46,6 @@ from ftnetlab.optimize import (
     descent_probe,
     grad_fftnet,
     grad_rftnet,
-    holomorphic_bidirectional_search,
     random_fftnet,
     random_rftnet,
     train_fftnet,
@@ -428,6 +428,15 @@ def _ball_search_oracle(p, data, spec, delta, tries=4000, seed=99):
     return False
 
 
+# the arguments holsin's real_envelope vouches for: |a| <= 2^20, with draws within
+# a few thousand ulps of the odd multiples of pi (up to 333,771 pi < 2^20), where
+# tan(a/2) nears its poles, and |b| <= 700
+_ENVELOPE_A = st.floats(-2.0**20, 2.0**20) | st.builds(
+    lambda odd, ulps: odd * math.pi + ulps * math.ulp(odd * math.pi),
+    st.integers(-166_886, 166_885).map(lambda k: 2 * k + 1), st.integers(-4096, 4096))
+_ENVELOPE_B = st.floats(-700.0, 700.0)
+
+
 class TestLossBound:
     """``squared_loss_lower_bound`` lets ``train_fftnet`` reject a holsin
     candidate without its exact forward pass, so it must never exceed the
@@ -484,6 +493,21 @@ class TestLossBound:
         ys = out + ulp_offsets * np.spacing(out)
         loss = empirical_loss(p, Dataset(xs, ys), squared_loss())
         assert squared_loss_lower_bound(p, kappa_many(xs, h), ys) <= loss
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=_ENVELOPE_A, b=_ENVELOPE_B)
+    def test_premise_holds_at_160_bits(self, a, b):
+        """Against sin a cosh b at 160 bits, real_envelope's s~ and the exact
+        pass's Re sin(a + ib) each lie within 2^-32 env, and |Re sin(a + ib)| is
+        at most (1 + 2^-32) env."""
+        s, env = HOLSIN.real_envelope(np.array([a]), np.array([b]))
+        exact = np.sin(np.array([complex(a, b)])).real[0]
+        with mpmath.workprec(160):
+            true = mpmath.sin(a) * mpmath.cosh(b)
+            slack = mpmath.ldexp(float(env[0]), -32)
+            assert abs(float(s[0]) - true) <= slack
+            assert abs(float(exact) - true) <= slack
+            assert abs(true) <= float(env[0]) + slack
 
     def test_tight_on_a_sin_fit_start(self):
         p = random_fftnet(1, 32, HOLSIN, 0.3, np.random.default_rng(0))
@@ -724,35 +748,6 @@ class TestProbeJsonLine:
     def test_matches_json_dumps(self, res, instance_id):
         want = json.dumps({"instance_id": instance_id, **_to_dict(res)}, sort_keys=True)
         assert res.json_line(instance_id) == want
-
-
-class TestBidirectionalSearch:
-    def test_linear(self):
-        up, down = holomorphic_bidirectional_search(lambda z: z[0], np.zeros(1), 0.01)
-        assert up is not None and down is not None
-        assert complex(up[0]).real != 0 or complex(up[0]).imag != 0
-        assert np.sum(np.abs(up) ** 2) <= 0.01
-        assert np.sum(np.abs(down) ** 2) <= 0.01
-
-    def test_quadratic_at_flat_point(self):
-        g = lambda z: z[0] ** 2
-        up, down = holomorphic_bidirectional_search(g, np.zeros(1), 0.01)
-        assert up is not None and down is not None
-        assert complex(g(up)).real > 0
-        assert complex(g(down)).real < 0
-
-    def test_constant_not_found(self):
-        up, down = holomorphic_bidirectional_search(lambda z: 3.0 + 0j, np.zeros(2),
-                                                    0.01, max_levels=3)
-        assert up is None and down is None
-
-    def test_multivariate(self, rng):
-        z0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        g = lambda z: np.exp(z[0]) + np.sin(z[2])
-        up, down = holomorphic_bidirectional_search(g, z0, 0.04)
-        base = complex(g(z0)).real
-        assert complex(g(z0 + up)).real > base
-        assert complex(g(z0 + down)).real < base
 
 
 def test_gradient_bundle_rejects_non_finite():

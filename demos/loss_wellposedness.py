@@ -33,10 +33,9 @@ cases = [
 ]
 
 for name, spec in cases:
-    report = check_well_posed(spec)
-    verdict = "well posed" if report.passed else "REJECTED"
-    print(f"{name:42s} -> {verdict}")
-    for v in report.violations:
+    violations = check_well_posed(spec)
+    print(f"{name:42s} -> {'REJECTED' if violations else 'well posed'}")
+    for v in violations:
         print(f"    {v}")
 
 a, b = 2.0, 3.0

@@ -28,10 +28,9 @@ class Activation:
     ``value`` lie within 2^-32 env of the true Re act(a + ib).  None means it
     cannot vouch for these arrays.  ``losses.squared_loss_lower_bound`` reads it.
 
-    ``value_and_derivative``, set for a holomorphic kind that gets its
-    complex derivative almost free alongside its value, takes z and returns
-    (act(z), act'(z)), each the same bytes as ``value`` and as the derivative
-    ``jacobian`` is built from.
+    ``value_and_derivative``, set only for holsin, whose sin z and cos z share
+    their libm work, takes z and returns (act(z), act'(z)), each the same
+    bytes as ``value`` and as the derivative ``jacobian`` is built from.
     """
 
     tag: str
@@ -83,11 +82,6 @@ def _holsin_real_envelope(a, b):
     t /= q
     t *= c
     return t, c
-
-
-def _expm1_and_exp(z):
-    e = np.exp(z)
-    return e - 1.0, e
 
 
 # glibc's csin(x + iy) takes sin x = x and cos x = 1 where |x| <= DBL_MIN, so
@@ -177,7 +171,7 @@ HOLEXPM1 = Activation(
     "holexpm1",
     lambda z: np.exp(z) - 1.0,
     lambda z: _cauchy_riemann(np.exp(z)),
-    holomorphic_nonpolynomial=True, value_and_derivative=_expm1_and_exp)
+    holomorphic_nonpolynomial=True)
 HOLSIN = Activation(
     "holsin",
     lambda z: np.sin(z),

@@ -123,7 +123,8 @@ CONFIG_TABLES = {
         "H": Key(int, lambda cfg: cfg["I"] + 1, 1),
         "delta": Key(float, 0.1, POSITIVE, 1.0),
         "instances": Key(int, 100, 1),
-        "case2_instances": Key(int, lambda cfg: cfg["instances"] // 2, 0),
+        "case2_instances": Key(int, lambda cfg: cfg["instances"] // 2, 0,
+                               lambda cfg: cfg["instances"]),
         "init_scale": Key(float, 0.4, 0, 1.0),
     },
     "report": {

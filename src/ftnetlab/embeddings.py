@@ -53,10 +53,9 @@ def random_relu_rnn(rng: np.random.Generator) -> RNNParams:
                      0.5 * rng.standard_normal(h), RELU)
 
 
-def random_crnet(rng: np.random.Generator, i_choices=(2, 4, 6, 8),
-                 hmax: int = 8) -> CRNetParams:
-    i = int(rng.choice(i_choices))
-    h = int(rng.integers(1, hmax + 1))
+def random_crnet(rng: np.random.Generator) -> CRNetParams:
+    i = int(rng.choice((2, 4, 6, 8)))
+    h = int(rng.integers(1, 9))  # 1..8
     return CRNetParams(
         i, h,
         # each real part is drawn before its imaginary part, which fixes what a seed gives

@@ -26,7 +26,7 @@ class LossSpec:
     deriv: Callable[[np.ndarray], np.ndarray]
 
     @cached_property
-    def well_posedness(self) -> WellPosednessReport:
+    def well_posedness(self) -> tuple[str, ...]:
         """:func:`check_well_posed` of this spec, run once per spec."""
         return check_well_posed(self)
 
@@ -61,14 +61,9 @@ def param_cosh_loss(a: float, b: float, c: float) -> LossSpec:
     return LossSpec(f"param_cosh({a},{b},{c})", value=value, deriv=deriv)
 
 
-@dataclass(frozen=True)
-class WellPosednessReport:
-    passed: bool
-    violations: tuple[str, ...]
-
-
-def check_well_posed(spec: LossSpec) -> WellPosednessReport:
-    """Scan [-10, 10] in steps of 0.01: l(0) = 0 and sign(l'(x)) = sign(x) off 0."""
+def check_well_posed(spec: LossSpec) -> tuple[str, ...]:
+    """The violations found by a scan of [-10, 10] in steps of 0.01 for l(0) = 0
+    and sign(l'(x)) = sign(x) off 0: empty when the loss is well posed."""
     grid_max, grid_step = 10.0, 1e-2
     violations = []
     l0 = float(spec.value(np.asarray(0.0)))
@@ -83,7 +78,7 @@ def check_well_posed(spec: LossSpec) -> WellPosednessReport:
         if bad.size:
             x = side * xs[bad[0]]
             violations.append(f"not strictly {trend} at x = {x:.4g} (l' = {d[bad[0]]:.4g})")
-    return WellPosednessReport(passed=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 @dataclass(frozen=True)

@@ -350,9 +350,8 @@ def descent_probe(p: FFTNetParams, data: Dataset, spec: LossSpec,
     if not p.activation.holomorphic_nonpolynomial:
         raise ContractViolationError(
             "descent probe needs a holomorphic non-polynomial activation")
-    wp = spec.well_posedness
-    if not wp.passed:
-        raise ContractViolationError(f"loss: not well posed: {'; '.join(wp.violations)}")
+    if spec.well_posedness:
+        raise ContractViolationError(f"loss: not well posed: {'; '.join(spec.well_posedness)}")
     if tape is None:
         tape = Tape()
     old_loss = empirical_loss(p, data, spec, tape)

@@ -253,11 +253,6 @@ class TestSharedDerivative:
             s, c = apply(HOLSIN, w, derivative=True)
             assert _same_bytes(s, np.sin(w)) and _same_bytes(c, np.cos(w))
 
-    def test_holexpm1_shares_one_exp(self, rng):
-        z = 3.0 * (rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5)))
-        value, d = apply(HOLEXPM1, z, derivative=True)
-        assert _same_bytes(value, np.exp(z) - 1.0) and _same_bytes(d, np.exp(z))
-
     @pytest.mark.parametrize("tag", list(TABLE))
     def test_value_and_jacobian_match_the_separate_calls(self, tag, rng):
         kind = activation_from_tag(tag)

@@ -1159,6 +1159,9 @@ class TestConfigValidation:
         ("train", {"H": 1}, "H: expected a value >= I+1 = 2, got 1"),
         ("train_rec", {"H": 2}, "H: expected a value >= I+1 = 3, got 2"),
         ("probe", {"n": 2, "I": 4, "H": 3}, "H: expected a value >= I+1 = 5, got 3"),
+        # case 2's instances are a share of the campaign, so a larger count leaves no case 1
+        ("probe", {"instances": 4, "case2_instances": 9},
+         "case2_instances: expected a value <= 4, got 9"),
     ])
     def test_rejected_before_any_work(self, tmp_path, rng, capsys, command, extra, message):
         cfg = {**_COMMAND_BASES[command], **extra}

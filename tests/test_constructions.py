@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftnetlab.activations import HOLSIN, IDENTITY, RELU, ZRELU, apply, apply_real
+import ftnetlab.constructions as cons
 from ftnetlab.embeddings import (
     FAMILIES,
     _random_assembly,
+    _recurrent_gap,
+    _worst,
     assembly_structural_gap,
     outputs_and_receptors,
     random_additive,
@@ -36,7 +39,9 @@ from ftnetlab.constructions import (
 from ftnetlab.errors import ContractViolationError
 from ftnetlab.models import (
     AdditiveFTNetParams,
+    CRNetParams,
     FNNParams,
+    RFTNetParams,
     RNNParams,
     eval_additive_many,
     eval_crnet_many,
@@ -161,15 +166,13 @@ class TestAdditiveEmbedding:
 
 class TestCrnetEmbeddings:
     def test_single_unit_example(self):
-        crn = random_crnet(np.random.default_rng(0), i_choices=(2,), hmax=1)
+        crn = CRNetParams(2, 1, [[0.126 - 0.132j]], [0.640 + 0.105j], [-0.536 + 0.362j], ZRELU)
         g = crnet_to_fftnet(crn)
         x = np.array([[1.0, 1.0]])
         assert eval_fftnet_many(g, x)[0] == pytest.approx(eval_crnet_many(crn, x)[0],
                                                           rel=1e-12)
 
     def test_gated_imaginary_readout(self):
-        from ftnetlab.models import CRNetParams
-
         crn = CRNetParams(2, 1, [[1.0 + 0.0j]], [0.0j], [1.0j], ZRELU)
         g = crnet_to_fftnet(crn)
         # tau((1, -1)) = 1 - i is gated, so both paths give 0
@@ -431,6 +434,71 @@ class TestDodsAssembly:
             assemble_dods_additive(broken1, s2, readout, ZRELU, 1.0, np.zeros(hd))
         with pytest.raises(ContractViolationError, match="stage2 readout is not row independent"):
             assemble_dods_additive(s1, broken2, readout, ZRELU, 1.0, np.zeros(hd))
+
+
+class TestGapMeasures:
+    """The gap measures read every error they claim to, including those that
+    the constructions never make."""
+
+    def test_relative_gap_divides_by_one_plus_the_source(self):
+        # |3 - 1| / (1 + 1) = 1 and |-1 - -3| / (1 + 3) = 0.5: the largest is read
+        assert relative_gap([3.0, -1.0], [1.0, -3.0]) == 1.0
+        assert relative_gap([[-1.0], [0.5]], [[-3.0], [0.5]]) == 0.5
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_relative_gap_is_inf_on_one_non_finite_entry(self, bad):
+        assert relative_gap([1.0, bad], [1.0, 1.0]) == math.inf
+        assert relative_gap([1.0, 1.0], [1.0, bad]) == math.inf
+
+    def test_worst_reads_nan_as_inf(self):
+        assert _worst(0.5, np.float64(math.nan), 0.25) == math.inf
+        assert _worst(0.5, 0.25) == 0.5
+
+    @staticmethod
+    def _leaking_net(slot):
+        """An identity-activation RFTNet with I = 2, H = 4 whose receptor holds
+        0.25 x_0 in ``slot`` at every step and 0 elsewhere; its outputs are 0."""
+        v = np.zeros((4, 4))
+        v[slot, 0] = 0.25
+        return RFTNetParams(2, 4, np.zeros((4, 4)), v, np.zeros(4), IDENTITY, None)
+
+    # x_0 is 2 and then -0.5, so the receptor's error is 0.5 at its worst and 0.125 at its least
+    _XS = np.array([[[2.0, 1.0], [-0.5, 1.0]]])
+
+    @pytest.mark.parametrize("slot, gap", [(0, 0.5), (1, 0.5), (2, 0.0), (3, 0.5)])
+    def test_recurrent_gap_reads_the_input_block_and_the_bias_slot(self, slot, gap):
+        # slots 0 and 1 are the input block and 3 the bias slot; slot 2 is read only
+        # through a mirror
+        assert _recurrent_gap(self._leaking_net(slot), self._XS, np.zeros((1, 2))) == gap
+
+    def test_recurrent_gap_reads_each_mirror_and_the_outputs(self):
+        g, xs = self._leaking_net(2), self._XS
+        states = 0.25 * xs[:, :, :1]
+        assert _recurrent_gap(g, xs, np.zeros((1, 2)), [(slice(2, 3), states)]) == 0.0
+        assert _recurrent_gap(g, xs, np.zeros((1, 2)), [(slice(2, 3), 0 * states)]) == 0.5
+        assert _recurrent_gap(g, xs, np.array([[0.0, 1.0]])) == 0.5
+
+    @pytest.mark.parametrize("claim", range(5))
+    def test_assembly_gap_reads_each_chain_claim(self, monkeypatch, claim):
+        """With one claim knocked off by one, the assembly's gap shows it."""
+        rng = np.random.default_rng(5)
+        stages = _random_assembly(rng)
+        xs = rng.uniform(-1, 1, size=(4, stages[0].A.shape[1]))
+        net = assemble_dods_additive(*stages)
+        trajectories = cons.dods_stage_trajectories
+        assert assembly_structural_gap(stages, net, xs) <= EXACT
+
+        def one_claim_off(*args):
+            traj = trajectories(*args)
+            if claim == 2:  # q3's tail = q2, with q1 = C2 q2 kept
+                traj["q2"][-1, 0] += 1.0
+                traj["q1"][-1] += stages[1].C[:, 0]
+            else:  # p1 = C1 p2, q1 = C2 q2, p = (p3; p5), q = (q3; q5)
+                traj[("p1", "q1", None, "p5", "q5")[claim]][-1, 0] += 1.0
+            return traj
+
+        monkeypatch.setattr(cons, "dods_stage_trajectories", one_claim_off)
+        assert assembly_structural_gap(stages, net, xs) > 1e-6
 
 
 _KINDS = st.sampled_from(sorted({kind for fam in FAMILIES.values()

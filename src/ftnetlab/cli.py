@@ -31,7 +31,7 @@ from .embeddings import (
     relative_gap,  # noqa: F401  (the per-layer benchmark traces cli.relative_gap)
     run_embedding_sweep,
 )
-from .errors import ContractViolationError, NonFiniteInitialLossError
+from .errors import ContractViolationError
 from .losses import LOSSES, Dataset, empirical_loss, loss_spec_from_config
 from .models import READ_ERRORS, Tape, model_from_dict, read_json, save_model
 from .optimize import PROBE_CSV_HEADER, descent_probe, random_fftnet, training_fit
@@ -313,15 +313,15 @@ def cmd_train(cfg: dict, open_partial) -> Outcome:
     fit = training_fit(cfg)
     # p0 is the fit's last draw, so redrawing it changes no run whose first draw steps
     for draws in range(1, TRAIN_INIT_DRAWS + 1):
-        try:
-            trained, trace = fit.train(fit.draw_p0())
-        except NonFiniteInitialLossError as exc:
-            reason, start_failure = "initial loss not finite", str(exc)
-            continue
-        if len(trace) > 1 or trace[0] <= fit.target_loss:  # stepped, or started on target
+        trained, trace = fit.train(fit.draw_p0())
+        if not np.isfinite(trace[0]):  # the descent ended at its start
+            reason = "initial loss not finite"
+            start_failure = f"initial loss is not finite: {trace[0]}"
+        elif len(trace) > 1 or trace[0] <= fit.target_loss:  # stepped, or started on target
             break
-        reason = "no step lowered the initial loss"
-        start_failure = f"{reason} {trace[0]!r}"
+        else:
+            reason = "no step lowered the initial loss"
+            start_failure = f"{reason} {trace[0]!r}"
     else:
         return Outcome(EXIT_PROPERTY_FAILURE, reason=f"train {demo} failed: {start_failure} "
                                                      f"({TRAIN_INIT_DRAWS} draws of p0)")

@@ -264,18 +264,17 @@ def preactivation_parts(p: FFTNetParams, k: np.ndarray) -> tuple:
 def eval_fftnet_many(p: FFTNetParams, X: np.ndarray, tape: Tape | None = None) -> np.ndarray:
     """Batch of inputs, shape (N, I) -> outputs (N,); fills ``tape`` when given.
 
-    A taped pass feeds a gradient, so it also takes the activation's
-    derivative where that comes from the same evaluation.
+    The one feedforward pass, for evaluation and gradients alike: it also takes
+    the activation's derivative where that comes from the same evaluation.
     """
     X = _batch(X, 2, p.I)
     k = _padded(X, p.H, tape)
     pre = np.empty((X.shape[0], p.H), dtype=np.complex128)
     pre.real, pre.imag = preactivation_parts(p, k)
-    if tape is None:
-        return apply(p.activation, pre).real @ p.alpha
     act, d = apply(p.activation, pre, derivative=True)
     out = act.real @ p.alpha
-    tape.record(p, X, out, k, pre, act, D=d)
+    if tape is not None:
+        tape.record(p, X, out, k, pre, act, D=d)
     return out
 
 

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .activations import Activation, activation_from_tag, apply, jacobian_parts
-from .errors import ContractViolationError, NonFiniteInitialLossError
+from .errors import ContractViolationError
 from .losses import (Dataset, LossSpec, empirical_loss, loss_spec_from_config,
                      squared_loss_lower_bound)
 from .models import FFTNetParams, RFTNetParams, Tape, _padded, eval_linear_dods, forward
@@ -26,11 +26,6 @@ class GradientBundle:
     dW: np.ndarray
     dV: np.ndarray
     dAlpha: np.ndarray
-
-    def __post_init__(self):
-        for a in (self.dW, self.dV, self.dAlpha):
-            if not np.all(np.isfinite(a)):
-                raise ContractViolationError("gradient has non-finite entries")
 
     def sq_norm(self) -> float:
         return float(np.sum(self.dW**2) + np.sum(self.dV**2) + np.sum(self.dAlpha**2))
@@ -114,15 +109,16 @@ def random_rftnet(I: int, H: int, activation: Activation, scale: float,
 
 
 def _descend(p0, loss_of, grad_of, cfg: TrainConfig, bound_of=None):
-    """Shared GD loop over (W, V, alpha) of either FTNet: the start's loss must
-    be finite, and a step is accepted only when its loss is finite and below
-    the current one, so every loss in the trace is finite.  ``loss_of`` and
-    ``grad_of`` take a params object; each candidate is ``p0``'s kind with the
-    stepped arrays.
+    """Shared GD loop over (W, V, alpha) of either FTNet; the trace alone tells
+    how it ended.  A start whose loss is not finite ends it at once; after it,
+    a step is accepted only when its loss is finite and below the current one.
+    ``loss_of`` and ``grad_of`` take a params object; each candidate is
+    ``p0``'s kind with the stepped arrays.
 
     Overshooting candidates may overflow to inf/nan, in their stepped arrays
-    or in their loss; either way they are rejected by a finiteness check and
-    the step is halved, so IEEE overflow is silenced within this loop.
+    or in their loss (every one does, for a non-finite gradient); either way
+    they are rejected by a finiteness check and the step is halved, so IEEE
+    overflow is silenced within this loop.
 
     ``bound_of``, when given, takes a candidate and returns a lower bound on
     its ``loss_of``, or -inf or NaN where it has none.  A candidate whose
@@ -139,12 +135,10 @@ def _descend(p0, loss_of, grad_of, cfg: TrainConfig, bound_of=None):
     p = p0
     with np.errstate(over="ignore", invalid="ignore"):
         cur = loss_of(p)
-        if not math.isfinite(cur):
-            raise NonFiniteInitialLossError(f"initial loss is not finite: {cur}")
         trace = [cur]
         step = cfg.step_size
         for _ in range(cfg.max_iters):
-            if cur <= cfg.target_loss:
+            if not cfg.target_loss < cur < math.inf:  # on target, or a start not finite
                 break
             g = grad_of(p)
             slope = g.sq_norm()  # the loss falls at this rate per unit step along -g
@@ -385,30 +379,40 @@ def descent_probe(p: FFTNetParams, data: Dataset, spec: LossSpec,
 
 
 def _alpha_nonzero_proposals(p, spec, delta, old_loss, k, res):
-    """Case 1: (row k0, c*v, no readout change) per radius level whose best
-    phase lowers the loss when only the worst sample's residual moves."""
+    """Case 1: (row, c*v, no readout change) per radius level whose best
+    phase lowers the loss when only the worst sample's residual moves.  Row
+    k0 = argmax |alpha_k| goes first, then the row of largest |alpha_r sigma'| at
+    that sample: all k0 can change there may lie below one ulp of the residual."""
     j0 = int(np.argmax(np.abs(res)))
     k0 = int(np.argmax(np.abs(p.alpha)))
     v = null_vector_against(k, keep=j0)
     beta = complex(v @ k[j0])
-    w0 = complex((p.W[k0] + 1j * p.V[k0]) @ k[j0])
-    base = p.alpha[k0] * complex(apply(p.activation, w0)).real
     vnorm = float(np.linalg.norm(v))
 
-    for level in range(PROBE_RADIUS_LEVELS):
-        radius = PROBE_RADIUS_MARGIN * delta * 2.0**-level / vnorm
-        cs = radius * PROBE_PHASES
-        terms = p.alpha[k0] * apply(p.activation, w0 + cs * beta).real
-        new_res_j0 = res[j0] - base + terms
-        new_losses = old_loss - float(spec.value(res[j0])) + spec.value(new_res_j0)
-        best = int(np.argmin(new_losses))
-        if new_losses[best] < old_loss:
-            yield k0, cs[best] * v, np.zeros(p.H)
+    for row in (k0, None):
+        if row is None:  # k0 found nothing: rank the rows, lazily
+            j11, _, j21, _ = jacobian_parts(p.activation, (p.W + 1j * p.V) @ k[j0])
+            row = int(np.argmax(np.nan_to_num(np.abs(p.alpha) * np.hypot(j11, j21))))
+            if row == k0:
+                return
+        w0 = complex((p.W[row] + 1j * p.V[row]) @ k[j0])
+        base = p.alpha[row] * complex(apply(p.activation, w0)).real
+        for level in range(PROBE_RADIUS_LEVELS):
+            radius = PROBE_RADIUS_MARGIN * delta * 2.0**-level / vnorm
+            cs = radius * PROBE_PHASES
+            terms = p.alpha[row] * apply(p.activation, w0 + cs * beta).real
+            new_res_j0 = res[j0] - base + terms
+            new_losses = old_loss - float(spec.value(res[j0])) + spec.value(new_res_j0)
+            best = int(np.argmin(new_losses))
+            if new_losses[best] < old_loss:
+                yield row, cs[best] * v, np.zeros(p.H)
 
 
 def _alpha_zero_proposals(p, data, spec, delta, seed, old_loss, k):
     """Case 2: (row 0, a sampled dz, a step on alpha_0) per halving of that
-    step whose loss, with the readout's other weights still zero, is lower."""
+    step whose loss, with the readout's other weights still zero, is lower.
+    The halvings start at delta/2, then at the squared loss's best step
+    |c1| / (2 vals.vals) where that is smaller: large values overshoot delta/2's."""
     rng = np.random.default_rng(seed)
     lp = spec.deriv(-data.ys)
     z1 = p.W[0] + 1j * p.V[0]
@@ -423,12 +427,12 @@ def _alpha_zero_proposals(p, data, spec, delta, seed, old_loss, k):
     else:
         return  # the readout's derivative vanished along every sampled direction
 
-    eta = PROBE_RADIUS_MARGIN * delta / 2.0
-    for _ in range(PROBE_RADIUS_LEVELS + 1):
-        da1 = -np.sign(c1) * eta
-        if float(np.sum(spec.value(da1 * vals - data.ys))) < old_loss:
-            dalpha = np.zeros(p.H)
-            dalpha[0] = da1
-            yield 0, dz, dalpha
-        eta /= 2.0
-
+    edge, best = PROBE_RADIUS_MARGIN * delta / 2.0, abs(c1) / (2.0 * float(vals @ vals))
+    for eta in (edge, best) if best < edge else (edge,):  # NaN and inf fail the test
+        for _ in range(PROBE_RADIUS_LEVELS + 1):
+            da1 = -np.sign(c1) * eta
+            if float(np.sum(spec.value(da1 * vals - data.ys))) < old_loss:
+                dalpha = np.zeros(p.H)
+                dalpha[0] = da1
+                yield 0, dz, dalpha
+            eta /= 2.0

@@ -725,6 +725,24 @@ class TestTrain:
         assert [line for line in captured.out.splitlines() if line.startswith("note:")] == notes
         assert json.loads((tmp_path / "dods_linear_summary.json").read_text())["iters"] == 2
 
+    @pytest.mark.parametrize("seed, why", [(181, "no step lowered the initial loss "),
+                                           (289, "initial loss is not finite: nan ")])
+    def test_non_finite_gradient_ends_the_descent(self, tmp_path, capsys, seed, why):
+        """Every key is in range, but some draws of p0 start at a finite loss whose
+        gradient overflows.  Every stepped candidate is then non-finite, so the
+        descent ends where it stands: a property failure, not a rejected config."""
+        cfg = _write_config(tmp_path, "t.json", {
+            "demo": "dods_linear", "activation": "holexpm1", "init_scale": 0.9, "iters": 40,
+            "H": 9, "sequences": 2, "T": 3,
+            "loss": {"loss": "param_cosh", "a": 5, "b": 40, "c": 0.02}})
+        out = tmp_path / "o"
+        rc = cli.main(["train", "--config", cfg, "--seed", str(seed), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1 and len(err) == 1
+        assert err[0].startswith(f"error: train dods_linear failed: {why}")
+        assert err[0].endswith(f"({cli.TRAIN_INIT_DRAWS} draws of p0)")
+        assert not out.exists()
+
     @pytest.mark.parametrize("demo", ["sin_fit", "dods_linear"])
     def test_overflowing_step_is_halved(self, tmp_path, capsys, demo):
         """At step size 1e308 every stepped array overflows; such a candidate is
@@ -905,6 +923,24 @@ class TestProbe:
                 "probe_results.jsonl":
                     "cd70799881cd01c612cf3fe0345834a9c7e07e7eeee6bc429f532deaf70fbd97"},
         })
+
+    @pytest.mark.parametrize("cfg, seed", [
+        ({"n": 32, "I": 64, "instances": 40, "init_scale": 1}, 0),
+        ({"n": 16, "I": 32, "instances": 60, "init_scale": 1, "delta": 1e-6}, 0),
+        ({"n": 8, "I": 128, "instances": 40, "init_scale": 0.52, "delta": 1e-6}, 0),
+        ({"n": 16, "I": 32, "init_scale": 1}, 1)],
+        ids=["n32_I64", "delta_1e-6", "n8_I128", "benchmark_shape_seed1"])
+    def test_no_false_counterexample(self, tmp_path, capsys, cfg, seed):
+        """Each campaign once reported instances as not found (21, 25 and 36; 43
+        and 46; 26, 29 and 38; 87): all that the largest-|alpha| row could change
+        at the worst sample lay below one ulp of its residual.  The row of largest
+        |alpha_r sigma'| finds a decrease there."""
+        path = _write_config(tmp_path, "p.json", cfg)
+        rc = cli.main(["probe", "--config", path, "--seed", str(seed),
+                       "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (0, "")
+        assert captured.out.splitlines()[-1].endswith("(0 filtered), all found")
 
     @pytest.mark.parametrize("outcome", ["rejected", "not_found"])
     def test_files_appear_when_the_campaign_ends(self, tmp_path, monkeypatch, outcome):

@@ -20,6 +20,7 @@ from ftnetlab.activations import (
     apply,
     jacobian_parts,
 )
+from ftnetlab.embeddings import instance_rng
 from ftnetlab.errors import ContractViolationError
 from ftnetlab.losses import (
     Dataset,
@@ -40,7 +41,6 @@ import ftnetlab.models as models
 from ftnetlab.numerics import RANK_TOLERANCE, numerical_rank
 import ftnetlab.optimize as optimize
 from ftnetlab.optimize import (
-    GradientBundle,
     ProbeResult,
     TrainConfig,
     descent_probe,
@@ -179,6 +179,29 @@ class TestTraining:
                                 TrainConfig(step_size=0.05, max_iters=5000,
                                             target_loss=1e-10))
         assert trace[-1] <= 1e-10
+
+    @pytest.mark.parametrize("start", [math.inf, math.nan])
+    def test_non_finite_start_ends_the_descent_at_once(self, rng, start):
+        def no_gradient(p):
+            raise AssertionError("a start whose loss is not finite takes no gradient")
+
+        p0 = random_fftnet(2, 4, HOLSIN, 0.3, rng)
+        p, trace = optimize._descend(p0, loss_of=lambda p: start, grad_of=no_gradient,
+                                     cfg=TrainConfig())
+        assert p is p0 and len(trace) == 1 and trace[0] is start
+
+    def test_non_finite_gradient_ends_the_descent(self):
+        """At W = 0 and V[0, 1] = 709 the net outputs Re sin(709i) = 0, a finite
+        loss of 8, but the gradient sums cosh(709) ~ 4.1e307 over 8 samples and
+        overflows.  Every stepped candidate is then non-finite and refused."""
+        v = np.zeros((2, 2))
+        v[0, 1] = 709.0
+        p0 = FFTNetParams(1, 2, np.zeros((2, 2)), v, np.array([1.0, 0.0]), HOLSIN)
+        data = Dataset(np.linspace(-1.0, 1.0, 8)[:, None], np.ones(8))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(grad_fftnet(p0, data, squared_loss()).dW).all()
+        p, trace = train_fftnet(p0, data, squared_loss(), TrainConfig())
+        assert p is p0 and trace == [8.0]
 
     def test_step_size_contract(self):
         # NaN passes a "<= 0" test, and _descend would halve a NaN or infinite step 31
@@ -588,6 +611,19 @@ class TestDescentProbe:
         assert res.perturbation_norm <= 0.1
         assert _ball_search_oracle(p, data, squared_loss(), 0.1)
 
+    def test_case2_steps_below_the_ball_edge_ladder(self):
+        """Instance 4 of {"n": 32, "I": 64, "instances": 40, "init_scale": 1} at
+        seed 9: activation values near 1e13 make all 41 halvings from delta/2
+        overshoot, and the ladder from the squared loss's best step finds one."""
+        rng = instance_rng(9, 4)
+        p = replace(random_fftnet(64, 65, HOLEXPM1, 1.0, rng), alpha=np.zeros(65))
+        data = Dataset(rng.standard_normal((32, 64)), rng.standard_normal(32))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = descent_probe(p, data, squared_loss(), delta=0.1, seed=4)
+        assert res.found and res.case_tag == "alpha_zero"
+        last_edge_step = optimize.PROBE_RADIUS_MARGIN * 0.05 * 2.0**-optimize.PROBE_RADIUS_LEVELS
+        assert 0 < abs(res.deltaAlpha[0]) < last_edge_step
+
     def test_case2_when_readout_zero(self, rng):
         p, data = self._case2_instance(rng)
         res = descent_probe(p, data, squared_loss(), delta=0.1, seed=1)
@@ -749,7 +785,3 @@ class TestProbeJsonLine:
         want = json.dumps({"instance_id": instance_id, **_to_dict(res)}, sort_keys=True)
         assert res.json_line(instance_id) == want
 
-
-def test_gradient_bundle_rejects_non_finite():
-    with pytest.raises(ContractViolationError):
-        GradientBundle(np.array([[np.nan]]), np.zeros((1, 1)), np.zeros(1))
